@@ -24,9 +24,9 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .coefficients import CoefficientSet, NoiseState
+from .coefficients import CoefficientSet, broadcast_control
 from .errors import NumericError
-from .forward import Control, ForwardBatch, broadcast_control, simulate_batch
+from .forward import Control, ForwardBatch, simulate_batch
 from .drivers import MarkMeasure, TimeGrid
 
 __all__ = [
@@ -184,30 +184,6 @@ class BsdeSolution:
                                + [repr(float(v)) for v in k_row])
 
 
-def _eval_terminal(coeffs: CoefficientSet, batch: ForwardBatch) -> np.ndarray:
-    X = batch.states[-1]
-    nz = batch.noise_state(batch.states.shape[0] - 1, coeffs.randomness_channels)
-    if coeffs.vectorized:
-        return np.asarray(coeffs.h(X, nz), dtype=float).reshape(X.shape[0])
-    out = np.empty(X.shape[0])
-    for s in range(X.shape[0]):
-        nzs = None if nz is None else NoiseState(nz.t, nz.channels, nz.values[s])
-        out[s] = float(coeffs.h(X[s], nzs))
-    return out
-
-
-def _eval_driver(coeffs: CoefficientSet, t, X, u, y, z, k, nz) -> np.ndarray:
-    if coeffs.vectorized:
-        ub = broadcast_control(u, X.shape[0])
-        return np.asarray(coeffs.f(t, X, ub, y, z, k, nz), dtype=float).reshape(X.shape[0])
-    out = np.empty(X.shape[0])
-    for s in range(X.shape[0]):
-        us = u[s] if np.ndim(u) == 2 else u
-        nzs = None if nz is None else NoiseState(nz.t, nz.channels, nz.values[s])
-        out[s] = float(coeffs.f(t, X[s], us, float(y[s]), z[s], float(k[s]), nzs))
-    return out
-
-
 def solve_bsde(coeffs: CoefficientSet, control: Control, batch: ForwardBatch,
                basis: PolynomialBasis | None = None, *,
                terminal_values: np.ndarray | None = None,
@@ -231,7 +207,8 @@ def solve_bsde(coeffs: CoefficientSet, control: Control, batch: ForwardBatch,
     if terminal_values is not None:
         y_next = np.asarray(terminal_values, dtype=float).reshape(M).copy()
     else:
-        y_next = _eval_terminal(coeffs, batch)
+        nz = batch.noise_state(N, coeffs.randomness_channels)
+        y_next = np.asarray(coeffs.h(batch.states[N], nz), dtype=float).reshape(M)
     if not np.all(np.isfinite(y_next)):
         raise NumericError("terminal values are not finite")
     terminal = y_next.copy()
@@ -280,8 +257,9 @@ def solve_bsde(coeffs: CoefficientSet, control: Control, batch: ForwardBatch,
         else:
             k_agg = np.zeros(M)
 
-        u_i = batch.controls[i]
-        f_val = _eval_driver(coeffs, t_i, X_i, u_i, y_proj, z_i, k_agg, nz)
+        u_i = broadcast_control(batch.controls[i], M)
+        f_val = np.asarray(coeffs.f(t_i, X_i, u_i, y_proj, z_i, k_agg, nz),
+                           dtype=float).reshape(M)
         y_next = y_proj + f_val * dt
         if not np.all(np.isfinite(y_next)):
             raise NumericError(f"BSDE value became non-finite at node {i}")

@@ -3,9 +3,11 @@
 Every run consumes a JSON config (seed required, no silent
 nondeterminism), writes CSV/JSON artifacts plus a ``manifest.json``
 carrying the config hash, the full config echo and library versions,
-and exits 0 on success, 2 on config errors, 3 on numeric failures and
-4 when an iterative solver did not converge.  Identical configs
-reproduce byte-identical CSV output.
+and exits 0 on success, 2 on config errors, 3 on numeric failures
+(including a Monte Carlo batch too large for memory) and 4 when an
+iterative solver did not converge.  Failures other than config errors
+write ``failure_diagnostic.json`` to the output directory.  Identical
+configs reproduce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -272,7 +274,7 @@ def run_bseej(cfg: dict, out: Path) -> list:
         g=lambda t, e, x, u, nz: np.zeros_like(x),
         f=lambda t, x, u, y, z, k, nz: np.zeros(np.shape(y)),
         h=lambda x, nz: np.zeros(x.shape[0]),
-        l=lambda t, e: 1.0, vectorized=True)
+        l=lambda t, e: 1.0)
     pair = assemble_operators(coeffs, triple, grid)
     xi = np.zeros(n_modes)
     xi[0] = 1.0
@@ -387,7 +389,7 @@ def run_convergence(cfg: dict, out: Path) -> list:
             g=lambda t, e, x, u, nz: np.zeros_like(x),
             f=lambda t, x, u, y, z, k, nz: np.zeros(np.shape(y)),
             h=lambda x, nz: np.zeros(x.shape[0]),
-            l=lambda t, e: 1.0, vectorized=True)
+            l=lambda t, e: 1.0)
         xi = np.zeros(n_modes)
         xi[0] = 1.0
         for lvl in range(halvings + 1):
@@ -470,14 +472,12 @@ RUNNERS = {
 }
 
 
-def _manifest(subcommand: str, cfg: dict, cfg_text: str, outputs: list,
-              threads: int) -> dict:
+def _manifest(subcommand: str, cfg: dict, cfg_text: str, outputs: list) -> dict:
     return {
         "subcommand": subcommand,
         "config_sha256": hashlib.sha256(cfg_text.encode()).hexdigest(),
         "config": cfg,
         "seed": cfg["seed"],
-        "threads": threads,
         "versions": {
             "jumphjb": __version__,
             "numpy": np.__version__,
@@ -485,6 +485,14 @@ def _manifest(subcommand: str, cfg: dict, cfg_text: str, outputs: list,
         },
         "outputs": sorted(outputs),
     }
+
+
+def _write_diagnostic(out_dir: Path, payload: dict):
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_json(out_dir / "failure_diagnostic.json", payload)
+    except OSError:
+        pass
 
 
 def main(argv=None) -> int:
@@ -496,9 +504,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default=None,
                         help="output directory (default: config out_dir or .)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap; computation is vectorized, so this "
-                             "only bounds auxiliary parallelism")
     args = parser.parse_args(argv)
 
     try:
@@ -510,31 +515,23 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, DivergenceError, CflViolationError) as exc:
-        diag = Path(args.out or ".") / "failure_diagnostic.json"
-        try:
-            diag.parent.mkdir(parents=True, exist_ok=True)
-            _write_json(diag, {"error": type(exc).__name__, "message": str(exc)})
-        except OSError:
-            pass
+    # The batch size guard in simulate_batch raises MemoryError before
+    # allocating, so it is a numeric failure with a diagnostic.
+    except (NumericError, DivergenceError, CflViolationError, MemoryError) as exc:
+        _write_diagnostic(out_dir, {"error": type(exc).__name__, "message": str(exc)})
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except NotConvergedError as exc:
-        diag = Path(args.out or ".") / "failure_diagnostic.json"
-        try:
-            diag.parent.mkdir(parents=True, exist_ok=True)
-            _write_json(diag, {
-                "error": "NotConverged",
-                "message": str(exc),
-                "history": [float(v) for v in exc.history],
-            })
-        except OSError:
-            pass
+        _write_diagnostic(out_dir, {
+            "error": "NotConverged",
+            "message": str(exc),
+            "history": [float(v) for v in exc.history],
+        })
         print(f"not converged: {exc}", file=sys.stderr)
         return 4
 
     _write_json(out_dir / "manifest.json",
-                _manifest(args.subcommand, cfg, cfg_text, outputs, args.threads))
+                _manifest(args.subcommand, cfg, cfg_text, outputs))
     return 0
 
 

@@ -13,9 +13,16 @@ together with the declared regularity constants.  Randomness enters only
 through a :class:`NoiseState` built from finitely many path functionals:
 current values of selected Brownian components (channels ``"W1"``,
 ``"W2"``, ...) and the compensated jump count (channel ``"J"``).  All
-callables must be pure and re-entrant; sets with ``vectorized=True``
-additionally accept a leading batch axis on ``x``, ``u`` and the noise
-values and broadcast over it.
+callables must be pure and re-entrant.
+
+Every callable except l follows one batch convention: ``x`` has shape
+(B, n), ``u`` (B, m), ``y`` and ``k`` (B,), ``z`` (B, d) and the noise
+values (B, r), and each output carries the same leading batch axis.
+Every solver calls the coefficients this way (:func:`batch_eval`, and
+:func:`compensated_drift` for the drift with the jump compensator folded
+in); single-point call sites pass a one-row batch.  Callables written
+for one point at a time go through :meth:`CoefficientSet.from_pointwise`,
+which loops over the rows.
 
 The validators below check the standing regularity assumptions by
 sampling, since the coefficients are opaque callables: Lipschitz bounds
@@ -38,6 +45,9 @@ __all__ = [
     "NoiseState",
     "CoefficientSet",
     "ControlSet",
+    "batch_eval",
+    "broadcast_control",
+    "compensated_drift",
     "SamplingPlan",
     "ValidationReport",
     "validate_lipschitz",
@@ -55,8 +65,8 @@ class NoiseState:
     """Values of the declared randomness channels at one time.
 
     ``values`` is aligned with the owning coefficient set's
-    ``randomness_channels``; it may carry a leading batch axis when the
-    coefficients are vectorized.
+    ``randomness_channels``; coefficient callables see it with a leading
+    batch axis.
     """
 
     t: float
@@ -87,9 +97,15 @@ class CoefficientSet:
     delta: float = 1.0
     control_in_sigma: bool = False
     randomness_channels: tuple = ()
-    vectorized: bool = False
+    # The batch convention is the only one; the field remains so that
+    # callers passing vectorized=True keep working.
+    vectorized: bool = True
 
     def __post_init__(self):
+        if not self.vectorized:
+            raise ValueError(
+                "coefficient callables must follow the batch convention; "
+                "wrap pointwise callables with CoefficientSet.from_pointwise")
         if min(self.n, self.d, self.m) < 1:
             raise ValueError("dimensions n, d, m must all be >= 1")
         if not (0.0 < self.delta <= 1.0):
@@ -106,6 +122,24 @@ class CoefficientSet:
         object.__setattr__(
             self, "randomness_channels", tuple(self.randomness_channels)
         )
+
+    @classmethod
+    def from_pointwise(cls, n: int, d: int, m: int, b: Callable, sigma: Callable,
+                       g: Callable, f: Callable, h: Callable, l: Callable,
+                       **kw) -> "CoefficientSet":
+        """Coefficient set from callables that take one point at a time.
+
+        The pointwise signatures are b(t, x, u, noise), sigma(t, x, u,
+        noise), g(t, mark, x, u, noise), f(t, x, u, y, z, k, noise) and
+        h(x, noise), with ``x`` (n,), ``u`` (m,), ``z`` (d,), scalar ``y``
+        and ``k``, and a NoiseState holding one row of channel values (or
+        None).  Each is wrapped in a loop over the batch rows, so such a
+        set runs everywhere a batched one does, one Python call per row.
+        """
+        return cls(n=n, d=d, m=m,
+                   b=_per_row(b, (n,), 1), sigma=_per_row(sigma, (n, d), 1),
+                   g=_per_row(g, (n,), 2), f=_per_row(f, (), 1),
+                   h=_per_row(h, (), 0), l=l, **kw)
 
     def _valid_channel(self, c: str) -> bool:
         if c == "J":
@@ -129,62 +163,102 @@ class CoefficientSet:
         return NoiseState(t, self.randomness_channels, np.zeros(len(self.randomness_channels)))
 
 
-def _batch_noise(noise: NoiseState | None) -> NoiseState | None:
-    if noise is None or noise.values.ndim > 1:
-        return noise
-    return NoiseState(noise.t, noise.channels, noise.values[None, :])
+def _per_row(fun: Callable, out_shape: tuple, n_shared: int) -> Callable:
+    """Batch adapter of a pointwise callable.
+
+    The first ``n_shared`` arguments (t, and the mark for g) are passed
+    as they are, the last is the NoiseState, and every argument between
+    them is indexed by row.
+    """
+    def batched(*args):
+        shared, rows, noise = args[:n_shared], args[n_shared:-1], args[-1]
+        out = np.empty((rows[0].shape[0],) + out_shape)
+        for s in range(out.shape[0]):
+            row_noise = (None if noise is None
+                         else NoiseState(noise.t, noise.channels, noise.values[s]))
+            out[s] = np.asarray(fun(*shared, *(a[s] for a in rows), row_noise),
+                                dtype=float).reshape(out_shape)
+        return out
+
+    return batched
+
+
+def broadcast_control(u, batch_size: int) -> np.ndarray:
+    """Normalize a control value to shape (batch_size, m).
+
+    Coefficient callables always see batched controls, so family
+    implementations need to handle a single layout.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.ndim <= 1:
+        return np.broadcast_to(np.atleast_1d(u), (batch_size, max(u.size, 1)))
+    return u
+
+
+def batch_eval(fun: Callable, t, X: np.ndarray, u, noise, out_shape: tuple,
+               *mark) -> np.ndarray:
+    """Evaluate b, sigma or g on the rows of ``X``, shape (B,) + out_shape.
+
+    ``u`` is one control for every row or one per row; ``mark`` is given
+    for the jump amplitude g, whose signature takes it after t.
+    """
+    B = X.shape[0]
+    out = fun(t, *mark, X, broadcast_control(u, B), noise)
+    return np.asarray(out, dtype=float).reshape((B,) + out_shape)
+
+
+def compensated_drift(coeffs: CoefficientSet, measure: MarkMeasure, t,
+                      X: np.ndarray, u, noise):
+    """b - sum_j w_j g(t, e_j, .) on the rows of ``X``, and each g_j.
+
+    Folding the compensator of the jump integral into the drift keeps
+    the discrete compensated jump term a martingale.  Returns the
+    compensated drift (B, n) and the list of per-atom jumps g_j (B, n).
+    """
+    b = batch_eval(coeffs.b, t, X, u, noise, (coeffs.n,))
+    gs = [batch_eval(coeffs.g, t, X, u, noise, (coeffs.n,), mark)
+          for mark in measure.marks]
+    for w, gj in zip(measure.weights, gs):
+        b = b - w * gj
+    return b, gs
+
+
+def _as_batch(x, u, noise):
+    """One point as a one-row batch: (1, n) state, (1, m) control, noise."""
+    if noise is not None and noise.values.ndim == 1:
+        noise = NoiseState(noise.t, noise.channels, noise.values[None, :])
+    return (np.asarray(x, dtype=float)[None, :],
+            np.atleast_1d(np.asarray(u, dtype=float))[None, :], noise)
+
+
+def eval_drift_tilde(coeffs: CoefficientSet, measure: MarkMeasure, t, x, u,
+                     noise):
+    """Compensated drift b - sum_j w_j g_j at a single point."""
+    X, U, nz = _as_batch(x, u, noise)
+    return compensated_drift(coeffs, measure, t, X, U, nz)[0][0]
 
 
 def eval_b(coeffs: CoefficientSet, t, x, u, noise):
-    """Drift at a single point; unwraps vectorized callables."""
-    if coeffs.vectorized:
-        out = np.asarray(coeffs.b(
-            t, np.asarray(x, dtype=float)[None, :],
-            np.atleast_1d(np.asarray(u, dtype=float))[None, :],
-            _batch_noise(noise)), dtype=float)
-        return out.reshape(coeffs.n)
-    return np.asarray(coeffs.b(t, x, u, noise), dtype=float).reshape(coeffs.n)
+    """Drift at a single point."""
+    X, U, nz = _as_batch(x, u, noise)
+    return batch_eval(coeffs.b, t, X, U, nz, (coeffs.n,))[0]
 
 
 def eval_sigma(coeffs: CoefficientSet, t, x, u, noise):
-    if coeffs.vectorized:
-        out = np.asarray(coeffs.sigma(
-            t, np.asarray(x, dtype=float)[None, :],
-            np.atleast_1d(np.asarray(u, dtype=float))[None, :],
-            _batch_noise(noise)), dtype=float)
-        return out.reshape(coeffs.n, coeffs.d)
-    return np.asarray(coeffs.sigma(t, x, u, noise), dtype=float).reshape(coeffs.n, coeffs.d)
+    X, U, nz = _as_batch(x, u, noise)
+    return batch_eval(coeffs.sigma, t, X, U, nz, (coeffs.n, coeffs.d))[0]
 
 
 def eval_g(coeffs: CoefficientSet, t, mark, x, u, noise):
-    if coeffs.vectorized:
-        out = np.asarray(coeffs.g(
-            t, mark, np.asarray(x, dtype=float)[None, :],
-            np.atleast_1d(np.asarray(u, dtype=float))[None, :],
-            _batch_noise(noise)), dtype=float)
-        return out.reshape(coeffs.n)
-    return np.asarray(coeffs.g(t, mark, x, u, noise), dtype=float).reshape(coeffs.n)
+    X, U, nz = _as_batch(x, u, noise)
+    return batch_eval(coeffs.g, t, X, U, nz, (coeffs.n,), mark)[0]
 
 
 def eval_f(coeffs: CoefficientSet, t, x, u, y, z, k, noise) -> float:
-    if coeffs.vectorized:
-        out = np.asarray(coeffs.f(
-            t, np.asarray(x, dtype=float)[None, :],
-            np.atleast_1d(np.asarray(u, dtype=float))[None, :],
-            np.atleast_1d(float(y)),
-            np.asarray(z, dtype=float)[None, :],
-            np.atleast_1d(float(k)),
-            _batch_noise(noise)), dtype=float)
-        return float(out.reshape(()) if out.size == 1 else out.ravel()[0])
-    return float(coeffs.f(t, x, u, y, z, k, noise))
-
-
-def eval_h(coeffs: CoefficientSet, x, noise) -> float:
-    if coeffs.vectorized:
-        out = np.asarray(coeffs.h(
-            np.asarray(x, dtype=float)[None, :], _batch_noise(noise)), dtype=float)
-        return float(out.ravel()[0])
-    return float(coeffs.h(x, noise))
+    X, U, nz = _as_batch(x, u, noise)
+    out = coeffs.f(t, X, U, np.atleast_1d(float(y)),
+                   np.asarray(z, dtype=float)[None, :], np.atleast_1d(float(k)), nz)
+    return float(np.asarray(out, dtype=float).ravel()[0])
 
 
 @dataclass(frozen=True)

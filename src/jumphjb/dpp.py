@@ -26,10 +26,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsde import PolynomialBasis, backward_semigroup, solve_bsde
-from .coefficients import CoefficientSet, ControlSet
+from .coefficients import (
+    CoefficientSet,
+    ControlSet,
+    batch_eval,
+    broadcast_control,
+    compensated_drift,
+)
 from .drivers import MarkMeasure, TimeGrid
 from .errors import ConfigError, NumericError
-from .forward import ConstantControl, Control, broadcast_control, simulate_batch
+from .forward import ConstantControl, Control, simulate_batch
 
 __all__ = [
     "Lattice",
@@ -41,6 +47,8 @@ __all__ = [
     "dpp_residual",
     "epsilon_optimal_control",
     "gauss_hermite",
+    "interpolate_multilinear",
+    "nearest_index",
 ]
 
 
@@ -58,6 +66,60 @@ def gauss_hermite(n_nodes: int, d: int):
              np.tile(z, nodes.shape[0])[:, None]], axis=1)
         weights = np.outer(weights, w).ravel()
     return nodes, weights
+
+
+def interpolate_multilinear(values: np.ndarray, points: np.ndarray, axes,
+                            widths: np.ndarray):
+    """Multilinear interpolation on a regular grid, with clamping.
+
+    ``axes`` holds each axis's coordinates (cell centers or nodes, one
+    value per grid point along it) and ``widths`` their spacings.
+    Points outside [axes[k][0], axes[k][-1]] read the nearest boundary
+    value, which keeps the monotone schemes monotone.  Returns
+    (interpolated (M,), number of clamped coordinates).
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    shape = tuple(c.size for c in axes)
+    vals = np.asarray(values, dtype=float).reshape(shape)
+    M, n = points.shape[0], len(axes)
+    idx0 = np.empty((M, n), dtype=int)
+    frac = np.empty((M, n))
+    clamped = 0
+    for k, c in enumerate(axes):
+        x = points[:, k]
+        out = (x < c[0]) | (x > c[-1])
+        clamped += int(out.sum())
+        if c.size == 1:
+            idx0[:, k] = 0
+            frac[:, k] = 0.0
+            continue
+        pos = (np.clip(x, c[0], c[-1]) - c[0]) / widths[k]
+        i0 = np.clip(np.floor(pos).astype(int), 0, c.size - 2)
+        idx0[:, k] = i0
+        frac[:, k] = np.clip(pos - i0, 0.0, 1.0)
+    out = np.zeros(M)
+    for corner in range(1 << n):
+        weight = np.ones(M)
+        idx = []
+        for k in range(n):
+            hi = (corner >> k) & 1
+            weight = weight * (frac[:, k] if hi else 1.0 - frac[:, k])
+            idx.append(np.minimum(idx0[:, k] + hi, shape[k] - 1))
+        out += weight * vals[tuple(idx)]
+    return out, clamped
+
+
+def nearest_index(points: np.ndarray, axes, widths: np.ndarray) -> tuple:
+    """Per-axis index of the grid point nearest to each of ``points``.
+
+    Off-grid points get the nearest boundary index.
+    """
+    points = np.atleast_2d(points)
+    idx = []
+    for k, c in enumerate(axes):
+        i = np.round((points[:, k] - c[0]) / widths[k]).astype(int)
+        idx.append(np.clip(i, 0, c.size - 1))
+    return tuple(idx)
 
 
 @dataclass(frozen=True)
@@ -92,10 +154,12 @@ class Lattice:
         w = self.widths[k]
         return self.lower[k] + w * (np.arange(self.shape[k]) + 0.5)
 
+    def axes(self) -> list:
+        return [self.axis_centers(k) for k in range(self.n)]
+
     def centers(self) -> np.ndarray:
         """All cell centers, shape (n_cells, n), C-order over the grid."""
-        axes = [self.axis_centers(k) for k in range(self.n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
     def refine(self, factor: int = 2) -> "Lattice":
@@ -108,36 +172,7 @@ class Lattice:
         Clamping keeps the scheme monotone: off-lattice points read the
         nearest boundary value.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        vals = np.asarray(values, dtype=float).reshape(self.shape)
-        M = points.shape[0]
-        idx0 = np.empty((M, self.n), dtype=int)
-        frac = np.empty((M, self.n))
-        clamped = 0
-        for k in range(self.n):
-            c = self.axis_centers(k)
-            x = points[:, k]
-            out = (x < c[0]) | (x > c[-1])
-            clamped += int(out.sum())
-            if c.size == 1:
-                idx0[:, k] = 0
-                frac[:, k] = 0.0
-                continue
-            pos = (np.clip(x, c[0], c[-1]) - c[0]) / self.widths[k]
-            i0 = np.clip(np.floor(pos).astype(int), 0, c.size - 2)
-            idx0[:, k] = i0
-            frac[:, k] = np.clip(pos - i0, 0.0, 1.0)
-        out = np.zeros(M)
-        for corner in range(1 << self.n):
-            weight = np.ones(M)
-            idx = []
-            for k in range(self.n):
-                hi = (corner >> k) & 1
-                weight = weight * (frac[:, k] if hi else 1.0 - frac[:, k])
-                upper_idx = np.minimum(idx0[:, k] + 1, self.shape[k] - 1)
-                idx.append(upper_idx if hi else idx0[:, k])
-            out += weight * vals[tuple(idx)]
-        return out, clamped
+        return interpolate_multilinear(values, points, self.axes(), self.widths)
 
 
 @dataclass
@@ -176,13 +211,13 @@ class ValueTable:
 
 
 class FeedbackPolicy(Control):
-    """Markov feedback policy: (time node, state cell) -> control atom.
+    """Markov feedback policy: (time node, grid point) -> control atom.
 
-    Off-lattice states use the nearest cell.  Total by construction:
-    every cell of every time slice carries an atom index.
+    The grid is a cell-center :class:`Lattice` or a node grid; states
+    use the nearest grid point, off-grid ones the nearest boundary
+    point.  Total by construction: every point of every time slice
+    carries an atom index.
     """
-
-    sample_independent = False
 
     def __init__(self, lattice: Lattice, grid: TimeGrid, control_set: ControlSet,
                  table: np.ndarray):
@@ -196,13 +231,7 @@ class FeedbackPolicy(Control):
             raise ValueError("policy table entries must index control atoms")
 
     def cell_of(self, points: np.ndarray) -> tuple:
-        points = np.atleast_2d(points)
-        idx = []
-        for k in range(self.lattice.n):
-            c = self.lattice.axis_centers(k)
-            i = np.round((points[:, k] - c[0]) / self.lattice.widths[k]).astype(int)
-            idx.append(np.clip(i, 0, self.lattice.shape[k] - 1))
-        return tuple(idx)
+        return nearest_index(points, self.lattice.axes(), self.lattice.widths)
 
     def _slice(self, i: int) -> int:
         return min(i, self.table.shape[0] - 1)
@@ -249,9 +278,7 @@ def compute_value_table(coeffs: CoefficientSet, control_set: ControlSet,
     values = np.empty((N + 1,) + lattice.shape)
     argmin = np.empty((N,) + lattice.shape, dtype=int)
 
-    hv = coeffs.h(X, None) if coeffs.vectorized else np.array(
-        [float(coeffs.h(X[c], None)) for c in range(C)])
-    values[N] = np.asarray(hv, dtype=float).reshape(lattice.shape)
+    values[N] = np.asarray(coeffs.h(X, None), dtype=float).reshape(lattice.shape)
 
     clamped = 0
     l_cache = {}
@@ -266,17 +293,8 @@ def compute_value_table(coeffs: CoefficientSet, control_set: ControlSet,
         best = None
         best_idx = None
         for iu, u in enumerate(control_set.atoms):
-            b = _eval_cells(coeffs.b, coeffs, t, X, u, (n,))
-            sig = _eval_cells(coeffs.sigma, coeffs, t, X, u, (n, d))
-            gs = [
-                _eval_cells(
-                    lambda tt, xx, uu, nz, _m=measure.marks[j]: coeffs.g(tt, _m, xx, uu, nz),
-                    coeffs, t, X, u, (n,))
-                for j in range(measure.n_atoms)
-            ]
-            b_tilde = b.copy()
-            for j, gj in enumerate(gs):
-                b_tilde -= measure.weights[j] * gj
+            b_tilde, gs = compensated_drift(coeffs, measure, t, X, u, None)
+            sig = batch_eval(coeffs.sigma, t, X, u, None, (n, d))
             base = X + b_tilde * dt
 
             e_val = np.zeros(C)
@@ -303,17 +321,10 @@ def compute_value_table(coeffs: CoefficientSet, control_set: ControlSet,
                 clamped += cl
                 k_val += measure.weights[j] * l_vals[j] * (v_shift - v_here)
 
-            if coeffs.vectorized:
-                f_val = np.asarray(
-                    coeffs.f(t, X, broadcast_control(u, C), e_val, z_val, k_val, None),
-                    dtype=float,
-                ).reshape(C)
-            else:
-                f_val = np.array([
-                    float(coeffs.f(t, X[c], u, float(e_val[c]), z_val[c],
-                                   float(k_val[c]), None))
-                    for c in range(C)
-                ])
+            f_val = np.asarray(
+                coeffs.f(t, X, broadcast_control(u, C), e_val, z_val, k_val, None),
+                dtype=float,
+            ).reshape(C)
             total = e_val + dt * f_val
             if best is None:
                 best = total
@@ -328,16 +339,6 @@ def compute_value_table(coeffs: CoefficientSet, control_set: ControlSet,
             raise NumericError(f"value table became non-finite at node {i}")
 
     return ValueTable(lattice, grid, control_set, values, argmin, clamped)
-
-
-def _eval_cells(fun, coeffs, t, X, u, out_shape):
-    if coeffs.vectorized:
-        ub = broadcast_control(u, X.shape[0])
-        return np.asarray(fun(t, X, ub, None), dtype=float).reshape((X.shape[0],) + out_shape)
-    return np.array([
-        np.asarray(fun(t, X[c], u, None), dtype=float).reshape(out_shape)
-        for c in range(X.shape[0])
-    ])
 
 
 def evaluate_cost(coeffs: CoefficientSet, control: Control, grid: TimeGrid,

@@ -29,7 +29,9 @@ import numpy as np
 from .coefficients import (
     CoefficientSet,
     NoiseState,
-    eval_b,
+    batch_eval,
+    compensated_drift,
+    eval_drift_tilde,
     eval_g,
     eval_sigma,
     jacobian_x,
@@ -60,20 +62,16 @@ class Control:
 
     ``value(i, t, x, noise)`` returns the control applied on step i,
     chosen from the information available at the left endpoint.
+    ``value_batch`` does the same for a batch of states; controls that
+    read the state override it.
     """
-
-    sample_independent = True
 
     def value(self, i: int, t: float, x, noise):
         raise NotImplementedError
 
     def value_batch(self, i: int, t: float, x, noise):
-        """Batched lookup; default loops over the sample axis."""
-        if self.sample_independent:
-            return self.value(i, t, x[0] if x.ndim > 1 else x, noise)
-        return np.stack([
-            self.value(i, t, x[s], _noise_row(noise, s)) for s in range(x.shape[0])
-        ])
+        """One control for every sample, shape (m,)."""
+        return self.value(i, t, x[0] if x.ndim > 1 else x, noise)
 
 
 class ConstantControl(Control):
@@ -95,31 +93,21 @@ class OpenLoopControl(Control):
 
 
 class FeedbackControl(Control):
-    """Markov feedback u = fn(t, x); set vectorized=True when fn broadcasts."""
+    """Markov feedback u = fn(t, x) under the batch convention.
 
-    sample_independent = False
+    ``fn`` takes states of shape (B, n) and returns controls of shape
+    (B, m), or (B,) when m = 1.
+    """
 
-    def __init__(self, fn, m: int = 1, vectorized: bool = False):
+    def __init__(self, fn, m: int = 1):
         self.fn = fn
         self.m = m
-        self.vectorized = vectorized
 
     def value(self, i, t, x, noise):
-        return np.atleast_1d(np.asarray(self.fn(t, x), dtype=float))
+        return self.value_batch(i, t, np.asarray(x, dtype=float)[None, :], noise)[0]
 
     def value_batch(self, i, t, x, noise):
-        if self.vectorized:
-            out = np.asarray(self.fn(t, x), dtype=float)
-            if out.ndim == 1:
-                out = out[:, None]
-            return out
-        return super().value_batch(i, t, x, noise)
-
-
-def _noise_row(noise, s):
-    if noise is None:
-        return None
-    return NoiseState(noise.t, noise.channels, noise.values[s])
+        return np.asarray(self.fn(t, x), dtype=float).reshape(x.shape[0], self.m)
 
 
 @dataclass(frozen=True)
@@ -181,13 +169,6 @@ def _events_in_step(path: DriverPath, i: int):
     return path.jump_times[lo:hi], path.jump_atoms[lo:hi]
 
 
-def _drift_tilde(coeffs: CoefficientSet, measure: MarkMeasure, t, x, u, noise):
-    b = eval_b(coeffs, t, x, u, noise)
-    for mark, w in zip(measure.marks, measure.weights):
-        b = b - w * eval_g(coeffs, t, mark, x, u, noise)
-    return b
-
-
 def simulate(coeffs: CoefficientSet, control: Control, x0, path: DriverPath,
              start_node: int = 0, end_node: int | None = None) -> StateTrajectory:
     """Simulate the state along one noise realization.
@@ -225,7 +206,7 @@ def simulate(coeffs: CoefficientSet, control: Control, x0, path: DriverPath,
                 frac = (tau - t_cur) / dt
                 noise = tracker.state(t_cur)
                 x = (x
-                     + _drift_tilde(coeffs, measure, t_cur, x, u, noise) * (tau - t_cur)
+                     + eval_drift_tilde(coeffs, measure, t_cur, x, u, noise) * (tau - t_cur)
                      + eval_sigma(coeffs, t_cur, x, u, noise) @ (dw * frac))
                 tracker.w += dw * frac
                 t_cur = tau
@@ -240,7 +221,7 @@ def simulate(coeffs: CoefficientSet, control: Control, x0, path: DriverPath,
             frac = (t_hi - t_cur) / dt
             noise = tracker.state(t_cur)
             x = (x
-                 + _drift_tilde(coeffs, measure, t_cur, x, u, noise) * (t_hi - t_cur)
+                 + eval_drift_tilde(coeffs, measure, t_cur, x, u, noise) * (t_hi - t_cur)
                  + eval_sigma(coeffs, t_cur, x, u, noise) @ (dw * frac))
             tracker.w += dw * frac
         if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > DIVERGENCE_GUARD:
@@ -291,9 +272,9 @@ def simulate_flow_gradient(coeffs: CoefficientSet, control: Control, x0,
         nonlocal x, jac
         noise = tracker.state(t_cur)
         sig = eval_sigma(coeffs, t_cur, x, u, noise)
-        drift = _drift_tilde(coeffs, measure, t_cur, x, u, noise)
+        drift = eval_drift_tilde(coeffs, measure, t_cur, x, u, noise)
         d_drift = jacobian_x(
-            lambda xx: _drift_tilde(coeffs, measure, t_cur, xx, u, noise), x, n)
+            lambda xx: eval_drift_tilde(coeffs, measure, t_cur, xx, u, noise), x, n)
         d_sig = jacobian_x(
             lambda xx: eval_sigma(coeffs, t_cur, xx, u, noise).ravel(),
             x, n * coeffs.d).reshape(n, coeffs.d, n)
@@ -398,31 +379,6 @@ class ForwardBatch:
         return NoiseState(float(t), channels, self.noise[node])
 
 
-def broadcast_control(u, batch_size: int) -> np.ndarray:
-    """Normalize a control value to shape (batch_size, m).
-
-    Vectorized coefficient callables always see batched controls, so
-    family implementations need to handle a single layout.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.ndim <= 1:
-        return np.broadcast_to(np.atleast_1d(u), (batch_size, max(u.size, 1)))
-    return u
-
-
-def _eval_batch(fun, vectorized: bool, t, X, u, noise, out_shape):
-    """Evaluate a coefficient on a batch of states."""
-    M = X.shape[0]
-    if vectorized:
-        ub = broadcast_control(u, M)
-        return np.asarray(fun(t, X, ub, noise), dtype=float).reshape((M,) + out_shape)
-    out = np.empty((M,) + out_shape)
-    for s in range(M):
-        us = u[s] if (np.ndim(u) == 2) else u
-        out[s] = np.asarray(fun(t, X[s], us, _noise_row(noise, s)), dtype=float).reshape(out_shape)
-    return out
-
-
 def simulate_batch(coeffs: CoefficientSet, control: Control, x0, grid: TimeGrid,
                    measure: MarkMeasure, n_samples: int, seed,
                    start_node: int = 0, end_node: int | None = None,
@@ -498,13 +454,8 @@ def simulate_batch(coeffs: CoefficientSet, control: Control, x0, grid: TimeGrid,
         controls.append(u)
 
         X = states[i]
-        b = _eval_batch(coeffs.b, coeffs.vectorized, t_lo, X, u, nstate, (n,))
-        for j in range(n_atoms):
-            gj = _eval_batch(
-                lambda t, x, uu, nz, _mark=measure.marks[j]: coeffs.g(t, _mark, x, uu, nz),
-                coeffs.vectorized, t_lo, X, u, nstate, (n,))
-            b = b - measure.weights[j] * gj
-        sig = _eval_batch(coeffs.sigma, coeffs.vectorized, t_lo, X, u, nstate, (n, d))
+        b, _ = compensated_drift(coeffs, measure, t_lo, X, u, nstate)
+        sig = batch_eval(coeffs.sigma, t_lo, X, u, nstate, (n, d))
         states[i + 1] = X + b * dt + np.einsum("snd,sd->sn", sig, dw[i])
 
         if n_atoms:
@@ -514,7 +465,6 @@ def simulate_batch(coeffs: CoefficientSet, control: Control, x0, grid: TimeGrid,
                     coeffs, measure, gi, grid, states[i, s],
                     u[s] if u.ndim == 2 else u,
                     dw[i, s], jump_times[s], jump_atoms[s],
-                    _noise_row(nstate, s) if nstate is not None else None,
                     w_run[s] if noise is not None else None,
                     cnt_run[s : s + 1] if noise is not None else None,
                     sup_tracker=sup_abs[s : s + 1] if track_sup else None,
@@ -546,8 +496,12 @@ def _noise_values(coeffs, t, w_run, cnt_run, mass):
 
 
 def _single_step_with_events(coeffs, measure, gi, grid, x, u, dw, jtimes, jatoms,
-                             noise0, w_run, cnt_cell, sup_tracker=None):
-    """Exact sub-stepping of one grid step for one sample with events."""
+                             w_run, cnt_cell, sup_tracker=None):
+    """Exact sub-stepping of one grid step for one sample with events.
+
+    ``w_run`` and ``cnt_cell`` carry the running channel values and are
+    None when the coefficients are deterministic.
+    """
     t_lo, t_hi = grid.nodes[gi], grid.nodes[gi + 1]
     dt = t_hi - t_lo
     lo = np.searchsorted(jtimes, t_lo, side="right")
@@ -558,7 +512,7 @@ def _single_step_with_events(coeffs, measure, gi, grid, x, u, dw, jtimes, jatoms
     cnt_local = 0
 
     def noise_at(t):
-        if noise0 is None:
+        if w_run is None:
             return None
         vals = []
         for c in coeffs.randomness_channels:
@@ -574,7 +528,7 @@ def _single_step_with_events(coeffs, measure, gi, grid, x, u, dw, jtimes, jatoms
         if tau > t_cur:
             frac = (tau - t_cur) / dt
             nz = noise_at(t_cur)
-            x = (x + _drift_tilde(coeffs, measure, t_cur, x, u, nz) * (tau - t_cur)
+            x = (x + eval_drift_tilde(coeffs, measure, t_cur, x, u, nz) * (tau - t_cur)
                  + eval_sigma(coeffs, t_cur, x, u, nz) @ (dw * frac))
             w_local += dw * frac
             t_cur = tau
@@ -588,7 +542,7 @@ def _single_step_with_events(coeffs, measure, gi, grid, x, u, dw, jtimes, jatoms
     if t_hi > t_cur:
         frac = (t_hi - t_cur) / dt
         nz = noise_at(t_cur)
-        x = (x + _drift_tilde(coeffs, measure, t_cur, x, u, nz) * (t_hi - t_cur)
+        x = (x + eval_drift_tilde(coeffs, measure, t_cur, x, u, nz) * (t_hi - t_cur)
              + eval_sigma(coeffs, t_cur, x, u, nz) @ (dw * frac))
     return x
 

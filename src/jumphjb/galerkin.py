@@ -42,10 +42,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import CoefficientSet, ControlSet, NoiseState
+from .coefficients import (
+    CoefficientSet,
+    ControlSet,
+    NoiseState,
+    batch_eval,
+    broadcast_control,
+)
 from .drivers import MarkMeasure, TimeGrid
 from .errors import ConfigError, NotConvergedError, NumericError
-from .forward import broadcast_control
 from .pide import RandomFieldTriplet, SpatialGrid
 
 __all__ = [
@@ -198,20 +203,6 @@ class OperatorPair:
                                     repr(float(self.bstar_gram[i, r, c]))])
 
 
-def _sigma_at_quad(coeffs: CoefficientSet, t: float, triple: GelfandTriple,
-                   u_ref: np.ndarray) -> np.ndarray:
-    """Diffusion rows at the quadrature points, shape (Q, d)."""
-    X = triple.quad_x[:, None]
-    if coeffs.vectorized:
-        sig = np.asarray(coeffs.sigma(
-            t, X, broadcast_control(u_ref, X.shape[0]), None), dtype=float)
-        return sig.reshape(X.shape[0], coeffs.d)
-    return np.array([
-        np.asarray(coeffs.sigma(t, X[q], u_ref, None), dtype=float).reshape(coeffs.d)
-        for q in range(X.shape[0])
-    ])
-
-
 def assemble_operators(coeffs: CoefficientSet, triple: GelfandTriple,
                        time_grid: TimeGrid,
                        control_set: ControlSet | None = None) -> OperatorPair:
@@ -227,10 +218,11 @@ def assemble_operators(coeffs: CoefficientSet, triple: GelfandTriple,
         raise ConfigError("the Galerkin stack supports state dimension 1")
     u_ref = (control_set.atoms[0] if control_set is not None
              else np.zeros(coeffs.m))
+    X = triple.quad_x[:, None]
     if control_set is not None and control_set.n_atoms > 1:
         t_probe = float(time_grid.nodes[0])
-        s0 = _sigma_at_quad(coeffs, t_probe, triple, control_set.atoms[0])
-        s1 = _sigma_at_quad(coeffs, t_probe, triple, control_set.atoms[-1])
+        s0 = batch_eval(coeffs.sigma, t_probe, X, control_set.atoms[0], None, (coeffs.d,))
+        s1 = batch_eval(coeffs.sigma, t_probe, X, control_set.atoms[-1], None, (coeffs.d,))
         if np.max(np.abs(s0 - s1)) > 1e-12:
             raise ConfigError("sigma depends on the control; the weak "
                               "pipeline requires control_in_sigma = False")
@@ -245,7 +237,7 @@ def assemble_operators(coeffs: CoefficientSet, triple: GelfandTriple,
     w = triple.quad_w
     for i in range(N):
         t = float(time_grid.nodes[i])
-        sig = _sigma_at_quad(coeffs, t, triple, u_ref)
+        sig = batch_eval(coeffs.sigma, t, X, u_ref, None, (coeffs.d,))
         a_full = np.sum(sig * sig, axis=1)
         sig_d = sig[:, -1]
         a_hat = a_full - sig_d ** 2
@@ -806,22 +798,6 @@ class WeakHjbResult:
         return RandomFieldTriplet(space, self.solution.grid.nodes, V, Phi, Psi)
 
 
-def _coeff_batch(fun, coeffs, t, X, u, noise_vals, channels, out_shape):
-    """Evaluate a coefficient on flattened (node, quad) points."""
-    B = X.shape[0]
-    nz = None
-    if noise_vals is not None and len(channels):
-        nz = NoiseState(float(t), channels, noise_vals)
-    if coeffs.vectorized:
-        ub = broadcast_control(u, B)
-        return np.asarray(fun(t, X, ub, nz), dtype=float).reshape((B,) + out_shape)
-    out = np.empty((B,) + out_shape)
-    for s in range(B):
-        nzs = None if nz is None else NoiseState(nz.t, nz.channels, nz.values[s])
-        out[s] = np.asarray(fun(t, X[s], u, nzs), dtype=float).reshape(out_shape)
-    return out
-
-
 def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
                    control_set: ControlSet, measure: MarkMeasure,
                    time_grid: TimeGrid, scenario: BinomialJumpTree | None = None,
@@ -867,6 +843,10 @@ def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
     Q = xq.size
     X = xq[:, None]
     channels = coeffs.randomness_channels
+    # The scenario's noise values come in the scenario's channel order;
+    # the coefficients read them in their own.
+    columns = ([scenario.channels.index(c) for c in channels]
+               if scenario is not None else [])
     n_atoms = measure.n_atoms
     l_cache = {}
     clamp_count = [0]
@@ -876,24 +856,14 @@ def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
     def sigma_derivatives(t):
         u_ref = control_set.atoms[0]
         step = 1e-5 * (1.0 + np.abs(xq))
-        sp = _sigma_at_quad_points(coeffs, t, (xq + step)[:, None], u_ref)
-        sm = _sigma_at_quad_points(coeffs, t, (xq - step)[:, None], u_ref)
-        s0 = _sigma_at_quad_points(coeffs, t, X, u_ref)
+        sp = batch_eval(coeffs.sigma, t, (xq + step)[:, None], u_ref, None, (coeffs.d,))
+        sm = batch_eval(coeffs.sigma, t, (xq - step)[:, None], u_ref, None, (coeffs.d,))
+        s0 = batch_eval(coeffs.sigma, t, X, u_ref, None, (coeffs.d,))
         a_p = np.sum(sp * sp, axis=1)
         a_m = np.sum(sm * sm, axis=1)
         da = (a_p - a_m) / (2.0 * step)
         dsd = (sp[:, -1] - sm[:, -1]) / (2.0 * step)
         return s0, da, dsd
-
-    def _sigma_at_quad_points(co, t, pts, u_ref):
-        if co.vectorized:
-            return np.asarray(co.sigma(
-                t, pts, broadcast_control(u_ref, pts.shape[0]), None),
-                dtype=float).reshape(pts.shape[0], co.d)
-        return np.array([
-            np.asarray(co.sigma(t, pts[q], u_ref, None), dtype=float).reshape(co.d)
-            for q in range(pts.shape[0])
-        ])
 
     sig_cache = {}
 
@@ -917,22 +887,19 @@ def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
                  if have_psi else None)
 
         flatX = np.broadcast_to(X, (n_nodes, Q, 1)).reshape(-1, 1)
-        nz_vals = None
+        nz = None
         if noise_vals is not None and len(channels):
-            nz_vals = np.repeat(noise_vals, Q, axis=0)
+            nz = NoiseState(float(t), channels,
+                            np.repeat(noise_vals[:, columns], Q, axis=0))
 
         best = None
         for u in control_set.atoms:
-            b = _coeff_batch(coeffs.b, coeffs, t, flatX, u, nz_vals,
-                             channels, (1,)).reshape(n_nodes, Q)
+            b = batch_eval(coeffs.b, t, flatX, u, nz, (1,)).reshape(n_nodes, Q)
             total = b * dw_q
             k_agg = np.zeros((n_nodes, Q))
             for a in range(n_atoms):
                 mark = measure.marks[a]
-                g = _coeff_batch(
-                    lambda tt, xx, uu, nzz, _m=mark: coeffs.g(tt, _m, xx, uu, nzz),
-                    coeffs, t, flatX, u, nz_vals, channels, (1,)
-                ).reshape(n_nodes, Q)
+                g = batch_eval(coeffs.g, t, flatX, u, nz, (1,), mark).reshape(n_nodes, Q)
                 shifted = (np.broadcast_to(xq, (n_nodes, Q)) + g).ravel()
                 outside = np.abs(shifted) > triple.length
                 clamp_count[0] += int(outside.sum())
@@ -952,24 +919,10 @@ def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
             z_slot = np.zeros((n_nodes, Q, coeffs.d))
             z_slot += sig0[None, :, :] * dw_q[..., None]
             z_slot[:, :, -1] += phi_q
-            if coeffs.vectorized:
-                f_val = np.asarray(coeffs.f(
-                    t, flatX, broadcast_control(u, flatX.shape[0]),
-                    w_q.ravel(), z_slot.reshape(-1, coeffs.d), k_agg.ravel(),
-                    None if nz_vals is None else NoiseState(float(t), channels, nz_vals)),
-                    dtype=float).reshape(n_nodes, Q)
-            else:
-                f_val = np.empty((n_nodes, Q))
-                flat_w = w_q.ravel()
-                flat_k = k_agg.ravel()
-                flat_z = z_slot.reshape(-1, coeffs.d)
-                for s in range(n_nodes * Q):
-                    nzs = None
-                    if nz_vals is not None:
-                        nzs = NoiseState(float(t), channels, nz_vals[s])
-                    f_val.ravel()[s] = float(coeffs.f(
-                        t, flatX[s], u, float(flat_w[s]), flat_z[s],
-                        float(flat_k[s]), nzs))
+            f_val = np.asarray(coeffs.f(
+                t, flatX, broadcast_control(u, flatX.shape[0]),
+                w_q.ravel(), z_slot.reshape(-1, coeffs.d), k_agg.ravel(), nz),
+                dtype=float).reshape(n_nodes, Q)
             total = total + f_val
             best = total if best is None else np.minimum(best, total)
 
@@ -986,13 +939,8 @@ def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
             nz = None
             if noise_vals is not None and len(channels):
                 nz = NoiseState(float(time_grid.horizon), channels,
-                                np.broadcast_to(noise_vals[node], (Q, noise_vals.shape[1])))
-            if coeffs.vectorized:
-                hv = np.asarray(coeffs.h(X, nz), dtype=float).reshape(Q)
-            else:
-                hv = np.array([float(coeffs.h(X[q], None if nz is None else
-                                              NoiseState(nz.t, nz.channels, nz.values[q])))
-                               for q in range(Q)])
+                                np.broadcast_to(noise_vals[node, columns], (Q, len(columns))))
+            hv = np.asarray(coeffs.h(X, nz), dtype=float).reshape(Q)
             out[node] = triple.project(hv)
         return out
 

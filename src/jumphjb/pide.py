@@ -38,20 +38,18 @@ from .bsde import PolynomialBasis, solve_bsde
 from .coefficients import (
     CoefficientSet,
     ControlSet,
+    batch_eval,
+    broadcast_control,
+    compensated_drift,
     eval_b,
     eval_f,
     eval_g,
     eval_sigma,
 )
+from .dpp import FeedbackPolicy, interpolate_multilinear
 from .drivers import MarkMeasure, TimeGrid
 from .errors import CflViolationError, ConfigError, NumericError
-from .forward import (
-    ConstantControl,
-    Control,
-    OpenLoopControl,
-    broadcast_control,
-    simulate_batch,
-)
+from .forward import ConstantControl, OpenLoopControl, simulate_batch
 
 __all__ = [
     "SpatialGrid",
@@ -99,9 +97,11 @@ class SpatialGrid:
     def axis_nodes(self, k: int) -> np.ndarray:
         return np.linspace(self.lower[k], self.upper[k], self.shape[k])
 
+    def axes(self) -> list:
+        return [self.axis_nodes(k) for k in range(self.n)]
+
     def nodes(self) -> np.ndarray:
-        axes = [self.axis_nodes(k) for k in range(self.n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
     def refine(self, factor: int = 2) -> "SpatialGrid":
@@ -113,31 +113,7 @@ class SpatialGrid:
 
         Returns (values (M,), clamped coordinate count).
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        vals = np.asarray(values, dtype=float).reshape(self.shape)
-        M = points.shape[0]
-        idx0 = np.empty((M, self.n), dtype=int)
-        frac = np.empty((M, self.n))
-        clamped = 0
-        for k in range(self.n):
-            lo, w = self.lower[k], self.widths[k]
-            x = points[:, k]
-            out = (x < lo) | (x > self.upper[k])
-            clamped += int(out.sum())
-            pos = (np.clip(x, lo, self.upper[k]) - lo) / w
-            i0 = np.clip(np.floor(pos).astype(int), 0, self.shape[k] - 2)
-            idx0[:, k] = i0
-            frac[:, k] = np.clip(pos - i0, 0.0, 1.0)
-        out_vals = np.zeros(M)
-        for corner in range(1 << self.n):
-            weight = np.ones(M)
-            idx = []
-            for k in range(self.n):
-                hi = (corner >> k) & 1
-                weight = weight * (frac[:, k] if hi else 1.0 - frac[:, k])
-                idx.append(idx0[:, k] + hi)
-            out_vals += weight * vals[tuple(idx)]
-        return out_vals, clamped
+        return interpolate_multilinear(values, points, self.axes(), self.widths)
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
         """Central-difference gradient, one-sided at the edges.
@@ -337,17 +313,6 @@ class PideSolution:
         return self.triplet.value_at(t_node, x)
 
 
-def _eval_nodes(fun, coeffs, t, X, u, out_shape):
-    if coeffs.vectorized:
-        ub = broadcast_control(u, X.shape[0])
-        return np.asarray(fun(t, X, ub, None), dtype=float).reshape(
-            (X.shape[0],) + out_shape)
-    return np.array([
-        np.asarray(fun(t, X[c], u, None), dtype=float).reshape(out_shape)
-        for c in range(X.shape[0])
-    ])
-
-
 def _stability_bound(coeffs, control_set, space, measure, times) -> float:
     """Largest dt for which the explicit stencil stays monotone."""
     X = space.nodes()
@@ -355,14 +320,8 @@ def _stability_bound(coeffs, control_set, space, measure, times) -> float:
     worst = measure.total_mass
     for t in times:
         for u in control_set.atoms:
-            b = _eval_nodes(coeffs.b, coeffs, t, X, u, (coeffs.n,))
-            for j in range(measure.n_atoms):
-                gj = _eval_nodes(
-                    lambda tt, xx, uu, nz, _m=measure.marks[j]:
-                        coeffs.g(tt, _m, xx, uu, nz),
-                    coeffs, t, X, u, (coeffs.n,))
-                b = b - measure.weights[j] * gj
-            sig = _eval_nodes(coeffs.sigma, coeffs, t, X, u, (coeffs.n, coeffs.d))
+            b, _ = compensated_drift(coeffs, measure, t, X, u, None)
+            sig = batch_eval(coeffs.sigma, t, X, u, None, (coeffs.n, coeffs.d))
             a = np.einsum("cij,ckj->cik", sig, sig)
             denom = measure.total_mass * np.ones(X.shape[0])
             for k in range(coeffs.n):
@@ -406,9 +365,7 @@ def solve_pide_deterministic(coeffs: CoefficientSet, space: SpatialGrid,
 
     V = np.empty((N + 1,) + space.shape)
     argmin = np.empty((N,) + space.shape, dtype=int)
-    hv = coeffs.h(X, None) if coeffs.vectorized else np.array(
-        [float(coeffs.h(X[c], None)) for c in range(C)])
-    V[N] = np.asarray(hv, dtype=float).reshape(space.shape)
+    V[N] = np.asarray(coeffs.h(X, None), dtype=float).reshape(space.shape)
 
     clamped = 0
     for i in range(N - 1, -1, -1):
@@ -456,18 +413,8 @@ def solve_pide_deterministic(coeffs: CoefficientSet, space: SpatialGrid,
         best = None
         best_idx = None
         for iu, u in enumerate(control_set.atoms):
-            b = _eval_nodes(coeffs.b, coeffs, t, X, u, (n,))
-            gs = [
-                _eval_nodes(
-                    lambda tt, xx, uu, nz, _m=measure.marks[j]:
-                        coeffs.g(tt, _m, xx, uu, nz),
-                    coeffs, t, X, u, (n,))
-                for j in range(measure.n_atoms)
-            ]
-            b_tilde = b.copy()
-            for j, gj in enumerate(gs):
-                b_tilde -= measure.weights[j] * gj
-            sig = _eval_nodes(coeffs.sigma, coeffs, t, X, u, (n, d))
+            b_tilde, gs = compensated_drift(coeffs, measure, t, X, u, None)
+            sig = batch_eval(coeffs.sigma, t, X, u, None, (n, d))
             a = np.einsum("cij,ckj->cik", sig, sig)
 
             conv = np.zeros(C)
@@ -491,16 +438,9 @@ def solve_pide_deterministic(coeffs: CoefficientSet, space: SpatialGrid,
                 k_agg += measure.weights[j] * l_vals[j] * inc
 
             z_slot = np.einsum("cij,ci->cj", sig, dv_c)
-            if coeffs.vectorized:
-                f_val = np.asarray(coeffs.f(
-                    t, X, broadcast_control(u, C), flat_next, z_slot, k_agg, None),
-                    dtype=float).reshape(C)
-            else:
-                f_val = np.array([
-                    float(coeffs.f(t, X[c], u, float(flat_next[c]), z_slot[c],
-                                   float(k_agg[c]), None))
-                    for c in range(C)
-                ])
+            f_val = np.asarray(coeffs.f(
+                t, X, broadcast_control(u, C), flat_next, z_slot, k_agg, None),
+                dtype=float).reshape(C)
 
             total = f_val + conv + diffu + nonloc
             if best is None:
@@ -557,15 +497,10 @@ def _delta_field(triplet: RandomFieldTriplet, coeffs: CoefficientSet,
     best = None
     best_idx = None
     for iu, u in enumerate(control_set.atoms):
-        b = _eval_nodes(coeffs.b, coeffs, t, X, u, (n,))
-        sig = _eval_nodes(coeffs.sigma, coeffs, t, X, u, (n, d))
-        gs = [
-            _eval_nodes(
-                lambda tt, xx, uu, nz, _m=measure.marks[j]:
-                    coeffs.g(tt, _m, xx, uu, nz),
-                coeffs, t, X, u, (n,))
-            for j in range(measure.n_atoms)
-        ]
+        b = batch_eval(coeffs.b, t, X, u, None, (n,))
+        sig = batch_eval(coeffs.sigma, t, X, u, None, (n, d))
+        gs = [batch_eval(coeffs.g, t, X, u, None, (n,), mark)
+              for mark in measure.marks]
         nonloc_comp = np.zeros(C)
         nonloc_psi = np.zeros(C)
         k_agg = np.zeros(C)
@@ -589,16 +524,9 @@ def _delta_field(triplet: RandomFieldTriplet, coeffs: CoefficientSet,
             q_sigma += np.sum(grad_phi[c] * sig[:, :, ch], axis=1)
 
         z_slot = np.einsum("cij,ci->cj", sig, grad_v) + phi_vec
-        if coeffs.vectorized:
-            f_val = np.asarray(coeffs.f(
-                t, X, broadcast_control(u, C), flat_v, z_slot, k_agg, None),
-                dtype=float).reshape(C)
-        else:
-            f_val = np.array([
-                float(coeffs.f(t, X[c], u, float(flat_v[c]), z_slot[c],
-                               float(k_agg[c]), None))
-                for c in range(C)
-            ])
+        f_val = np.asarray(coeffs.f(
+            t, X, broadcast_control(u, C), flat_v, z_slot, k_agg, None),
+            dtype=float).reshape(C)
         trace_term = 0.5 * np.einsum("cik,cik->c",
                                      hess, np.einsum("cij,ckj->cik", sig, sig))
         total = (f_val + np.sum(b * grad_v, axis=1) + q_sigma + trace_term
@@ -640,31 +568,17 @@ def drift_consistency_residual(triplet: RandomFieldTriplet, gamma: np.ndarray,
     return out
 
 
-class TripletFeedback(Control):
-    """Feedback control extracted from a candidate field triplet."""
+class TripletFeedback(FeedbackPolicy):
+    """Feedback control extracted from a candidate field triplet.
 
-    sample_independent = False
+    ``table`` holds one control-atom index per time step and grid node.
+    """
 
     def __init__(self, triplet: RandomFieldTriplet, control_set: ControlSet,
                  table: np.ndarray):
+        super().__init__(triplet.space, TimeGrid(triplet.time_nodes),
+                         control_set, table)
         self.triplet = triplet
-        self.control_set = control_set
-        self.table = table
-
-    def _lookup(self, i, pts):
-        space = self.triplet.space
-        idx = []
-        for k in range(space.n):
-            pos = np.round((pts[:, k] - space.lower[k]) / space.widths[k]).astype(int)
-            idx.append(np.clip(pos, 0, space.shape[k] - 1))
-        sl = min(i, self.table.shape[0] - 1)
-        return self.table[sl][tuple(idx)]
-
-    def value(self, i, t, x, noise):
-        return self.control_set.atoms[int(self._lookup(i, np.atleast_2d(x))[0])]
-
-    def value_batch(self, i, t, x, noise):
-        return self.control_set.atoms[self._lookup(i, x)]
 
 
 @dataclass

@@ -2,8 +2,8 @@
 
 Each family builds a coefficient set, mark measure, control grid and
 solver defaults from a parameter dict; unknown parameters are rejected
-so config typos fail loudly.  All built-in coefficients broadcast over
-a leading batch axis (``vectorized=True``).
+so config typos fail loudly.  All built-in coefficients follow the
+batch convention of :mod:`jumphjb.coefficients`.
 """
 
 from __future__ import annotations
@@ -84,8 +84,7 @@ def _smooth1d(params: dict) -> Problem:
         l=lambda t, e: 1.0,
         lipschitz_C=max(a, 1.0) + 1.0,
         rho=np.array([0.0]),
-        delta=1.0,
-        vectorized=True)
+        delta=1.0)
     measure = MarkMeasure.from_atoms([((1.0,), p["jump_weight"])])
     control = ControlSet.from_1d(-p["control_max"], p["control_max"],
                                  int(p["n_controls"]))
@@ -105,8 +104,7 @@ def _zero(params: dict) -> Problem:
         f=lambda t, x, u, y, z, k, nz: np.zeros(np.shape(y)),
         h=lambda x, nz: hc * np.ones(x.shape[0]),
         l=lambda t, e: 1.0,
-        rho=np.array([0.0]),
-        vectorized=True)
+        rho=np.array([0.0]))
     measure = MarkMeasure.from_atoms([((1.0,), p["jump_weight"])])
     return Problem("zero", coeffs, measure, ControlSet.singleton([0.0]),
                    np.array([p["x0"]]), float(p["horizon"]),
@@ -124,8 +122,7 @@ def _exp_decay(params: dict) -> Problem:
         g=lambda t, e, x, u, nz: np.zeros_like(x),
         f=lambda t, x, u, y, z, k, nz: -r * y,
         h=lambda x, nz: np.ones(x.shape[0]),
-        l=lambda t, e: 1.0,
-        vectorized=True)
+        l=lambda t, e: 1.0)
     return Problem("exp_decay", coeffs, MarkMeasure.empty(),
                    ControlSet.singleton([0.0]), np.array([p["x0"]]),
                    float(p["horizon"]), space_nodes=41, lattice_cells=40,
@@ -150,8 +147,7 @@ def _linear1d(params: dict) -> Problem:
         l=lambda t, e: 1.0,
         lipschitz_C=float(p["lipschitz_C"]),
         rho=np.array([float(p["rho"])]),
-        delta=float(p["delta"]),
-        vectorized=True)
+        delta=float(p["delta"]))
     measure = MarkMeasure.from_atoms([((1.0,), p["jump_weight"])])
     return Problem("linear1d", coeffs, measure, ControlSet.from_1d(-1, 1, 3),
                    np.array([p["x0"]]), float(p["horizon"]),
@@ -174,8 +170,7 @@ def _random_terminal(params: dict) -> Problem:
         * (1.0 + gain * (nz.values[..., 0] if nz is not None else 0.0)),
         l=lambda t, e: 1.0,
         rho=np.array([0.0]),
-        randomness_channels=("W2",),
-        vectorized=True)
+        randomness_channels=("W2",))
     measure = MarkMeasure.from_atoms([((1.0,), p["jump_weight"])])
     return Problem("random_terminal", coeffs, measure,
                    ControlSet.from_1d(-0.6, 0.6, 2), np.array([p["x0"]]),

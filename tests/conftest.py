@@ -30,7 +30,6 @@ def make_coeffs(n=1, d=1, m=1, b=None, sigma=None, g=None, f=None, h=None,
         h = lambda x, nz: np.zeros(x.shape[0])
     if l is None:
         l = lambda t, e: 1.0
-    kw.setdefault("vectorized", True)
     return CoefficientSet(n=n, d=d, m=m, b=b, sigma=sigma, g=g, f=f, h=h, l=l, **kw)
 
 

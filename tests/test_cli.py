@@ -140,6 +140,39 @@ class TestExitCodes:
         diag = json.loads((out / "failure_diagnostic.json").read_text())
         assert diag["error"] == "CflViolationError"
 
+    def test_diagnostic_goes_to_config_out_dir(self, tmp_path, monkeypatch):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        out = tmp_path / "from_config"
+        cfg = write_cfg(tmp_path / "c.json", {
+            "seed": 1,
+            "out_dir": str(out),
+            "problem": {"name": "smooth1d"},
+            "pide": {"nodes": 241, "n_steps": 10},
+        })
+        assert run_cli(["pide", "--config", cfg]) == 3
+        assert (out / "failure_diagnostic.json").exists()
+        assert not (cwd / "failure_diagnostic.json").exists()
+
+    def test_oversized_batch_is_numeric_failure(self, tmp_path):
+        # The size guard refuses the batch before allocating anything.
+        cfg = write_cfg(tmp_path / "c.json", {
+            "seed": 1,
+            "problem": {"name": "zero"},
+            "bsde": {"n_samples": 10 ** 12},
+        })
+        out = tmp_path / "o"
+        assert run_cli(["bsde", "--config", cfg, "--out", str(out)]) == 3
+        diag = json.loads((out / "failure_diagnostic.json").read_text())
+        assert diag["error"] == "MemoryError"
+
+    def test_threads_option_removed(self, tmp_path):
+        cfg = write_cfg(tmp_path / "c.json", BASE)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["simulate", "--config", cfg, "--threads", "2"])
+        assert exc.value.code == 2
+
     def test_nonconvergence_exit(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.json", {
             "seed": 1,

@@ -1,15 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from jumphjb.bsde import PolynomialBasis, solve_bsde
 from jumphjb.coefficients import (
+    CoefficientSet,
     ControlSet,
     SamplingPlan,
     validate_driver_monotonicity,
     validate_jump_nondegeneracy,
     validate_lipschitz,
 )
-from jumphjb.drivers import MarkMeasure
+from jumphjb.dpp import Lattice, compute_value_table
+from jumphjb.drivers import MarkMeasure, TimeGrid
 from jumphjb.errors import NumericError
+from jumphjb.forward import ConstantControl, simulate_batch
 
 from conftest import make_coeffs
 
@@ -133,3 +139,63 @@ class TestValidatorContracts:
         co = make_coeffs(rho=np.array([0.1, 0.2]))
         with pytest.raises(ValueError):
             validate_lipschitz(co, MEAS, PLAN)
+
+
+def _w(nz):
+    """The W1 channel value; 0 when the set is used without channels."""
+    return 0.0 if nz is None else nz.values[..., 0]
+
+
+POINTWISE = dict(
+    b=lambda t, x, u, nz: 0.4 * np.tanh(x) + u[0] + 0.1 * _w(nz),
+    sigma=lambda t, x, u, nz: np.array([[0.3 + 0.1 * np.cos(x[0])]]),
+    g=lambda t, e, x, u, nz: 0.2 * e[0] * (1.0 + 0.1 * np.sin(x)),
+    f=lambda t, x, u, y, z, k, nz: (-0.1 * y + 0.05 * k + 0.2 * z[0]
+                                    + 0.1 * x[0] ** 2 + 0.1 * u[0] * x[0]),
+    h=lambda x, nz: np.exp(-x[0] ** 2) * (1.0 + 0.3 * _w(nz)),
+)
+
+BATCHED = dict(
+    b=lambda t, x, u, nz: 0.4 * np.tanh(x) + u[:, 0:1] + 0.1 * np.reshape(_w(nz), (-1, 1)),
+    sigma=lambda t, x, u, nz: (0.3 + 0.1 * np.cos(x))[..., None],
+    g=lambda t, e, x, u, nz: 0.2 * e[0] * (1.0 + 0.1 * np.sin(x)),
+    f=lambda t, x, u, y, z, k, nz: (-0.1 * y + 0.05 * k + 0.2 * z[:, 0]
+                                    + 0.1 * x[:, 0] ** 2 + 0.1 * u[:, 0] * x[:, 0]),
+    h=lambda x, nz: np.exp(-x[:, 0] ** 2) * (1.0 + 0.3 * _w(nz)),
+)
+
+
+class TestFromPointwise:
+    """A pointwise set runs through every solver like its batched twin."""
+
+    def twins(self):
+        kw = dict(n=1, d=1, m=1, l=lambda t, e: 1.0, rho=np.array([0.0]),
+                  randomness_channels=("W1",))
+        return (CoefficientSet.from_pointwise(**POINTWISE, **kw),
+                CoefficientSet(**BATCHED, **kw))
+
+    def test_pointwise_matches_batched(self):
+        measure = MarkMeasure.from_atoms([((1.0,), 1.5)])
+        grid = TimeGrid.uniform(0.5, 10)
+        control = ConstantControl([0.3])
+        sols = []
+        for co in self.twins():
+            batch = simulate_batch(co, control, [0.2], grid, measure, 200, 4)
+            sols.append((batch.states, solve_bsde(co, control, batch,
+                                                  PolynomialBasis(degree=2)).y0))
+        np.testing.assert_allclose(sols[0][0], sols[1][0], rtol=0, atol=1e-12)
+        assert abs(sols[0][1] - sols[1][1]) <= 1e-12
+
+    def test_value_table_matches_batched(self):
+        measure = MarkMeasure.from_atoms([((1.0,), 1.5)])
+        tables = [
+            compute_value_table(
+                dataclasses.replace(co, randomness_channels=()),
+                ControlSet.from_1d(-0.5, 0.5, 2), Lattice([-2.0], [2.0], (12,)),
+                TimeGrid.uniform(0.5, 6), measure).values
+            for co in self.twins()]
+        np.testing.assert_allclose(tables[0], tables[1], rtol=0, atol=1e-12)
+
+    def test_pointwise_flag_refused(self):
+        with pytest.raises(ValueError, match="from_pointwise"):
+            make_coeffs(vectorized=False)

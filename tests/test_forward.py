@@ -11,6 +11,7 @@ from jumphjb.drivers import (
 from jumphjb.errors import DivergenceError
 from jumphjb.forward import (
     ConstantControl,
+    FeedbackControl,
     OpenLoopControl,
     flow_property_residual,
     moment_check,
@@ -99,17 +100,18 @@ class TestSimulate:
 class TestBatchConsistency:
     def test_matches_single_path(self):
         co = make_coeffs(
-            b=lambda t, x, u, nz: 0.4 * np.tanh(x),
+            b=lambda t, x, u, nz: 0.4 * np.tanh(x) + u,
             sigma=lambda t, x, u, nz: 0.3 * np.ones(x.shape + (1,)),
             g=lambda t, e, x, u, nz: 0.1 * np.ones_like(x),
             rho=np.array([0.0]))
         grid = TimeGrid.uniform(1.0, 30)
-        batch = simulate_batch(co, U0, [0.2], grid, MEAS, 50, 77)
-        for s in (0, 7, 23):
-            p = sample_driver_path(grid, 1, MEAS, child_seed(77, s))
-            tr = simulate(co, U0, [0.2], p)
-            nodes = np.array([tr.state_at_node(i) for i in range(31)])
-            np.testing.assert_allclose(nodes, batch.states[:, s, :], atol=1e-12)
+        for control in (U0, FeedbackControl(lambda t, x: -0.5 * x)):
+            batch = simulate_batch(co, control, [0.2], grid, MEAS, 50, 77)
+            for s in (0, 7, 23):
+                p = sample_driver_path(grid, 1, MEAS, child_seed(77, s))
+                tr = simulate(co, control, [0.2], p)
+                nodes = np.array([tr.state_at_node(i) for i in range(31)])
+                np.testing.assert_allclose(nodes, batch.states[:, s, :], atol=1e-12)
 
     def test_determinism(self):
         co = make_coeffs(sigma=lambda t, x, u, nz: np.ones(x.shape + (1,)))

@@ -464,7 +464,11 @@ class TestWeakHjb:
             diffs.append(np.linalg.norm(a - sols[2 * nb]))
         assert diffs[0] > diffs[1] > diffs[2]
 
-    def test_random_coefficients_scenario_run(self):
+    # The scenario may list its channels in any order; the terminal
+    # reads W2 in both.
+    @pytest.mark.parametrize("channels", [("W2", "J"), ("J", "W2")],
+                             ids=["W2-J", "J-W2"])
+    def test_random_coefficients_scenario_run(self, channels):
         co = make_coeffs(
             n=1, d=2,
             sigma=lambda t, x, u, nz: np.broadcast_to(
@@ -476,7 +480,7 @@ class TestWeakHjb:
             rho=np.array([0.0]), randomness_channels=("W2",))
         tr = assemble_triple(6.0, 1, 24)
         grid = TimeGrid.uniform(0.5, 30)
-        tree = BinomialJumpTree(grid, MEAS, ("W2", "J"))
+        tree = BinomialJumpTree(grid, MEAS, channels)
         res = solve_hjb_weak(co, tr, U2, MEAS, grid, scenario=tree)
         assert res.solution.converged
         # Phi carries the W-loading of the terminal; no coefficient
