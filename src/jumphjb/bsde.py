@@ -27,7 +27,7 @@ import numpy as np
 from .coefficients import CoefficientSet, broadcast_control
 from .errors import NumericError
 from .forward import Control, ForwardBatch, simulate_batch
-from .drivers import MarkMeasure, TimeGrid
+from .drivers import MarkMeasure, NoiseBank, TimeGrid
 
 __all__ = [
     "PolynomialBasis",
@@ -283,23 +283,27 @@ def solve_bsde(coeffs: CoefficientSet, control: Control, batch: ForwardBatch,
 def backward_semigroup(coeffs: CoefficientSet, control: Control, grid: TimeGrid,
                        measure: MarkMeasure, t_node: int, x, delta_nodes: int,
                        eta, n_samples: int, seed,
-                       basis: PolynomialBasis | None = None) -> float:
+                       basis: PolynomialBasis | None = None, *,
+                       noise: NoiseBank | None = None) -> float:
     """Value at t of the BSDE run on [t, t + delta] with terminal eta.
 
-    ``eta`` maps a state vector to a real; delta_nodes counts grid
-    steps.  With delta_nodes = 0 this is eta(x) exactly.  For f = 0 the
-    result is the Monte Carlo estimate of E[eta(X(t + delta))].
+    ``eta`` maps states (M, n) to terminal values (M,), the batch
+    convention of ``h``; delta_nodes counts grid steps.  With
+    delta_nodes = 0 this is eta(x) exactly.  For f = 0 the result is the
+    Monte Carlo estimate of E[eta(X(t + delta))].  ``noise`` is a bank
+    drawn for this batch (see :func:`~jumphjb.forward.simulate_batch`),
+    so that several controls can be priced on the same paths.
     """
     if delta_nodes < 0 or t_node + delta_nodes > grid.n_steps:
         raise ValueError("delta_nodes out of range for the grid")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if delta_nodes == 0:
-        return float(eta(x))
+        return float(np.asarray(eta(x[None, :]), dtype=float).reshape(1)[0])
     batch = simulate_batch(coeffs, control, x, grid, measure, n_samples, seed,
-                           start_node=t_node, end_node=t_node + delta_nodes)
-    X_T = batch.states[-1]
-    term = np.array([float(eta(X_T[s])) for s in range(X_T.shape[0])])
-    sol = solve_bsde(coeffs, control, batch, basis, terminal_values=term)
+                           start_node=t_node, end_node=t_node + delta_nodes,
+                           noise=noise)
+    sol = solve_bsde(coeffs, control, batch, basis,
+                     terminal_values=eta(batch.states[-1]))
     return sol.y0
 
 
@@ -318,12 +322,14 @@ def comparison_check(coeffs: CoefficientSet, control: Control,
                      tol: float = 0.0) -> ComparisonReport:
     """Check Y1(0) <= Y2(0) + tol for pointwise-ordered terminals.
 
+    ``h1`` and ``h2`` map the terminal states (M, n) to values (M,).
     Both solves share the batch (common random numbers), so for f = 0
     the ordering is exact sample by sample, not just in the mean.
     """
     X_T = batch.states[-1]
-    t1 = np.array([float(h1(X_T[s])) for s in range(X_T.shape[0])])
-    t2 = np.array([float(h2(X_T[s])) for s in range(X_T.shape[0])])
+    M = X_T.shape[0]
+    t1 = np.asarray(h1(X_T), dtype=float).reshape(M)
+    t2 = np.asarray(h2(X_T), dtype=float).reshape(M)
     ordered = bool(np.all(t1 <= t2 + 1e-12))
     s1 = solve_bsde(coeffs, control, batch, basis, terminal_values=t1, keep_paths=False)
     s2 = solve_bsde(coeffs, control, batch, basis, terminal_values=t2, keep_paths=False)

@@ -33,7 +33,7 @@ from .coefficients import (
     broadcast_control,
     compensated_drift,
 )
-from .drivers import MarkMeasure, TimeGrid
+from .drivers import MarkMeasure, TimeGrid, draw_noise
 from .errors import ConfigError, NumericError
 from .forward import ConstantControl, Control, simulate_batch
 
@@ -274,6 +274,7 @@ def compute_value_table(coeffs: CoefficientSet, control_set: ControlSet,
     X = lattice.centers()
     C = X.shape[0]
     zeta, gh_w = gauss_hermite(gh_nodes, d)
+    n_gh, n_jumps = zeta.shape[0], measure.n_atoms
     N = grid.n_steps
     values = np.empty((N + 1,) + lattice.shape)
     argmin = np.empty((N,) + lattice.shape, dtype=int)
@@ -296,19 +297,31 @@ def compute_value_table(coeffs: CoefficientSet, control_set: ControlSet,
             b_tilde, gs = compensated_drift(coeffs, measure, t, X, u, None)
             sig = batch_eval(coeffs.sigma, t, X, u, None, (n, d))
             base = X + b_tilde * dt
+            sqdt = np.sqrt(dt)
+
+            # One interpolation for all query points of this control: each
+            # continuation point and its jump shifts, then the jump shifts
+            # of the cell centers, C rows each.
+            points = []
+            for q in range(n_gh):
+                x_cont = base + sqdt * (sig @ zeta[q])
+                points.append(x_cont)
+                points.extend(x_cont + gj for gj in gs)
+            points.extend(X + gj for gj in gs)
+            v_all, cl = lattice.interpolate(v_next, np.concatenate(points))
+            clamped += cl
+            v_all = v_all.reshape(len(points), C)
+            v_gh = v_all[:n_gh * (1 + n_jumps)].reshape(n_gh, 1 + n_jumps, C)
+            v_shifts = v_all[n_gh * (1 + n_jumps):]
 
             e_val = np.zeros(C)
             z_val = np.zeros((C, d))
-            sqdt = np.sqrt(dt)
-            for q in range(zeta.shape[0]):
-                x_cont = base + sqdt * (sig @ zeta[q])
-                v_cont, cl = lattice.interpolate(v_next, x_cont)
-                clamped += cl
+            for q in range(n_gh):
+                v_cont = v_gh[q, 0]
                 branch = (1.0 - lam * dt) * v_cont
                 zq = v_cont * (1.0 - lam * dt)
-                for j, gj in enumerate(gs):
-                    v_jump, cl = lattice.interpolate(v_next, x_cont + gj)
-                    clamped += cl
+                for j in range(n_jumps):
+                    v_jump = v_gh[q, 1 + j]
                     branch = branch + measure.weights[j] * dt * v_jump
                     zq = zq + measure.weights[j] * dt * v_jump
                 e_val += gh_w[q] * branch
@@ -316,10 +329,8 @@ def compute_value_table(coeffs: CoefficientSet, control_set: ControlSet,
 
             k_val = np.zeros(C)
             v_here = v_next.ravel()
-            for j, gj in enumerate(gs):
-                v_shift, cl = lattice.interpolate(v_next, X + gj)
-                clamped += cl
-                k_val += measure.weights[j] * l_vals[j] * (v_shift - v_here)
+            for j in range(n_jumps):
+                k_val += measure.weights[j] * l_vals[j] * (v_shifts[j] - v_here)
 
             f_val = np.asarray(
                 coeffs.f(t, X, broadcast_control(u, C), e_val, z_val, k_val, None),
@@ -372,22 +383,24 @@ def dpp_residual(coeffs: CoefficientSet, control_set: ControlSet,
 
     The inner semigroup runs the BSDE over [t, t+delta] with constant
     controls from U_h and the interpolated table slice as terminal
-    data.  All controls share the seed (common random numbers).
+    data.  All controls are priced on one noise bank drawn from the
+    seed (common random numbers), so each path is drawn once.
     """
     grid = table.grid
     if t_node + delta_nodes > grid.n_steps:
         raise ConfigError("delta_nodes exceeds the table horizon")
     v_slice = table.values[t_node + delta_nodes]
 
-    def eta(xv):
-        v, _ = table.lattice.interpolate(v_slice, np.atleast_2d(xv))
-        return float(v[0])
+    def eta(states):
+        return table.lattice.interpolate(v_slice, states)[0]
 
+    bank = (draw_noise(grid, coeffs.d, measure, n_samples, seed, t_node,
+                       t_node + delta_nodes) if delta_nodes else None)
     best = np.inf
     for u in control_set.atoms:
         g_val = backward_semigroup(
             coeffs, ConstantControl(u), grid, measure, t_node, x, delta_nodes,
-            eta, n_samples, seed, basis)
+            eta, n_samples, seed, basis, noise=bank)
         best = min(best, g_val)
     return abs(table.value_at(t_node, x) - best)
 

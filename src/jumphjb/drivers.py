@@ -4,7 +4,9 @@ The jump-mark measure is a finite list of weighted atoms, so every
 integral against it reduces to an exact finite sum and all simulation
 output is reproducible bit-for-bit from a 64-bit seed.  Per-sample
 streams are derived with ``child_seed(seed, sample_index)`` which makes
-batch generation independent of evaluation order.
+batch generation independent of evaluation order.  A :class:`NoiseBank`
+holds the noise of a whole batch, drawn once and read by every control
+priced on it.
 """
 
 from __future__ import annotations
@@ -27,11 +29,17 @@ __all__ = [
     "compensated_integral",
     "jump_counts_per_step",
     "brownian_nodes",
+    "NoiseBank",
+    "draw_noise",
+    "check_batch_bytes",
 ]
 
+# Largest batch, in bytes, that the simulators agree to allocate.
+MAX_BATCH_BYTES = 3.5e9
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+
+def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.flags.writeable = False
     return a
 
@@ -195,9 +203,7 @@ class DriverPath:
                 raise ValueError("jump atom index out of range")
         object.__setattr__(self, "brownian_increments", _readonly(inc))
         object.__setattr__(self, "jump_times", _readonly(times))
-        atoms = np.ascontiguousarray(atoms)
-        atoms.flags.writeable = False
-        object.__setattr__(self, "jump_atoms", atoms)
+        object.__setattr__(self, "jump_atoms", _readonly(atoms, int))
 
     @property
     def d(self) -> int:
@@ -306,3 +312,109 @@ def brownian_nodes(path: DriverPath) -> np.ndarray:
     out = np.zeros((path.grid.n_steps + 1, path.d))
     np.cumsum(path.brownian_increments, axis=0, out=out[1:])
     return out
+
+
+def check_batch_bytes(est_bytes: float) -> None:
+    """Refuse a batch before anything of it is allocated."""
+    if est_bytes > MAX_BATCH_BYTES:
+        raise MemoryError(
+            f"batch would need ~{est_bytes / 1e9:.1f} GB; reduce n_samples or steps"
+        )
+
+
+def _stream_key(seed) -> tuple:
+    """(entropy, spawn key): the streams ``child_seed`` derives from ``seed``."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed.entropy, tuple(seed.spawn_key)
+    return int(seed), ()
+
+
+@dataclass(frozen=True, eq=False)
+class NoiseBank:
+    """The noise of ``n_samples`` paths on steps start_node..end_node-1.
+
+    Drawn once by :func:`draw_noise` and shared by every control priced
+    on common random numbers.  ``dw`` is (N, M, d) and ``counts``
+    (N, M, n_atoms) with N = end_node - start_node; ``jump_times[s]``
+    and ``jump_atoms[s]`` hold all events of sample s on (0, T];
+    ``w_start`` (M, d) and ``count_start`` (M,) are W and the event
+    count at the start node.  Every array is read-only, so no consumer
+    can change the noise another one reads.
+    """
+
+    grid: TimeGrid
+    measure: MarkMeasure
+    n_samples: int
+    seed: object
+    start_node: int
+    end_node: int
+    dw: np.ndarray
+    counts: np.ndarray
+    jump_times: tuple
+    jump_atoms: tuple
+    w_start: np.ndarray
+    count_start: np.ndarray
+
+    @property
+    def d(self) -> int:
+        return self.dw.shape[2]
+
+    def check(self, grid: TimeGrid, d: int, measure: MarkMeasure,
+              n_samples: int, seed, start_node: int, end_node: int) -> None:
+        """Raise ValueError unless the bank was drawn for exactly this batch."""
+        wanted = {
+            "grid": np.array_equal(self.grid.nodes, grid.nodes),
+            "d": self.d == d,
+            "measure": (np.array_equal(self.measure.marks, measure.marks)
+                        and np.array_equal(self.measure.weights, measure.weights)),
+            "n_samples": self.n_samples == int(n_samples),
+            "seed": _stream_key(self.seed) == _stream_key(seed),
+            "node range": (self.start_node, self.end_node) == (start_node, end_node),
+        }
+        wrong = [name for name, ok in wanted.items() if not ok]
+        if wrong:
+            raise ValueError(
+                f"noise bank was drawn for another batch ({', '.join(wrong)} differ)")
+
+
+def draw_noise(grid: TimeGrid, d: int, measure: MarkMeasure, n_samples: int,
+               seed, start_node: int = 0, end_node: int | None = None) -> NoiseBank:
+    """Draw the noise of a batch once, from per-sample child seeds.
+
+    Sample s is ``sample_driver_path(grid, d, measure, child_seed(seed,
+    s))`` over the whole horizon, so a bank reproduces single-path
+    simulation bit for bit; the Brownian increments and jump counts of
+    the steps in [start_node, end_node) are kept as batch arrays.
+    """
+    M = int(n_samples)
+    if end_node is None:
+        end_node = grid.n_steps
+    if not (0 <= start_node < end_node <= grid.n_steps):
+        raise ValueError("need 0 <= start_node < end_node <= n_steps")
+    N = end_node - start_node
+    n_atoms = measure.n_atoms
+    check_batch_bytes(8.0 * M * N * (d + n_atoms))
+
+    dw = np.empty((N, M, d))
+    counts = np.zeros((N, M, n_atoms), dtype=np.int64)
+    w_start = np.zeros((M, d))
+    count_start = np.zeros(M, dtype=np.int64)
+    jump_times = [None] * M
+    jump_atoms = [None] * M
+    t0 = grid.nodes[start_node]
+    for s in range(M):
+        p = sample_driver_path(grid, d, measure, child_seed(seed, s))
+        dw[:, s, :] = p.brownian_increments[start_node:end_node]
+        jump_times[s], jump_atoms[s] = p.jump_times, p.jump_atoms
+        if start_node > 0:
+            w_start[s] = p.brownian_increments[:start_node].sum(axis=0)
+            count_start[s] = np.searchsorted(p.jump_times, t0, side="right")
+        if p.n_jumps:
+            step_of = np.searchsorted(grid.nodes[1:-1], p.jump_times, side="left") - start_node
+            keep = (step_of >= 0) & (step_of < N)
+            np.add.at(counts, (step_of[keep], s, p.jump_atoms[keep]), 1)
+
+    return NoiseBank(grid, measure, M, seed, start_node, end_node,
+                     _readonly(dw), _readonly(counts, np.int64), tuple(jump_times),
+                     tuple(jump_atoms), _readonly(w_start),
+                     _readonly(count_start, np.int64))

@@ -36,7 +36,8 @@ from .coefficients import (
     eval_sigma,
     jacobian_x,
 )
-from .drivers import DriverPath, MarkMeasure, TimeGrid, child_seed, sample_driver_path
+from .drivers import (DriverPath, MarkMeasure, NoiseBank, TimeGrid, check_batch_bytes,
+                      draw_noise, sample_driver_path)  # noqa: F401  (kept importable here)
 from .errors import DivergenceError
 
 __all__ = [
@@ -355,7 +356,9 @@ class ForwardBatch:
     ``states`` is (N+1, M, n); ``dw`` (N, M, d); ``jump_counts``
     (N, M, n_atoms); ``noise`` (N+1, M, r) or None when the coefficient
     set is deterministic.  ``controls[i]`` is the control on step i,
-    shape (m,) when sample-independent else (M, m).
+    shape (m,) when sample-independent else (M, m).  ``dw`` and
+    ``jump_counts`` are the read-only arrays of the batch's noise bank,
+    not copies.
     """
 
     grid: TimeGrid
@@ -382,7 +385,8 @@ class ForwardBatch:
 def simulate_batch(coeffs: CoefficientSet, control: Control, x0, grid: TimeGrid,
                    measure: MarkMeasure, n_samples: int, seed,
                    start_node: int = 0, end_node: int | None = None,
-                   track_sup: bool = False) -> ForwardBatch:
+                   track_sup: bool = False, *,
+                   noise: NoiseBank | None = None) -> ForwardBatch:
     """Simulate ``n_samples`` i.i.d. paths with per-sample child seeds.
 
     Steps without jump events advance all samples in one vectorized
@@ -391,6 +395,12 @@ def simulate_batch(coeffs: CoefficientSet, control: Control, x0, grid: TimeGrid,
     result agrees with single-path simulation up to floating-point
     summation order.  ``start_node``/``end_node`` restrict the
     simulation to a sub-horizon of the grid.
+
+    ``noise`` is a bank from :func:`~jumphjb.drivers.draw_noise` for
+    exactly these grid, measure, sample count, seed and node range
+    (anything else raises ValueError); the batch then reads it in place
+    of drawing, bit for bit the same, and never writes into it.  Several
+    controls priced on common random numbers share one bank.
     """
     M = int(n_samples)
     n, d = coeffs.n, coeffs.d
@@ -402,43 +412,26 @@ def simulate_batch(coeffs: CoefficientSet, control: Control, x0, grid: TimeGrid,
     n_atoms = measure.n_atoms
     r = len(coeffs.randomness_channels)
 
-    est_bytes = 8.0 * M * (N + 1) * (n + 0) + 8.0 * M * N * (d + n_atoms + 0) + 8.0 * M * (N + 1) * r
-    if est_bytes > 3.5e9:
-        raise MemoryError(
-            f"batch would need ~{est_bytes / 1e9:.1f} GB; reduce n_samples or steps"
-        )
-
-    dw = np.empty((N, M, d))
-    jump_times = [None] * M
-    jump_atoms = [None] * M
-    w_start = np.zeros((M, d))
-    for s in range(M):
-        p = sample_driver_path(grid, d, measure, child_seed(seed, s))
-        dw[:, s, :] = p.brownian_increments[start_node:end_node]
-        if start_node > 0:
-            w_start[s] = p.brownian_increments[:start_node].sum(axis=0)
-        jump_times[s] = p.jump_times
-        jump_atoms[s] = p.jump_atoms
-
-    counts = np.zeros((N, M, n_atoms), dtype=np.int64) if n_atoms else np.zeros((N, M, 0), dtype=np.int64)
-    for s in range(M):
-        if jump_times[s].size:
-            step_of = np.searchsorted(grid.nodes[1:-1], jump_times[s], side="left") - start_node
-            keep = (step_of >= 0) & (step_of < N)
-            np.add.at(counts, (step_of[keep], s, jump_atoms[s][keep]), 1)
+    check_batch_bytes(8.0 * M * (N + 1) * n + 8.0 * M * N * (d + n_atoms)
+                      + 8.0 * M * (N + 1) * r)
+    if noise is None:
+        noise = draw_noise(grid, d, measure, M, seed, start_node, end_node)
+    else:
+        noise.check(grid, d, measure, M, seed, start_node, end_node)
+    dw, counts = noise.dw, noise.counts
+    jump_times, jump_atoms = noise.jump_times, noise.jump_atoms
 
     x0 = np.asarray(x0, dtype=float)
     states = np.empty((N + 1, M, n))
     states[0] = x0 if x0.ndim == 2 else np.broadcast_to(np.atleast_1d(x0), (M, n))
 
-    noise = np.zeros((N + 1, M, r)) if r else None
-    if noise is not None:
-        w_run = w_start
-        cnt_run = np.zeros(M)
-        t0 = grid.nodes[start_node]
-        for s in range(M):
-            cnt_run[s] = np.searchsorted(jump_times[s], t0, side="right")
-        noise[0] = _noise_values(coeffs, t0, w_run, cnt_run, measure.total_mass)
+    noise_vals = np.zeros((N + 1, M, r)) if r else None
+    if noise_vals is not None:
+        # Running copies: the bank's starting values stay as drawn.
+        w_run = noise.w_start.copy()
+        cnt_run = noise.count_start.astype(float)
+        noise_vals[0] = _noise_values(coeffs, grid.nodes[start_node], w_run,
+                                      cnt_run, measure.total_mass)
 
     sup_abs = np.linalg.norm(states[0], axis=1) if track_sup else None
     controls = []
@@ -448,7 +441,7 @@ def simulate_batch(coeffs: CoefficientSet, control: Control, x0, grid: TimeGrid,
         gi = start_node + i
         t_lo = grid.nodes[gi]
         dt = grid.dt[gi]
-        nstate = NoiseState(float(t_lo), channels, noise[i]) if noise is not None else None
+        nstate = NoiseState(float(t_lo), channels, noise_vals[i]) if noise_vals is not None else None
         u = control.value_batch(i, t_lo, states[i], nstate)
         u = np.asarray(u, dtype=float)
         controls.append(u)
@@ -465,8 +458,8 @@ def simulate_batch(coeffs: CoefficientSet, control: Control, x0, grid: TimeGrid,
                     coeffs, measure, gi, grid, states[i, s],
                     u[s] if u.ndim == 2 else u,
                     dw[i, s], jump_times[s], jump_atoms[s],
-                    w_run[s] if noise is not None else None,
-                    cnt_run[s : s + 1] if noise is not None else None,
+                    w_run[s] if noise_vals is not None else None,
+                    cnt_run[s : s + 1] if noise_vals is not None else None,
                     sup_tracker=sup_abs[s : s + 1] if track_sup else None,
                 )
 
@@ -474,14 +467,14 @@ def simulate_batch(coeffs: CoefficientSet, control: Control, x0, grid: TimeGrid,
             raise DivergenceError("batch state left the admissible range", gi)
         if track_sup:
             np.maximum(sup_abs, np.linalg.norm(states[i + 1], axis=1), out=sup_abs)
-        if noise is not None:
+        if noise_vals is not None:
             w_run += dw[i]
             if n_atoms:
                 cnt_run += counts[i].sum(axis=1)
-            noise[i + 1] = _noise_values(
+            noise_vals[i + 1] = _noise_values(
                 coeffs, grid.nodes[gi + 1], w_run, cnt_run, measure.total_mass)
 
-    return ForwardBatch(grid, measure, states, dw, counts, noise, controls,
+    return ForwardBatch(grid, measure, states, dw, counts, noise_vals, controls,
                         start_node, sup_abs)
 
 

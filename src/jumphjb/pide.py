@@ -330,7 +330,8 @@ def _stability_bound(coeffs, control_set, space, measure, times) -> float:
                     if k2 != k:
                         denom += np.abs(a[:, k, k2]) / (2.0 * h[k] * h[k2])
             worst = max(worst, float(denom.max()))
-    return 1.0 / worst
+    # With no drift, diffusion or jumps every step is monotone.
+    return 1.0 / worst if worst > 0 else np.inf
 
 
 def solve_pide_deterministic(coeffs: CoefficientSet, space: SpatialGrid,

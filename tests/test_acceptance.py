@@ -107,8 +107,8 @@ def test_criterion_03_comparison_principle():
         f=lambda t, x, u, y, z, k, nz: 0.3 * y + 0.05 * k,
         rho=np.array([0.0]))
     grid = TimeGrid.uniform(1.0, 12)
-    h1 = lambda x: float(np.sin(x[0]))
-    h2 = lambda x: float(np.sin(x[0])) + 0.5
+    h1 = lambda x: np.sin(x[:, 0])
+    h2 = lambda x: np.sin(x[:, 0]) + 0.5
     exact_ok = 0
     general_ok = 0
     for s in range(100):

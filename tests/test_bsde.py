@@ -130,14 +130,14 @@ class TestBackwardSemigroup:
         co = diffusion_coeffs()
         grid = TimeGrid.uniform(1.0, 10)
         v = backward_semigroup(co, U0, grid, MEAS, 4, [1.5], 0,
-                               lambda x: float(x[0] ** 2), 50, 1)
+                               lambda x: x[:, 0] ** 2, 50, 1)
         assert v == 2.25
 
     def test_zero_dynamics_identity(self):
         co = make_coeffs()
         grid = TimeGrid.uniform(1.0, 10)
         v = backward_semigroup(co, U0, grid, MarkMeasure.empty(), 2, [1.5], 5,
-                               lambda x: float(np.sin(x[0])), 200, 1)
+                               lambda x: np.sin(x[:, 0]), 200, 1)
         assert v == pytest.approx(np.sin(1.5), abs=1e-6)
 
     def test_composition(self):
@@ -150,14 +150,14 @@ class TestBackwardSemigroup:
         )
         grid = TimeGrid.uniform(1.0, 16)
         meas = MarkMeasure.empty()
-        eta = lambda x: float(np.cos(x[0]))
+        eta = lambda x: np.cos(x[:, 0])
         direct = backward_semigroup(co, U0, grid, meas, 4, [0.3], 8, eta, 40000, 7)
 
         xs = np.linspace(-1.2, 1.8, 25)
         inner = np.array([
             backward_semigroup(co, U0, grid, meas, 8, [xv], 4, eta, 8000, 1000 + i)
             for i, xv in enumerate(xs)])
-        eta2 = lambda x: float(np.interp(x[0], xs, inner))
+        eta2 = lambda x: np.interp(x[:, 0], xs, inner)
         nested = backward_semigroup(co, U0, grid, meas, 4, [0.3], 4, eta2, 40000, 7)
         assert abs(direct - nested) < 0.01
 
@@ -167,7 +167,7 @@ class TestComparison:
         co = diffusion_coeffs()
         batch = simulate_batch(co, U0, [0.5], TimeGrid.uniform(1.0, 10),
                                MEAS, 200, 2)
-        h = lambda x: float(x[0] ** 2)
+        h = lambda x: x[:, 0] ** 2
         rep = comparison_check(co, U0, batch, h, h)
         assert rep.margin == 0.0 and rep.passed
 
@@ -175,8 +175,8 @@ class TestComparison:
         co = diffusion_coeffs()
         batch = simulate_batch(co, U0, [0.5], TimeGrid.uniform(1.0, 10),
                                MEAS, 200, 2)
-        rep = comparison_check(co, U0, batch, lambda x: float(x[0] ** 2),
-                               lambda x: float(x[0] ** 2) + 1.0)
+        rep = comparison_check(co, U0, batch, lambda x: x[:, 0] ** 2,
+                               lambda x: x[:, 0] ** 2 + 1.0)
         assert rep.terminal_ordered
         assert rep.margin == pytest.approx(1.0, abs=1e-6)
         assert rep.passed
@@ -187,8 +187,8 @@ class TestComparison:
         for s in range(100):
             batch = simulate_batch(co, U0, [0.2], grid, MEAS, 150, s)
             rep = comparison_check(co, U0, batch,
-                                   lambda x: float(np.sin(x[0])),
-                                   lambda x: float(np.sin(x[0])) + 0.5)
+                                   lambda x: np.sin(x[:, 0]),
+                                   lambda x: np.sin(x[:, 0]) + 0.5)
             assert rep.margin > 0.0
 
     def test_ordering_every_seed_zero_driver(self):
@@ -197,8 +197,8 @@ class TestComparison:
         for s in range(50):
             batch = simulate_batch(co, U0, [0.2], grid, MEAS, 100, s)
             rep = comparison_check(co, U0, batch,
-                                   lambda x: float(x[0] ** 2),
-                                   lambda x: float(x[0] ** 2 + np.cos(x[0]) + 1.1))
+                                   lambda x: x[:, 0] ** 2,
+                                   lambda x: x[:, 0] ** 2 + np.cos(x[:, 0]) + 1.1)
             assert rep.margin > 0.0
 
 

@@ -140,6 +140,17 @@ class TestExitCodes:
         diag = json.loads((out / "failure_diagnostic.json").read_text())
         assert diag["error"] == "CflViolationError"
 
+    def test_pide_without_dynamics_runs(self, tmp_path):
+        cfg = write_cfg(tmp_path / "c.json", {
+            "seed": 1,
+            "problem": {"name": "exp_decay"},
+            "pide": {"nodes": 41, "n_steps": 40},
+        })
+        out = tmp_path / "o"
+        assert run_cli(["pide", "--config", cfg, "--out", str(out)]) == 0
+        rep = json.loads((out / "pide_report.json").read_text())
+        assert rep["V0"] == pytest.approx(0.9975 ** 40, rel=1e-12)
+
     def test_diagnostic_goes_to_config_out_dir(self, tmp_path, monkeypatch):
         cwd = tmp_path / "cwd"
         cwd.mkdir()

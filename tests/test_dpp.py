@@ -15,7 +15,8 @@ from jumphjb.dpp import (
 )
 from jumphjb.drivers import MarkMeasure, TimeGrid
 from jumphjb.errors import ConfigError
-from jumphjb.forward import ConstantControl
+from jumphjb.bsde import solve_bsde
+from jumphjb.forward import ConstantControl, simulate_batch
 
 from conftest import make_coeffs
 
@@ -250,6 +251,29 @@ class TestDppResidual:
         tab = compute_value_table(co, u2, lat, grid, MEAS)
         r = dpp_residual(co, u2, tab, MEAS, 0, [0.0], grid.n_steps, 40000, 3)
         assert r < 5e-3
+
+    def test_matches_fresh_batch_per_control(self):
+        # Reference: every control on its own freshly drawn batch, the
+        # terminal interpolated one path at a time.
+        co = controlled_coeffs()
+        u3 = ControlSet.from_1d(-1, 1, 3)
+        lat = Lattice([-2.0], [2.0], (24,))
+        grid = TimeGrid.uniform(1.0, 8)
+        tab = compute_value_table(co, u3, lat, grid, MEAS)
+        t_node, delta, M, seed, x = 3, 2, 300, 9, [0.3]
+        v_slice = tab.values[t_node + delta]
+        best = np.inf
+        for u in u3.atoms:
+            control = ConstantControl(u)
+            batch = simulate_batch(co, control, x, grid, MEAS, M, seed,
+                                   start_node=t_node, end_node=t_node + delta)
+            assert batch.jump_counts.sum() > 0
+            term = np.array([lat.interpolate(v_slice, xs[None, :])[0][0]
+                             for xs in batch.states[-1]])
+            best = min(best, solve_bsde(co, control, batch,
+                                        terminal_values=term).y0)
+        expected = abs(tab.value_at(t_node, x) - best)
+        assert dpp_residual(co, u3, tab, MEAS, t_node, x, delta, M, seed) == expected
 
     def test_refinement_shrinks_residual(self):
         co = controlled_coeffs(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from jumphjb.drivers import (
     MarkMeasure,
     TimeGrid,
     child_seed,
+    draw_noise,
     sample_driver_path,
 )
 from jumphjb.errors import DivergenceError
@@ -20,6 +23,8 @@ from jumphjb.forward import (
     simulate_flow_gradient,
     trajectory_to_csv,
 )
+
+from jumphjb.problems import build_problem
 
 from conftest import make_coeffs
 
@@ -120,6 +125,83 @@ class TestBatchConsistency:
         b2 = simulate_batch(co, U0, [0.0], grid, MEAS, 64, 5)
         np.testing.assert_array_equal(b1.states, b2.states)
         np.testing.assert_array_equal(b1.jump_counts, b2.jump_counts)
+
+
+BANK_FIELDS = ("states", "dw", "jump_counts", "noise")
+
+
+def assert_same_batch(a, b):
+    for name in BANK_FIELDS:
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name),
+                                      err_msg=name)
+
+
+class TestNoiseBank:
+    """A bank drawn once gives every control the batch a seed would."""
+
+    GRID = TimeGrid.uniform(0.5, 12)
+    START, END, M, SEED = 4, 10, 40, 21
+
+    @pytest.fixture(params=[("W2",), ("W2", "J")], ids=["W2", "W2-J"])
+    def prob(self, request):
+        prob = build_problem("random_terminal", {"jump_weight": 2.0})
+        prob.coeffs = dataclasses.replace(prob.coeffs,
+                                          randomness_channels=request.param)
+        return prob
+
+    def simulate(self, prob, control, **kw):
+        return simulate_batch(prob.coeffs, control, prob.x0, self.GRID,
+                              prob.measure, self.M, self.SEED,
+                              self.START, self.END, **kw)
+
+    def draw(self, prob):
+        return draw_noise(self.GRID, prob.coeffs.d, prob.measure, self.M,
+                          self.SEED, self.START, self.END)
+
+    def test_bank_matches_seeded_draw(self, prob):
+        bank = self.draw(prob)
+        banked = self.simulate(prob, U0, noise=bank)
+        assert_same_batch(banked, self.simulate(prob, U0))
+        assert banked.dw is bank.dw and banked.jump_counts is bank.counts
+        assert banked.jump_counts.sum() > 0
+
+    def test_controls_share_bank_in_either_order(self, prob):
+        controls = [ConstantControl([0.6]),
+                    FeedbackControl(lambda t, x: -0.5 * x)]
+        fresh = [self.simulate(prob, c) for c in controls]
+        for order in ([0, 1], [1, 0]):
+            bank = self.draw(prob)
+            for k in order:
+                assert_same_batch(self.simulate(prob, controls[k], noise=bank),
+                                  fresh[k])
+
+    def test_mismatched_bank_raises(self, prob):
+        bank = self.draw(prob)
+        wrong = [
+            dict(seed=self.SEED + 1),
+            dict(n_samples=self.M - 1),
+            dict(start_node=self.START + 1),
+            dict(end_node=self.END - 1),
+            dict(grid=TimeGrid.uniform(0.5, 13)),
+            dict(measure=MarkMeasure.from_atoms([((1.0,), 1.0)])),
+        ]
+        for change in wrong:
+            args = dict(grid=self.GRID, measure=prob.measure, n_samples=self.M,
+                        seed=self.SEED, start_node=self.START, end_node=self.END)
+            args.update(change)
+            with pytest.raises(ValueError, match="noise bank"):
+                simulate_batch(prob.coeffs, U0, prob.x0, noise=bank, **args)
+
+    def test_bank_arrays_are_read_only(self, prob):
+        bank = self.draw(prob)
+        for arr in (bank.dw, bank.counts, bank.w_start, bank.count_start,
+                    bank.jump_times[0]):
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
+    def test_size_guard_allocates_nothing(self):
+        with pytest.raises(MemoryError, match="batch would need"):
+            draw_noise(TimeGrid.uniform(1.0, 1000), 1, MEAS, 10 ** 9, 0)
 
 
 class TestFlowGradient:

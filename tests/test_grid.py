@@ -55,6 +55,20 @@ def test_affine_fields_interpolate_exactly(case):
     assert clamped == int(np.sum((points < first) | (points > last)))
 
 
+@settings(max_examples=80, deadline=None)
+@given(grids(), st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 12), max_size=3))
+def test_interpolation_is_batch_invariant(case, seed, cuts):
+    # Interpolating stacked point sets in one call gives bitwise the
+    # per-set results, and the clamped counts add up.
+    grid, points, _ = case
+    values = np.random.default_rng(seed).standard_normal(grid.shape)
+    parts = np.split(points, sorted(min(c, points.shape[0]) for c in cuts))
+    whole, clamped = grid.interpolate(values, np.concatenate(parts))
+    each = [grid.interpolate(values, part) for part in parts]
+    assert whole.tobytes() == np.concatenate([v for v, _ in each]).tobytes()
+    assert clamped == sum(c for _, c in each)
+
+
 def _assert_nearest(grid, points, idx):
     for k, axis in enumerate(grid.axes()):
         dist = np.abs(points[:, k, None] - axis[None, :])

@@ -14,6 +14,7 @@ from jumphjb.pide import (
     solve_pide_deterministic,
     verification_run,
 )
+from jumphjb.problems import build_problem
 
 from conftest import make_coeffs
 
@@ -170,6 +171,17 @@ class TestPideSolver:
         sol = solve_pide_deterministic(co, space, tg, U2, MEAS)
         expect = np.sin(space.nodes()[:, 0])[None, :] + (1.0 - tg.nodes)[:, None]
         np.testing.assert_allclose(sol.triplet.V, expect, atol=1e-12)
+
+    def test_no_dynamics_exp_decay(self):
+        # No drift, diffusion or jumps: every step is monotone, and the
+        # explicit scheme gives V(0) = (1 - r dt)^N ~ exp(-r T).
+        prob = build_problem("exp_decay")
+        tg = TimeGrid.uniform(1.0, 40)
+        sol = solve_pide_deterministic(prob.coeffs, SpatialGrid([-3.0], [3.0], (41,)),
+                                       tg, prob.control_set, prob.measure)
+        v0 = sol.triplet.V[0]
+        np.testing.assert_allclose(v0, (1.0 - 0.1 * 0.025) ** 40, rtol=1e-12)
+        np.testing.assert_allclose(v0, np.exp(-0.1), rtol=2e-4)
 
     def test_cfl_refusal(self):
         space = SpatialGrid([-2.0], [2.0], (81,))
