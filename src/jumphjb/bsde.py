@@ -298,7 +298,7 @@ def backward_semigroup(coeffs: CoefficientSet, control: Control, grid: TimeGrid,
         raise ValueError("delta_nodes out of range for the grid")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if delta_nodes == 0:
-        return float(np.asarray(eta(x[None, :]), dtype=float).reshape(1)[0])
+        return float(np.ravel(eta(x[None, :]))[0])
     batch = simulate_batch(coeffs, control, x, grid, measure, n_samples, seed,
                            start_node=t_node, end_node=t_node + delta_nodes,
                            noise=noise)
