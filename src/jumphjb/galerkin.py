@@ -333,6 +333,7 @@ class BinomialJumpTree:
             j_cap = int(np.ceil(horizon_mean + 4.0 * np.sqrt(horizon_mean + 1.0) + 2))
         self.j_cap = int(j_cap) if self.has_jumps else 0
         self._prob_cache = {0: np.ones(1)}
+        self._branch_cache = {}
 
     def n_w(self, i: int) -> int:
         return (i + 1) if self.has_w else 1
@@ -382,7 +383,13 @@ class BinomialJumpTree:
         return full
 
     def branches(self, i: int):
-        """Per node: (child indices, probabilities, dW, jump atom or -1)."""
+        """Per node: (child indices, probabilities, dW, jump atom or -1).
+
+        Built once per step and cached; the tuple and its arrays are
+        read-only because every caller shares them.
+        """
+        if i in self._branch_cache:
+            return self._branch_cache[i]
         lam = self.measure.total_mass
         dt = self.dt
         w = self.measure.weights
@@ -410,9 +417,13 @@ class BinomialJumpTree:
                     probs.append(pw)
                     dws.append(dw)
                     atoms.append(-1)
-            out.append((np.array(children), np.array(probs), np.array(dws),
-                        np.array(atoms, dtype=int)))
-        return out
+            arrays = (np.array(children), np.array(probs), np.array(dws),
+                      np.array(atoms, dtype=int))
+            for arr in arrays:
+                arr.flags.writeable = False
+            out.append(arrays)
+        self._branch_cache[i] = tuple(out)
+        return self._branch_cache[i]
 
 
 @dataclass
@@ -459,14 +470,22 @@ class BseejSolution:
 
 
 def _as_terminal(xi, triple, scenario, grid):
+    """Terminal coordinates per node, shape (n_nodes, n_b).
+
+    ``xi`` is a callable of the terminal noise values, one coordinate
+    vector shared by every node, or an (n_nodes, n_b) array.
+    """
     n_nodes = 1 if scenario is None else scenario.n_nodes(grid.n_steps)
+    shape = (n_nodes, triple.n_modes)
     if callable(xi):
         noise = (np.zeros((1, 0)) if scenario is None
                  else scenario.noise_values(grid.n_steps))
         out = np.asarray(xi(noise), dtype=float)
-        return out.reshape(n_nodes, triple.n_modes)
-    xi = np.asarray(xi, dtype=float).reshape(triple.n_modes)
-    return np.broadcast_to(xi, (n_nodes, triple.n_modes)).copy()
+        return out.reshape(shape)
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape == shape:
+        return xi.copy()
+    return np.broadcast_to(xi.reshape(triple.n_modes), shape).copy()
 
 
 def _as_forcing(f0, i, t, noise, n_nodes, nb):
@@ -579,6 +598,8 @@ def solve_nonlinear_bseej(pair: OperatorPair, F, xi,
     """
     # Iterate 0 is the forcing-free linear solution; each pass freezes
     # the latest iterate inside F and re-solves the linear equation.
+    # The terminal does not depend on the iterate: project it once.
+    xi = _as_terminal(xi, triple, scenario, time_grid)
     current = solve_linear_bseej(pair, None, xi, scenario, time_grid, triple)
     history = []
     for _ in range(max_iter):
@@ -766,6 +787,15 @@ def weak_residual(sol: BseejSolution, pair: OperatorPair, F,
 
 @dataclass
 class WeakHjbResult:
+    """Weak HJB solution with its operators and health figures.
+
+    ``clamped`` counts jump-shifted quadrature points x_q + g outside
+    [-L, L] (where the basis reads zero), summed over every forcing
+    evaluation: every control and atom on every step of every Picard
+    pass, so it grows with the number of passes.  The CLI reports it as
+    ``clamped_points``.
+    """
+
     solution: BseejSolution
     pair: OperatorPair
     triple: GelfandTriple
@@ -796,6 +826,23 @@ class WeakHjbResult:
                     Psi[i, a] = (basis @ (p @ self.solution.r[i][:, a])).reshape(
                         space.shape)
         return RandomFieldTriplet(space, self.solution.grid.nodes, V, Phi, Psi)
+
+
+def _basis_at(triple: GelfandTriple, points: np.ndarray, memo: dict, atom) -> np.ndarray:
+    """``triple.eval_basis(points)``, evaluated once per distinct point set.
+
+    ``memo[atom]`` holds the last (unique points as bytes, basis block)
+    of this atom; a call with the same unique points gathers rows of
+    that block.  The basis is pointwise, so the rows are bitwise those
+    of a fresh evaluation.
+    """
+    pts, inv = np.unique(points, return_inverse=True)
+    key = pts.tobytes()
+    entry = memo.get(atom)
+    if entry is None or entry[0] != key:
+        entry = (key, triple.eval_basis(pts))
+        memo[atom] = entry
+    return entry[1][inv]
 
 
 def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
@@ -850,6 +897,9 @@ def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
     n_atoms = measure.n_atoms
     l_cache = {}
     clamp_count = [0]
+    # The jump-shifted points x_q + g do not depend on the Picard
+    # iterate; each atom keeps the basis at its last point set.
+    basis_memo = {}
 
     # Spatial derivative of sigma sigma^T and sigma_d by central
     # differences (sigma is deterministic and control-free here).
@@ -903,7 +953,8 @@ def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
                 shifted = (np.broadcast_to(xq, (n_nodes, Q)) + g).ravel()
                 outside = np.abs(shifted) > triple.length
                 clamp_count[0] += int(outside.sum())
-                basis_shift = triple.eval_basis(shifted).reshape(n_nodes, Q, -1)
+                basis_shift = _basis_at(triple, shifted, basis_memo, a).reshape(
+                    n_nodes, Q, -1)
                 w_shift = np.einsum("nqk,nk->nq", basis_shift, y)
                 inc = w_shift - w_q
                 wgt = measure.weights[a]

@@ -1,11 +1,18 @@
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jumphjb import galerkin
 from jumphjb.coefficients import ControlSet
 from jumphjb.drivers import MarkMeasure, TimeGrid
 from jumphjb.errors import ConfigError, NotConvergedError
 from jumphjb.galerkin import (
     BinomialJumpTree,
+    _as_terminal,
+    _basis_at,
     assemble_operators,
     assemble_triple,
     check_coercivity,
@@ -493,3 +500,216 @@ class TestWeakHjb:
         tr = assemble_triple(2.0, 1, 4)
         with pytest.raises(ConfigError):
             solve_hjb_weak(co, tr, U2, MEAS, TimeGrid.uniform(1.0, 5))
+
+
+def assert_bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_same_solution(a, b):
+    for name in ("y", "z", "r"):
+        la, lb = getattr(a, name), getattr(b, name)
+        assert len(la) == len(lb)
+        for xa, xb in zip(la, lb):
+            assert_bitwise(xa, xb)
+    assert a.history == b.history
+
+
+class CountingTriple:
+    """Duck-typed triple that records the points it evaluates."""
+
+    def __init__(self, triple):
+        self.triple = triple
+        self.calls = []
+
+    def eval_basis(self, x):
+        self.calls.append(np.array(x, dtype=float))
+        return self.triple.eval_basis(x)
+
+
+PROP_TRIPLE = assemble_triple(L, 1, 6)
+
+
+@st.composite
+def point_sets(draw):
+    """Points with repeats, points outside [-L, L] and both signed zeros."""
+    value = (st.floats(-2.5 * L, 2.5 * L, allow_nan=False)
+             | st.sampled_from([0.0, -0.0, L, -L, 1.5 * L]))
+    pool = draw(st.lists(value, min_size=1, max_size=8))
+    idx = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    return np.array([pool[i] for i in idx])
+
+
+@settings(max_examples=80, deadline=None)
+@given(point_sets(), point_sets())
+def test_basis_memo_matches_fresh_evaluation(points, other):
+    triple = CountingTriple(PROP_TRIPLE)
+    memo = {}
+    expected = PROP_TRIPLE.eval_basis(points)
+    # A miss evaluates the unique points once.
+    assert_bitwise(_basis_at(triple, points, memo, 0), expected)
+    assert len(triple.calls) == 1
+    # Equal as numbers: which signed zero stands for 0 is unspecified.
+    np.testing.assert_array_equal(triple.calls[0], np.unique(points))
+    # A hit evaluates nothing.
+    assert_bitwise(_basis_at(triple, points, memo, 0), expected)
+    assert len(triple.calls) == 1
+    # Another point set replaces the atom's one entry.
+    assert_bitwise(_basis_at(triple, other, memo, 0), PROP_TRIPLE.eval_basis(other))
+    # The same set of numbers may still miss when it differs only in the
+    # sign of a zero, which the key's bytes see.
+    if not np.array_equal(np.unique(other), np.unique(points)):
+        assert len(triple.calls) == 2
+    assert len(triple.calls) in (1, 2)
+    assert list(memo) == [0]
+    # Atoms keep separate entries.
+    assert_bitwise(_basis_at(triple, points, memo, 1), expected)
+    assert sorted(memo) == [0, 1]
+
+
+def scenario_g_coeffs():
+    """random_terminal-like data whose jump size reads t, u and W2."""
+    return make_coeffs(
+        n=1, d=2,
+        b=lambda t, x, u, nz: 0.4 * np.tanh(x) + u[:, 0:1],
+        sigma=lambda t, x, u, nz: np.broadcast_to(
+            np.array([0.5, 0.15]), x.shape + (2,)),
+        g=lambda t, e, x, u, nz: (0.2 + 0.3 * t + 0.1 * u[:, 0:1]
+                                  + 0.5 * nz.values[..., 0:1]) * np.ones_like(x),
+        f=lambda t, x, u, y, z, k, nz: 0.1 * y + 0.05 * k,
+        h=lambda x, nz: np.exp(-x[..., 0] ** 2)
+        * (1.0 + 0.3 * (nz.values[..., 0] if nz is not None else 0.0)),
+        rho=np.array([0.0]), randomness_channels=("W2",))
+
+
+class TestPicardInvariantWork:
+    """The basis memo, branch cache and one-off terminal change no bit."""
+
+    def _solve_both(self, monkeypatch, build):
+        """(as built, reference without the memo, eval_basis call count)."""
+        calls = []
+        original = galerkin.GelfandTriple.eval_basis
+
+        def counting(self, x):
+            calls.append(np.size(x))
+            return original(self, x)
+
+        with monkeypatch.context() as m:
+            m.setattr(galerkin.GelfandTriple, "eval_basis", counting)
+            built = build()
+        with monkeypatch.context() as m:
+            m.setattr(galerkin, "_basis_at",
+                      lambda triple, pts, memo, atom: triple.eval_basis(pts))
+            reference = build()
+        return built, reference, calls
+
+    def test_deterministic_run_matches_reference(self, monkeypatch):
+        tr = assemble_triple(6.0, 1, 16)
+        grid = TimeGrid.uniform(0.5, 20)
+        built, ref, calls = self._solve_both(
+            monkeypatch,
+            lambda: solve_hjb_weak(benchmark_coeffs(), tr, U2, MEAS, grid))
+        assert_same_solution(built.solution, ref.solution)
+        assert built.clamped == ref.clamped
+        # g is constant: one evaluation at the Q shifted points serves
+        # every step, control and pass.
+        assert calls == [tr.n_quad]
+        assert len(built.solution.history) > 2
+
+    def test_scenario_run_matches_reference(self, monkeypatch):
+        tr = assemble_triple(4.0, 1, 8)
+        grid = TimeGrid.uniform(0.5, 8)
+        built, ref, calls = self._solve_both(
+            monkeypatch,
+            lambda: solve_hjb_weak(
+                scenario_g_coeffs(), tr, U2, MEAS, grid,
+                scenario=BinomialJumpTree(grid, MEAS, ("J", "W2"))))
+        assert_same_solution(built.solution, ref.solution)
+        assert built.clamped == ref.clamped > 0
+        # g moves with t, u and W2: every forcing call misses, once per
+        # control and atom.
+        passes = len(built.solution.history)
+        assert len(calls) == passes * grid.n_steps * U2.n_atoms * MEAS.n_atoms
+
+    def test_branch_cache(self):
+        grid = TimeGrid.uniform(1.0, 10)
+        tree = BinomialJumpTree(grid, MEAS, ("W1", "J"))
+        for i in range(grid.n_steps):
+            cached = tree.branches(i)
+            assert tree.branches(i) is cached
+            fresh = BinomialJumpTree(grid, MEAS, ("W1", "J")).branches(i)
+            assert len(cached) == len(fresh) == tree.n_nodes(i)
+            for node, fresh_node in zip(cached, fresh):
+                for arr, ref in zip(node, fresh_node):
+                    assert_bitwise(arr, ref)
+                    with pytest.raises(ValueError):
+                        arr[0] = arr[0]
+        # Node probabilities: the W walk is binomial(i, 1/2) and the
+        # jump count binomial(i, lambda dt) below the cap, independently.
+        q = MEAS.total_mass * float(grid.dt[0])
+        for i in range(grid.n_steps + 1):
+            p = tree.probabilities(i)
+            ks, js = tree.node_states(i)
+            below = js < tree.j_cap
+            expect = np.array([comb(i, k) / 2.0 ** i * comb(i, j) * q ** j
+                               * (1.0 - q) ** (i - j) for k, j in zip(ks, js)])
+            np.testing.assert_allclose(p[below], expect[below], rtol=1e-12)
+            assert p.sum() == pytest.approx(1.0, abs=1e-12)
+            assert_bitwise(p, BinomialJumpTree(grid, MEAS, ("W1", "J"))
+                           .probabilities(i))
+
+    def test_shared_tree_matches_fresh_trees(self):
+        tr = assemble_triple(4.0, 1, 8)
+        grid = TimeGrid.uniform(0.5, 6)
+        co = scenario_g_coeffs()
+
+        def solve(tree):
+            return solve_hjb_weak(co, tr, U2, MEAS, grid, scenario=tree)
+
+        shared = BinomialJumpTree(grid, MEAS, ("W2", "J"))
+        first, second = solve(shared), solve(shared)
+        for res in (first, second):
+            ref = solve(BinomialJumpTree(grid, MEAS, ("W2", "J")))
+            assert_same_solution(res.solution, ref.solution)
+            assert res.clamped == ref.clamped
+
+    def test_terminal_projected_once(self):
+        tr = assemble_triple(L, 1, 6)
+        grid = TimeGrid.uniform(1.0, 10)
+        tree = BinomialJumpTree(grid, MEAS, ("W1", "J"))
+        pair = assemble_operators(heat_coeffs(), tr, grid)
+        calls = []
+
+        def xi(noise):
+            calls.append(noise.shape)
+            out = np.zeros((noise.shape[0], 6))
+            out[:, 0] = 1.0 + 0.2 * noise[:, 0] + 0.1 * noise[:, 1]
+            return out
+
+        def F(i, t, nz, y, z, r):
+            return 0.05 * y
+
+        sol = solve_nonlinear_bseej(pair, F, xi, tree, grid, tr)
+        assert len(sol.history) > 1
+        assert calls == [(tree.n_nodes(grid.n_steps), 2)]
+        terminal = xi(tree.noise_values(grid.n_steps))
+        again = solve_nonlinear_bseej(pair, F, terminal, tree, grid, tr)
+        assert_same_solution(sol, again)
+
+    def test_terminal_array_shapes(self):
+        tr = assemble_triple(L, 1, 4)
+        grid = TimeGrid.uniform(1.0, 5)
+        tree = BinomialJumpTree(grid, MEAS, ("W1", "J"))
+        n_nodes = tree.n_nodes(grid.n_steps)
+        per_node = np.arange(n_nodes * 4, dtype=float).reshape(n_nodes, 4)
+        out = _as_terminal(per_node, tr, tree, grid)
+        assert_bitwise(out, per_node)
+        assert out is not per_node
+        shared = _as_terminal(np.arange(4.0), tr, tree, grid)
+        assert_bitwise(shared, np.tile(np.arange(4.0), (n_nodes, 1)))
+        for bad in (np.zeros((n_nodes + 1, 4)), np.zeros((n_nodes, 3)),
+                    np.zeros(5)):
+            with pytest.raises(ValueError):
+                _as_terminal(bad, tr, tree, grid)

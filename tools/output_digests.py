@@ -9,14 +9,15 @@ script before and after it and diffing the two listings:
     diff before.txt after.txt
 
 Each subcommand runs on every problem family with small inline configs
-in a temporary directory.  Pairs the CLI refuses with a config error
-(a lattice solver on random coefficients, a weak solve on a degenerate
-diffusion) write nothing and show up only as their exit line; a run
-that raises shows the exception's type in place of the exit code.  Each
-run prints ``<subcommand>/<problem> exit <code>`` and then
-``<subcommand>/<problem>/<file> <sha256>`` for every file it wrote
-except ``manifest.json``, whose config echo and library versions are not
-results.  Takes a few seconds.
+in a temporary directory, and ``hjb-weak`` runs once more on
+``random_terminal`` at the CLI's default sizes.  Pairs the CLI refuses
+with a config error (a lattice solver on random coefficients, a weak
+solve on a degenerate diffusion) write nothing and show up only as
+their exit line; a run that raises shows the exception's type in place
+of the exit code.  Each run prints ``<subcommand>/<problem> exit
+<code>`` and then ``<subcommand>/<problem>/<file> <sha256>`` for every
+file it wrote except ``manifest.json``, whose config echo and library
+versions are not results.  Takes a few seconds.
 """
 
 from __future__ import annotations
@@ -64,6 +65,10 @@ PLAIN_RUNS = [
                                                  "n_steps": 20}}),
     ("convergence", "convergence[energy_identity]", "none", {"convergence": {
         "study": "energy_identity", "halvings": 1, "modes": 4, "base_steps": 10}}),
+    # CLI defaults (15 steps, 24 modes): a long Picard run on the
+    # full-size scenario lattice.
+    ("hjb-weak", "hjb-weak[defaults]", "random_terminal",
+     {"problem": {"name": "random_terminal"}}),
 ]
 
 
