@@ -48,13 +48,12 @@ __version__ = "0.1.0"
 
 # Solver layers imported lazily by most callers; re-exported here for
 # the common entry points.
-from .bsde import PolynomialBasis, backward_semigroup, solve_bsde  # noqa: E402
+from .bsde import PolynomialBasis, backward_semigroup, price, solve_bsde  # noqa: E402
 from .dpp import (  # noqa: E402
     Lattice,
     compute_value_table,
     dpp_residual,
     epsilon_optimal_control,
-    evaluate_cost,
 )
 from .galerkin import (  # noqa: E402
     BinomialJumpTree,

@@ -27,12 +27,15 @@ import numpy as np
 from .coefficients import CoefficientSet, broadcast_control
 from .errors import NumericError
 from .forward import Control, ForwardBatch, simulate_batch
-from .drivers import MarkMeasure, NoiseBank, TimeGrid
+from .drivers import MarkMeasure, NoiseBank, TimeGrid, child_seed, draw_noise
 
 __all__ = [
     "PolynomialBasis",
     "BsdeSolution",
     "solve_bsde",
+    "price",
+    "replicate",
+    "mean_ci",
     "backward_semigroup",
     "comparison_check",
 ]
@@ -280,31 +283,70 @@ def solve_bsde(coeffs: CoefficientSet, control: Control, batch: ForwardBatch,
     )
 
 
+def price(coeffs: CoefficientSet, control: Control, x, bank: NoiseBank, *,
+          terminal=None, basis: PolynomialBasis | None = None) -> float:
+    """Cost J(t, x; u) = Y(t) of ``control`` on the paths of ``bank``.
+
+    The one path from a control to a Monte Carlo cost.  The bank fixes
+    grid, measure, sample count, seed and node range; t is its start
+    node.  ``terminal`` maps the end states (M, n) to values (M,); None
+    means h.  Controls priced on one bank share their random numbers.
+    """
+    batch = simulate_batch(coeffs, control, np.atleast_1d(x), bank.grid,
+                           bank.measure, bank.n_samples, bank.seed,
+                           start_node=bank.start_node, end_node=bank.end_node,
+                           noise=bank)
+    values = None if terminal is None else terminal(batch.states[-1])
+    return solve_bsde(coeffs, control, batch, basis, terminal_values=values,
+                      keep_paths=False).y0
+
+
+def replicate(coeffs: CoefficientSet, controls, x, grid: TimeGrid,
+              measure: MarkMeasure, n_samples: int, seed, *, n_rep: int = 4,
+              start_node: int = 0, basis: PolynomialBasis | None = None) -> np.ndarray:
+    """Costs (n_rep, len(controls)) over independent replications.
+
+    Replication r draws one bank of max(n_samples // n_rep, 2) paths
+    from ``child_seed(seed, r)`` and prices every control on it before
+    the next is drawn, so the columns of a row share their paths and a
+    difference of two columns is a paired comparison.
+    """
+    if n_rep < 2:
+        raise ValueError("need n_rep >= 2 replications for a confidence width")
+    m = max(int(n_samples) // n_rep, 2)
+    out = np.empty((n_rep, len(controls)))
+    for r in range(n_rep):
+        bank = draw_noise(grid, coeffs.d, measure, m, child_seed(seed, r), start_node)
+        out[r] = [price(coeffs, c, x, bank, basis=basis) for c in controls]
+        del bank
+    return out
+
+
+def mean_ci(values: np.ndarray) -> tuple[float, float]:
+    """Mean of replication values (n_rep,) and its half-width 2 std / sqrt(n_rep)."""
+    return float(values.mean()), 2.0 * float(values.std(ddof=1)) / np.sqrt(values.size)
+
+
 def backward_semigroup(coeffs: CoefficientSet, control: Control, grid: TimeGrid,
                        measure: MarkMeasure, t_node: int, x, delta_nodes: int,
                        eta, n_samples: int, seed,
-                       basis: PolynomialBasis | None = None, *,
-                       noise: NoiseBank | None = None) -> float:
+                       basis: PolynomialBasis | None = None) -> float:
     """Value at t of the BSDE run on [t, t + delta] with terminal eta.
 
     ``eta`` maps states (M, n) to terminal values (M,), the batch
     convention of ``h``; delta_nodes counts grid steps.  With
-    delta_nodes = 0 this is eta(x) exactly.  For f = 0 the result is the
-    Monte Carlo estimate of E[eta(X(t + delta))].  ``noise`` is a bank
-    drawn for this batch (see :func:`~jumphjb.forward.simulate_batch`),
-    so that several controls can be priced on the same paths.
+    delta_nodes = 0 this is eta(x) exactly, otherwise :func:`price` on
+    a fresh bank over those steps.  For f = 0 the result is the Monte
+    Carlo estimate of E[eta(X(t + delta))].
     """
     if delta_nodes < 0 or t_node + delta_nodes > grid.n_steps:
         raise ValueError("delta_nodes out of range for the grid")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if delta_nodes == 0:
         return float(np.ravel(eta(x[None, :]))[0])
-    batch = simulate_batch(coeffs, control, x, grid, measure, n_samples, seed,
-                           start_node=t_node, end_node=t_node + delta_nodes,
-                           noise=noise)
-    sol = solve_bsde(coeffs, control, batch, basis,
-                     terminal_values=eta(batch.states[-1]))
-    return sol.y0
+    bank = draw_noise(grid, coeffs.d, measure, n_samples, seed, t_node,
+                      t_node + delta_nodes)
+    return price(coeffs, control, x, bank, terminal=eta, basis=basis)
 
 
 @dataclass

@@ -159,9 +159,6 @@ class CoefficientSet:
     def with_terminal(self, h: Callable) -> "CoefficientSet":
         return replace(self, h=h)
 
-    def empty_noise(self, t: float = 0.0) -> NoiseState:
-        return NoiseState(t, self.randomness_channels, np.zeros(len(self.randomness_channels)))
-
 
 def _per_row(fun: Callable, out_shape: tuple, n_shared: int) -> Callable:
     """Batch adapter of a pointwise callable.

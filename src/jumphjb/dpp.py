@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import PolynomialBasis, backward_semigroup, solve_bsde
+from .bsde import PolynomialBasis, mean_ci, price, replicate
 from .coefficients import (
     CoefficientSet,
     ControlSet,
@@ -35,15 +35,13 @@ from .coefficients import (
 )
 from .drivers import MarkMeasure, TimeGrid, draw_noise
 from .errors import ConfigError, NumericError
-from .forward import ConstantControl, Control, simulate_batch
+from .forward import ConstantControl, Control
 
 __all__ = [
     "Lattice",
     "ValueTable",
     "FeedbackPolicy",
     "compute_value_table",
-    "evaluate_cost",
-    "evaluate_cost_ci",
     "dpp_residual",
     "epsilon_optimal_control",
     "gauss_hermite",
@@ -352,29 +350,6 @@ def compute_value_table(coeffs: CoefficientSet, control_set: ControlSet,
     return ValueTable(lattice, grid, control_set, values, argmin, clamped)
 
 
-def evaluate_cost(coeffs: CoefficientSet, control: Control, grid: TimeGrid,
-                  measure: MarkMeasure, t_node: int, x, n_samples: int, seed,
-                  basis: PolynomialBasis | None = None) -> float:
-    """Cost J(t, x; u) = Y(t) of the BSDE along a fresh forward batch."""
-    batch = simulate_batch(coeffs, control, np.atleast_1d(x), grid, measure,
-                           n_samples, seed, start_node=t_node)
-    sol = solve_bsde(coeffs, control, batch, basis, keep_paths=False)
-    return sol.y0
-
-
-def evaluate_cost_ci(coeffs: CoefficientSet, control: Control, grid: TimeGrid,
-                     measure: MarkMeasure, t_node: int, x, n_samples: int, seed,
-                     basis: PolynomialBasis | None = None, n_rep: int = 4):
-    """Cost estimate with a half-width from independent replications."""
-    vals = np.array([
-        evaluate_cost(coeffs, control, grid, measure, t_node, x,
-                      max(n_samples // n_rep, 2), (int(seed) + 1) * 1000 + r, basis)
-        for r in range(n_rep)
-    ])
-    half = 2.0 * float(vals.std(ddof=1)) / np.sqrt(n_rep)
-    return float(vals.mean()), half
-
-
 def dpp_residual(coeffs: CoefficientSet, control_set: ControlSet,
                  table: ValueTable, measure: MarkMeasure, t_node: int, x,
                  delta_nodes: int, n_samples: int, seed,
@@ -383,25 +358,25 @@ def dpp_residual(coeffs: CoefficientSet, control_set: ControlSet,
 
     The inner semigroup runs the BSDE over [t, t+delta] with constant
     controls from U_h and the interpolated table slice as terminal
-    data.  All controls are priced on one noise bank drawn from the
-    seed (common random numbers), so each path is drawn once.
+    data.  Every control goes through :func:`~jumphjb.bsde.price` on
+    one noise bank drawn from the seed (common random numbers), so each
+    path is drawn once.  Over delta = 0 the semigroup is the identity
+    and the residual is 0.
     """
     grid = table.grid
     if t_node + delta_nodes > grid.n_steps:
         raise ConfigError("delta_nodes exceeds the table horizon")
+    if delta_nodes == 0:
+        return 0.0
     v_slice = table.values[t_node + delta_nodes]
 
     def eta(states):
         return table.lattice.interpolate(v_slice, states)[0]
 
-    bank = (draw_noise(grid, coeffs.d, measure, n_samples, seed, t_node,
-                       t_node + delta_nodes) if delta_nodes else None)
-    best = np.inf
-    for u in control_set.atoms:
-        g_val = backward_semigroup(
-            coeffs, ConstantControl(u), grid, measure, t_node, x, delta_nodes,
-            eta, n_samples, seed, basis, noise=bank)
-        best = min(best, g_val)
+    bank = draw_noise(grid, coeffs.d, measure, n_samples, seed, t_node,
+                      t_node + delta_nodes)
+    best = min(price(coeffs, ConstantControl(u), x, bank, terminal=eta, basis=basis)
+               for u in control_set.atoms)
     return abs(table.value_at(t_node, x) - best)
 
 
@@ -426,9 +401,12 @@ def epsilon_optimal_control(coeffs: CoefficientSet, control_set: ControlSet,
 
     Rounds alternate candidate evaluation (constant controls from the
     current U_h, then the greedy feedback policy of a value table) with
-    joint refinement of U_h and the lattice.  Stops as soon as the best
-    Monte Carlo cost is below V_est + eps + CI; if the budget runs out
-    the best candidate is returned flagged as not converged.
+    joint refinement of U_h and the lattice.  Each round prices all its
+    candidates in one :func:`~jumphjb.bsde.replicate` call (one bank per
+    replication, shared by the candidates), then scans them in order and
+    stops as soon as the best Monte Carlo cost is below V_est + eps +
+    CI; if the budget runs out the best candidate is returned flagged
+    as not converged.
     """
     _require_deterministic(coeffs, "epsilon_optimal_control")
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -445,14 +423,12 @@ def epsilon_optimal_control(coeffs: CoefficientSet, control_set: ControlSet,
         rounds = round_idx + 1
         table = compute_value_table(coeffs, u_set, lat, grid, measure)
         v_est = table.value_at(t_node, x)
-        candidates: list[tuple[str, Control]] = [
-            (f"constant[{iu}]", ConstantControl(u))
-            for iu, u in enumerate(u_set.atoms)
-        ]
-        candidates.append(("feedback", table.policy()))
-        for name, cand in candidates:
-            j, half = evaluate_cost_ci(
-                coeffs, cand, grid, measure, t_node, x, n_samples, seed, basis)
+        names = [f"constant[{iu}]" for iu in range(u_set.n_atoms)] + ["feedback"]
+        candidates = [ConstantControl(u) for u in u_set.atoms] + [table.policy()]
+        costs = replicate(coeffs, candidates, x, grid, measure, n_samples, seed,
+                          start_node=t_node, basis=basis)
+        for k, (name, cand) in enumerate(zip(names, candidates)):
+            j, half = mean_ci(costs[:, k])
             evaluations.append({"round": rounds, "candidate": name, "j": j, "ci": half})
             if j < best_j:
                 best_j, best_ci, best_control = j, half, cand

@@ -213,11 +213,6 @@ class DriverPath:
     def n_jumps(self) -> int:
         return self.jump_times.size
 
-    @property
-    def jump_events(self):
-        """Sorted (time, atom_index) pairs."""
-        return list(zip(self.jump_times.tolist(), self.jump_atoms.tolist()))
-
 
 def sample_brownian(grid: TimeGrid, d: int, seed) -> np.ndarray:
     """Per-step increments of a d-dimensional Brownian motion.

@@ -107,16 +107,6 @@ class GelfandTriple:
         out[~inside] = 0.0
         return out
 
-    def eval_dbasis(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        k = np.arange(1, self.n_modes + 1)
-        inside = (x >= -self.length) & (x <= self.length)
-        freq = k * np.pi / (2.0 * self.length)
-        arg = freq[None, :] * (x[:, None] + self.length)
-        out = np.sqrt(1.0 / self.length) * freq[None, :] * np.cos(arg)
-        out[~inside] = 0.0
-        return out
-
     def project(self, values_at_quad: np.ndarray) -> np.ndarray:
         """L^2 projection coordinates of a function given at quad points."""
         rhs = self.basis_q.T @ (self.quad_w * values_at_quad)

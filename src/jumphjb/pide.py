@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import PolynomialBasis, solve_bsde
+from .bsde import PolynomialBasis, mean_ci, replicate
 from .coefficients import (
     CoefficientSet,
     ControlSet,
@@ -49,7 +49,7 @@ from .coefficients import (
 from .dpp import FeedbackPolicy, interpolate_multilinear
 from .drivers import MarkMeasure, TimeGrid
 from .errors import CflViolationError, ConfigError, NumericError
-from .forward import ConstantControl, OpenLoopControl, simulate_batch
+from .forward import ConstantControl, OpenLoopControl
 
 __all__ = [
     "SpatialGrid",
@@ -592,7 +592,7 @@ class VerificationReport:
 
     @property
     def all_alternatives_dominated(self) -> bool:
-        return all(a["j"] >= self.v0 - self.ci - a["ci"] for a in self.alternatives)
+        return all(a["diff"] >= -a["diff_ci"] for a in self.alternatives)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -612,11 +612,15 @@ def verification_run(triplet: RandomFieldTriplet, coeffs: CoefficientSet,
     """Closed-loop check of a candidate solution triplet.
 
     Extracts the greedy feedback from the pointwise minimizer of the
-    verification integrand, simulates the feedback system, evaluates
-    its recursive cost by the BSDE solver, and reports the gap to the
-    candidate's V(0, x0) with a replication-based confidence width.
-    Optionally also costs randomly sampled alternative controls, which
-    a correct solution must not beat.
+    verification integrand and reports the gap between its recursive
+    cost and the candidate's V(0, x0), with a replication-based
+    confidence width.  Optionally also costs randomly sampled
+    alternative controls, which a correct solution must not beat.  The
+    feedback and the alternatives are priced in one
+    :func:`~jumphjb.bsde.replicate` call, so each replication prices
+    them all on one bank.  An alternative reports its cost ``j`` with
+    half-width ``ci`` and the paired difference ``diff``, the mean of
+    J_a - J_feedback over the replications, with half-width ``diff_ci``.
     """
     grid = TimeGrid(triplet.time_nodes)
     N = grid.n_steps
@@ -627,34 +631,27 @@ def verification_run(triplet: RandomFieldTriplet, coeffs: CoefficientSet,
         table[i] = idx.reshape(triplet.space.shape)
     feedback = TripletFeedback(triplet, control_set, table)
 
-    def cost(control, rep_seed):
-        batch = simulate_batch(coeffs, control, np.atleast_1d(x0), grid, measure,
-                               max(n_samples // n_rep, 2), rep_seed)
-        return solve_bsde(coeffs, control, batch, basis, keep_paths=False).y0
-
-    reps = np.array([cost(feedback, (int(seed) + 1) * 1000 + r) for r in range(n_rep)])
-    j_feedback = float(reps.mean())
-    ci = 2.0 * float(reps.std(ddof=1)) / np.sqrt(n_rep)
-    v0 = triplet.value_at(0, x0)
-
-    alternatives = []
+    names, controls = [], [feedback]
     rng = np.random.default_rng(seed)
     for a in range(n_alternatives):
         if a % 2 == 0:
             u = control_set.atoms[int(rng.integers(control_set.n_atoms))]
-            control = ConstantControl(u)
-            name = f"constant[{u.tolist()}]"
+            controls.append(ConstantControl(u))
+            names.append(f"constant[{u.tolist()}]")
         else:
-            picks = rng.integers(control_set.n_atoms, size=N)
-            control = OpenLoopControl(control_set.atoms[picks])
-            name = "piecewise-random"
-        reps_a = np.array([
-            cost(control, (int(seed) + 7 + a) * 1000 + r) for r in range(n_rep)])
-        alternatives.append({
-            "name": name,
-            "j": float(reps_a.mean()),
-            "ci": 2.0 * float(reps_a.std(ddof=1)) / np.sqrt(n_rep),
-        })
+            controls.append(OpenLoopControl(
+                control_set.atoms[rng.integers(control_set.n_atoms, size=N)]))
+            names.append("piecewise-random")
+
+    costs = replicate(coeffs, controls, x0, grid, measure, n_samples, seed,
+                      n_rep=n_rep, basis=basis)
+    j_feedback, ci = mean_ci(costs[:, 0])
+    v0 = triplet.value_at(0, x0)
+    alternatives = []
+    for k, name in enumerate(names, start=1):
+        j, half = mean_ci(costs[:, k])
+        diff, diff_ci = mean_ci(costs[:, k] - costs[:, 0])
+        alternatives.append({"name": name, "j": j, "ci": half,
+                             "diff": diff, "diff_ci": diff_ci})
 
     return VerificationReport(j_feedback, ci, v0, j_feedback - v0, alternatives)
-

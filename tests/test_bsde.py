@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import jumphjb.bsde as bsde_module
 from jumphjb.bsde import (
     NodeRegression,
     PolynomialBasis,
     backward_semigroup,
     comparison_check,
+    mean_ci,
+    price,
+    replicate,
     solve_bsde,
 )
-from jumphjb.drivers import MarkMeasure, TimeGrid
-from jumphjb.forward import ConstantControl, simulate_batch
+from jumphjb.drivers import MarkMeasure, TimeGrid, child_seed, draw_noise
+from jumphjb.forward import ConstantControl, FeedbackControl, simulate_batch
+from jumphjb.problems import build_problem
 
 from conftest import make_coeffs
 
@@ -160,6 +167,89 @@ class TestBackwardSemigroup:
         eta2 = lambda x: np.interp(x[:, 0], xs, inner)
         nested = backward_semigroup(co, U0, grid, meas, 4, [0.3], 4, eta2, 40000, 7)
         assert abs(direct - nested) < 0.01
+
+
+class TestPrice:
+    """``price`` is simulate_batch + solve_bsde on the bank's batch, bit for bit."""
+
+    GRID = TimeGrid.uniform(1.0, 10)
+
+    @pytest.mark.parametrize("name", ["smooth1d", "random_terminal"])
+    def test_matches_simulate_then_solve(self, name):
+        prob = build_problem(name)
+        control = FeedbackControl(lambda t, x: -0.5 * x)
+        bank = draw_noise(self.GRID, prob.coeffs.d, prob.measure, 300, 5, 2, 8)
+        batch = simulate_batch(prob.coeffs, control, prob.x0, self.GRID,
+                               prob.measure, 300, 5, start_node=2, end_node=8)
+        assert (price(prob.coeffs, control, prob.x0, bank)
+                == solve_bsde(prob.coeffs, control, batch).y0)
+        eta = lambda x: np.cos(x[:, 0])
+        assert (price(prob.coeffs, control, prob.x0, bank, terminal=eta)
+                == solve_bsde(prob.coeffs, control, batch,
+                              terminal_values=eta(batch.states[-1])).y0)
+
+    def test_semigroup_is_price_on_a_fresh_bank(self):
+        co = diffusion_coeffs(f=lambda t, x, u, y, z, k, nz: -0.2 * y)
+        eta = lambda x: np.sin(x[:, 0])
+        bank = draw_noise(self.GRID, 1, MEAS, 200, 3, 4, 7)
+        assert (backward_semigroup(co, U0, self.GRID, MEAS, 4, [0.2], 3, eta, 200, 3)
+                == price(co, U0, [0.2], bank, terminal=eta))
+
+
+class TestReplicate:
+    GRID = TimeGrid.uniform(1.0, 6)
+    CONTROLS = [ConstantControl([0.0]), ConstantControl([0.5])]
+
+    def coeffs(self):
+        return diffusion_coeffs(b=lambda t, x, u, nz: u[:, 0:1] * np.ones_like(x),
+                                f=lambda t, x, u, y, z, k, nz: x[..., 0] ** 2,
+                                h=lambda x, nz: x[..., 0] ** 2)
+
+    def test_rows_price_every_control_on_one_spawned_bank(self, monkeypatch):
+        co = self.coeffs()
+        seeds = []
+
+        def recording_draw(*args):
+            seeds.append(args[4])
+            return draw_noise(*args)
+
+        monkeypatch.setattr(bsde_module, "draw_noise", recording_draw)
+        costs = replicate(co, self.CONTROLS, [0.1], self.GRID, MEAS, 120, 9,
+                          n_rep=3, start_node=1)
+        assert costs.shape == (3, 2)
+        assert [(s.entropy, s.spawn_key) for s in seeds] == [(9, (r,)) for r in range(3)]
+        for r in range(3):
+            bank = draw_noise(self.GRID, 1, MEAS, 40, child_seed(9, r), 1)
+            for k, c in enumerate(self.CONTROLS):
+                assert costs[r, k] == price(co, c, [0.1], bank)
+
+    @pytest.mark.parametrize("n_rep", [1, 0])
+    def test_needs_two_replications(self, n_rep):
+        with pytest.raises(ValueError, match="n_rep"):
+            replicate(self.coeffs(), self.CONTROLS, [0.1], self.GRID, MEAS, 100, 1,
+                      n_rep=n_rep)
+
+    def test_mean_ci(self):
+        mean, half = mean_ci(np.array([1.0, 2.0, 3.0, 6.0]))
+        assert mean == 3.0
+        assert half == pytest.approx(2.0 * np.std([1.0, 2.0, 3.0, 6.0], ddof=1) / 2.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.tuples(st.integers(0, 2**32), st.integers(0, 5000)),
+           b=st.tuples(st.integers(0, 2**32), st.integers(0, 5000)))
+    @example(a=(0, 1000), b=(1, 0))
+    @example(a=(0, 0), b=(0, 1000))
+    def test_bank_seeds_are_distinct(self, a, b):
+        # Replication r of seed s draws its bank from child_seed(s, r); two
+        # (s, r) pairs share no stream, also for r >= 1000, where the
+        # integer seed (s + 1) * 1000 + r made (0, 1000) replay (1, 0).
+        if a == b:
+            return
+        sa, sb = child_seed(*a), child_seed(*b)
+        assert (sa.entropy, sa.spawn_key) != (sb.entropy, sb.spawn_key)
+        assert not np.array_equal(sa.generate_state(4), sb.generate_state(4))
+        # Nor does a bank's sample stream replay an unreplicated draw's.
+        assert child_seed(sa, 0).spawn_key != child_seed(b[0], 0).spawn_key
 
 
 class TestComparison:

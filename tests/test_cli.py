@@ -151,6 +151,22 @@ class TestExitCodes:
         rep = json.loads((out / "pide_report.json").read_text())
         assert rep["V0"] == pytest.approx(0.9975 ** 40, rel=1e-12)
 
+    def test_verify_single_control_dominates_itself(self, tmp_path):
+        # One control: every alternative is the feedback's own atom, priced
+        # on the feedback's banks, so its paired difference is exactly 0.
+        cfg = write_cfg(tmp_path / "c.json", {
+            "seed": 11,
+            "problem": {"name": "exp_decay"},
+            "pide": {"nodes": 41, "n_steps": 40},
+        })
+        out = tmp_path / "o"
+        assert run_cli(["verify", "--config", cfg, "--out", str(out)]) == 0
+        rep = json.loads((out / "verify_report.json").read_text())
+        assert rep["all_alternatives_dominated"] is True
+        assert [a["diff"] for a in rep["alternatives"]] == [0.0] * 4
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["noise_scheme"] == 2
+
     def test_diagnostic_goes_to_config_out_dir(self, tmp_path, monkeypatch):
         cwd = tmp_path / "cwd"
         cwd.mkdir()

@@ -10,12 +10,11 @@ from jumphjb.dpp import (
     compute_value_table,
     dpp_residual,
     epsilon_optimal_control,
-    evaluate_cost,
     gauss_hermite,
 )
-from jumphjb.drivers import MarkMeasure, TimeGrid
+from jumphjb.drivers import MarkMeasure, TimeGrid, draw_noise
 from jumphjb.errors import ConfigError
-from jumphjb.bsde import solve_bsde
+from jumphjb.bsde import price, solve_bsde
 from jumphjb.forward import ConstantControl, simulate_batch
 
 from conftest import make_coeffs
@@ -321,6 +320,21 @@ class TestEpsilonOptimal:
         # Achieved cost within eps + CI of the lattice optimum.
         assert res.achieved_j <= tab.value_at(0, [0.4]) + 1e-2 + res.ci_half_width
 
+    def test_one_bank_per_replication_per_round(self, monkeypatch):
+        # Three candidates, four replications of 100 paths: the round
+        # draws 400 paths, not 400 per candidate.
+        import jumphjb.drivers as drivers
+        drawn = []
+        real = drivers.sample_driver_path
+        monkeypatch.setattr(drivers, "sample_driver_path",
+                            lambda *a: drawn.append(1) or real(*a))
+        res = epsilon_optimal_control(controlled_coeffs(), ControlSet.from_1d(-1, 1, 2),
+                                      TimeGrid.uniform(0.5, 5), MEAS,
+                                      Lattice([-2.0], [2.0], (11,)), 0, [0.0],
+                                      -1.0, 400, 7, max_rounds=1)
+        assert len(res.evaluations) == 3
+        assert len(drawn) == 400
+
     def test_budget_exhaustion_flag(self):
         co = controlled_coeffs()
         res = epsilon_optimal_control(co, ControlSet.from_1d(-1, 1, 2),
@@ -332,18 +346,20 @@ class TestEpsilonOptimal:
 
 
 class TestCostEvaluation:
+    """J(t, x; u) by :func:`price` on a bank drawn at node t."""
+
     def test_reproducible(self):
         co = controlled_coeffs()
         grid = TimeGrid.uniform(0.5, 6)
-        j1 = evaluate_cost(co, ConstantControl([0.3]), grid, MEAS, 0, [0.1], 500, 9)
-        j2 = evaluate_cost(co, ConstantControl([0.3]), grid, MEAS, 0, [0.1], 500, 9)
+        j1 = price(co, ConstantControl([0.3]), [0.1], draw_noise(grid, 1, MEAS, 500, 9))
+        j2 = price(co, ConstantControl([0.3]), [0.1], draw_noise(grid, 1, MEAS, 500, 9))
         assert j1 == j2
 
     def test_zero_driver_constant_terminal(self):
         co = make_coeffs(h=lambda x, nz: 3.0 * np.ones(x.shape[0]),
                          rho=np.array([0.0]))
-        j = evaluate_cost(co, ConstantControl([0.0]), TimeGrid.uniform(1.0, 5),
-                          MEAS, 0, [0.0], 400, 2)
+        j = price(co, ConstantControl([0.0]), [0.0],
+                  draw_noise(TimeGrid.uniform(1.0, 5), 1, MEAS, 400, 2))
         assert j == pytest.approx(3.0, abs=1e-6)
 
     def test_deterministic_running_cost(self):
@@ -351,7 +367,8 @@ class TestCostEvaluation:
                          h=lambda x, nz: 3.0 * np.ones(x.shape[0]),
                          rho=np.array([0.0]))
         grid = TimeGrid.uniform(1.0, 5)
-        j = evaluate_cost(co, ConstantControl([0.0]), grid, MEAS, 2, [0.0], 300, 2)
+        j = price(co, ConstantControl([0.0]), [0.0],
+                  draw_noise(grid, 1, MEAS, 300, 2, start_node=2))
         assert j == pytest.approx(3.0 + (1.0 - grid.nodes[2]), abs=1e-6)
 
     def test_one_step_two_controls_matches_exhaustive(self):
@@ -363,8 +380,8 @@ class TestCostEvaluation:
         grid = TimeGrid.uniform(0.5, 1)
         best = np.inf
         for u in (-1.0, 1.0):
-            j = evaluate_cost(co, ConstantControl([u]), grid,
-                              MarkMeasure.empty(), 0, [0.4], 50, 3)
+            j = price(co, ConstantControl([u]), [0.4],
+                      draw_noise(grid, 1, MarkMeasure.empty(), 50, 3))
             expect = (0.4 + 0.5 * u) ** 2 + 0.5 * 0.5 * u ** 2
             assert j == pytest.approx(expect, abs=1e-7)
             best = min(best, j)

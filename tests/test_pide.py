@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,45 @@ class TestVerification:
                                  sol.triplet.Phi, sol.triplet.Psi)
         rep = verification_run(bad, co, U2, MEAS, [0.0], 4000, 17)
         assert rep.gap == pytest.approx(-0.1, abs=2e-2 + rep.ci)
+
+
+class TestPairedAlternatives:
+    """Feedback and alternatives priced on one bank per replication."""
+
+    def solve(self, u1):
+        prob = build_problem("smooth1d")
+        sol = solve_pide_deterministic(
+            prob.coeffs, SpatialGrid([-3.0], [3.0], (41,)),
+            TimeGrid.uniform(prob.horizon, 40), u1, prob.measure)
+        return prob, sol
+
+    def test_own_atom_has_zero_difference(self):
+        u1 = ControlSet.singleton([0.2])
+        prob, sol = self.solve(u1)
+        rep = verification_run(sol.triplet, prob.coeffs, u1, prob.measure,
+                               prob.x0, 400, 5, n_alternatives=2)
+        for alt in rep.alternatives:
+            assert alt["diff"] == 0.0 and alt["diff_ci"] == 0.0
+            assert alt["j"] == rep.j_feedback and alt["ci"] == rep.ci
+        assert rep.all_alternatives_dominated
+        assert json.loads(rep.to_json())["all_alternatives_dominated"] is True
+
+    def test_alternative_does_not_replay_another_seeds_feedback(self):
+        # With integer replication seeds (seed + 7 + a) * 1000 + r, the
+        # first alternative of seed s ran on the streams of seed s + 6's
+        # feedback, so for the same control the two costs were equal.
+        u1 = ControlSet.singleton([0.2])
+        prob, sol = self.solve(u1)
+        run = lambda seed: verification_run(
+            sol.triplet, prob.coeffs, u1, prob.measure, prob.x0, 400, seed,
+            n_alternatives=1)
+        assert run(3).alternatives[0]["j"] != run(9).j_feedback
+
+    def test_one_replication_refused(self):
+        prob, sol = self.solve(U2)
+        with pytest.raises(ValueError, match="n_rep"):
+            verification_run(sol.triplet, prob.coeffs, U2, prob.measure,
+                             prob.x0, 400, 5, n_rep=1)
 
 
 class TestTripletCsv:

@@ -1,7 +1,7 @@
 """Compare two checkouts on one benchmark workload in alternating pairs.
 
     python3 tools/bench_pairs.py --parent ../old --change . \
-        --workload dpp_ladder --seeds 1..10 --seconds 30
+        --workload dpp_ladder --seeds 1..10 --seconds 30 [--json BENCH_n.json]
 
 For each seed it runs ``python3 perfbench/run.py --workload W --seed S
 --seconds T --trace 0`` once in each checkout, alternating which one
@@ -12,8 +12,13 @@ the change/parent ratio of the medians, how many pairs the change won
 change wins at least nine tenths of the pairs and the medians differ by
 more than the parent's inter-quartile distance.  It also prints the
 failed/attempted operation counts of each side, and runs that gave no
-result.  Standard library only; it writes nothing, and the last line of
-its output is the raw per-pair data as JSON.
+result.  Standard library only.  The last line of its output is the raw
+per-pair data as JSON.
+
+``--json PATH`` also writes that summary, with both checkouts' git
+commits, to PATH under ``workloads.<W>``.  An existing file for the same
+two commits keeps its other workloads, so one file can collect all of
+them; a file for other commits is refused.
 """
 
 from __future__ import annotations
@@ -68,28 +73,85 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def summarize(pairs, metrics):
-    """One line per metric over the pairs where both sides gave a result."""
+def metric_summary(pairs, metrics) -> dict:
+    """Per metric, over the pairs where both sides gave a result: each
+    side's quartiles, the change/parent ratio of the medians, pairs won
+    and the gain rule; None for a metric without a complete pair."""
     done = [(p, c) for p, c in pairs if p is not None and c is not None]
-    lines = []
+    out = {}
     for name, better in metrics.items():
         par = [p["metrics"][name]["value"] for p, _ in done]
         chg = [c["metrics"][name]["value"] for _, c in done]
         if not par:
-            lines.append(f"{name}: no complete pair")
+            out[name] = None
             continue
         pq, cq = quartiles(par), quartiles(chg)
         sign = 1.0 if better == "lower" else -1.0
         wins = sum(1 for p, c in zip(par, chg) if sign * (c - p) < 0)
-        gain = (wins >= 0.9 * len(done)
-                and sign * (pq[1] - cq[1]) > pq[2] - pq[0])
-        ratio = cq[1] / pq[1] if pq[1] else float("nan")
+        out[name] = {
+            "better": better,
+            "parent": dict(zip(("q1", "median", "q3"), pq)),
+            "change": dict(zip(("q1", "median", "q3"), cq)),
+            "ratio": cq[1] / pq[1] if pq[1] else float("nan"),
+            "change_won": wins,
+            "pairs": len(done),
+            "gain_rule": (wins >= 0.9 * len(done)
+                          and sign * (pq[1] - cq[1]) > pq[2] - pq[0]),
+        }
+    return out
+
+
+def summarize(pairs, metrics):
+    """One line per metric over the pairs where both sides gave a result."""
+    lines = []
+    for name, m in metric_summary(pairs, metrics).items():
+        if m is None:
+            lines.append(f"{name}: no complete pair")
+            continue
+        pq, cq = m["parent"], m["change"]
         lines.append(
-            f"{name}: parent median {pq[1]:.4g} [q1 {pq[0]:.4g}, q3 {pq[2]:.4g}], "
-            f"change median {cq[1]:.4g} [q1 {cq[0]:.4g}, q3 {cq[2]:.4g}], "
-            f"change/parent {ratio:.3f}, change won {wins}/{len(done)}, "
-            f"gain rule {'holds' if gain else 'does not hold'}")
+            f"{name}: parent median {pq['median']:.4g} [q1 {pq['q1']:.4g}, "
+            f"q3 {pq['q3']:.4g}], change median {cq['median']:.4g} "
+            f"[q1 {cq['q1']:.4g}, q3 {cq['q3']:.4g}], "
+            f"change/parent {m['ratio']:.3f}, change won {m['change_won']}/{m['pairs']}, "
+            f"gain rule {'holds' if m['gain_rule'] else 'does not hold'}")
     return lines
+
+
+def operation_counts(runs) -> dict:
+    """Failed and attempted operations over one side's runs."""
+    done = [r for r in runs if r is not None]
+    return {"failed": sum(r["failed"] for r in done),
+            "attempted": sum(r["attempted"] for r in done),
+            "runs_without_result": len(runs) - len(done),
+            "incorrect_runs": sum(1 for r in done if not r["correct"])}
+
+
+def git_commit(tree: str) -> dict:
+    """HEAD of the checkout and whether tracked files differ from it."""
+    def git(*args):
+        proc = subprocess.run(["git", *args], cwd=tree, stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+    sha = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {"sha": sha, "dirty": None if status is None else bool(status)}
+
+
+def write_json(path: str, trees: dict, workload: str, entry: dict) -> None:
+    commits = {side: git_commit(tree) for side, tree in trees.items()}
+    doc = {"commits": commits, "workloads": {}}
+    if os.path.isfile(path):
+        with open(path) as fh:
+            old = json.load(fh)
+        if old.get("commits") != commits:
+            raise SystemExit(f"{path} holds pairs of other commits: "
+                             f"{old.get('commits')} against {commits}")
+        doc = old
+    doc["workloads"][workload] = entry
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def main(argv=None) -> int:
@@ -99,6 +161,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", default="1..10", help="1..10 or a comma list")
     ap.add_argument("--seconds", type=int, default=30)
+    ap.add_argument("--json", metavar="PATH",
+                    help="also write the summary and both git commits to PATH")
     args = ap.parse_args(argv)
     trees = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
@@ -120,13 +184,16 @@ def main(argv=None) -> int:
           f"{len(pairs)} pairs")
     for line in summarize(pairs, metrics):
         print(line)
-    for i, side in enumerate(("parent", "change")):
-        runs = [pair[i] for pair in pairs]
-        done = [r for r in runs if r is not None]
-        print(f"{side}: failed/attempted operations "
-              f"{sum(r['failed'] for r in done)}/{sum(r['attempted'] for r in done)}, "
-              f"runs without result {len(runs) - len(done)}/{len(runs)}, "
-              f"incorrect runs {sum(1 for r in done if not r['correct'])}")
+    ops = {side: operation_counts([pair[i] for pair in pairs])
+           for i, side in enumerate(("parent", "change"))}
+    for side, c in ops.items():
+        print(f"{side}: failed/attempted operations {c['failed']}/{c['attempted']}, "
+              f"runs without result {c['runs_without_result']}/{len(pairs)}, "
+              f"incorrect runs {c['incorrect_runs']}")
+    if args.json:
+        write_json(args.json, trees, args.workload, {
+            "seeds": parse_seeds(args.seeds), "seconds": args.seconds,
+            "metrics": metric_summary(pairs, metrics), "operations": ops})
     print(json.dumps({"workload": args.workload, "seconds": args.seconds,
                       "seeds": parse_seeds(args.seeds),
                       "pairs": [{"parent": p, "change": c} for p, c in pairs]}))
