@@ -26,7 +26,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, broadcast_control
 from .errors import NumericError
-from .forward import Control, ForwardBatch, simulate_batch
+from .forward import Control, ForwardBatch, check_batch, simulate_batch
 from .drivers import MarkMeasure, NoiseBank, TimeGrid, child_seed, draw_noise
 
 __all__ = [
@@ -287,15 +287,12 @@ def price(coeffs: CoefficientSet, control: Control, x, bank: NoiseBank, *,
           terminal=None, basis: PolynomialBasis | None = None) -> float:
     """Cost J(t, x; u) = Y(t) of ``control`` on the paths of ``bank``.
 
-    The one path from a control to a Monte Carlo cost.  The bank fixes
-    grid, measure, sample count, seed and node range; t is its start
-    node.  ``terminal`` maps the end states (M, n) to values (M,); None
-    means h.  Controls priced on one bank share their random numbers.
+    The one path from a control to a Monte Carlo cost; the bank fixes
+    everything but the control, and t is its start node.  ``terminal``
+    maps the end states (M, n) to values (M,); None means h.
     """
-    batch = simulate_batch(coeffs, control, np.atleast_1d(x), bank.grid,
-                           bank.measure, bank.n_samples, bank.seed,
-                           start_node=bank.start_node, end_node=bank.end_node,
-                           noise=bank)
+    batch = simulate_batch(coeffs, control, x, bank.grid, bank.measure, bank.n_samples,
+                           bank.seed, bank.start_node, bank.end_node, noise=bank)
     values = None if terminal is None else terminal(batch.states[-1])
     return solve_bsde(coeffs, control, batch, basis, terminal_values=values,
                       keep_paths=False).y0
@@ -314,6 +311,7 @@ def replicate(coeffs: CoefficientSet, controls, x, grid: TimeGrid,
     if n_rep < 2:
         raise ValueError("need n_rep >= 2 replications for a confidence width")
     m = max(int(n_samples) // n_rep, 2)
+    check_batch(coeffs, measure, m, grid.n_steps - start_node)
     out = np.empty((n_rep, len(controls)))
     for r in range(n_rep):
         bank = draw_noise(grid, coeffs.d, measure, m, child_seed(seed, r), start_node)
@@ -344,6 +342,7 @@ def backward_semigroup(coeffs: CoefficientSet, control: Control, grid: TimeGrid,
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if delta_nodes == 0:
         return float(np.ravel(eta(x[None, :]))[0])
+    check_batch(coeffs, measure, n_samples, delta_nodes)
     bank = draw_noise(grid, coeffs.d, measure, n_samples, seed, t_node,
                       t_node + delta_nodes)
     return price(coeffs, control, x, bank, terminal=eta, basis=basis)

@@ -475,9 +475,7 @@ RUNNERS = {
 def _manifest(subcommand: str, cfg: dict, cfg_text: str, outputs: list) -> dict:
     return {
         "subcommand": subcommand,
-        # Which random numbers a seed produces; absent means scheme 1,
-        # which seeded replications with (seed + k) * 1000 + r.
-        "noise_scheme": 2,
+        "noise_scheme": 2,  # absent: replications seeded (seed + k) * 1000 + r
         "config_sha256": hashlib.sha256(cfg_text.encode()).hexdigest(),
         "config": cfg,
         "seed": cfg["seed"],

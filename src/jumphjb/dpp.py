@@ -35,7 +35,7 @@ from .coefficients import (
 )
 from .drivers import MarkMeasure, TimeGrid, draw_noise
 from .errors import ConfigError, NumericError
-from .forward import ConstantControl, Control
+from .forward import ConstantControl, Control, check_batch
 
 __all__ = [
     "Lattice",
@@ -359,9 +359,8 @@ def dpp_residual(coeffs: CoefficientSet, control_set: ControlSet,
     The inner semigroup runs the BSDE over [t, t+delta] with constant
     controls from U_h and the interpolated table slice as terminal
     data.  Every control goes through :func:`~jumphjb.bsde.price` on
-    one noise bank drawn from the seed (common random numbers), so each
-    path is drawn once.  Over delta = 0 the semigroup is the identity
-    and the residual is 0.
+    one bank drawn from the seed (common random numbers), so each path
+    is drawn once; over delta = 0 the residual is 0.
     """
     grid = table.grid
     if t_node + delta_nodes > grid.n_steps:
@@ -373,6 +372,7 @@ def dpp_residual(coeffs: CoefficientSet, control_set: ControlSet,
     def eta(states):
         return table.lattice.interpolate(v_slice, states)[0]
 
+    check_batch(coeffs, measure, n_samples, delta_nodes)
     bank = draw_noise(grid, coeffs.d, measure, n_samples, seed, t_node,
                       t_node + delta_nodes)
     best = min(price(coeffs, ConstantControl(u), x, bank, terminal=eta, basis=basis)
@@ -401,12 +401,11 @@ def epsilon_optimal_control(coeffs: CoefficientSet, control_set: ControlSet,
 
     Rounds alternate candidate evaluation (constant controls from the
     current U_h, then the greedy feedback policy of a value table) with
-    joint refinement of U_h and the lattice.  Each round prices all its
-    candidates in one :func:`~jumphjb.bsde.replicate` call (one bank per
-    replication, shared by the candidates), then scans them in order and
-    stops as soon as the best Monte Carlo cost is below V_est + eps +
-    CI; if the budget runs out the best candidate is returned flagged
-    as not converged.
+    joint refinement of U_h and the lattice.  A round prices all its
+    candidates in one :func:`~jumphjb.bsde.replicate` call, then scans
+    them in order and stops as soon as the best Monte Carlo cost is
+    below V_est + eps + CI; if the budget runs out the best candidate
+    is returned flagged as not converged.
     """
     _require_deterministic(coeffs, "epsilon_optimal_control")
     x = np.atleast_1d(np.asarray(x, dtype=float))

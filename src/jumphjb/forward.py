@@ -51,6 +51,7 @@ __all__ = [
     "simulate_flow_gradient",
     "flow_property_residual",
     "moment_check",
+    "check_batch",
     "simulate_batch",
     "trajectory_to_csv",
 ]
@@ -382,6 +383,12 @@ class ForwardBatch:
         return NoiseState(float(t), channels, self.noise[node])
 
 
+def check_batch(coeffs: CoefficientSet, measure: MarkMeasure, M: int, N: int) -> None:
+    """Refuse a batch of M paths over N steps before any of it is drawn."""
+    r = len(coeffs.randomness_channels)
+    check_batch_bytes(8.0 * M * ((N + 1) * (coeffs.n + r) + N * (coeffs.d + measure.n_atoms)))
+
+
 def simulate_batch(coeffs: CoefficientSet, control: Control, x0, grid: TimeGrid,
                    measure: MarkMeasure, n_samples: int, seed,
                    start_node: int = 0, end_node: int | None = None,
@@ -412,8 +419,7 @@ def simulate_batch(coeffs: CoefficientSet, control: Control, x0, grid: TimeGrid,
     n_atoms = measure.n_atoms
     r = len(coeffs.randomness_channels)
 
-    check_batch_bytes(8.0 * M * (N + 1) * n + 8.0 * M * N * (d + n_atoms)
-                      + 8.0 * M * (N + 1) * r)
+    check_batch(coeffs, measure, M, N)
     if noise is None:
         noise = draw_noise(grid, d, measure, M, seed, start_node, end_node)
     else:

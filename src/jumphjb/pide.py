@@ -613,14 +613,12 @@ def verification_run(triplet: RandomFieldTriplet, coeffs: CoefficientSet,
 
     Extracts the greedy feedback from the pointwise minimizer of the
     verification integrand and reports the gap between its recursive
-    cost and the candidate's V(0, x0), with a replication-based
-    confidence width.  Optionally also costs randomly sampled
-    alternative controls, which a correct solution must not beat.  The
-    feedback and the alternatives are priced in one
-    :func:`~jumphjb.bsde.replicate` call, so each replication prices
-    them all on one bank.  An alternative reports its cost ``j`` with
-    half-width ``ci`` and the paired difference ``diff``, the mean of
-    J_a - J_feedback over the replications, with half-width ``diff_ci``.
+    cost and the candidate's V(0, x0).  Optionally also costs randomly
+    sampled alternative controls, which a correct solution must not
+    beat.  All are priced in one :func:`~jumphjb.bsde.replicate` call;
+    an alternative reports its cost ``j`` with half-width ``ci``, and
+    ``diff``, the mean of J_a - J_feedback over the replications (both
+    on the same bank), with half-width ``diff_ci``.
     """
     grid = TimeGrid(triplet.time_nodes)
     N = grid.n_steps

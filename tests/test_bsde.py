@@ -223,6 +223,24 @@ class TestReplicate:
             for k, c in enumerate(self.CONTROLS):
                 assert costs[r, k] == price(co, c, [0.1], bank)
 
+    def test_oversized_batch_refused_before_drawing(self, monkeypatch):
+        # The bank alone fits under the cap, the whole batch does not: both
+        # bank-drawing pricers refuse before the first path is drawn.
+        import jumphjb.drivers as drivers
+        co = self.coeffs()
+        noise = 8.0 * 50 * 5 * 2
+        monkeypatch.setattr(drivers, "MAX_BATCH_BYTES", noise + 8.0 * 50 * 3)
+        drawn = []
+        real = drivers.sample_driver_path
+        monkeypatch.setattr(drivers, "sample_driver_path",
+                            lambda *a: drawn.append(1) or real(*a))
+        with pytest.raises(MemoryError):
+            replicate(co, self.CONTROLS, [0.1], self.GRID, MEAS, 200, 1, start_node=1)
+        with pytest.raises(MemoryError):
+            backward_semigroup(co, U0, self.GRID, MEAS, 1, [0.1], 5,
+                               lambda x: x[:, 0], 50, 1)
+        assert drawn == []
+
     @pytest.mark.parametrize("n_rep", [1, 0])
     def test_needs_two_replications(self, n_rep):
         with pytest.raises(ValueError, match="n_rep"):
