@@ -101,10 +101,10 @@ def metric_summary(pairs, metrics) -> dict:
     return out
 
 
-def summarize(pairs, metrics):
-    """One line per metric over the pairs where both sides gave a result."""
+def summarize(summary: dict):
+    """One line per metric of a :func:`metric_summary`."""
     lines = []
-    for name, m in metric_summary(pairs, metrics).items():
+    for name, m in summary.items():
         if m is None:
             lines.append(f"{name}: no complete pair")
             continue
@@ -182,7 +182,8 @@ def main(argv=None) -> int:
 
     print(f"workload {args.workload}, seeds {args.seeds}, {args.seconds} s per run, "
           f"{len(pairs)} pairs")
-    for line in summarize(pairs, metrics):
+    summary = metric_summary(pairs, metrics)
+    for line in summarize(summary):
         print(line)
     ops = {side: operation_counts([pair[i] for pair in pairs])
            for i, side in enumerate(("parent", "change"))}
@@ -193,7 +194,7 @@ def main(argv=None) -> int:
     if args.json:
         write_json(args.json, trees, args.workload, {
             "seeds": parse_seeds(args.seeds), "seconds": args.seconds,
-            "metrics": metric_summary(pairs, metrics), "operations": ops})
+            "metrics": summary, "operations": ops})
     print(json.dumps({"workload": args.workload, "seconds": args.seconds,
                       "seeds": parse_seeds(args.seeds),
                       "pairs": [{"parent": p, "change": c} for p, c in pairs]}))
