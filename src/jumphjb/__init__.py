@@ -24,9 +24,8 @@ from .drivers import (
     MarkMeasure,
     TimeGrid,
     compensated_integral,
-    sample_brownian,
+    draw_noise,
     sample_driver_path,
-    sample_jumps,
 )
 from .errors import (
     CflViolationError,

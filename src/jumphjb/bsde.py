@@ -79,43 +79,47 @@ class PolynomialBasis:
 class NodeRegression:
     """Ridge-regularized projection onto one node's feature matrix.
 
-    Non-constant columns are mean-centered and scaled to unit RMS
-    before the solve; the projection is unchanged (the constant stays
-    in the span) but the Gram matrix is far better conditioned, so the
-    ridge barely biases well-posed fits.  The factorization is shared
-    across all targets at the node.
+    The first feature is the constant; the others are mean-centered and
+    scaled to unit RMS before the solve.  Centered columns are
+    orthogonal to the constant, so the projection splits into the mean
+    of the target plus a ridge fit on the centered columns: the ridge
+    never shrinks the mean, and the Gram matrix is far better
+    conditioned, so it barely biases well-posed fits.  The factorization
+    is shared across all targets at the node.
     """
 
     def __init__(self, phi: np.ndarray, ridge: float):
-        work = phi.copy()
-        self._shift = np.zeros(phi.shape[1])
-        self._shift[1:] = work[:, 1:].mean(axis=0)
-        work[:, 1:] -= self._shift[1:]
-        scale = np.sqrt(np.mean(work ** 2, axis=0))
-        scale[scale < 1e-300] = 1.0
-        self._scale = scale
+        M, p = phi.shape
+        shift = phi[:, 1:].mean(axis=0)
+        work = phi[:, 1:] - shift
+        gram = work.T @ work
+        scale = np.sqrt(np.diag(gram) / M)
+        # A column that is constant up to rounding is the constant again:
+        # an infinite scale zeroes it, so every column stays orthogonal
+        # to the constant.
+        scale[scale <= 1e-12 * np.abs(shift) + 1e-300] = np.inf
         work /= scale
         self._work = work
-        p = phi.shape[1]
-        gram = work.T @ work
-        reg = ridge * np.trace(gram) / p
+        gram /= np.outer(scale, scale)
+        reg = ridge * (M + np.trace(gram)) / p
         self.ridge_fallback = False
         try:
-            self._factor = np.linalg.cholesky(gram + reg * np.eye(p))
+            self._factor = np.linalg.cholesky(gram + reg * np.eye(p - 1))
         except np.linalg.LinAlgError:
             self.ridge_fallback = True
             w, v = np.linalg.eigh(gram)
             floor = max(reg, 1e-12 * max(w.max(), 1.0))
             self._factor = np.linalg.cholesky(
-                (v * np.maximum(w, floor)) @ v.T + reg * np.eye(p))
+                (v * np.maximum(w, floor)) @ v.T + reg * np.eye(p - 1))
         self.basis_size = int(p)
 
     def predict(self, targets: np.ndarray) -> np.ndarray:
         """Fitted values of each target column, shape like ``targets``."""
-        rhs = self._work.T @ targets
+        mean = targets.mean(axis=0)
+        rhs = self._work.T @ (targets - mean)
         coefs = np.linalg.solve(
             self._factor.T, np.linalg.solve(self._factor, rhs))
-        return self._work @ coefs
+        return mean + self._work @ coefs
 
 
 @dataclass

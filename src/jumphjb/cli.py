@@ -31,7 +31,7 @@ from .coefficients import (
     validate_lipschitz,
 )
 from .dpp import Lattice, compute_value_table, dpp_residual
-from .drivers import DriverPath, TimeGrid, child_seed, sample_driver_path
+from .drivers import DriverPath, TimeGrid, draw_noise
 from .errors import (
     CflViolationError,
     ConfigError,
@@ -135,11 +135,10 @@ def run_simulate(cfg: dict, out: Path) -> list:
     n_paths = sec.get("n_paths", 1)
     grid = TimeGrid.uniform(prob.horizon, n_steps)
     control = _control_from(sec, prob.coeffs.m)
+    bank = draw_noise(grid, prob.coeffs.d, prob.measure, n_paths, cfg["seed"])
     outputs = []
     for k in range(n_paths):
-        path = sample_driver_path(grid, prob.coeffs.d, prob.measure,
-                                  child_seed(cfg["seed"], k))
-        traj = simulate(prob.coeffs, control, prob.x0, path)
+        traj = simulate(prob.coeffs, control, prob.x0, bank.path(k))
         name = f"trajectory_{k:03d}.csv"
         trajectory_to_csv(traj, out / name)
         outputs.append(name)
@@ -362,10 +361,10 @@ def run_convergence(cfg: dict, out: Path) -> list:
         fine_steps = base * fine_factor
         control = ConstantControl(np.zeros(prob.coeffs.m))
         errs = {lvl: [] for lvl in range(halvings + 1)}
-        fine_grid = TimeGrid.uniform(prob.horizon, fine_steps)
+        bank = draw_noise(TimeGrid.uniform(prob.horizon, fine_steps), prob.coeffs.d,
+                          prob.measure, n_paths, cfg["seed"])
         for s in range(n_paths):
-            pf = sample_driver_path(fine_grid, prob.coeffs.d, prob.measure,
-                                    child_seed(cfg["seed"], s))
+            pf = bank.path(s)
             ref = simulate(prob.coeffs, control, prob.x0, pf).terminal_state
             for lvl in range(halvings + 1):
                 factor = fine_steps // (base * 2 ** lvl)
@@ -475,7 +474,10 @@ RUNNERS = {
 def _manifest(subcommand: str, cfg: dict, cfg_text: str, outputs: list) -> dict:
     return {
         "subcommand": subcommand,
-        "noise_scheme": 2,  # absent: replications seeded (seed + k) * 1000 + r
+        # 3: rows drawn in blocks from child_seed(seed, block).  2: one
+        # stream per sample from child_seed(seed, sample).  Absent:
+        # replications seeded (seed + k) * 1000 + r.
+        "noise_scheme": 3,
         "config_sha256": hashlib.sha256(cfg_text.encode()).hexdigest(),
         "config": cfg,
         "seed": cfg["seed"],

@@ -20,9 +20,14 @@ Every callable except l follows one batch convention: ``x`` has shape
 values (B, r), and each output carries the same leading batch axis.
 Every solver calls the coefficients this way (:func:`batch_eval`, and
 :func:`compensated_drift` for the drift with the jump compensator folded
-in); single-point call sites pass a one-row batch.  Callables written
-for one point at a time go through :meth:`CoefficientSet.from_pointwise`,
-which loops over the rows.
+in); single-point call sites pass a one-row batch.  The time ``t`` is a
+scalar shared by the rows, except in the event sub-steps of the batch
+forward simulation, where rows stand at different event times: there
+``t``, and the ``t`` of the NoiseState, are (B,) arrays with one entry
+per row.  A family that reads t writes it so that both broadcast, for
+example ``np.reshape(t, (-1, 1)) * x``.  Callables written for one
+point at a time go through :meth:`CoefficientSet.from_pointwise`, which
+loops over the rows and passes each row its own t.
 
 The validators below check the standing regularity assumptions by
 sampling, since the coefficients are opaque callables: Lipschitz bounds
@@ -66,10 +71,11 @@ class NoiseState:
 
     ``values`` is aligned with the owning coefficient set's
     ``randomness_channels``; coefficient callables see it with a leading
-    batch axis.
+    batch axis.  ``t`` is a float, or a (B,) array of per-row times at
+    event sub-steps.
     """
 
-    t: float
+    t: float | np.ndarray
     channels: tuple
     values: np.ndarray
 
@@ -164,16 +170,21 @@ def _per_row(fun: Callable, out_shape: tuple, n_shared: int) -> Callable:
     """Batch adapter of a pointwise callable.
 
     The first ``n_shared`` arguments (t, and the mark for g) are passed
-    as they are, the last is the NoiseState, and every argument between
-    them is indexed by row.
+    as they are, except that a per-row t gives row s its own entry; the
+    last is the NoiseState, and every argument between them is indexed
+    by row.
     """
+    def row_t(t, s):
+        return t[s] if np.ndim(t) else t
+
     def batched(*args):
         shared, rows, noise = args[:n_shared], args[n_shared:-1], args[-1]
         out = np.empty((rows[0].shape[0],) + out_shape)
         for s in range(out.shape[0]):
-            row_noise = (None if noise is None
-                         else NoiseState(noise.t, noise.channels, noise.values[s]))
-            out[s] = np.asarray(fun(*shared, *(a[s] for a in rows), row_noise),
+            row_shared = (row_t(shared[0], s),) + shared[1:] if shared else ()
+            row_noise = (None if noise is None else NoiseState(
+                row_t(noise.t, s), noise.channels, noise.values[s]))
+            out[s] = np.asarray(fun(*row_shared, *(a[s] for a in rows), row_noise),
                                 dtype=float).reshape(out_shape)
         return out
 

@@ -2,11 +2,21 @@
 
 The jump-mark measure is a finite list of weighted atoms, so every
 integral against it reduces to an exact finite sum and all simulation
-output is reproducible bit-for-bit from a 64-bit seed.  Per-sample
-streams are derived with ``child_seed(seed, sample_index)`` which makes
-batch generation independent of evaluation order.  A :class:`NoiseBank`
-holds the noise of a whole batch, drawn once and read by every control
-priced on it.
+output is reproducible bit-for-bit from a 64-bit seed.
+
+Noise is drawn by :func:`draw_noise` into a read-only
+:class:`NoiseBank`, which every control priced on it reads.  The bank's
+rows come in blocks of ``BLOCK_ROWS``; block b draws from the stream
+``child_seed(seed, b)``, split by ``spawn`` into one sub-stream per
+quantity, each drawn row by row in one vectorised call: the Brownian
+increments of the bank's steps, a Poisson count per (step, row, atom),
+one uniform time per event inside its step, and, for a window bank
+(``start_node > 0``), W and the event count at the start node as one
+Gaussian and one Poisson variate.  So row s does not depend on how many
+rows the bank holds or on the order in which blocks are drawn.  A
+window bank draws only its own steps: it is not a slice of the
+full-horizon bank of the same seed.  :func:`sample_driver_path` is row
+0 of a one-row bank.
 """
 
 from __future__ import annotations
@@ -23,8 +33,6 @@ __all__ = [
     "TimeGrid",
     "DriverPath",
     "child_seed",
-    "sample_brownian",
-    "sample_jumps",
     "sample_driver_path",
     "compensated_integral",
     "jump_counts_per_step",
@@ -37,6 +45,10 @@ __all__ = [
 # Largest batch, in bytes, that the simulators agree to allocate.
 MAX_BATCH_BYTES = 3.5e9
 
+# Rows per noise stream; part of the noise scheme, so changing it
+# changes which random numbers a seed produces.
+BLOCK_ROWS = 256
+
 
 def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=dtype)
@@ -45,7 +57,7 @@ def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
 
 
 def child_seed(seed, index: int) -> np.random.SeedSequence:
-    """Derive the stream for one sample of a batch.
+    """Derive the stream for one block of a bank, or one replication.
 
     Uses a spawn key rather than arithmetic on the seed, so streams for
     distinct indices never collide and the assignment does not depend on
@@ -214,50 +226,9 @@ class DriverPath:
         return self.jump_times.size
 
 
-def sample_brownian(grid: TimeGrid, d: int, seed) -> np.ndarray:
-    """Per-step increments of a d-dimensional Brownian motion.
-
-    Step i is N(0, (t_{i+1} - t_i) I_d); the same seed reproduces the
-    same array bit-for-bit.
-    """
-    if d < 1:
-        raise ValueError("need d >= 1 Brownian components")
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((grid.n_steps, d)) * np.sqrt(grid.dt)[:, None]
-
-
-def sample_jumps(grid: TimeGrid, measure: MarkMeasure, seed):
-    """Marked Poisson events on (0, T].
-
-    The event count is Poisson(T * nu(E)); times are i.i.d. uniform and
-    marks are drawn with probabilities proportional to the atom weights.
-    Returns (times, atom_indices) sorted by time.
-    """
-    rng = np.random.default_rng(seed)
-    if measure.n_atoms == 0:
-        return np.zeros(0), np.zeros(0, dtype=int)
-    horizon = grid.horizon
-    count = int(rng.poisson(horizon * measure.total_mass))
-    # 1 - U lies in (0, 1], keeping times strictly positive.
-    times = horizon * (1.0 - rng.random(count))
-    atoms = rng.choice(
-        measure.n_atoms, size=count, p=measure.weights / measure.total_mass
-    )
-    order = np.argsort(times, kind="stable")
-    return times[order], atoms[order]
-
-
 def sample_driver_path(grid: TimeGrid, d: int, measure: MarkMeasure, seed) -> DriverPath:
-    """Draw a full noise realization from one seed.
-
-    The Brownian and jump parts use independent child streams so either
-    half can be regenerated without the other.
-    """
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
-    w_seed, j_seed = root.spawn(2)
-    inc = sample_brownian(grid, d, w_seed)
-    times, atoms = sample_jumps(grid, measure, j_seed)
-    return DriverPath(grid, measure, inc, times, atoms)
+    """Draw one noise realization: row 0 of a one-row bank from ``seed``."""
+    return draw_noise(grid, d, measure, 1, seed).path(0)
 
 
 def compensated_integral(path: DriverPath, measure: MarkMeasure | None, integrand) -> float:
@@ -330,11 +301,13 @@ class NoiseBank:
 
     Drawn once by :func:`draw_noise` and shared by every control priced
     on common random numbers.  ``dw`` is (N, M, d) and ``counts``
-    (N, M, n_atoms) with N = end_node - start_node; ``jump_times[s]``
-    and ``jump_atoms[s]`` hold all events of sample s on (0, T];
-    ``w_start`` (M, d) and ``count_start`` (M,) are W and the event
-    count at the start node.  Every array is read-only, so no consumer
-    can change the noise another one reads.
+    (N, M, n_atoms) with N = end_node - start_node; ``w_start`` (M, d)
+    and ``count_start`` (M,) are W and the event count at the start
+    node.  The events are flat arrays ``event_step`` (relative to the
+    start node), ``event_row``, ``event_atom`` and ``event_tau``, sorted
+    by (step, row, tau); the events of step i are the slice
+    ``step_offsets[i]:step_offsets[i + 1]``.  Every array is read-only,
+    so no consumer can change the noise another one reads.
     """
 
     grid: TimeGrid
@@ -345,14 +318,27 @@ class NoiseBank:
     end_node: int
     dw: np.ndarray
     counts: np.ndarray
-    jump_times: tuple
-    jump_atoms: tuple
     w_start: np.ndarray
     count_start: np.ndarray
+    event_step: np.ndarray
+    event_row: np.ndarray
+    event_atom: np.ndarray
+    event_tau: np.ndarray
+    step_offsets: np.ndarray
 
     @property
     def d(self) -> int:
         return self.dw.shape[2]
+
+    def path(self, s: int) -> DriverPath:
+        """Row s of a full-horizon bank as one :class:`DriverPath`."""
+        if (self.start_node, self.end_node) != (0, self.grid.n_steps):
+            raise ValueError("only a full-horizon bank holds whole paths")
+        if not 0 <= s < self.n_samples:
+            raise IndexError(f"row {s} of a {self.n_samples}-row bank")
+        mine = self.event_row == s
+        return DriverPath(self.grid, self.measure, self.dw[:, s],
+                          self.event_tau[mine], self.event_atom[mine])
 
     def check(self, grid: TimeGrid, d: int, measure: MarkMeasure,
               n_samples: int, seed, start_node: int, end_node: int) -> None:
@@ -374,14 +360,15 @@ class NoiseBank:
 
 def draw_noise(grid: TimeGrid, d: int, measure: MarkMeasure, n_samples: int,
                seed, start_node: int = 0, end_node: int | None = None) -> NoiseBank:
-    """Draw the noise of a batch once, from per-sample child seeds.
+    """Draw the noise of a batch on steps [start_node, end_node) once.
 
-    Sample s is ``sample_driver_path(grid, d, measure, child_seed(seed,
-    s))`` over the whole horizon, so a bank reproduces single-path
-    simulation bit for bit; the Brownian increments and jump counts of
-    the steps in [start_node, end_node) are kept as batch arrays.
+    Rows are drawn in blocks of ``BLOCK_ROWS`` from ``child_seed(seed,
+    block)`` as the module docstring describes, straight into the
+    bank's arrays.  An event of step i has its time in (t_i, t_{i+1}].
     """
     M = int(n_samples)
+    if d < 1:
+        raise ValueError("need d >= 1 Brownian components")
     if end_node is None:
         end_node = grid.n_steps
     if not (0 <= start_node < end_node <= grid.n_steps):
@@ -390,26 +377,40 @@ def draw_noise(grid: TimeGrid, d: int, measure: MarkMeasure, n_samples: int,
     n_atoms = measure.n_atoms
     check_batch_bytes(8.0 * M * N * (d + n_atoms))
 
+    t_lo, t_hi = grid.nodes[start_node:end_node], grid.nodes[start_node + 1:end_node + 1]
+    dt = grid.dt[start_node:end_node]
+    rates = dt[:, None] * measure.weights
+    t0 = grid.nodes[start_node]
     dw = np.empty((N, M, d))
-    counts = np.zeros((N, M, n_atoms), dtype=np.int64)
+    counts = np.empty((N, M, n_atoms), dtype=np.int64)
     w_start = np.zeros((M, d))
     count_start = np.zeros(M, dtype=np.int64)
-    jump_times = [None] * M
-    jump_atoms = [None] * M
-    t0 = grid.nodes[start_node]
-    for s in range(M):
-        p = sample_driver_path(grid, d, measure, child_seed(seed, s))
-        dw[:, s, :] = p.brownian_increments[start_node:end_node]
-        jump_times[s], jump_atoms[s] = p.jump_times, p.jump_atoms
-        if start_node > 0:
-            w_start[s] = p.brownian_increments[:start_node].sum(axis=0)
-            count_start[s] = np.searchsorted(p.jump_times, t0, side="right")
-        if p.n_jumps:
-            step_of = np.searchsorted(grid.nodes[1:-1], p.jump_times, side="left") - start_node
-            keep = (step_of >= 0) & (step_of < N)
-            np.add.at(counts, (step_of[keep], s, p.jump_atoms[keep]), 1)
+    events = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0),)]
+    z = np.empty((min(BLOCK_ROWS, M), N, d))
+    for block, lo in enumerate(range(0, M, BLOCK_ROWS)):
+        B = min(BLOCK_ROWS, M - lo)
+        streams = [np.random.default_rng(s)
+                   for s in child_seed(seed, block).spawn(5 if start_node else 3)]
+        streams[0].standard_normal(out=z[:B])
+        z[:B] *= np.sqrt(dt)[:, None]
+        dw[:, lo:lo + B] = z[:B].transpose(1, 0, 2)
+        c = streams[1].poisson(rates, (B, N, n_atoms))
+        counts[:, lo:lo + B] = c.transpose(1, 0, 2)
+        hit = np.nonzero(c)
+        row, step, atom = (np.repeat(a, c[hit]) for a in hit)
+        u = streams[2].random(row.size)
+        tau = np.clip(t_lo[step] + (1.0 - u) * dt[step],
+                      np.nextafter(t_lo[step], np.inf), t_hi[step])
+        events.append((step, row + lo, atom, tau))
+        if start_node:
+            w_start[lo:lo + B] = streams[3].standard_normal((B, d)) * np.sqrt(t0)
+            count_start[lo:lo + B] = streams[4].poisson(t0 * measure.total_mass, B)
 
+    step, row, atom, tau = (np.concatenate(a) for a in zip(*events))
+    order = np.lexsort((tau, row, step))
     return NoiseBank(grid, measure, M, seed, start_node, end_node,
-                     _readonly(dw), _readonly(counts, np.int64), tuple(jump_times),
-                     tuple(jump_atoms), _readonly(w_start),
-                     _readonly(count_start, np.int64))
+                     _readonly(dw), _readonly(counts, np.int64),
+                     _readonly(w_start), _readonly(count_start, np.int64),
+                     _readonly(step[order], np.int64), _readonly(row[order], np.int64),
+                     _readonly(atom[order], np.int64), _readonly(tau[order]),
+                     _readonly(np.searchsorted(step[order], np.arange(N + 1)), np.int64))

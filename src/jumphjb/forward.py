@@ -148,21 +148,13 @@ class _NoiseTracker:
             self.w += path.brownian_increments[:start_node].sum(axis=0)
         t0 = path.grid.nodes[start_node]
         self.count = int(np.searchsorted(path.jump_times, t0, side="right"))
-        self.w_idx = [int(c[1:]) - 1 for c in self.channels if c != "J"]
-        self.has_j = "J" in self.channels
 
     def state(self, t: float) -> NoiseState | None:
         if not self.channels:
             return None
-        vals = []
-        wi = 0
-        for c in self.channels:
-            if c == "J":
-                vals.append(self.count - t * self.mass)
-            else:
-                vals.append(self.w[self.w_idx[wi]])
-                wi += 1
-        return NoiseState(t, self.channels, np.array(vals))
+        return NoiseState(t, self.channels, np.array([
+            self.count - t * self.mass if c == "J" else self.w[int(c[1:]) - 1]
+            for c in self.channels]))
 
 
 def _events_in_step(path: DriverPath, i: int):
@@ -171,119 +163,48 @@ def _events_in_step(path: DriverPath, i: int):
     return path.jump_times[lo:hi], path.jump_atoms[lo:hi]
 
 
-def simulate(coeffs: CoefficientSet, control: Control, x0, path: DriverPath,
-             start_node: int = 0, end_node: int | None = None) -> StateTrajectory:
-    """Simulate the state along one noise realization.
+def _euler_path(coeffs: CoefficientSet, control: Control, x0, path: DriverPath,
+                start_node: int, end_node: int | None, with_grad: bool):
+    """One event-exact Euler pass along ``path``, the per-path reference.
 
-    Deterministic given (coeffs, control, x0, path); aborts with
-    :class:`DivergenceError` when |X| exceeds 1e8.
+    Returns the trajectory and, with ``with_grad``, the flow gradients
+    aligned to its rows (else None).
     """
-    grid = path.grid
-    measure = path.measure
+    grid, measure, n = path.grid, path.measure, coeffs.n
     if end_node is None:
         end_node = grid.n_steps
     if not (0 <= start_node < end_node <= grid.n_steps):
         raise ValueError("need 0 <= start_node < end_node <= n_steps")
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    if x.size != coeffs.n or not np.all(np.isfinite(x)):
+    if x.size != n or not np.all(np.isfinite(x)):
         raise ValueError("x0 must be a finite vector of length n")
-
-    tracker = _NoiseTracker(coeffs, path, start_node)
-    times = [grid.nodes[start_node]]
-    states = [x.copy()]
-    atoms = [-1]
-    controls = []
-    grid_rows = [0]
-
-    for i in range(start_node, end_node):
-        t_lo, t_hi = grid.nodes[i], grid.nodes[i + 1]
-        dt = t_hi - t_lo
-        u = np.atleast_1d(np.asarray(
-            control.value(i, t_lo, x, tracker.state(t_lo)), dtype=float))
-        ev_times, ev_atoms = _events_in_step(path, i)
-        dw = path.brownian_increments[i]
-        t_cur = t_lo
-        for tau, a in zip(ev_times, ev_atoms):
-            if tau > t_cur:
-                frac = (tau - t_cur) / dt
-                noise = tracker.state(t_cur)
-                x = (x
-                     + eval_drift_tilde(coeffs, measure, t_cur, x, u, noise) * (tau - t_cur)
-                     + eval_sigma(coeffs, t_cur, x, u, noise) @ (dw * frac))
-                tracker.w += dw * frac
-                t_cur = tau
-            noise = tracker.state(tau)
-            x = x + eval_g(coeffs, tau, measure.marks[a], x, u, noise)
-            tracker.count += 1
-            times.append(tau)
-            states.append(x.copy())
-            atoms.append(int(a))
-            controls.append(u)
-        if t_hi > t_cur:
-            frac = (t_hi - t_cur) / dt
-            noise = tracker.state(t_cur)
-            x = (x
-                 + eval_drift_tilde(coeffs, measure, t_cur, x, u, noise) * (t_hi - t_cur)
-                 + eval_sigma(coeffs, t_cur, x, u, noise) @ (dw * frac))
-            tracker.w += dw * frac
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > DIVERGENCE_GUARD:
-            raise DivergenceError("state left the admissible range", i)
-        times.append(t_hi)
-        states.append(x.copy())
-        atoms.append(-1)
-        controls.append(u)
-        grid_rows.append(len(times) - 1)
-
-    controls.append(controls[-1] if controls else np.zeros(coeffs.m))
-    return StateTrajectory(
-        np.array(times), np.array(states), np.array(atoms, dtype=int),
-        np.array(controls), np.array(grid_rows, dtype=int), start_node,
-    )
-
-
-def simulate_flow_gradient(coeffs: CoefficientSet, control: Control, x0,
-                           path: DriverPath, start_node: int = 0,
-                           end_node: int | None = None):
-    """State trajectory together with the flow gradient dX/dx0.
-
-    The gradient solves the linearized dynamics driven by D_x b, D_x
-    sigma and D_x g along the same event schedule; it starts at the
-    identity.  Returns (trajectory, gradients) with gradients aligned to
-    the trajectory rows.  The control is treated as independent of the
-    state (open-loop semantics).
-    """
-    grid = path.grid
-    measure = path.measure
-    if end_node is None:
-        end_node = grid.n_steps
-    if not (0 <= start_node < end_node <= grid.n_steps):
-        raise ValueError("need 0 <= start_node < end_node <= n_steps")
-    n = coeffs.n
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     jac = np.eye(n)
-
     tracker = _NoiseTracker(coeffs, path, start_node)
-    times = [grid.nodes[start_node]]
-    states = [x.copy()]
-    atoms = [-1]
-    controls = []
-    grads = [jac.copy()]
-    grid_rows = [0]
+    times, states, atoms, grads = [grid.nodes[start_node]], [x.copy()], [-1], [jac.copy()]
+    controls, grid_rows = [], [0]
 
-    def advance(t_cur, span, frac, dw, u):
+    def record(t, atom, u):
+        times.append(t)
+        states.append(x.copy())
+        atoms.append(atom)
+        controls.append(u)
+        grads.append(jac.copy())
+
+    def advance(t_cur, t_to, dt, dw, u):
         nonlocal x, jac
         noise = tracker.state(t_cur)
-        sig = eval_sigma(coeffs, t_cur, x, u, noise)
-        drift = eval_drift_tilde(coeffs, measure, t_cur, x, u, noise)
-        d_drift = jacobian_x(
-            lambda xx: eval_drift_tilde(coeffs, measure, t_cur, xx, u, noise), x, n)
-        d_sig = jacobian_x(
-            lambda xx: eval_sigma(coeffs, t_cur, xx, u, noise).ravel(),
-            x, n * coeffs.d).reshape(n, coeffs.d, n)
-        dw_part = dw * frac
-        x_new = x + drift * span + sig @ dw_part
-        jac = jac + span * (d_drift @ jac) + np.einsum(
-            "c,acm,mk->ak", dw_part, d_sig, jac)
+        span = t_to - t_cur
+        dw_part = dw * (span / dt)
+        x_new = (x + eval_drift_tilde(coeffs, measure, t_cur, x, u, noise) * span
+                 + eval_sigma(coeffs, t_cur, x, u, noise) @ dw_part)
+        if with_grad:
+            d_drift = jacobian_x(
+                lambda xx: eval_drift_tilde(coeffs, measure, t_cur, xx, u, noise), x, n)
+            d_sig = jacobian_x(
+                lambda xx: eval_sigma(coeffs, t_cur, xx, u, noise).ravel(),
+                x, n * coeffs.d).reshape(n, coeffs.d, n)
+            jac = jac + span * (d_drift @ jac) + np.einsum(
+                "c,acm,mk->ak", dw_part, d_sig, jac)
         x = x_new
         tracker.w += dw_part
 
@@ -297,29 +218,22 @@ def simulate_flow_gradient(coeffs: CoefficientSet, control: Control, x0,
         t_cur = t_lo
         for tau, a in zip(ev_times, ev_atoms):
             if tau > t_cur:
-                advance(t_cur, tau - t_cur, (tau - t_cur) / dt, dw, u)
+                advance(t_cur, tau, dt, dw, u)
                 t_cur = tau
             noise = tracker.state(tau)
             mark = measure.marks[a]
-            d_g = jacobian_x(
-                lambda xx: eval_g(coeffs, tau, mark, xx, u, noise), x, n)
+            if with_grad:
+                d_g = jacobian_x(
+                    lambda xx: eval_g(coeffs, tau, mark, xx, u, noise), x, n)
+                jac = (np.eye(n) + d_g) @ jac
             x = x + eval_g(coeffs, tau, mark, x, u, noise)
-            jac = (np.eye(n) + d_g) @ jac
             tracker.count += 1
-            times.append(tau)
-            states.append(x.copy())
-            atoms.append(int(a))
-            controls.append(u)
-            grads.append(jac.copy())
+            record(tau, int(a), u)
         if t_hi > t_cur:
-            advance(t_cur, t_hi - t_cur, (t_hi - t_cur) / dt, dw, u)
+            advance(t_cur, t_hi, dt, dw, u)
         if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > DIVERGENCE_GUARD:
             raise DivergenceError("state left the admissible range", i)
-        times.append(t_hi)
-        states.append(x.copy())
-        atoms.append(-1)
-        controls.append(u)
-        grads.append(jac.copy())
+        record(t_hi, -1, u)
         grid_rows.append(len(times) - 1)
 
     controls.append(controls[-1] if controls else np.zeros(coeffs.m))
@@ -327,7 +241,33 @@ def simulate_flow_gradient(coeffs: CoefficientSet, control: Control, x0,
         np.array(times), np.array(states), np.array(atoms, dtype=int),
         np.array(controls), np.array(grid_rows, dtype=int), start_node,
     )
-    return traj, np.array(grads)
+    return traj, (np.array(grads) if with_grad else None)
+
+
+def simulate(coeffs: CoefficientSet, control: Control, x0, path: DriverPath,
+             start_node: int = 0, end_node: int | None = None) -> StateTrajectory:
+    """Simulate the state along one noise realization.
+
+    Deterministic given (coeffs, control, x0, path); aborts with
+    :class:`DivergenceError` when |X| exceeds 1e8.  This per-path pass
+    is the reference that the batched sub-steps of
+    :func:`simulate_batch` are checked against.
+    """
+    return _euler_path(coeffs, control, x0, path, start_node, end_node, False)[0]
+
+
+def simulate_flow_gradient(coeffs: CoefficientSet, control: Control, x0,
+                           path: DriverPath, start_node: int = 0,
+                           end_node: int | None = None):
+    """State trajectory together with the flow gradient dX/dx0.
+
+    The gradient solves the linearized dynamics driven by D_x b, D_x
+    sigma and D_x g along the same event schedule; it starts at the
+    identity.  Returns (trajectory, gradients) with gradients aligned to
+    the trajectory rows.  The control is treated as independent of the
+    state (open-loop semantics).
+    """
+    return _euler_path(coeffs, control, x0, path, start_node, end_node, True)
 
 
 def flow_property_residual(coeffs: CoefficientSet, control: Control, x,
@@ -394,14 +334,14 @@ def simulate_batch(coeffs: CoefficientSet, control: Control, x0, grid: TimeGrid,
                    start_node: int = 0, end_node: int | None = None,
                    track_sup: bool = False, *,
                    noise: NoiseBank | None = None) -> ForwardBatch:
-    """Simulate ``n_samples`` i.i.d. paths with per-sample child seeds.
+    """Simulate ``n_samples`` i.i.d. paths on a bank from ``seed``.
 
-    Steps without jump events advance all samples in one vectorized
-    update; steps containing events fall back to the exact per-path
-    sub-stepping of :func:`simulate` for those samples only, so the
-    result agrees with single-path simulation up to floating-point
-    summation order.  ``start_node``/``end_node`` restrict the
-    simulation to a sub-horizon of the grid.
+    Every step advances all samples in one vectorized update; the rows
+    whose step holds jump events are then redone with the exact event
+    sub-steps of :func:`simulate`, batched over those rows, so the
+    result agrees with :func:`simulate` on ``NoiseBank.path(s)`` up to
+    floating-point summation order.  ``start_node``/``end_node``
+    restrict the simulation to a sub-horizon of the grid.
 
     ``noise`` is a bank from :func:`~jumphjb.drivers.draw_noise` for
     exactly these grid, measure, sample count, seed and node range
@@ -424,8 +364,7 @@ def simulate_batch(coeffs: CoefficientSet, control: Control, x0, grid: TimeGrid,
         noise = draw_noise(grid, d, measure, M, seed, start_node, end_node)
     else:
         noise.check(grid, d, measure, M, seed, start_node, end_node)
-    dw, counts = noise.dw, noise.counts
-    jump_times, jump_atoms = noise.jump_times, noise.jump_atoms
+    dw, counts, off = noise.dw, noise.counts, noise.step_offsets
 
     x0 = np.asarray(x0, dtype=float)
     states = np.empty((N + 1, M, n))
@@ -457,17 +396,13 @@ def simulate_batch(coeffs: CoefficientSet, control: Control, x0, grid: TimeGrid,
         sig = batch_eval(coeffs.sigma, t_lo, X, u, nstate, (n, d))
         states[i + 1] = X + b * dt + np.einsum("snd,sd->sn", sig, dw[i])
 
-        if n_atoms:
-            has_event = counts[i].sum(axis=1) > 0
-            for s in np.nonzero(has_event)[0]:
-                states[i + 1, s] = _single_step_with_events(
-                    coeffs, measure, gi, grid, states[i, s],
-                    u[s] if u.ndim == 2 else u,
-                    dw[i, s], jump_times[s], jump_atoms[s],
-                    w_run[s] if noise_vals is not None else None,
-                    cnt_run[s : s + 1] if noise_vals is not None else None,
-                    sup_tracker=sup_abs[s : s + 1] if track_sup else None,
-                )
+        if off[i + 1] > off[i]:
+            ev = slice(off[i], off[i + 1])
+            rows, x_hi = _event_substeps(
+                coeffs, measure, t_lo, grid.nodes[gi + 1], X, u, dw[i],
+                noise.event_row[ev], noise.event_atom[ev], noise.event_tau[ev],
+                None if noise_vals is None else (w_run, cnt_run), sup_abs)
+            states[i + 1, rows] = x_hi
 
         if not np.all(np.isfinite(states[i + 1])) or np.max(np.abs(states[i + 1])) > DIVERGENCE_GUARD:
             raise DivergenceError("batch state left the admissible range", gi)
@@ -494,56 +429,67 @@ def _noise_values(coeffs, t, w_run, cnt_run, mass):
     return np.stack(cols, axis=-1)
 
 
-def _single_step_with_events(coeffs, measure, gi, grid, x, u, dw, jtimes, jatoms,
-                             w_run, cnt_cell, sup_tracker=None):
-    """Exact sub-stepping of one grid step for one sample with events.
+def _event_substeps(coeffs, measure, t_lo, t_hi, X, u, dw, rows, atoms, taus,
+                    running, sup_abs):
+    """Exact sub-steps of one grid step for the rows that carry events.
 
-    ``w_run`` and ``cnt_cell`` carry the running channel values and are
-    None when the coefficients are deterministic.
+    ``rows``, ``atoms`` and ``taus`` are the step's events sorted by
+    (row, tau).  Pass k takes every row with more than k events to its
+    k-th event time (a per-row t), applies g for that event's atom (one
+    evaluation per atom) and carries the channel values and
+    ``sup_abs``; then all these rows advance to t_hi.  ``running`` is
+    the (W, count) at t_lo, only read, or None for deterministic
+    coefficients.  Returns the rows and their states at t_hi.
     """
-    t_lo, t_hi = grid.nodes[gi], grid.nodes[gi + 1]
-    dt = t_hi - t_lo
-    lo = np.searchsorted(jtimes, t_lo, side="right")
-    hi = np.searchsorted(jtimes, t_hi, side="right")
-    x = np.array(x, dtype=float)
-    t_cur = t_lo
-    w_local = np.zeros_like(dw)
-    cnt_local = 0
+    R, first, n_ev = np.unique(rows, return_index=True, return_counts=True)
+    rank = np.arange(rows.size) - np.repeat(first, n_ev)
+    pos = np.repeat(np.arange(R.size), n_ev)
+    x, dw = X[R], dw[R]
+    u = u[R] if u.ndim == 2 else u
+    t_cur = np.full(R.size, t_lo)
+    if running is not None:
+        w, cnt = running[0][R], running[1][R]
 
-    def noise_at(t):
-        if w_run is None:
-            return None
-        vals = []
-        for c in coeffs.randomness_channels:
-            if c == "J":
-                vals.append((cnt_cell[0] + cnt_local) - t * measure.total_mass)
-            else:
-                k = int(c[1:]) - 1
-                vals.append(w_run[k] + w_local[k])
-        return NoiseState(float(t), coeffs.randomness_channels, np.array(vals))
+    def at(p, t):
+        """Rows p of x and u, and their noise at times t."""
+        nz = None if running is None else NoiseState(
+            t, coeffs.randomness_channels,
+            _noise_values(coeffs, t, w[p], cnt[p], measure.total_mass))
+        return x[p], (u[p] if u.ndim == 2 else u), nz
 
-    for k in range(lo, hi):
-        tau, a = jtimes[k], jatoms[k]
-        if tau > t_cur:
-            frac = (tau - t_cur) / dt
-            nz = noise_at(t_cur)
-            x = (x + eval_drift_tilde(coeffs, measure, t_cur, x, u, nz) * (tau - t_cur)
-                 + eval_sigma(coeffs, t_cur, x, u, nz) @ (dw * frac))
-            w_local += dw * frac
-            t_cur = tau
-            if sup_tracker is not None:
-                sup_tracker[0] = max(sup_tracker[0], float(np.linalg.norm(x)))
-        nz = noise_at(tau)
-        x = x + eval_g(coeffs, tau, measure.marks[a], x, u, nz)
-        cnt_local += 1
-        if sup_tracker is not None:
-            sup_tracker[0] = max(sup_tracker[0], float(np.linalg.norm(x)))
-    if t_hi > t_cur:
-        frac = (t_hi - t_cur) / dt
-        nz = noise_at(t_cur)
-        x = (x + eval_drift_tilde(coeffs, measure, t_cur, x, u, nz) * (t_hi - t_cur)
-             + eval_sigma(coeffs, t_cur, x, u, nz) @ (dw * frac))
-    return x
+    def advance(p, t_to):
+        keep = t_to > t_cur[p]
+        p, t_to = p[keep], t_to[keep]
+        if not p.size:
+            return
+        span = t_to - t_cur[p]
+        xp, up, nz = at(p, t_cur[p])
+        b, _ = compensated_drift(coeffs, measure, t_cur[p], xp, up, nz)
+        sig = batch_eval(coeffs.sigma, t_cur[p], xp, up, nz, (coeffs.n, coeffs.d))
+        piece = dw[p] * (span / (t_hi - t_lo))[:, None]
+        x[p] = xp + b * span[:, None] + np.einsum("snd,sd->sn", sig, piece)
+        if running is not None:
+            w[p] += piece
+        t_cur[p] = t_to
+
+    def track(p):
+        if sup_abs is not None:
+            sup_abs[R[p]] = np.maximum(sup_abs[R[p]], np.linalg.norm(x[p], axis=1))
+
+    for k in range(rank.max() + 1):
+        p, tau, a = pos[rank == k], taus[rank == k], atoms[rank == k]
+        advance(p, tau)
+        track(p)
+        for j in np.unique(a):
+            q, tq = p[a == j], tau[a == j]
+            xq, uq, nz = at(q, tq)
+            x[q] = xq + batch_eval(coeffs.g, tq, xq, uq, nz, (coeffs.n,),
+                                   measure.marks[j])
+        if running is not None:
+            cnt[p] += 1
+        track(p)
+    advance(np.arange(R.size), np.full(R.size, t_hi))
+    return R, x
 
 
 @dataclass

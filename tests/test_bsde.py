@@ -46,6 +46,21 @@ class TestBasis:
         pred = reg.predict(y[:, None])[:, 0]
         np.testing.assert_allclose(pred, y, atol=1e-10)
 
+    def test_ridge_keeps_constant_targets(self):
+        # The ridge leaves the intercept alone, so a constant target is
+        # reproduced at every node of a batch, including nodes whose
+        # non-constant features are all zero (node 0 of a fixed start).
+        prob = build_problem("random_terminal")
+        grid = TimeGrid.uniform(prob.horizon, 8)
+        batch = simulate_batch(prob.coeffs, U0, prob.x0, grid, prob.measure, 500, 3)
+        basis = PolynomialBasis()
+        for i in range(9):
+            nz = batch.noise_state(i, prob.coeffs.randomness_channels)
+            reg = basis.regressor(basis.features(batch.states[i], nz.values))
+            for c in (1.0, -0.37, 2.5e3):
+                pred = reg.predict(np.full((500, 1), c))
+                np.testing.assert_allclose(pred, c, rtol=1e-15, atol=0)
+
 
 class TestSolveBsde:
     def test_constant_terminal(self):
@@ -231,9 +246,8 @@ class TestReplicate:
         noise = 8.0 * 50 * 5 * 2
         monkeypatch.setattr(drivers, "MAX_BATCH_BYTES", noise + 8.0 * 50 * 3)
         drawn = []
-        real = drivers.sample_driver_path
-        monkeypatch.setattr(drivers, "sample_driver_path",
-                            lambda *a: drawn.append(1) or real(*a))
+        monkeypatch.setattr(bsde_module, "draw_noise",
+                            lambda *a, **kw: drawn.append(a) or draw_noise(*a, **kw))
         with pytest.raises(MemoryError):
             replicate(co, self.CONTROLS, [0.1], self.GRID, MEAS, 200, 1, start_node=1)
         with pytest.raises(MemoryError):
@@ -334,3 +348,48 @@ class TestSummary:
         slim = solve_bsde(co, U0, batch, keep_paths=False)
         with pytest.raises(ValueError):
             slim.to_csv(tmp_path / "nope.csv")
+
+
+class TestJumpClosedFormSeeds:
+    """Y(0) of a jump-diffusion BSDE with a closed form, over seeds 1..10.
+
+    b = 0, sigma = s, g = c, one atom of weight lam, l = 1, f = -r y +
+    kappa k + theta z, h(x) = exp(a x): Y(0) = exp(a x0 + mu T) with mu
+    from Ito's formula with jumps.  Gate, fixed before the first run:
+    every seed within 3 pathwise standard errors, and the mean error
+    over the seeds within 3 std / sqrt(10).
+    """
+
+    A, S, C, LAM, R, KAPPA, THETA, T = 0.5, 0.4, 0.3, 1.0, 0.1, 0.5, 0.2, 1.0
+
+    def test_ten_seeds(self):
+        a, s, c, lam, r, kappa, theta, T = (self.A, self.S, self.C, self.LAM,
+                                             self.R, self.KAPPA, self.THETA, self.T)
+        co = make_coeffs(
+            sigma=lambda t, x, u, nz: s * np.ones(x.shape + (1,)),
+            g=lambda t, e, x, u, nz: c * np.ones_like(x),
+            f=lambda t, x, u, y, z, k, nz: -r * y + kappa * k + theta * z[..., 0],
+            h=lambda x, nz: np.exp(a * x[..., 0]),
+            rho=np.array([0.0]))
+        meas = MarkMeasure.from_atoms([((1.0,), lam)])
+        jump = np.expm1(a * c)
+        mu = (0.5 * a * a * s * s + lam * (jump - a * c) - r
+              + kappa * lam * jump + theta * a * s)
+        exact = np.exp(mu * T)
+        grid = TimeGrid.uniform(T, 100)
+        errs, ses = [], []
+        for seed in range(1, 11):
+            batch = simulate_batch(co, U0, [0.0], grid, meas, 4000, seed)
+            sol = solve_bsde(co, U0, batch, keep_paths=False)
+            # Pathwise estimator E[Gamma_T h(X_T)] with the adjoint weight
+            # Gamma_T = exp(-r T) E(theta W)_T E(kappa N~)_T.
+            w_T = batch.dw.sum(axis=0)[:, 0]
+            n_T = batch.jump_counts.sum(axis=(0, 2))
+            gamma = (np.exp(-r * T + theta * w_T - 0.5 * theta ** 2 * T - kappa * lam * T)
+                     * (1.0 + kappa) ** n_T)
+            weighted = gamma * sol.terminal
+            errs.append(sol.y0 - exact)
+            ses.append(weighted.std(ddof=1) / np.sqrt(weighted.size))
+        errs, ses = np.array(errs), np.array(ses)
+        assert np.all(np.abs(errs) <= 3.0 * ses), errs / ses
+        assert abs(errs.mean()) <= 3.0 * errs.std(ddof=1) / np.sqrt(10), errs

@@ -165,7 +165,10 @@ class TestExitCodes:
         assert rep["all_alternatives_dominated"] is True
         assert [a["diff"] for a in rep["alternatives"]] == [0.0] * 4
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["noise_scheme"] == 2
+        assert manifest["noise_scheme"] == 3
+        # The ridge leaves the intercept alone, so the BSDE cost of the
+        # only control is the closed form (1 - r dt)^40 of exp_decay.
+        assert rep["J_feedback"] == pytest.approx(0.9975 ** 40, rel=1e-12)
 
     def test_diagnostic_goes_to_config_out_dir(self, tmp_path, monkeypatch):
         cwd = tmp_path / "cwd"

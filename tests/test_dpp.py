@@ -323,17 +323,17 @@ class TestEpsilonOptimal:
     def test_one_bank_per_replication_per_round(self, monkeypatch):
         # Three candidates, four replications of 100 paths: the round
         # draws 400 paths, not 400 per candidate.
-        import jumphjb.drivers as drivers
+        import jumphjb.bsde as bsde_module
         drawn = []
-        real = drivers.sample_driver_path
-        monkeypatch.setattr(drivers, "sample_driver_path",
-                            lambda *a: drawn.append(1) or real(*a))
+        real = bsde_module.draw_noise
+        monkeypatch.setattr(bsde_module, "draw_noise",
+                            lambda *a: drawn.append(a[3]) or real(*a))
         res = epsilon_optimal_control(controlled_coeffs(), ControlSet.from_1d(-1, 1, 2),
                                       TimeGrid.uniform(0.5, 5), MEAS,
                                       Lattice([-2.0], [2.0], (11,)), 0, [0.0],
                                       -1.0, 400, 7, max_rounds=1)
         assert len(res.evaluations) == 3
-        assert len(drawn) == 400
+        assert sum(drawn) == 400
 
     def test_budget_exhaustion_flag(self):
         co = controlled_coeffs()

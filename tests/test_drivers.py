@@ -10,10 +10,9 @@ from jumphjb.drivers import (
     brownian_nodes,
     child_seed,
     compensated_integral,
+    draw_noise,
     jump_counts_per_step,
-    sample_brownian,
     sample_driver_path,
-    sample_jumps,
 )
 from jumphjb.errors import NumericError
 
@@ -65,50 +64,46 @@ class TestMarkMeasure:
 class TestBrownian:
     def test_determinism(self):
         g = TimeGrid.uniform(1.0, 1)
-        a = sample_brownian(g, 3, 123)
-        b = sample_brownian(g, 3, 123)
-        np.testing.assert_array_equal(a, b)
+        a = draw_noise(g, 3, measure_1atom(), 5, 123)
+        b = draw_noise(g, 3, measure_1atom(), 5, 123)
+        np.testing.assert_array_equal(a.dw, b.dw)
 
     def test_rejects_bad_d(self):
         with pytest.raises(ValueError):
-            sample_brownian(TimeGrid.uniform(1.0, 2), 0, 1)
+            draw_noise(TimeGrid.uniform(1.0, 2), 0, MarkMeasure.empty(), 1, 1)
 
     def test_variance_concentration(self):
         # chi-square bound: with 1e4 pooled increments the sample
         # variance of N(0, dt) lies in [0.8 dt, 1.2 dt] w.p. >> 1-1e-6.
         dt = 0.001
         g = TimeGrid.uniform(1.0, 1000)
-        incs = np.concatenate(
-            [sample_brownian(g, 2, child_seed(7, r)) for r in range(10)], axis=0)
+        incs = draw_noise(g, 2, MarkMeasure.empty(), 10, 7).dw.reshape(-1, 2)
         v = incs.var(axis=0)
         assert np.all(v > 0.8 * dt) and np.all(v < 1.2 * dt)
 
     def test_mean_clt_bound(self):
         dt = 0.01
         g = TimeGrid.uniform(1.0, 100)
-        incs = np.concatenate(
-            [sample_brownian(g, 1, child_seed(11, r)) for r in range(1000)], axis=0)
+        incs = draw_noise(g, 1, MarkMeasure.empty(), 1000, 11).dw
         assert incs.size == 100000
         assert abs(incs.mean()) < 4.0 * np.sqrt(dt / incs.size)
 
 
 class TestJumps:
     def test_empty_measure(self):
-        times, atoms = sample_jumps(TimeGrid.uniform(1.0, 4), MarkMeasure.empty(), 5)
-        assert times.size == 0 and atoms.size == 0
+        bank = draw_noise(TimeGrid.uniform(1.0, 4), 1, MarkMeasure.empty(), 3, 5)
+        assert bank.counts.shape == (4, 3, 0)
+        assert bank.event_tau.size == 0 and bank.event_atom.size == 0
 
     def test_poisson_mean(self):
         g = TimeGrid.uniform(1.0, 4)
-        m = measure_1atom(2.0)
-        counts = np.array([
-            sample_jumps(g, m, child_seed(3, r))[0].size for r in range(10000)])
+        counts = draw_noise(g, 1, measure_1atom(2.0), 10000, 3).counts.sum(axis=(0, 2))
         assert abs(counts.mean() - 2.0) < 3.0 * np.sqrt(2.0 / 10000)
 
     def test_mark_frequencies(self):
         g = TimeGrid.uniform(1.0, 4)
         m = MarkMeasure.from_atoms([((0.0,), 1.0), ((1.0,), 3.0)])
-        picks = np.concatenate([
-            sample_jumps(g, m, child_seed(9, r))[1] for r in range(3000)])
+        picks = draw_noise(g, 1, m, 3000, 9).event_atom
         freq = np.mean(picks == 0)
         se = np.sqrt(0.25 * 0.75 / picks.size)
         assert abs(freq - 0.25) < 4.0 * se
@@ -117,10 +112,8 @@ class TestJumps:
         # KS distance of the empirical count law to Poisson(T nu(E))
         # below the 1% critical value 1.63 / sqrt(M) at M = 1e4.
         g = TimeGrid.uniform(1.0, 4)
-        m = measure_1atom(2.0)
         M = 10000
-        counts = np.array([
-            sample_jumps(g, m, child_seed(21, r))[0].size for r in range(M)])
+        counts = draw_noise(g, 1, measure_1atom(2.0), M, 21).counts.sum(axis=(0, 2))
         ks = np.max(np.abs(
             np.array([np.mean(counts <= k) for k in range(counts.max() + 1)])
             - stats.poisson.cdf(np.arange(counts.max() + 1), 2.0)))
@@ -128,9 +121,83 @@ class TestJumps:
 
     def test_times_in_range_sorted(self):
         g = TimeGrid.uniform(3.0, 5)
-        times, _ = sample_jumps(g, measure_1atom(5.0), 1)
-        assert np.all(times > 0) and np.all(times <= 3.0)
-        assert np.all(np.diff(times) >= 0)
+        bank = draw_noise(g, 1, measure_1atom(5.0), 20, 1)
+        for s in range(20):
+            times = bank.path(s).jump_times
+            assert np.all(times > 0) and np.all(times <= 3.0)
+            assert np.all(np.diff(times) >= 0)
+
+    def test_in_step_times_uniform(self):
+        # KS distance of the in-step positions (tau - t_i) / dt to
+        # U(0, 1] below the 1% critical value 1.63 / sqrt(n).
+        g = TimeGrid.uniform(1.0, 4)
+        bank = draw_noise(g, 1, measure_1atom(2.0), 5000, 17)
+        pos = np.sort((bank.event_tau - g.nodes[bank.event_step]) / 0.25)
+        n = pos.size
+        ks = max(np.max(np.arange(1, n + 1) / n - pos), np.max(pos - np.arange(n) / n))
+        assert n > 5000 and ks < 1.63 / np.sqrt(n)
+
+
+BANK_MEASURE = MarkMeasure.from_atoms([((0.5,), 1.5), ((-1.0,), 2.5)])
+
+
+def bank_rows(bank, rows):
+    """The first ``rows`` rows of a bank, events included."""
+    mine = bank.event_row < rows
+    return (bank.dw[:, :rows], bank.counts[:, :rows], bank.w_start[:rows],
+            bank.count_start[:rows], bank.event_step[mine], bank.event_row[mine],
+            bank.event_atom[mine], bank.event_tau[mine])
+
+
+class TestNoiseBankInvariants:
+    @settings(max_examples=25, deadline=None)
+    @given(M=st.integers(min_value=1, max_value=600),
+           n_steps=st.integers(min_value=1, max_value=12),
+           nodes=st.tuples(st.integers(0, 11), st.integers(1, 12)),
+           seed=st.integers(min_value=0, max_value=2**63 - 1),
+           data=st.data())
+    def test_bank_invariants(self, M, n_steps, nodes, seed, data):
+        grid = TimeGrid.uniform(1.5, n_steps)
+        start = min(nodes[0], n_steps - 1)
+        end = max(start + 1, min(nodes[1], n_steps))
+        bank = draw_noise(grid, 2, BANK_MEASURE, M, seed, start, end)
+        N = end - start
+
+        t_lo = grid.nodes[start + bank.event_step]
+        t_hi = grid.nodes[start + bank.event_step + 1]
+        assert np.all(bank.event_tau > t_lo) and np.all(bank.event_tau <= t_hi)
+        tally = np.zeros_like(bank.counts)
+        np.add.at(tally, (bank.event_step, bank.event_row, bank.event_atom), 1)
+        np.testing.assert_array_equal(tally, bank.counts)
+        order = np.lexsort((bank.event_tau, bank.event_row, bank.event_step))
+        np.testing.assert_array_equal(order, np.arange(order.size))
+        np.testing.assert_array_equal(
+            bank.step_offsets, np.searchsorted(bank.event_step, np.arange(N + 1)))
+        if start == 0:
+            assert np.all(bank.w_start == 0) and np.all(bank.count_start == 0)
+
+        rows = data.draw(st.integers(min_value=1, max_value=M))
+        small = draw_noise(grid, 2, BANK_MEASURE, rows, seed, start, end)
+        for a, b in zip(bank_rows(bank, rows), bank_rows(small, rows)):
+            np.testing.assert_array_equal(a, b)
+
+        for name in ("dw", "counts", "w_start", "count_start", "event_step",
+                     "event_row", "event_atom", "event_tau", "step_offsets"):
+            with pytest.raises(ValueError):
+                getattr(bank, name)[...] = 0
+
+    def test_path_is_row_of_full_horizon_bank(self):
+        grid = TimeGrid.uniform(1.0, 6)
+        bank = draw_noise(grid, 2, BANK_MEASURE, 300, 8)
+        p = bank.path(270)
+        np.testing.assert_array_equal(p.brownian_increments, bank.dw[:, 270])
+        np.testing.assert_array_equal(jump_counts_per_step(p), bank.counts[:, 270])
+        one = sample_driver_path(grid, 2, BANK_MEASURE, 8)
+        np.testing.assert_array_equal(one.brownian_increments, bank.dw[:, 0])
+        with pytest.raises(ValueError, match="full-horizon"):
+            draw_noise(grid, 2, BANK_MEASURE, 5, 8, 1).path(0)
+        with pytest.raises(IndexError):
+            bank.path(300)
 
 
 class TestDriverPath:

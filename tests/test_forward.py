@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from jumphjb.coefficients import CoefficientSet
 from jumphjb.drivers import (
     DriverPath,
     MarkMeasure,
     TimeGrid,
-    child_seed,
     draw_noise,
     sample_driver_path,
 )
@@ -110,13 +110,60 @@ class TestBatchConsistency:
             g=lambda t, e, x, u, nz: 0.1 * np.ones_like(x),
             rho=np.array([0.0]))
         grid = TimeGrid.uniform(1.0, 30)
+        bank = draw_noise(grid, 1, MEAS, 50, 77)
         for control in (U0, FeedbackControl(lambda t, x: -0.5 * x)):
             batch = simulate_batch(co, control, [0.2], grid, MEAS, 50, 77)
             for s in (0, 7, 23):
-                p = sample_driver_path(grid, 1, MEAS, child_seed(77, s))
-                tr = simulate(co, control, [0.2], p)
+                tr = simulate(co, control, [0.2], bank.path(s))
                 nodes = np.array([tr.state_at_node(i) for i in range(31)])
                 np.testing.assert_allclose(nodes, batch.states[:, s, :], atol=1e-12)
+
+    def test_event_substeps_carry_channels_and_sup(self):
+        # random_terminal with channels (W2, J) and a drift that reads
+        # both, so the sub-steps must carry the channel values; g is the
+        # family's constant 0.2, so a pre-jump state is post-jump - 0.2.
+        prob = build_problem("random_terminal", {"jump_weight": 3.0})
+        co = dataclasses.replace(
+            prob.coeffs, randomness_channels=("W2", "J"),
+            b=lambda t, x, u, nz: (0.4 * np.tanh(x) + u[:, 0:1]
+                                   + 0.3 * nz.values[:, 0:1] - 0.2 * nz.values[:, 1:2]))
+        grid = TimeGrid.uniform(prob.horizon, 12)
+        control = FeedbackControl(lambda t, x: -0.5 * x)
+        bank = draw_noise(grid, co.d, prob.measure, 300, 4)
+        batch = simulate_batch(co, control, prob.x0, grid, prob.measure, 300, 4,
+                               track_sup=True, noise=bank)
+        assert np.max(bank.counts.sum(axis=(0, 2))) >= 3
+        for s in range(300):
+            tr = simulate(co, control, prob.x0, bank.path(s))
+            nodes = np.array([tr.state_at_node(i) for i in range(13)])
+            np.testing.assert_allclose(nodes, batch.states[:, s, :], rtol=0, atol=1e-12)
+            pre = tr.states[tr.event_atom >= 0] - 0.2
+            sup = max(np.abs(tr.states).max(), np.abs(pre).max(initial=0.0))
+            assert abs(batch.sup_abs[s] - sup) <= 1e-12
+
+    @pytest.mark.parametrize("pointwise", [False, True], ids=["batched", "pointwise"])
+    def test_time_dependent_coefficients(self, pointwise):
+        # b = t x and g = 0.1 t: event sub-steps pass each row its own t.
+        kw = dict(sigma=lambda t, x, u, nz: 0.3 * np.ones(np.shape(x) + (1,)),
+                  f=lambda t, x, u, y, z, k, nz: 0.0 * y, h=lambda x, nz: 0.0 * x[..., 0],
+                  l=lambda t, e: 1.0, rho=np.array([0.0]))
+        if pointwise:
+            co = CoefficientSet.from_pointwise(
+                1, 1, 1, b=lambda t, x, u, nz: t * x,
+                g=lambda t, e, x, u, nz: 0.1 * t * np.ones_like(x), **kw)
+        else:
+            co = make_coeffs(b=lambda t, x, u, nz: np.reshape(t, (-1, 1)) * x,
+                             g=lambda t, e, x, u, nz: 0.1 * np.reshape(t, (-1, 1))
+                             * np.ones_like(x), **kw)
+        grid = TimeGrid.uniform(1.0, 10)
+        meas = MarkMeasure.from_atoms([((1.0,), 4.0)])
+        bank = draw_noise(grid, 1, meas, 40, 6)
+        batch = simulate_batch(co, U0, [0.5], grid, meas, 40, 6, noise=bank)
+        assert np.max(bank.counts.sum(axis=(0, 2))) >= 2
+        for s in range(40):
+            tr = simulate(co, U0, [0.5], bank.path(s))
+            nodes = np.array([tr.state_at_node(i) for i in range(11)])
+            np.testing.assert_allclose(nodes, batch.states[:, s, :], rtol=0, atol=1e-12)
 
     def test_determinism(self):
         co = make_coeffs(sigma=lambda t, x, u, nz: np.ones(x.shape + (1,)))
@@ -195,7 +242,7 @@ class TestNoiseBank:
     def test_bank_arrays_are_read_only(self, prob):
         bank = self.draw(prob)
         for arr in (bank.dw, bank.counts, bank.w_start, bank.count_start,
-                    bank.jump_times[0]):
+                    bank.event_tau, bank.step_offsets):
             with pytest.raises(ValueError):
                 arr[...] = 0
 
