@@ -4,19 +4,15 @@ The jump-mark measure is a finite list of weighted atoms, so every
 integral against it reduces to an exact finite sum and all simulation
 output is reproducible bit-for-bit from a 64-bit seed.
 
-Noise is drawn by :func:`draw_noise` into a read-only
-:class:`NoiseBank`, which every control priced on it reads.  The bank's
-rows come in blocks of ``BLOCK_ROWS``; block b draws from the stream
-``child_seed(seed, b)``, split by ``spawn`` into one sub-stream per
-quantity, each drawn row by row in one vectorised call: the Brownian
-increments of the bank's steps, a Poisson count per (step, row, atom),
-one uniform time per event inside its step, and, for a window bank
-(``start_node > 0``), W and the event count at the start node as one
-Gaussian and one Poisson variate.  So row s does not depend on how many
-rows the bank holds or on the order in which blocks are drawn.  A
-window bank draws only its own steps: it is not a slice of the
-full-horizon bank of the same seed.  :func:`sample_driver_path` is row
-0 of a one-row bank.
+:func:`draw_noise` draws a read-only :class:`NoiseBank` in blocks of
+``BLOCK_ROWS`` rows.  Block b uses the stream ``child_seed(seed, b)``,
+spawned into one sub-stream per quantity, each drawn row by row in one
+vectorised call: the Brownian increments of the bank's steps, a Poisson
+count per (step, row, atom), one uniform time per event inside its step
+and, for a window bank (``start_node > 0``), W and the event count at
+the start node as one Gaussian and one Poisson variate.  Row s is thus
+the same in a bank of any size.  A window bank draws only its own
+steps: it is not a slice of the full-horizon bank of the same seed.
 """
 
 from __future__ import annotations

@@ -132,7 +132,7 @@ class TestBatchConsistency:
         bank = draw_noise(grid, co.d, prob.measure, 300, 4)
         batch = simulate_batch(co, control, prob.x0, grid, prob.measure, 300, 4,
                                track_sup=True, noise=bank)
-        assert np.max(bank.counts.sum(axis=(0, 2))) >= 3
+        assert bank.counts.sum(axis=2).max() >= 2
         for s in range(300):
             tr = simulate(co, control, prob.x0, bank.path(s))
             nodes = np.array([tr.state_at_node(i) for i in range(13)])
@@ -159,7 +159,7 @@ class TestBatchConsistency:
         meas = MarkMeasure.from_atoms([((1.0,), 4.0)])
         bank = draw_noise(grid, 1, meas, 40, 6)
         batch = simulate_batch(co, U0, [0.5], grid, meas, 40, 6, noise=bank)
-        assert np.max(bank.counts.sum(axis=(0, 2))) >= 2
+        assert bank.counts.sum(axis=2).max() >= 2
         for s in range(40):
             tr = simulate(co, U0, [0.5], bank.path(s))
             nodes = np.array([tr.state_at_node(i) for i in range(11)])
