@@ -26,7 +26,8 @@ import numpy as np
 
 from .coefficients import CoefficientSet, broadcast_control
 from .errors import NumericError
-from .forward import Control, ForwardBatch, check_batch, simulate_batch
+from .forward import (Control, ForwardBatch, as_controls, check_batch, simulate_batch,
+                      stack_size)
 from .drivers import MarkMeasure, NoiseBank, TimeGrid, child_seed, draw_noise
 
 __all__ = [
@@ -72,54 +73,68 @@ class PolynomialBasis:
                 cols.append(col)
         return np.stack(cols, axis=1)
 
-    def regressor(self, phi: np.ndarray) -> "NodeRegression":
-        return NodeRegression(phi, self.ridge)
+    def regressor(self, phi: np.ndarray, groups: int = 1) -> "NodeRegression":
+        return NodeRegression(phi, self.ridge, groups)
 
 
 class NodeRegression:
-    """Ridge-regularized projection onto one node's feature matrix.
+    """Ridge-regularized projections onto one node's feature matrix.
 
-    The first feature is the constant; the others are mean-centered and
-    scaled to unit RMS before the solve.  Centered columns are
+    ``phi`` (C*M, p) stacks C groups of M rows, and each group gets its
+    own fit, the same as a one-group regression on its rows alone.  The
+    first feature is the constant; the others are mean-centered and
+    scaled to unit RMS per group before the solve.  Centered columns are
     orthogonal to the constant, so the projection splits into the mean
     of the target plus a ridge fit on the centered columns: the ridge
     never shrinks the mean, and the Gram matrix is far better
     conditioned, so it barely biases well-posed fits.  The factorization
-    is shared across all targets at the node.
+    is shared across all targets at the node.  ``ridge_fallback`` (C,)
+    marks the groups whose Gram matrix needed the eigenvalue floor.
     """
 
-    def __init__(self, phi: np.ndarray, ridge: float):
-        M, p = phi.shape
-        shift = phi[:, 1:].mean(axis=0)
-        work = phi[:, 1:] - shift
-        gram = work.T @ work
-        scale = np.sqrt(np.diag(gram) / M)
+    def __init__(self, phi: np.ndarray, ridge: float, groups: int = 1):
+        rows, p = phi.shape
+        M = rows // groups
+        cols = phi.reshape(groups, M, p)[:, :, 1:]
+        shift = cols.mean(axis=1)
+        work = cols - shift[:, None, :]
+        gram = np.matmul(work.transpose(0, 2, 1), work)
+        scale = np.sqrt(np.diagonal(gram, axis1=1, axis2=2) / M)
         # A column that is constant up to rounding is the constant again:
         # an infinite scale zeroes it, so every column stays orthogonal
         # to the constant.
         scale[scale <= 1e-12 * np.abs(shift) + 1e-300] = np.inf
-        work /= scale
+        work /= scale[:, None, :]
         self._work = work
-        gram /= np.outer(scale, scale)
-        reg = ridge * (M + np.trace(gram)) / p
-        self.ridge_fallback = False
+        gram /= scale[:, :, None] * scale[:, None, :]
+        reg = ridge * (M + np.trace(gram, axis1=1, axis2=2)) / p
+        eye = np.eye(p - 1)
+        self.ridge_fallback = np.zeros(groups, dtype=bool)
         try:
-            self._factor = np.linalg.cholesky(gram + reg * np.eye(p - 1))
+            self._factor = np.linalg.cholesky(gram + reg[:, None, None] * eye)
         except np.linalg.LinAlgError:
-            self.ridge_fallback = True
-            w, v = np.linalg.eigh(gram)
-            floor = max(reg, 1e-12 * max(w.max(), 1.0))
-            self._factor = np.linalg.cholesky(
-                (v * np.maximum(w, floor)) @ v.T + reg * np.eye(p - 1))
+            self._factor = np.stack([self._floored_factor(gram[c], reg[c], eye, c)
+                                     for c in range(groups)])
         self.basis_size = int(p)
 
+    def _floored_factor(self, gram, reg, eye, c):
+        try:
+            return np.linalg.cholesky(gram + reg * eye)
+        except np.linalg.LinAlgError:
+            self.ridge_fallback[c] = True
+            w, v = np.linalg.eigh(gram)
+            floor = max(reg, 1e-12 * max(w.max(), 1.0))
+            return np.linalg.cholesky((v * np.maximum(w, floor)) @ v.T + reg * eye)
+
     def predict(self, targets: np.ndarray) -> np.ndarray:
-        """Fitted values of each target column, shape like ``targets``."""
-        mean = targets.mean(axis=0)
-        rhs = self._work.T @ (targets - mean)
-        coefs = np.linalg.solve(
-            self._factor.T, np.linalg.solve(self._factor, rhs))
-        return mean + self._work @ coefs
+        """Fitted values of each target column, shape like ``targets`` (C*M, k)."""
+        C, M, _ = self._work.shape
+        targets = targets.reshape(C, M, -1)
+        mean = targets.mean(axis=1, keepdims=True)
+        rhs = np.matmul(self._work.transpose(0, 2, 1), targets - mean)
+        coefs = np.linalg.solve(self._factor.transpose(0, 2, 1),
+                                np.linalg.solve(self._factor, rhs))
+        return (mean + self._work @ coefs).reshape(C * M, -1)
 
 
 @dataclass
@@ -127,10 +142,14 @@ class BsdeSolution:
     """Discretized (Y, Z, K) with per-node regression diagnostics.
 
     Per-sample arrays are kept when the solver ran with
-    ``keep_paths=True``: ``Y`` is (N+1, M), ``Z`` (N, M, d), ``K``
-    (N, M, n_atoms).  ``y0``, ``z0`` and ``k0`` are the node-0 values
+    ``keep_paths=True``: ``Y`` is (N+1, C*M), ``Z`` (N, C*M, d), ``K``
+    (N, C*M, n_atoms), rows in the batch's group layout.  ``y0s`` (C,)
+    holds each control group's Y(0); ``y0``, ``z0`` and ``k0`` are the
+    node-0 values of group 0, the only group of a one-control batch
     (identical across samples for a deterministic start, up to the
-    shared projection).
+    shared projection).  Each node's diagnostics hold the largest
+    residual norm over the groups, and whether any group's fit needed
+    the ridge fallback.
     """
 
     grid: TimeGrid
@@ -142,6 +161,7 @@ class BsdeSolution:
     Y: np.ndarray | None = None
     Z: np.ndarray | None = None
     K: np.ndarray | None = None
+    y0s: np.ndarray | None = None
 
     def summary(self) -> dict:
         return {
@@ -191,44 +211,50 @@ class BsdeSolution:
                                + [repr(float(v)) for v in k_row])
 
 
-def solve_bsde(coeffs: CoefficientSet, control: Control, batch: ForwardBatch,
+def solve_bsde(coeffs: CoefficientSet, control, batch: ForwardBatch,
                basis: PolynomialBasis | None = None, *,
                terminal_values: np.ndarray | None = None,
                keep_paths: bool = True) -> BsdeSolution:
     """Solve the recursive-cost BSDE backward along a forward batch.
 
-    ``terminal_values`` overrides h(X_N) (used by the backward
-    semigroup).  With ``keep_paths=False`` only node-0 values, terminal
-    values and diagnostics are retained, which keeps memory flat on
-    large batches.
+    A batch of C control groups is solved in one backward pass: each
+    node makes one regression for all groups, every group fitted on its
+    own rows (see :class:`NodeRegression`), so group c's values equal
+    those of its own one-control batch bit for bit.  The controls are
+    read from ``batch``; ``control`` is not used.  ``terminal_values``
+    (C*M,) overrides h(X_N) (used by the backward semigroup).  With
+    ``keep_paths=False`` only node-0 values, terminal values and
+    diagnostics are retained, which keeps memory flat on large batches.
     """
     if basis is None:
         basis = PolynomialBasis()
     grid = batch.grid
     measure = batch.measure
     N = batch.states.shape[0] - 1
-    M = batch.n_samples
+    C = batch.groups
+    rows = batch.n_samples
+    M = rows // C
     d = batch.dw.shape[2]
     n_atoms = measure.n_atoms
 
     if terminal_values is not None:
-        y_next = np.asarray(terminal_values, dtype=float).reshape(M).copy()
+        y_next = np.asarray(terminal_values, dtype=float).reshape(rows).copy()
     else:
         nz = batch.noise_state(N, coeffs.randomness_channels)
-        y_next = np.asarray(coeffs.h(batch.states[N], nz), dtype=float).reshape(M)
+        y_next = np.asarray(coeffs.h(batch.states[N], nz), dtype=float).reshape(rows)
     if not np.all(np.isfinite(y_next)):
         raise NumericError("terminal values are not finite")
     terminal = y_next.copy()
 
-    Y = np.empty((N + 1, M)) if keep_paths else None
-    Z = np.empty((N, M, d)) if keep_paths else None
-    K = np.empty((N, M, n_atoms)) if keep_paths else None
+    Y = np.empty((N + 1, rows)) if keep_paths else None
+    Z = np.empty((N, rows, d)) if keep_paths else None
+    K = np.empty((N, rows, n_atoms)) if keep_paths else None
     if keep_paths:
         Y[N] = y_next
 
     diags = []
-    z_i = np.zeros((M, d))
-    k_atoms = np.zeros((M, n_atoms))
+    z_i = np.zeros((rows, d))
+    k_atoms = np.zeros((rows, n_atoms))
     l_w = np.zeros(n_atoms)
 
     for i in range(N - 1, -1, -1):
@@ -237,22 +263,20 @@ def solve_bsde(coeffs: CoefficientSet, control: Control, batch: ForwardBatch,
         X_i = batch.states[i]
         nz = batch.noise_state(i, coeffs.randomness_channels)
         phi = basis.features(X_i, None if nz is None else nz.values)
-        reg = basis.regressor(phi)
+        reg = basis.regressor(phi, C)
 
         y_proj = reg.predict(y_next[:, None])[:, 0]
         # Martingale targets are centered by the Y-projection: same
         # conditional expectation, far lower variance, and exactly zero
-        # for constant terminal data.
-        resid = y_next - y_proj
-        targets = [resid * batch.dw[i, :, c] for c in range(d)]
-        for j in range(n_atoms):
-            comp = batch.jump_counts[i, :, j] - measure.weights[j] * dt
-            targets.append(resid * comp)
-        preds = reg.predict(np.stack(targets, axis=1))
+        # for constant terminal data.  The increments are the bank's,
+        # shared by the groups.
+        resid = (y_next - y_proj).reshape(C, M, 1)
+        comp = batch.jump_counts[i] - measure.weights * dt
+        preds = reg.predict(resid * np.concatenate([batch.dw[i], comp], axis=1))
         diags.append({
             "basis_size": reg.basis_size,
-            "residual_norm": float(np.sqrt(np.mean(resid ** 2))),
-            "ridge_fallback": reg.ridge_fallback,
+            "residual_norm": float(np.sqrt(np.mean(resid[..., 0] ** 2, axis=1)).max()),
+            "ridge_fallback": bool(reg.ridge_fallback.any()),
         })
 
         z_i = preds[:, :d] / dt
@@ -260,13 +284,13 @@ def solve_bsde(coeffs: CoefficientSet, control: Control, batch: ForwardBatch,
             k_atoms = preds[:, d:] / (measure.weights * dt)
             for j in range(n_atoms):
                 l_w[j] = float(coeffs.l(t_i, measure.marks[j])) * measure.weights[j]
-            k_agg = k_atoms @ l_w
+            k_agg = (k_atoms.reshape(C, M, n_atoms) @ l_w).reshape(rows)
         else:
-            k_agg = np.zeros(M)
+            k_agg = np.zeros(rows)
 
-        u_i = broadcast_control(batch.controls[i], M)
+        u_i = np.concatenate([broadcast_control(u, M) for u in batch.controls[i]])
         f_val = np.asarray(coeffs.f(t_i, X_i, u_i, y_proj, z_i, k_agg, nz),
-                           dtype=float).reshape(M)
+                           dtype=float).reshape(rows)
         y_next = y_proj + f_val * dt
         if not np.all(np.isfinite(y_next)):
             raise NumericError(f"BSDE value became non-finite at node {i}")
@@ -276,30 +300,45 @@ def solve_bsde(coeffs: CoefficientSet, control: Control, batch: ForwardBatch,
             K[i] = k_atoms
 
     diags.reverse()
+    y0s = y_next.reshape(C, M).mean(axis=1)
     return BsdeSolution(
         grid=grid,
-        y0=float(np.mean(y_next)),
-        z0=np.mean(z_i, axis=0),
-        k0=np.mean(k_atoms, axis=0) if n_atoms else np.zeros(0),
+        y0=float(y0s[0]),
+        z0=np.mean(z_i[:M], axis=0),
+        k0=np.mean(k_atoms[:M], axis=0) if n_atoms else np.zeros(0),
         terminal=terminal,
         diagnostics=diags,
-        Y=Y, Z=Z, K=K,
+        Y=Y, Z=Z, K=K, y0s=y0s,
     )
 
 
-def price(coeffs: CoefficientSet, control: Control, x, bank: NoiseBank, *,
-          terminal=None, basis: PolynomialBasis | None = None) -> float:
-    """Cost J(t, x; u) = Y(t) of ``control`` on the paths of ``bank``.
+def price(coeffs: CoefficientSet, controls, x, bank: NoiseBank, *,
+          terminal=None, basis: PolynomialBasis | None = None) -> np.ndarray:
+    """Costs J(t, x; u) = Y(t) of ``controls`` on the paths of ``bank``, (C,).
 
-    The one path from a control to a Monte Carlo cost; the bank fixes
-    everything but the control, and t is its start node.  ``terminal``
-    maps the end states (M, n) to values (M,); None means h.
+    The one path from controls to Monte Carlo costs; the bank fixes
+    everything but the control, and t is its start node.  ``controls``
+    is a sequence of C controls (or one :class:`Control`, C = 1).  They
+    are priced as stacked batches (:func:`~jumphjb.forward.simulate_batch`
+    and :func:`solve_bsde` with one group per control), as many
+    consecutive controls per stack as fit under the batch cap, so entry
+    k equals ``price(..., [controls[k]], ...)`` bit for bit.
+    ``terminal`` maps the end states (rows, n) to values (rows,); None
+    means h.
     """
-    batch = simulate_batch(coeffs, control, x, bank.grid, bank.measure, bank.n_samples,
-                           bank.seed, bank.start_node, bank.end_node, noise=bank)
-    values = None if terminal is None else terminal(batch.states[-1])
-    return solve_bsde(coeffs, control, batch, basis, terminal_values=values,
-                      keep_paths=False).y0
+    controls = as_controls(controls)
+    M = bank.n_samples
+    size = stack_size(coeffs, bank.measure, M, bank.end_node - bank.start_node,
+                      len(controls))
+    costs = []
+    for lo in range(0, len(controls), size):
+        stack = controls[lo:lo + size]
+        batch = simulate_batch(coeffs, stack, x, bank.grid, bank.measure, M, bank.seed,
+                               bank.start_node, bank.end_node, noise=bank)
+        values = None if terminal is None else terminal(batch.states[-1])
+        costs.extend(solve_bsde(coeffs, stack, batch, basis, terminal_values=values,
+                                keep_paths=False).y0s)
+    return np.array(costs)
 
 
 def replicate(coeffs: CoefficientSet, controls, x, grid: TimeGrid,
@@ -308,9 +347,10 @@ def replicate(coeffs: CoefficientSet, controls, x, grid: TimeGrid,
     """Costs (n_rep, len(controls)) over independent replications.
 
     Replication r draws one bank of max(n_samples // n_rep, 2) paths
-    from ``child_seed(seed, r)`` and prices every control on it before
-    the next is drawn, so the columns of a row share their paths and a
-    difference of two columns is a paired comparison.
+    from ``child_seed(seed, r)`` and prices every control on it in one
+    :func:`price` call before the next is drawn, so the columns of a row
+    share their paths and a difference of two columns is a paired
+    comparison.
     """
     if n_rep < 2:
         raise ValueError("need n_rep >= 2 replications for a confidence width")
@@ -319,7 +359,7 @@ def replicate(coeffs: CoefficientSet, controls, x, grid: TimeGrid,
     out = np.empty((n_rep, len(controls)))
     for r in range(n_rep):
         bank = draw_noise(grid, coeffs.d, measure, m, child_seed(seed, r), start_node)
-        out[r] = [price(coeffs, c, x, bank, basis=basis) for c in controls]
+        out[r] = price(coeffs, controls, x, bank, basis=basis)
         del bank
     return out
 
@@ -349,7 +389,7 @@ def backward_semigroup(coeffs: CoefficientSet, control: Control, grid: TimeGrid,
     check_batch(coeffs, measure, n_samples, delta_nodes)
     bank = draw_noise(grid, coeffs.d, measure, n_samples, seed, t_node,
                       t_node + delta_nodes)
-    return price(coeffs, control, x, bank, terminal=eta, basis=basis)
+    return float(price(coeffs, [control], x, bank, terminal=eta, basis=basis)[0])
 
 
 @dataclass

@@ -358,9 +358,10 @@ def dpp_residual(coeffs: CoefficientSet, control_set: ControlSet,
 
     The inner semigroup runs the BSDE over [t, t+delta] with constant
     controls from U_h and the interpolated table slice as terminal
-    data.  Every control goes through :func:`~jumphjb.bsde.price` on
-    one bank drawn from the seed (common random numbers), so each path
-    is drawn once; over delta = 0 the residual is 0.
+    data.  All of U_h is priced in one :func:`~jumphjb.bsde.price` call
+    on one bank drawn from the seed (common random numbers), so each
+    path is drawn once and the controls run as one stacked batch; over
+    delta = 0 the residual is 0.
     """
     grid = table.grid
     if t_node + delta_nodes > grid.n_steps:
@@ -375,8 +376,8 @@ def dpp_residual(coeffs: CoefficientSet, control_set: ControlSet,
     check_batch(coeffs, measure, n_samples, delta_nodes)
     bank = draw_noise(grid, coeffs.d, measure, n_samples, seed, t_node,
                       t_node + delta_nodes)
-    best = min(price(coeffs, ConstantControl(u), x, bank, terminal=eta, basis=basis)
-               for u in control_set.atoms)
+    best = float(price(coeffs, [ConstantControl(u) for u in control_set.atoms], x, bank,
+                       terminal=eta, basis=basis).min())
     return abs(table.value_at(t_node, x) - best)
 
 

@@ -26,10 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import drivers
 from .coefficients import (
     CoefficientSet,
     NoiseState,
     batch_eval,
+    broadcast_control,
     compensated_drift,
     eval_drift_tilde,
     eval_g,
@@ -51,7 +53,9 @@ __all__ = [
     "simulate_flow_gradient",
     "flow_property_residual",
     "moment_check",
+    "as_controls",
     "check_batch",
+    "stack_size",
     "simulate_batch",
     "trajectory_to_csv",
 ]
@@ -110,6 +114,11 @@ class FeedbackControl(Control):
 
     def value_batch(self, i, t, x, noise):
         return np.asarray(self.fn(t, x), dtype=float).reshape(x.shape[0], self.m)
+
+
+def as_controls(controls) -> list:
+    """A list of controls from one :class:`Control` or a sequence of them."""
+    return [controls] if isinstance(controls, Control) else list(controls)
 
 
 @dataclass(frozen=True)
@@ -294,12 +303,15 @@ def flow_property_residual(coeffs: CoefficientSet, control: Control, x,
 class ForwardBatch:
     """Grid-node data of a batch of simulated paths.
 
-    ``states`` is (N+1, M, n); ``dw`` (N, M, d); ``jump_counts``
-    (N, M, n_atoms); ``noise`` (N+1, M, r) or None when the coefficient
-    set is deterministic.  ``controls[i]`` is the control on step i,
-    shape (m,) when sample-independent else (M, m).  ``dw`` and
-    ``jump_counts`` are the read-only arrays of the batch's noise bank,
-    not copies.
+    The batch holds ``groups`` = C controls on one bank of M paths.
+    Group c is rows c*M .. (c+1)*M - 1 of ``states`` (N+1, C*M, n) and
+    ``sup_abs`` (C*M,), and its row c*M + s rides on bank row s.  The
+    noise is the bank's, once for all groups: ``dw`` (N, M, d) and
+    ``jump_counts`` (N, M, n_atoms) are the bank's read-only arrays, not
+    copies, and ``noise`` (N+1, M, r) holds the channel values, or None
+    when the coefficient set is deterministic.  ``controls[i]`` is a
+    tuple with each group's control on step i, shape (m,) when
+    sample-independent else (M, m).
     """
 
     grid: TimeGrid
@@ -311,37 +323,68 @@ class ForwardBatch:
     controls: list
     start_node: int = 0
     sup_abs: np.ndarray | None = None
+    groups: int = 1
 
     @property
     def n_samples(self) -> int:
+        """Rows of the batch, C*M."""
         return self.states.shape[1]
 
     def noise_state(self, node: int, channels) -> NoiseState | None:
+        """Channel values at ``node`` for every row, (C*M, r)."""
         if self.noise is None:
             return None
         t = self.grid.nodes[self.start_node + node]
-        return NoiseState(float(t), channels, self.noise[node])
+        return NoiseState(float(t), channels, np.tile(self.noise[node], (self.groups, 1)))
 
 
-def check_batch(coeffs: CoefficientSet, measure: MarkMeasure, M: int, N: int) -> None:
-    """Refuse a batch of M paths over N steps before any of it is drawn."""
+def _batch_bytes(coeffs: CoefficientSet, measure: MarkMeasure, M: int, N: int,
+                 groups: int) -> float:
     r = len(coeffs.randomness_channels)
-    check_batch_bytes(8.0 * M * ((N + 1) * (coeffs.n + r) + N * (coeffs.d + measure.n_atoms)))
+    return 8.0 * M * ((N + 1) * (groups * coeffs.n + r) + N * (coeffs.d + measure.n_atoms))
 
 
-def simulate_batch(coeffs: CoefficientSet, control: Control, x0, grid: TimeGrid,
+def check_batch(coeffs: CoefficientSet, measure: MarkMeasure, M: int, N: int,
+                groups: int = 1) -> None:
+    """Refuse a batch of M paths over N steps before any of it is drawn.
+
+    A stack of ``groups`` controls holds one state array per control and
+    the noise once.
+    """
+    check_batch_bytes(_batch_bytes(coeffs, measure, M, N, groups))
+
+
+def stack_size(coeffs: CoefficientSet, measure: MarkMeasure, M: int, N: int,
+               n_controls: int) -> int:
+    """How many of ``n_controls`` controls one stacked batch holds under the cap.
+
+    As many as fit under ``drivers.MAX_BATCH_BYTES`` (the cap of
+    :func:`check_batch`), at least one: a single control that does not
+    fit raises MemoryError.
+    """
+    check_batch(coeffs, measure, M, N)
+    spare = drivers.MAX_BATCH_BYTES - _batch_bytes(coeffs, measure, M, N, 1)
+    return int(max(1, min(n_controls, 1 + spare // (8.0 * M * (N + 1) * coeffs.n))))
+
+
+def simulate_batch(coeffs: CoefficientSet, control, x0, grid: TimeGrid,
                    measure: MarkMeasure, n_samples: int, seed,
                    start_node: int = 0, end_node: int | None = None,
                    track_sup: bool = False, *,
                    noise: NoiseBank | None = None) -> ForwardBatch:
     """Simulate ``n_samples`` i.i.d. paths on a bank from ``seed``.
 
-    Every step advances all samples in one vectorized update; the rows
-    whose step holds jump events are then redone with the exact event
-    sub-steps of :func:`simulate`, batched over those rows, so the
-    result agrees with :func:`simulate` on ``NoiseBank.path(s)`` up to
-    floating-point summation order.  ``start_node``/``end_node``
-    restrict the simulation to a sub-horizon of the grid.
+    ``control`` is one :class:`Control` or a sequence of C of them; the
+    batch then holds C groups of rows on the same paths (see
+    :class:`ForwardBatch`), and one control is the case C = 1.  Every
+    step evaluates each control once on its own group's rows and
+    advances all C*M rows in one vectorized update; the rows whose step
+    holds jump events are then redone with the exact event sub-steps of
+    :func:`simulate`, batched over those rows, so each group agrees with
+    :func:`simulate` on ``NoiseBank.path(s)`` up to floating-point
+    summation order, and with its own one-control batch bit for bit.
+    ``start_node``/``end_node`` restrict the simulation to a sub-horizon
+    of the grid.
 
     ``noise`` is a bank from :func:`~jumphjb.drivers.draw_noise` for
     exactly these grid, measure, sample count, seed and node range
@@ -349,8 +392,11 @@ def simulate_batch(coeffs: CoefficientSet, control: Control, x0, grid: TimeGrid,
     of drawing, bit for bit the same, and never writes into it.  Several
     controls priced on common random numbers share one bank.
     """
-    M = int(n_samples)
+    controls = as_controls(control)
+    C, M = len(controls), int(n_samples)
     n, d = coeffs.n, coeffs.d
+    if C < 1:
+        raise ValueError("need at least one control")
     if end_node is None:
         end_node = grid.n_steps
     if not (0 <= start_node < end_node <= grid.n_steps):
@@ -359,7 +405,7 @@ def simulate_batch(coeffs: CoefficientSet, control: Control, x0, grid: TimeGrid,
     n_atoms = measure.n_atoms
     r = len(coeffs.randomness_channels)
 
-    check_batch(coeffs, measure, M, N)
+    check_batch(coeffs, measure, M, N, C)
     if noise is None:
         noise = draw_noise(grid, d, measure, M, seed, start_node, end_node)
     else:
@@ -367,8 +413,9 @@ def simulate_batch(coeffs: CoefficientSet, control: Control, x0, grid: TimeGrid,
     dw, counts, off = noise.dw, noise.counts, noise.step_offsets
 
     x0 = np.asarray(x0, dtype=float)
-    states = np.empty((N + 1, M, n))
-    states[0] = x0 if x0.ndim == 2 else np.broadcast_to(np.atleast_1d(x0), (M, n))
+    states = np.empty((N + 1, C * M, n))
+    states[0] = (np.tile(x0, (C, 1)) if x0.ndim == 2
+                 else np.broadcast_to(np.atleast_1d(x0), (C * M, n)))
 
     noise_vals = np.zeros((N + 1, M, r)) if r else None
     if noise_vals is not None:
@@ -379,28 +426,36 @@ def simulate_batch(coeffs: CoefficientSet, control: Control, x0, grid: TimeGrid,
                                       cnt_run, measure.total_mass)
 
     sup_abs = np.linalg.norm(states[0], axis=1) if track_sup else None
-    controls = []
+    steps = []
     channels = coeffs.randomness_channels
+    groups = [slice(c * M, (c + 1) * M) for c in range(C)]
+    shift = M * np.arange(C)[:, None]
 
     for i in range(N):
         gi = start_node + i
         t_lo = grid.nodes[gi]
         dt = grid.dt[gi]
-        nstate = NoiseState(float(t_lo), channels, noise_vals[i]) if noise_vals is not None else None
-        u = control.value_batch(i, t_lo, states[i], nstate)
-        u = np.asarray(u, dtype=float)
-        controls.append(u)
+        own = None if noise_vals is None else NoiseState(float(t_lo), channels, noise_vals[i])
+        us = tuple(np.asarray(c.value_batch(i, t_lo, states[i, g], own), dtype=float)
+                   for c, g in zip(controls, groups))
+        steps.append(us)
+        # The (C*M, m) control, the channel values and dw of every row
+        # exist only for the step being computed.
+        u = np.concatenate([broadcast_control(v, M) for v in us])
+        nstate = None if own is None else NoiseState(own.t, channels, np.tile(own.values, (C, 1)))
+        dw_i = np.tile(dw[i], (C, 1))
 
         X = states[i]
         b, _ = compensated_drift(coeffs, measure, t_lo, X, u, nstate)
         sig = batch_eval(coeffs.sigma, t_lo, X, u, nstate, (n, d))
-        states[i + 1] = X + b * dt + np.einsum("snd,sd->sn", sig, dw[i])
+        states[i + 1] = X + b * dt + np.einsum("snd,sd->sn", sig, dw_i)
 
         if off[i + 1] > off[i]:
             ev = slice(off[i], off[i + 1])
             rows, x_hi = _event_substeps(
-                coeffs, measure, t_lo, grid.nodes[gi + 1], X, u, dw[i],
-                noise.event_row[ev], noise.event_atom[ev], noise.event_tau[ev],
+                coeffs, measure, t_lo, grid.nodes[gi + 1], X, u, dw_i,
+                (noise.event_row[ev] + shift).ravel(), np.tile(noise.event_atom[ev], C),
+                np.tile(noise.event_tau[ev], C),
                 None if noise_vals is None else (w_run, cnt_run), sup_abs)
             states[i + 1, rows] = x_hi
 
@@ -415,8 +470,8 @@ def simulate_batch(coeffs: CoefficientSet, control: Control, x0, grid: TimeGrid,
             noise_vals[i + 1] = _noise_values(
                 coeffs, grid.nodes[gi + 1], w_run, cnt_run, measure.total_mass)
 
-    return ForwardBatch(grid, measure, states, dw, counts, noise_vals, controls,
-                        start_node, sup_abs)
+    return ForwardBatch(grid, measure, states, dw, counts, noise_vals, steps,
+                        start_node, sup_abs, C)
 
 
 def _noise_values(coeffs, t, w_run, cnt_run, mass):
@@ -434,12 +489,12 @@ def _event_substeps(coeffs, measure, t_lo, t_hi, X, u, dw, rows, atoms, taus,
     """Exact sub-steps of one grid step for the rows that carry events.
 
     ``rows``, ``atoms`` and ``taus`` are the step's events sorted by
-    (row, tau).  Pass k takes every row with more than k events to its
+    (row, tau), with rows of the stacked batch.  Pass k takes every row with more than k events to its
     k-th event time (a per-row t), applies g for that event's atom (one
     evaluation per atom) and carries the channel values and
     ``sup_abs``; then all these rows advance to t_hi.  ``running`` is
-    the (W, count) at t_lo, only read, or None for deterministic
-    coefficients.  Returns the rows and their states at t_hi.
+    the (W, count) of the bank rows at t_lo, only read, or None for
+    deterministic coefficients.  Returns the rows and their states at t_hi.
     """
     R, first, n_ev = np.unique(rows, return_index=True, return_counts=True)
     rank = np.arange(rows.size) - np.repeat(first, n_ev)
@@ -448,7 +503,8 @@ def _event_substeps(coeffs, measure, t_lo, t_hi, X, u, dw, rows, atoms, taus,
     u = u[R] if u.ndim == 2 else u
     t_cur = np.full(R.size, t_lo)
     if running is not None:
-        w, cnt = running[0][R], running[1][R]
+        bank_rows = R % running[1].size
+        w, cnt = running[0][bank_rows], running[1][bank_rows]
 
     def at(p, t):
         """Rows p of x and u, and their noise at times t."""

@@ -615,10 +615,12 @@ def verification_run(triplet: RandomFieldTriplet, coeffs: CoefficientSet,
     verification integrand and reports the gap between its recursive
     cost and the candidate's V(0, x0).  Optionally also costs randomly
     sampled alternative controls, which a correct solution must not
-    beat.  All are priced in one :func:`~jumphjb.bsde.replicate` call;
-    an alternative reports its cost ``j`` with half-width ``ci``, and
-    ``diff``, the mean of J_a - J_feedback over the replications (both
-    on the same bank), with half-width ``diff_ci``.
+    beat.  All are priced in one :func:`~jumphjb.bsde.replicate` call,
+    which runs the feedback and the alternatives of a replication as one
+    stacked batch on its bank; an alternative reports its cost ``j``
+    with half-width ``ci``, and ``diff``, the mean of J_a - J_feedback
+    over the replications (both on the same bank), with half-width
+    ``diff_ci``.
     """
     grid = TimeGrid(triplet.time_nodes)
     N = grid.n_steps

@@ -265,6 +265,30 @@ def test_criterion_11_verification_theorem():
              f"20 alternatives, worst J {worst_alt:.4f} vs V0 {rep.v0:.4f}")
 
 
+def test_criterion_11_verification_theorem_seeds():
+    # Multi-seed companion of criterion 11, which stays pinned at seed 17:
+    # the criterion's sizes (4000 paths, 20 alternatives) and its own
+    # gates, fixed before the first run, at every seed 1..10, on one PIDE
+    # triplet.
+    prob = build_problem("smooth1d")
+    space = SpatialGrid([-3.0], [3.0], (241,))
+    sol = solve_pide_deterministic(prob.coeffs, space,
+                                   TimeGrid.uniform(prob.horizon, 160),
+                                   prob.control_set, prob.measure)
+    failed = []
+    for seed in range(1, 11):
+        rep = verification_run(sol.triplet, prob.coeffs, prob.control_set,
+                               prob.measure, prob.x0, 4000, seed,
+                               n_alternatives=20)
+        gap_ok = abs(rep.gap) <= 2e-2 + rep.ci
+        alts_ok = all(a["j"] >= rep.v0 - rep.ci - a["ci"] for a in rep.alternatives)
+        if not (gap_ok and alts_ok and len(rep.alternatives) == 20):
+            failed.append(f"seed {seed}: gap {rep.gap:+.4f}, CI {rep.ci:.4f}, "
+                          f"worst J {min(a['j'] for a in rep.alternatives):.4f} "
+                          f"vs V0 {rep.v0:.4f}")
+    assert not failed, "; ".join(failed)
+
+
 def test_criterion_12_cli_determinism(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({

@@ -14,8 +14,10 @@ from jumphjb.bsde import (
     replicate,
     solve_bsde,
 )
+from jumphjb.dpp import FeedbackPolicy, Lattice
 from jumphjb.drivers import MarkMeasure, TimeGrid, child_seed, draw_noise
-from jumphjb.forward import ConstantControl, FeedbackControl, simulate_batch
+from jumphjb.forward import (ConstantControl, Control, FeedbackControl, OpenLoopControl,
+                             simulate_batch)
 from jumphjb.problems import build_problem
 
 from conftest import make_coeffs
@@ -255,6 +257,34 @@ class TestReplicate:
                                lambda x: x[:, 0], 50, 1)
         assert drawn == []
 
+    def test_stacks_split_under_the_cap(self, monkeypatch):
+        # Room for two of three controls per stack: each replication prices
+        # a stack of two and then a stack of one, and the costs equal the
+        # unsplit stack's bit for bit.  With no room for one control alone
+        # nothing is drawn.
+        import jumphjb.drivers as drivers
+        co = self.coeffs()
+        controls = self.CONTROLS + [FeedbackControl(lambda t, x: -x)]
+        whole = replicate(co, controls, [0.1], self.GRID, MEAS, 120, 9, n_rep=3,
+                          start_node=1)
+        noise, states = 8.0 * 40 * 5 * 2, 8.0 * 40 * 6
+        stacks, drawn = [], []
+        monkeypatch.setattr(bsde_module, "simulate_batch",
+                            lambda *a, **kw: stacks.append(len(a[1])) or simulate_batch(*a, **kw))
+        monkeypatch.setattr(bsde_module, "draw_noise",
+                            lambda *a, **kw: drawn.append(a) or draw_noise(*a, **kw))
+        monkeypatch.setattr(drivers, "MAX_BATCH_BYTES", noise + 2 * states)
+        split = replicate(co, controls, [0.1], self.GRID, MEAS, 120, 9, n_rep=3,
+                          start_node=1)
+        assert stacks == [2, 1] * 3
+        assert np.array_equal(split, whole)
+        stacks.clear()
+        drawn.clear()
+        monkeypatch.setattr(drivers, "MAX_BATCH_BYTES", noise + states - 1.0)
+        with pytest.raises(MemoryError):
+            replicate(co, controls, [0.1], self.GRID, MEAS, 120, 9, n_rep=3, start_node=1)
+        assert drawn == [] and stacks == []
+
     @pytest.mark.parametrize("n_rep", [1, 0])
     def test_needs_two_replications(self, n_rep):
         with pytest.raises(ValueError, match="n_rep"):
@@ -282,6 +312,107 @@ class TestReplicate:
         assert not np.array_equal(sa.generate_state(4), sb.generate_state(4))
         # Nor does a bank's sample stream replay an unreplicated draw's.
         assert child_seed(sa, 0).spawn_key != child_seed(b[0], 0).spawn_key
+
+
+class ChannelFeedback(Control):
+    """A feedback that also reads the randomness channels, when there are any."""
+
+    def value_batch(self, i, t, x, noise):
+        u = -0.5 * x
+        return u if noise is None else u + 0.2 * noise.values[:, :1]
+
+
+def two_atom_problem():
+    # Drift and jumps read both channels, also at event sub-steps.
+    co = make_coeffs(d=2,
+                     b=lambda t, x, u, nz: 0.3 * np.sin(x) + u[:, 0:1]
+                     + 0.2 * nz.values[:, 0:1] + 0.05 * nz.values[:, 1:2],
+                     sigma=lambda t, x, u, nz: np.stack(
+                         [0.3 + 0.1 * np.tanh(x), 0.2 * np.ones_like(x)], axis=-1),
+                     g=lambda t, e, x, u, nz: e[0] * 0.1 * (1.0 + 0.2 * x)
+                     + 0.02 * nz.values[:, 1:2],
+                     f=lambda t, x, u, y, z, k, nz: -0.2 * y + 0.1 * z[:, 1] + 0.3 * k
+                     + x[..., 0] * u[:, 0],
+                     h=lambda x, nz: np.cos(x[..., 0]),
+                     l=lambda t, e: 0.5 + e[0],
+                     rho=np.array([0.02, 0.04]),
+                     randomness_channels=("W2", "J"))
+    meas = MarkMeasure.from_atoms([((1.0,), 1.5), ((-2.0,), 0.8)])
+    return co, meas, np.array([0.2])
+
+
+class TestStackedPrice:
+    """Column k of a stacked ``price`` equals ``price`` of control k alone, bit for bit."""
+
+    GRID = TimeGrid.uniform(0.5, 10)
+
+    def controls(self, atoms):
+        rng = np.random.default_rng(2)
+        table = rng.integers(atoms.n_atoms, size=(self.GRID.n_steps, 12))
+        return [ConstantControl([0.3]),
+                OpenLoopControl(rng.uniform(-0.6, 0.6, (self.GRID.n_steps, 1))),
+                FeedbackControl(lambda t, x: -0.5 * x),
+                FeedbackPolicy(Lattice([-1.5], [1.5], (12,)), self.GRID, atoms, table),
+                ChannelFeedback()]
+
+    def setup(self, name):
+        if name == "two_atoms":
+            co, meas, x0 = two_atom_problem()
+            return co, meas, x0, build_problem("smooth1d").control_set
+        prob = build_problem(name)
+        return prob.coeffs, prob.measure, prob.x0, prob.control_set
+
+    @pytest.mark.parametrize("name,start,end,with_eta", [
+        ("smooth1d", 0, 10, False),
+        ("random_terminal", 0, 10, False),
+        ("random_terminal", 3, 9, False),
+        ("random_terminal", 3, 9, True),
+        ("linear1d", 2, 10, True),
+        ("two_atoms", 1, 10, False),
+    ])
+    def test_columns_equal_single_pricing(self, name, start, end, with_eta):
+        co, meas, x0, atoms = self.setup(name)
+        controls = self.controls(atoms)
+        bank = draw_noise(self.GRID, co.d, meas, 300, 5, start, end)
+        assert bank.event_row.size > 0
+        eta = (lambda x: np.sin(2.0 * x[:, 0]) + x[:, 0] ** 2) if with_eta else None
+        stacked = price(co, controls, x0, bank, terminal=eta)
+        assert stacked.shape == (len(controls),)
+        for k, c in enumerate(controls):
+            assert stacked[k] == price(co, [c], x0, bank, terminal=eta)[0]
+
+    @pytest.mark.parametrize("name", ["random_terminal", "two_atoms"])
+    def test_groups_of_one_batch_equal_single_batches(self, name):
+        # Group k of a stacked batch and its backward solve are the
+        # one-control batch and solve, row for row; the noise is the
+        # bank's, not tiled.
+        co, meas, x0, atoms = self.setup(name)
+        controls = self.controls(atoms)
+        M, start = 200, 2
+        bank = draw_noise(self.GRID, co.d, meas, M, 8, start)
+        batch = simulate_batch(co, controls, x0, self.GRID, meas, M, 8, start, noise=bank)
+        sol = solve_bsde(co, controls, batch)
+        assert batch.groups == len(controls) and batch.n_samples == M * len(controls)
+        assert batch.dw is bank.dw and batch.jump_counts is bank.counts
+        if co.randomness_channels:
+            assert batch.noise.shape == (self.GRID.n_steps - start + 1, M,
+                                         len(co.randomness_channels))
+        for k, c in enumerate(controls):
+            one = simulate_batch(co, c, x0, self.GRID, meas, M, 8, start, noise=bank)
+            ref = solve_bsde(co, c, one)
+            rows = slice(k * M, (k + 1) * M)
+            assert np.array_equal(batch.states[:, rows], one.states)
+            assert all(np.array_equal(u[k], v[0])
+                       for u, v in zip(batch.controls, one.controls))
+            assert np.array_equal(sol.Y[:, rows], ref.Y)
+            assert np.array_equal(sol.Z[:, rows], ref.Z)
+            assert np.array_equal(sol.K[:, rows], ref.K)
+            assert sol.y0s[k] == ref.y0
+
+    def test_empty_control_list(self):
+        co, meas, x0, _ = self.setup("smooth1d")
+        bank = draw_noise(self.GRID, co.d, meas, 50, 1)
+        assert price(co, [], x0, bank).shape == (0,)
 
 
 class TestComparison:
