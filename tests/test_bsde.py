@@ -334,7 +334,7 @@ def two_atom_problem():
                      f=lambda t, x, u, y, z, k, nz: -0.2 * y + 0.1 * z[:, 1] + 0.3 * k
                      + x[..., 0] * u[:, 0],
                      h=lambda x, nz: np.cos(x[..., 0]),
-                     l=lambda t, e: 0.5 + e[0],
+                     l=lambda t, e: 0.5 + 0.25 * e[0] ** 2,
                      rho=np.array([0.02, 0.04]),
                      randomness_channels=("W2", "J"))
     meas = MarkMeasure.from_atoms([((1.0,), 1.5), ((-2.0,), 0.8)])
