@@ -24,10 +24,10 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .coefficients import CoefficientSet, broadcast_control
+from .coefficients import CoefficientSet
 from .errors import NumericError
 from .forward import (Control, ForwardBatch, as_controls, check_batch, simulate_batch,
-                      stack_size)
+                      stack_controls, stack_size)
 from .drivers import MarkMeasure, NoiseBank, TimeGrid, child_seed, draw_noise
 
 __all__ = [
@@ -288,7 +288,7 @@ def solve_bsde(coeffs: CoefficientSet, control, batch: ForwardBatch,
         else:
             k_agg = np.zeros(rows)
 
-        u_i = np.concatenate([broadcast_control(u, M) for u in batch.controls[i]])
+        u_i = stack_controls(batch.controls[i], M, coeffs.m)
         f_val = np.asarray(coeffs.f(t_i, X_i, u_i, y_proj, z_i, k_agg, nz),
                            dtype=float).reshape(rows)
         y_next = y_proj + f_val * dt

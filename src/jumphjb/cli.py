@@ -25,6 +25,7 @@ import scipy
 from . import __version__
 from .bsde import PolynomialBasis, solve_bsde
 from .coefficients import (
+    CoefficientSet,
     SamplingPlan,
     validate_driver_monotonicity,
     validate_jump_nondegeneracy,
@@ -254,6 +255,18 @@ def run_verify(cfg: dict, out: Path) -> list:
     return ["verify_report.json"]
 
 
+def _heat_coeffs(sigma: float) -> CoefficientSet:
+    """The heat equation's coefficients: diffusion ``sigma``, nothing else."""
+    return CoefficientSet(
+        n=1, d=1, m=1,
+        b=lambda t, x, u, nz: np.zeros_like(x),
+        sigma=lambda t, x, u, nz: sigma * np.ones(x.shape + (1,)),
+        g=lambda t, e, x, u, nz: np.zeros_like(x),
+        f=lambda t, x, u, y, z, k, nz: np.zeros(np.shape(y)),
+        h=lambda x, nz: np.zeros(x.shape[0]),
+        l=lambda t, e: 1.0)
+
+
 def run_bseej(cfg: dict, out: Path) -> list:
     sec = _section(cfg, "bseej")
     kind = sec.get("kind", "heat")
@@ -264,17 +277,7 @@ def run_bseej(cfg: dict, out: Path) -> list:
     sigma0 = sec.get("sigma", 1.0)
     triple = assemble_triple(length, 1, n_modes)
     grid = TimeGrid.uniform(horizon, n_steps)
-    from .coefficients import CoefficientSet
-
-    coeffs = CoefficientSet(
-        n=1, d=1, m=1,
-        b=lambda t, x, u, nz: np.zeros_like(x),
-        sigma=lambda t, x, u, nz: sigma0 * np.ones(x.shape + (1,)),
-        g=lambda t, e, x, u, nz: np.zeros_like(x),
-        f=lambda t, x, u, y, z, k, nz: np.zeros(np.shape(y)),
-        h=lambda x, nz: np.zeros(x.shape[0]),
-        l=lambda t, e: 1.0)
-    pair = assemble_operators(coeffs, triple, grid)
+    pair = assemble_operators(_heat_coeffs(sigma0), triple, grid)
     xi = np.zeros(n_modes)
     xi[0] = 1.0
     if kind == "heat":
@@ -379,16 +382,7 @@ def run_convergence(cfg: dict, out: Path) -> list:
         n_modes = sec.get("modes", 6)
         base = sec.get("base_steps", 40)
         triple = assemble_triple(length, 1, n_modes)
-        from .coefficients import CoefficientSet
-
-        coeffs = CoefficientSet(
-            n=1, d=1, m=1,
-            b=lambda t, x, u, nz: np.zeros_like(x),
-            sigma=lambda t, x, u, nz: np.ones(x.shape + (1,)),
-            g=lambda t, e, x, u, nz: np.zeros_like(x),
-            f=lambda t, x, u, y, z, k, nz: np.zeros(np.shape(y)),
-            h=lambda x, nz: np.zeros(x.shape[0]),
-            l=lambda t, e: 1.0)
+        coeffs = _heat_coeffs(1.0)
         xi = np.zeros(n_modes)
         xi[0] = 1.0
         for lvl in range(halvings + 1):

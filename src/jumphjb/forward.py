@@ -31,7 +31,6 @@ from .coefficients import (
     CoefficientSet,
     NoiseState,
     batch_eval,
-    broadcast_control,
     compensated_drift,
     eval_drift_tilde,
     eval_g,
@@ -56,6 +55,7 @@ __all__ = [
     "as_controls",
     "check_batch",
     "stack_size",
+    "stack_controls",
     "simulate_batch",
     "trajectory_to_csv",
 ]
@@ -367,6 +367,15 @@ def stack_size(coeffs: CoefficientSet, measure: MarkMeasure, M: int, N: int,
     return int(max(1, min(n_controls, 1 + spare // (8.0 * M * (N + 1) * coeffs.n))))
 
 
+def stack_controls(us, M: int, m: int) -> np.ndarray:
+    """The (C*M, m) control of C stacked groups: rows c*M ... (c+1)*M - 1
+    hold ``us[c]``, one control value or one row per path."""
+    out = np.empty((len(us) * M, m))
+    for c, v in enumerate(us):
+        out[c * M:(c + 1) * M] = v
+    return out
+
+
 def simulate_batch(coeffs: CoefficientSet, control, x0, grid: TimeGrid,
                    measure: MarkMeasure, n_samples: int, seed,
                    start_node: int = 0, end_node: int | None = None,
@@ -441,7 +450,7 @@ def simulate_batch(coeffs: CoefficientSet, control, x0, grid: TimeGrid,
         steps.append(us)
         # The (C*M, m) control, the channel values and dw of every row
         # exist only for the step being computed.
-        u = np.concatenate([broadcast_control(v, M) for v in us])
+        u = stack_controls(us, M, coeffs.m)
         nstate = None if own is None else NoiseState(own.t, channels, np.tile(own.values, (C, 1)))
         dw_i = np.tile(dw[i], (C, 1))
 

@@ -298,17 +298,19 @@ class BinomialJumpTree:
     recombine: a node at step i is (k, j) with k up-moves and j jumps,
     so the lattice stays polynomial in the horizon.  Counts are capped
     at ``j_cap`` (excess mass is parked on the cap, an O((lam T)^cap)
-    truncation).
+    truncation).  A lattice without channels has one node per step and
+    is the deterministic model; only a lattice that carries a channel
+    needs a uniform time grid.
     """
 
     def __init__(self, grid: TimeGrid, measure: MarkMeasure, channels,
                  j_cap: int | None = None):
-        dt = grid.dt
-        if np.max(np.abs(dt - dt[0])) > 1e-12 * dt[0]:
-            raise ConfigError("scenario lattices need a uniform time grid")
         self.grid = grid
         self.measure = measure
         self.channels = tuple(channels)
+        dt = grid.dt
+        if self.channels and np.max(np.abs(dt - dt[0])) > 1e-12 * dt[0]:
+            raise ConfigError("scenario lattices need a uniform time grid")
         bad = [c for c in self.channels if c not in ("J",) and not c.startswith("W")]
         if bad:
             raise ConfigError(f"unsupported scenario channels {bad}")
@@ -323,7 +325,23 @@ class BinomialJumpTree:
             j_cap = int(np.ceil(horizon_mean + 4.0 * np.sqrt(horizon_mean + 1.0) + 2))
         self.j_cap = int(j_cap) if self.has_jumps else 0
         self._prob_cache = {0: np.ones(1)}
-        self._branch_cache = {}
+        # Branches in order: W up then down, each with no jump and then
+        # one jump per atom.  Every node of every step has the same
+        # branches; only the child indices move with the node.
+        sq = np.sqrt(self.dt)
+        w_moves = [(1, 0.5, sq), (0, 0.5, -sq)] if self.has_w else [(0, 1.0, 0.0)]
+        moves = []
+        for dk, pw, dw in w_moves:
+            if self.has_jumps:
+                moves.append((dk, 0, pw * (1.0 - lam * self.dt), dw, -1))
+                moves += [(dk, 1, pw * w * self.dt, dw, a)
+                          for a, w in enumerate(measure.weights)]
+            else:
+                moves.append((dk, 0, pw, dw, -1))
+        self._dk, self._dj, self._probs, self._dw, self._atom = (
+            np.array(c) for c in zip(*moves))
+        for arr in (self._probs, self._dw, self._atom):
+            arr.flags.writeable = False
 
     def n_w(self, i: int) -> int:
         return (i + 1) if self.has_w else 1
@@ -363,66 +381,45 @@ class BinomialJumpTree:
         start = max(k for k in self._prob_cache if k <= i)
         full = self._prob_cache[start]
         for step in range(start, i):
-            nxt = np.zeros(self.n_nodes(step + 1))
-            for node, (children, probs, _, _) in enumerate(self.branches(step)):
-                # children can repeat (capped jump count), so accumulate
-                # unbuffered.
-                np.add.at(nxt, children, full[node] * probs)
-            full = nxt
+            children, probs, _, _ = self.branches(step)
+            # children repeat (capped jump count); bincount adds in
+            # node-then-branch order.
+            full = np.bincount(children.ravel(), (full[:, None] * probs).ravel(),
+                               self.n_nodes(step + 1))
             self._prob_cache[step + 1] = full
         return full
 
     def branches(self, i: int):
-        """Per node: (child indices, probabilities, dW, jump atom or -1).
+        """Transition of step i: (children, probs, dw, atom).
 
-        Built once per step and cached; the tuple and its arrays are
-        read-only because every caller shares them.
+        ``children`` (n_nodes_i, K) indexes the nodes of step i + 1;
+        ``probs``, ``dw`` and ``atom`` (jump atom or -1), shape (K,), are
+        the same for every node and step, and read-only.
         """
-        if i in self._branch_cache:
-            return self._branch_cache[i]
-        lam = self.measure.total_mass
-        dt = self.dt
-        w = self.measure.weights
-        out = []
         ks, js = self.node_states(i)
-        sq = np.sqrt(dt)
-        for k, j in zip(ks, js):
-            children, probs, dws, atoms = [], [], [], []
-            w_moves = [(k + 1, 0.5, sq), (k, 0.5, -sq)] if self.has_w \
-                else [(0, 1.0, 0.0)]
-            for k2, pw, dw in w_moves:
-                if self.has_jumps:
-                    children.append(self.node_index(i + 1, k2, j))
-                    probs.append(pw * (1.0 - lam * dt))
-                    dws.append(dw)
-                    atoms.append(-1)
-                    j2 = min(j + 1, self.j_cap)
-                    for a in range(self.measure.n_atoms):
-                        children.append(self.node_index(i + 1, k2, j2))
-                        probs.append(pw * w[a] * dt)
-                        dws.append(dw)
-                        atoms.append(a)
-                else:
-                    children.append(self.node_index(i + 1, k2, 0))
-                    probs.append(pw)
-                    dws.append(dw)
-                    atoms.append(-1)
-            arrays = (np.array(children), np.array(probs), np.array(dws),
-                      np.array(atoms, dtype=int))
-            for arr in arrays:
-                arr.flags.writeable = False
-            out.append(arrays)
-        self._branch_cache[i] = tuple(out)
-        return self._branch_cache[i]
+        children = self.node_index(i + 1, ks[:, None] + self._dk,
+                                    np.minimum(js[:, None] + self._dj, self.j_cap))
+        return children, self._probs, self._dw, self._atom
+
+
+def _lattice(scenario: BinomialJumpTree | None, grid: TimeGrid) -> BinomialJumpTree:
+    """``scenario``, or the one-node lattice that models a deterministic run."""
+    return (scenario if scenario is not None
+            else BinomialJumpTree(grid, MarkMeasure.empty(), ()))
+
+
+def _expect(p: np.ndarray, a: np.ndarray, gram: np.ndarray, b=None) -> float:
+    """E <a, gram b> over nodes with probabilities ``p`` (``b`` defaults to ``a``)."""
+    return float(np.sum(p * np.einsum("nk,kl,nl->n", a, gram, a if b is None else b)))
 
 
 @dataclass
 class BseejSolution:
-    """Coordinate solution of the (possibly scenario-indexed) system.
+    """Coordinate solution of the scenario-indexed system.
 
     ``y[i]`` has shape (n_nodes_i, n_b); ``z[i]`` and ``r[i]`` (shape
     (n_nodes_i, n_atoms, n_b)) are the martingale coordinates on step
-    i.  Deterministic runs carry a single node per step.
+    i.  Deterministic runs carry the one-node lattice.
     """
 
     grid: TimeGrid
@@ -430,7 +427,7 @@ class BseejSolution:
     y: list
     z: list
     r: list
-    scenario: BinomialJumpTree | None = None
+    scenario: BinomialJumpTree
     history: list = field(default_factory=list)
     converged: bool = True
     forcing_values: list | None = None
@@ -443,14 +440,10 @@ class BseejSolution:
         return self.y[0][0]
 
     def probabilities(self, i: int) -> np.ndarray:
-        if self.scenario is None:
-            return np.ones(1)
         return self.scenario.probabilities(i)
 
     def expected_h_norm2(self, i: int) -> float:
-        p = self.probabilities(i)
-        return float(np.sum(p * np.einsum(
-            "nk,kl,nl->n", self.y[i], self.triple.mass, self.y[i])))
+        return _expect(self.probabilities(i), self.y[i], self.triple.mass)
 
     def max_z_norm(self) -> float:
         return max((float(np.max(np.abs(z))) for z in self.z if z.size), default=0.0)
@@ -465,12 +458,9 @@ def _as_terminal(xi, triple, scenario, grid):
     ``xi`` is a callable of the terminal noise values, one coordinate
     vector shared by every node, or an (n_nodes, n_b) array.
     """
-    n_nodes = 1 if scenario is None else scenario.n_nodes(grid.n_steps)
-    shape = (n_nodes, triple.n_modes)
+    shape = (scenario.n_nodes(grid.n_steps), triple.n_modes)
     if callable(xi):
-        noise = (np.zeros((1, 0)) if scenario is None
-                 else scenario.noise_values(grid.n_steps))
-        out = np.asarray(xi(noise), dtype=float)
+        out = np.asarray(xi(scenario.noise_values(grid.n_steps)), dtype=float)
         return out.reshape(shape)
     xi = np.asarray(xi, dtype=float)
     if xi.shape == shape:
@@ -497,13 +487,16 @@ def solve_linear_bseej(pair: OperatorPair, f0, xi, scenario: BinomialJumpTree | 
     conditional covariances of the next-step coordinates against the
     Brownian increment and the compensated jump indicators.  With
     deterministic data the martingale coordinates vanish identically
-    and the scheme is a deterministic implicit parabolic step.
+    and the scheme is a deterministic implicit parabolic step;
+    ``scenario=None`` runs on the one-node lattice.
     """
     N = time_grid.n_steps
     nb = triple.n_modes
     if pair.n_steps != N:
         raise ConfigError("operator pair and time grid disagree on step count")
-    n_atoms = scenario.measure.n_atoms if (scenario is not None and scenario.has_jumps) else 0
+    scenario = _lattice(scenario, time_grid)
+    n_atoms = scenario.measure.n_atoms if scenario.has_jumps else 0
+    mw = scenario.measure.weights
 
     y = [None] * (N + 1)
     z = [None] * N
@@ -514,30 +507,18 @@ def solve_linear_bseej(pair: OperatorPair, f0, xi, scenario: BinomialJumpTree | 
     for i in range(N - 1, -1, -1):
         dt = float(time_grid.dt[i])
         t = float(time_grid.nodes[i])
-        n_nodes = 1 if scenario is None else scenario.n_nodes(i)
-        noise = None if scenario is None else scenario.noise_values(i)
-        y_next = y[i + 1]
+        children, probs, dws, atoms = scenario.branches(i)
+        n_nodes = children.shape[0]
+        yc = y[i + 1][children]
+        e_y = probs @ yc
+        z_i = ((probs * dws) @ yc / dt if scenario.has_w
+               else np.zeros((n_nodes, nb)))
+        r_i = np.zeros((n_nodes, n_atoms, nb))
+        for a in range(n_atoms):
+            ind = (atoms == a).astype(float) - mw[a] * dt
+            r_i[:, a] = (probs * ind) @ yc / (mw[a] * dt)
 
-        if scenario is None:
-            e_y = y_next
-            z_i = np.zeros((1, nb))
-            r_i = np.zeros((1, 0, nb))
-        else:
-            z_i = np.zeros((n_nodes, nb))
-            r_i = np.zeros((n_nodes, n_atoms, nb))
-            e_y = np.zeros((n_nodes, nb))
-            branches = scenario.branches(i)
-            mw = scenario.measure.weights
-            for node, (children, probs, dws, atoms) in enumerate(branches):
-                yc = y_next[children]
-                e_y[node] = probs @ yc
-                if scenario.has_w:
-                    z_i[node] = (probs * dws) @ yc / dt
-                for a in range(n_atoms):
-                    ind = (atoms == a).astype(float) - mw[a] * dt
-                    r_i[node, a] = (probs * ind) @ yc / (mw[a] * dt)
-
-        forcing = _as_forcing(f0, i, t, noise, n_nodes, nb)
+        forcing = _as_forcing(f0, i, t, scenario.noise_values(i), n_nodes, nb)
         forcings[i] = forcing
         rhs = e_y - dt * (z_i @ pair.B[i].T + forcing)
         step_matrix = np.eye(nb) + dt * pair.A[i]
@@ -565,11 +546,9 @@ def _mixed_norm_sq(sol_a: BseejSolution, sol_b: BseejSolution | None,
     for i in range(time_grid.n_steps + 1):
         d = sol_a.y[i] - (sol_b.y[i] if sol_b is not None else 0.0)
         p = sol_a.probabilities(i)
-        h2 = float(np.sum(p * np.einsum("nk,kl,nl->n", d, triple.mass, d)))
-        v2 = float(np.sum(p * np.einsum("nk,kl,nl->n", d, mv, d)))
-        sup_h = max(sup_h, h2)
+        sup_h = max(sup_h, _expect(p, d, triple.mass))
         if i < time_grid.n_steps:
-            int_v += float(time_grid.dt[i]) * v2
+            int_v += float(time_grid.dt[i]) * _expect(p, d, mv)
     return sup_h, int_v
 
 
@@ -589,6 +568,7 @@ def solve_nonlinear_bseej(pair: OperatorPair, F, xi,
     # Iterate 0 is the forcing-free linear solution; each pass freezes
     # the latest iterate inside F and re-solves the linear equation.
     # The terminal does not depend on the iterate: project it once.
+    scenario = _lattice(scenario, time_grid)
     xi = _as_terminal(xi, triple, scenario, time_grid)
     current = solve_linear_bseej(pair, None, xi, scenario, time_grid, triple)
     history = []
@@ -653,31 +633,22 @@ def continuous_dependence_check(sol: BseejSolution, sol_bar: BseejSolution,
     int_z = 0.0
     int_r = 0.0
     rhs_f = 0.0
-    weights = (scenario.measure.weights if scenario is not None
-               and scenario.has_jumps else np.zeros(0))
+    weights = scenario.measure.weights
     for i in range(time_grid.n_steps):
         dt = float(time_grid.dt[i])
         t = float(time_grid.nodes[i])
         p = sol.probabilities(i)
-        dz = sol.z[i] - sol_bar.z[i]
-        int_z += dt * float(np.sum(p * np.einsum(
-            "nk,kl,nl->n", dz, triple.mass, dz)))
+        int_z += dt * _expect(p, sol.z[i] - sol_bar.z[i], triple.mass)
         dr = sol.r[i] - sol_bar.r[i]
         for a in range(dr.shape[1]):
-            int_r += dt * weights[a] * float(np.sum(p * np.einsum(
-                "nk,kl,nl->n", dr[:, a], triple.mass, dr[:, a])))
-        noise = None if scenario is None else scenario.noise_values(i)
-        fa = _as_forcing_like(F, i, t, noise, sol_bar)
-        fb = _as_forcing_like(F_bar, i, t, noise, sol_bar)
-        df = fa - fb
-        rhs_f += dt * float(np.sum(p * np.einsum(
-            "nk,kl,nl->n", df, triple.mass, df)))
-    xi_a = _as_terminal(xi, triple, scenario, time_grid)
-    xi_b = _as_terminal(xi_bar, triple, scenario, time_grid)
-    dxi = xi_a - xi_b
-    p_T = sol.probabilities(time_grid.n_steps)
-    rhs_xi = float(np.sum(p_T * np.einsum(
-        "nk,kl,nl->n", dxi, triple.mass, dxi)))
+            int_r += dt * weights[a] * _expect(p, dr[:, a], triple.mass)
+        noise = scenario.noise_values(i)
+        df = (_as_forcing_like(F, i, t, noise, sol_bar)
+              - _as_forcing_like(F_bar, i, t, noise, sol_bar))
+        rhs_f += dt * _expect(p, df, triple.mass)
+    dxi = (_as_terminal(xi, triple, scenario, time_grid)
+           - _as_terminal(xi_bar, triple, scenario, time_grid))
+    rhs_xi = _expect(sol.probabilities(time_grid.n_steps), dxi, triple.mass)
     return DependenceReport(sup_h, int_v, int_z, int_r, rhs_xi, rhs_f)
 
 
@@ -722,26 +693,20 @@ def energy_identity_residual(sol: BseejSolution, pair: OperatorPair, F,
     scheme's own left-point quadrature, which vanishes at first order
     in dt on smooth data.
     """
-    scenario = sol.scenario
     N = time_grid.n_steps
     drift = z_term = r_term = 0.0
-    weights = (scenario.measure.weights if scenario is not None
-               and scenario.has_jumps else np.zeros(0))
+    weights = sol.scenario.measure.weights
     for i in range(N):
         dt = float(time_grid.dt[i])
         t = float(time_grid.nodes[i])
         p = sol.probabilities(i)
         y_i, z_i, r_i = sol.y[i], sol.z[i], sol.r[i]
-        noise = None if scenario is None else scenario.noise_values(i)
-        f_i = _as_forcing_like(F, i, t, noise, sol)
+        f_i = _as_forcing_like(F, i, t, sol.scenario.noise_values(i), sol)
         gen = y_i @ pair.A[i].T + z_i @ pair.B[i].T + f_i
-        drift += 2.0 * dt * float(np.sum(p * np.einsum(
-            "nk,kl,nl->n", gen, triple.mass, y_i)))
-        z_term += dt * float(np.sum(p * np.einsum(
-            "nk,kl,nl->n", z_i, triple.mass, z_i)))
+        drift += 2.0 * dt * _expect(p, gen, triple.mass, y_i)
+        z_term += dt * _expect(p, z_i, triple.mass)
         for a in range(r_i.shape[1]):
-            r_term += dt * weights[a] * float(np.sum(p * np.einsum(
-                "nk,kl,nl->n", r_i[:, a], triple.mass, r_i[:, a])))
+            r_term += dt * weights[a] * _expect(p, r_i[:, a], triple.mass)
     terminal = sol.expected_h_norm2(N)
     initial = sol.expected_h_norm2(0)
     residual = (terminal - initial) - (drift + z_term + r_term)
@@ -756,19 +721,13 @@ def weak_residual(sol: BseejSolution, pair: OperatorPair, F,
     E_i[y_{i+1}] = y_i + dt (A y_i + B z_i + F_i); for the scheme's own
     output this is solver algebra and sits at rounding level.
     """
-    scenario = sol.scenario
     worst = 0.0
     for i in range(time_grid.n_steps):
         dt = float(time_grid.dt[i])
         t = float(time_grid.nodes[i])
-        noise = None if scenario is None else scenario.noise_values(i)
-        f_i = _as_forcing_like(F, i, t, noise, sol)
-        if scenario is None:
-            e_y = sol.y[i + 1]
-        else:
-            e_y = np.zeros_like(sol.y[i])
-            for node, (children, probs, _, _) in enumerate(scenario.branches(i)):
-                e_y[node] = probs @ sol.y[i + 1][children]
+        f_i = _as_forcing_like(F, i, t, sol.scenario.noise_values(i), sol)
+        children, probs, _, _ = sol.scenario.branches(i)
+        e_y = probs @ sol.y[i + 1][children]
         defect = e_y - sol.y[i] - dt * (
             sol.y[i] @ pair.A[i].T + sol.z[i] @ pair.B[i].T + f_i)
         worst = max(worst, float(np.max(np.abs(defect))))
@@ -856,15 +815,14 @@ def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
     """
     if coeffs.is_random and scenario is None:
         raise ConfigError("random coefficients need a scenario model")
-    if scenario is not None:
-        extra = set(coeffs.randomness_channels) - set(scenario.channels)
-        if extra:
-            raise ConfigError(f"scenario model does not carry channels {extra}")
-        allowed = {"J", f"W{coeffs.d}"}
-        bad = set(coeffs.randomness_channels) - allowed
-        if bad:
-            raise ConfigError(
-                f"the weak pipeline carries only W_d and jumps; got {bad}")
+    scenario = _lattice(scenario, time_grid)
+    extra = set(coeffs.randomness_channels) - set(scenario.channels)
+    if extra:
+        raise ConfigError(f"scenario model does not carry channels {extra}")
+    bad = set(coeffs.randomness_channels) - {"J", f"W{coeffs.d}"}
+    if bad:
+        raise ConfigError(
+            f"the weak pipeline carries only W_d and jumps; got {bad}")
 
     pair = assemble_operators(coeffs, triple, time_grid, control_set)
     coercivity = check_coercivity(pair, triple, pair.alpha, pair.lam)
@@ -882,8 +840,7 @@ def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
     channels = coeffs.randomness_channels
     # The scenario's noise values come in the scenario's channel order;
     # the coefficients read them in their own.
-    columns = ([scenario.channels.index(c) for c in channels]
-               if scenario is not None else [])
+    columns = [scenario.channels.index(c) for c in channels]
     n_atoms = measure.n_atoms
     l_cache = {}
     clamp_count = [0]
@@ -928,7 +885,7 @@ def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
 
         flatX = np.broadcast_to(X, (n_nodes, Q, 1)).reshape(-1, 1)
         nz = None
-        if noise_vals is not None and len(channels):
+        if channels:
             nz = NoiseState(float(t), channels,
                             np.repeat(noise_vals[:, columns], Q, axis=0))
 
@@ -974,11 +931,10 @@ def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
         return np.linalg.solve(triple.mass, rhs.T).T
 
     def xi_fn(noise_vals):
-        n_nodes = noise_vals.shape[0] if noise_vals is not None else 1
-        out = np.empty((max(n_nodes, 1), triple.n_modes))
-        for node in range(max(n_nodes, 1)):
+        out = np.empty((noise_vals.shape[0], triple.n_modes))
+        for node in range(noise_vals.shape[0]):
             nz = None
-            if noise_vals is not None and len(channels):
+            if channels:
                 nz = NoiseState(float(time_grid.horizon), channels,
                                 np.broadcast_to(noise_vals[node, columns], (Q, len(columns))))
             hv = np.asarray(coeffs.h(X, nz), dtype=float).reshape(Q)

@@ -384,12 +384,13 @@ class TestEnergyIdentity:
         w0 = MEAS.weights[0]
         for i in (0, 5, 19):
             p_nodes = tree.probabilities(i)
+            _, probs, _, atoms = tree.branches(i)
             direct = 0.0
             closed = 0.0
-            for node, (children, probs, dws, atoms) in enumerate(tree.branches(i)):
+            for node in range(tree.n_nodes(i)):
                 r_node = sol.r[i][node, 0]
                 y_node = sol.y[i][node]
-                for child, pb, at in zip(children, probs, atoms):
+                for pb, at in zip(probs, atoms):
                     dmu = (1.0 if at == 0 else 0.0) - w0 * dt
                     m = r_node * dmu
                     direct += p_nodes[node] * pb * (
@@ -637,15 +638,15 @@ class TestPicardInvariantWork:
         grid = TimeGrid.uniform(1.0, 10)
         tree = BinomialJumpTree(grid, MEAS, ("W1", "J"))
         for i in range(grid.n_steps):
-            cached = tree.branches(i)
-            assert tree.branches(i) is cached
+            built = tree.branches(i)
             fresh = BinomialJumpTree(grid, MEAS, ("W1", "J")).branches(i)
-            assert len(cached) == len(fresh) == tree.n_nodes(i)
-            for node, fresh_node in zip(cached, fresh):
-                for arr, ref in zip(node, fresh_node):
-                    assert_bitwise(arr, ref)
-                    with pytest.raises(ValueError):
-                        arr[0] = arr[0]
+            assert built[0].shape == (tree.n_nodes(i), built[1].size)
+            for arr, ref in zip(built, fresh):
+                assert_bitwise(arr, ref)
+            # The per-branch arrays are shared by every node and step.
+            for arr in built[1:]:
+                with pytest.raises(ValueError):
+                    arr[0] = arr[0]
         # Node probabilities: the W walk is binomial(i, 1/2) and the
         # jump count binomial(i, lambda dt) below the cap, independently.
         q = MEAS.total_mass * float(grid.dt[0])
@@ -713,3 +714,110 @@ class TestPicardInvariantWork:
                     np.zeros(5)):
             with pytest.raises(ValueError):
                 _as_terminal(bad, tr, tree, grid)
+
+
+MEAS2 = MarkMeasure.from_atoms([((1.0,), 0.3), ((-0.5,), 0.8)])
+
+
+def reference_branches(tree, i):
+    """Per node (children, probs, dws, atoms), from the node states and
+    the measure alone: W up then down, each with no jump and then one
+    jump per atom, the jump count capped at ``j_cap``."""
+    lam, dt, w = tree.measure.total_mass, tree.dt, tree.measure.weights
+    sq = np.sqrt(dt)
+    out = []
+    for k, j in zip(*tree.node_states(i)):
+        rows = []
+        for k2, pw, dw in ((k + 1, 0.5, sq), (k, 0.5, -sq)):
+            rows.append((tree.node_index(i + 1, k2, j), pw * (1.0 - lam * dt), dw, -1))
+            j2 = min(j + 1, tree.j_cap)
+            rows += [(tree.node_index(i + 1, k2, j2), pw * w[a] * dt, dw, a)
+                     for a in range(tree.measure.n_atoms)]
+        out.append(tuple(np.array(c) for c in zip(*rows)))
+    return out
+
+
+class TestLatticeTransition:
+    """The one-transition-per-step lattice against a per-node loop."""
+
+    N = 8
+
+    def build(self):
+        tr = assemble_triple(L, 1, 5)
+        grid = TimeGrid.uniform(1.0, self.N)
+        tree = BinomialJumpTree(grid, MEAS2, ("W1", "J"), j_cap=3)
+        pair = assemble_operators(heat_coeffs(0.8), tr, grid)
+
+        def xi(noise):
+            out = np.zeros((noise.shape[0], 5))
+            out[:, 0] = 1.0 + 0.2 * noise[:, 0] + 0.1 * noise[:, 1]
+            out[:, 2] = np.sin(noise[:, 0] * noise[:, 1])
+            return out
+
+        return tr, grid, tree, pair, xi
+
+    def reference(self, tr, grid, tree, pair, xi):
+        """Node probabilities, the linear solve and its weak residual,
+        node by node."""
+        nb, n_atoms, mw = tr.n_modes, tree.measure.n_atoms, tree.measure.weights
+        probs = [np.ones(1)]
+        for i in range(self.N):
+            nxt = np.zeros(tree.n_nodes(i + 1))
+            for node, (children, pb, _, _) in enumerate(reference_branches(tree, i)):
+                np.add.at(nxt, children, probs[i][node] * pb)
+            probs.append(nxt)
+        y = [None] * (self.N + 1)
+        z, r, e_ys = [None] * self.N, [None] * self.N, [None] * self.N
+        y[self.N] = np.asarray(xi(tree.noise_values(self.N)), dtype=float)
+        for i in range(self.N - 1, -1, -1):
+            dt = float(grid.dt[i])
+            n = tree.n_nodes(i)
+            e_y, z_i, r_i = np.zeros((n, nb)), np.zeros((n, nb)), np.zeros((n, n_atoms, nb))
+            for node, (children, pb, dws, atoms) in enumerate(reference_branches(tree, i)):
+                yc = y[i + 1][children]
+                e_y[node] = pb @ yc
+                z_i[node] = (pb * dws) @ yc / dt
+                for a in range(n_atoms):
+                    ind = (atoms == a).astype(float) - mw[a] * dt
+                    r_i[node, a] = (pb * ind) @ yc / (mw[a] * dt)
+            rhs = e_y - dt * (z_i @ pair.B[i].T + np.zeros((n, nb)))
+            y[i] = np.linalg.solve(np.eye(nb) + dt * pair.A[i], rhs.T).T
+            z[i], r[i], e_ys[i] = z_i, r_i, e_y
+        worst = 0.0
+        for i in range(self.N):
+            defect = e_ys[i] - y[i] - float(grid.dt[i]) * (
+                y[i] @ pair.A[i].T + z[i] @ pair.B[i].T + np.zeros_like(y[i]))
+            worst = max(worst, float(np.max(np.abs(defect))))
+        return probs, y, z, r, worst
+
+    def test_matches_per_node_loop_bitwise(self):
+        tr, grid, tree, pair, xi = self.build()
+        # The capped jump count makes children repeat within a node.
+        assert tree.j_cap < self.N and tree.measure.n_atoms == 2
+        probs, y, z, r, worst = self.reference(tr, grid, tree, pair, xi)
+        for i in range(self.N + 1):
+            assert_bitwise(tree.probabilities(i), probs[i])
+        sol = solve_linear_bseej(pair, None, xi, tree, grid, tr)
+        for name, ref in (("y", y), ("z", z), ("r", r)):
+            for got, want in zip(getattr(sol, name), ref):
+                assert_bitwise(got, want)
+        assert sol.max_z_norm() > 1e-3 and sol.max_r_norm() > 1e-3
+        assert weak_residual(sol, pair, None, tr, grid) == worst
+
+    def test_deterministic_run_on_non_uniform_grid(self):
+        # scenario=None is the one-node lattice: no uniform-grid refusal,
+        # and the plain implicit recursion bit for bit.
+        tr = assemble_triple(L, 1, 6)
+        grid = TimeGrid(np.array([0.0, 0.05, 0.2, 0.3, 0.55, 0.6, 1.0]))
+        co = make_coeffs(sigma=lambda t, x, u, nz: (1.0 + t) * np.ones(x.shape + (1,)))
+        pair = assemble_operators(co, tr, grid)
+        f = 0.3 * np.arange(1.0, 7.0)
+        sol = solve_linear_bseej(pair, f, unit_mode(6), None, grid, tr)
+        y = unit_mode(6)
+        for i in range(grid.n_steps - 1, -1, -1):
+            dt = float(grid.dt[i])
+            y = np.linalg.solve(np.eye(6) + dt * pair.A[i], y - dt * f)
+            assert_bitwise(sol.y[i][0], y)
+        assert sol.max_z_norm() == sol.max_r_norm() == 0.0
+        with pytest.raises(ConfigError):
+            BinomialJumpTree(grid, MEAS, ("W1",))
