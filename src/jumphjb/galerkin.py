@@ -48,6 +48,7 @@ from .coefficients import (
     NoiseState,
     batch_eval,
     broadcast_control,
+    compensated_drift,
 )
 from .drivers import MarkMeasure, TimeGrid
 from .errors import ConfigError, NotConvergedError, NumericError
@@ -271,19 +272,20 @@ def check_coercivity(pair: OperatorPair, triple: GelfandTriple, alpha: float,
     """
     rng = np.random.default_rng(seed)
     nb = triple.n_modes
-    directions = [np.eye(nb)[k] for k in range(nb)]
-    for _ in range(n_trials):
-        c = rng.standard_normal(nb)
-        directions.append(c / np.linalg.norm(c))
-    mv = triple.mass + triple.stiffness
-    min_slack = np.inf
+    trials = rng.standard_normal((n_trials, nb))
+    # One direction per row: every basis vector, then the unit trials.
+    directions = np.vstack([np.eye(nb),
+                            trials / np.linalg.norm(trials, axis=1)[:, None]])
+    static = lam * triple.mass - alpha * (triple.mass + triple.stiffness)
+    # Step by step, so that no temporary spans all N slices.
+    min_slack, identity_gap = np.inf, 0.0
     for i in range(pair.n_steps):
-        for c in directions:
-            slack = (2.0 * c @ pair.A[i] @ c + lam * (c @ triple.mass @ c)
-                     - alpha * (c @ mv @ c) - c @ pair.bstar_gram[i] @ c)
-            min_slack = min(min_slack, float(slack))
-    identity_gap = float(np.max(np.abs(
-        2.0 * pair.A - pair.bstar_gram - pair.hat_gram)))
+        twice_a = 2.0 * pair.A[i]
+        form = twice_a + static - pair.bstar_gram[i]
+        slack = np.sum((directions @ form) * directions, axis=1)
+        min_slack = min(min_slack, float(slack.min()))
+        identity_gap = max(identity_gap, float(np.max(np.abs(
+            twice_a - pair.bstar_gram[i] - pair.hat_gram[i]))))
     return CoercivityReport(min_slack >= -1e-10, min_slack, alpha, lam,
                             identity_gap, len(directions))
 
@@ -410,7 +412,7 @@ def _lattice(scenario: BinomialJumpTree | None, grid: TimeGrid) -> BinomialJumpT
 
 def _expect(p: np.ndarray, a: np.ndarray, gram: np.ndarray, b=None) -> float:
     """E <a, gram b> over nodes with probabilities ``p`` (``b`` defaults to ``a``)."""
-    return float(np.sum(p * np.einsum("nk,kl,nl->n", a, gram, a if b is None else b)))
+    return float(p @ np.sum((a @ gram) * (a if b is None else b), axis=1))
 
 
 @dataclass
@@ -777,21 +779,11 @@ class WeakHjbResult:
         return RandomFieldTriplet(space, self.solution.grid.nodes, V, Phi, Psi)
 
 
-def _basis_at(triple: GelfandTriple, points: np.ndarray, memo: dict, atom) -> np.ndarray:
-    """``triple.eval_basis(points)``, evaluated once per distinct point set.
-
-    ``memo[atom]`` holds the last (unique points as bytes, basis block)
-    of this atom; a call with the same unique points gathers rows of
-    that block.  The basis is pointwise, so the rows are bitwise those
-    of a fresh evaluation.
-    """
-    pts, inv = np.unique(points, return_inverse=True)
-    key = pts.tobytes()
-    entry = memo.get(atom)
-    if entry is None or entry[0] != key:
-        entry = (key, triple.eval_basis(pts))
-        memo[atom] = entry
-    return entry[1][inv]
+def _at_shift(block: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Values at the shifted points (n_nodes, Q) of coordinates (n_nodes, n_b)."""
+    if block.ndim == 2:
+        return coords @ block.T
+    return np.einsum("nqk,nk->nq", block, coords)
 
 
 def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
@@ -836,17 +828,28 @@ def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
 
     xq = triple.quad_x
     Q = xq.size
-    X = xq[:, None]
     channels = coeffs.randomness_channels
     # The scenario's noise values come in the scenario's channel order;
     # the coefficients read them in their own.
     columns = [scenario.channels.index(c) for c in channels]
     n_atoms = measure.n_atoms
-    l_cache = {}
+    # L^2 projection of values at the quadrature points: values @ proj.
+    proj = np.linalg.solve(triple.mass, (triple.quad_w[:, None] * triple.basis_q).T).T
     clamp_count = [0]
-    # The jump-shifted points x_q + g do not depend on the Picard
-    # iterate; each atom keeps the basis at its last point set.
-    basis_memo = {}
+    # No Picard pass changes the coefficient values or the basis at the
+    # jump-shifted points: each step builds them on its first forcing
+    # call and later passes read them.  A basis block at x_q + g is
+    # shared by every step and control whose g moves all nodes alike.
+    steps = {}
+    blocks = {}
+
+    def batch(t, noise_vals):
+        """Quadrature points of every node, node-major, and their noise."""
+        flatX = np.tile(xq, noise_vals.shape[0])[:, None]
+        nz = (NoiseState(float(t), channels,
+                         np.repeat(noise_vals[:, columns], Q, axis=0))
+              if channels else None)
+        return flatX, nz
 
     # Spatial derivative of sigma sigma^T and sigma_d by central
     # differences (sigma is deterministic and control-free here).
@@ -855,24 +858,45 @@ def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
         step = 1e-5 * (1.0 + np.abs(xq))
         sp = batch_eval(coeffs.sigma, t, (xq + step)[:, None], u_ref, None, (coeffs.d,))
         sm = batch_eval(coeffs.sigma, t, (xq - step)[:, None], u_ref, None, (coeffs.d,))
-        s0 = batch_eval(coeffs.sigma, t, X, u_ref, None, (coeffs.d,))
+        s0 = batch_eval(coeffs.sigma, t, xq[:, None], u_ref, None, (coeffs.d,))
         a_p = np.sum(sp * sp, axis=1)
         a_m = np.sum(sm * sm, axis=1)
         da = (a_p - a_m) / (2.0 * step)
         dsd = (sp[:, -1] - sm[:, -1]) / (2.0 * step)
         return s0, da, dsd
 
-    sig_cache = {}
+    def shifted_basis(a, g):
+        """Basis at x_q + g (n_nodes, Q): one shared (Q, n_b) block when
+        every node's row of g is the same, else (n_nodes, Q, n_b)."""
+        if np.all(g == g[0]):
+            points = xq + g[0]
+            key = (a, points.tobytes())
+            if key not in blocks:
+                blocks[key] = triple.eval_basis(points)
+            return blocks[key]
+        return triple.eval_basis((xq + g).ravel()).reshape(g.shape + (-1,))
+
+    def step_data(t, noise_vals):
+        n_nodes = noise_vals.shape[0]
+        flatX, nz = batch(t, noise_vals)
+        controls = []
+        for u in control_set.atoms:
+            U = broadcast_control(u, flatX.shape[0])
+            # b carries the compensator -sum_a w_a g_a of the transport.
+            b, gs = compensated_drift(coeffs, measure, t, flatX, U, nz)
+            jumps = []
+            for a, g in enumerate(gs):
+                g = g.reshape(n_nodes, Q)
+                outside = int(np.count_nonzero(np.abs(xq + g) > triple.length))
+                jumps.append((outside, shifted_basis(a, g)))
+            controls.append((U, b.reshape(n_nodes, Q), jumps))
+        l_vals = np.array([float(coeffs.l(t, mark)) for mark in measure.marks])
+        return flatX, nz, sigma_derivatives(t), l_vals, controls
 
     def hjb_forcing(i, t, noise_vals, y, z, r):
-        n_nodes = y.shape[0]
-        if i not in sig_cache:
-            sig_cache[i] = sigma_derivatives(t)
-        sig0, da_dx, dsd_dx = sig_cache[i]
-        if i not in l_cache:
-            l_cache[i] = np.array(
-                [float(coeffs.l(t, mark)) for mark in measure.marks])
-        l_vals = l_cache[i]
+        if i not in steps:
+            steps[i] = step_data(t, noise_vals)
+        flatX, nz, (sig0, da_dx, dsd_dx), l_vals, controls = steps[i]
 
         w_q = y @ triple.basis_q.T          # (n_nodes, Q)
         dw_q = y @ triple.dbasis_q.T
@@ -880,66 +904,38 @@ def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
         # Psi components exist only when the scenario carries the jump
         # channel; deterministic runs have Psi identically zero.
         have_psi = r.shape[1] == n_atoms and n_atoms > 0
-        psi_q = (np.einsum("nak,qk->naq", r, triple.basis_q)
-                 if have_psi else None)
-
-        flatX = np.broadcast_to(X, (n_nodes, Q, 1)).reshape(-1, 1)
-        nz = None
-        if channels:
-            nz = NoiseState(float(t), channels,
-                            np.repeat(noise_vals[:, columns], Q, axis=0))
+        psi_q = r @ triple.basis_q.T if have_psi else None   # (n_nodes, n_atoms, Q)
+        z_slot = sig0[None, :, :] * dw_q[..., None]
+        z_slot[:, :, -1] += phi_q
+        z_slot = z_slot.reshape(-1, coeffs.d)
 
         best = None
-        for u in control_set.atoms:
-            b = batch_eval(coeffs.b, t, flatX, u, nz, (1,)).reshape(n_nodes, Q)
+        for U, b, jumps in controls:
             total = b * dw_q
-            k_agg = np.zeros((n_nodes, Q))
-            for a in range(n_atoms):
-                mark = measure.marks[a]
-                g = batch_eval(coeffs.g, t, flatX, u, nz, (1,), mark).reshape(n_nodes, Q)
-                shifted = (np.broadcast_to(xq, (n_nodes, Q)) + g).ravel()
-                outside = np.abs(shifted) > triple.length
-                clamp_count[0] += int(outside.sum())
-                basis_shift = _basis_at(triple, shifted, basis_memo, a).reshape(
-                    n_nodes, Q, -1)
-                w_shift = np.einsum("nqk,nk->nq", basis_shift, y)
-                inc = w_shift - w_q
+            k_agg = np.zeros_like(w_q)
+            for a, (outside, block) in enumerate(jumps):
+                clamp_count[0] += outside
                 wgt = measure.weights[a]
-                # transport compensation, nonlocal increments, driver slot
-                total = total - wgt * g * dw_q
-                total = total + wgt * inc
+                # Jump of w (and of psi_a) across x_q -> x_q + g.
+                inc = _at_shift(block, y) - w_q
                 if have_psi:
-                    psi_shift = np.einsum("nqk,nk->nq", basis_shift, r[:, a])
-                    total = total + wgt * (psi_shift - psi_q[:, a])
-                    k_agg = k_agg + wgt * l_vals[a] * (inc + psi_shift)
+                    inc += _at_shift(block, r[:, a])
+                    total += wgt * (inc - psi_q[:, a])
                 else:
-                    k_agg = k_agg + wgt * l_vals[a] * inc
-            z_slot = np.zeros((n_nodes, Q, coeffs.d))
-            z_slot += sig0[None, :, :] * dw_q[..., None]
-            z_slot[:, :, -1] += phi_q
-            f_val = np.asarray(coeffs.f(
-                t, flatX, broadcast_control(u, flatX.shape[0]),
-                w_q.ravel(), z_slot.reshape(-1, coeffs.d), k_agg.ravel(), nz),
-                dtype=float).reshape(n_nodes, Q)
-            total = total + f_val
-            best = total if best is None else np.minimum(best, total)
+                    total += wgt * inc
+                k_agg += wgt * l_vals[a] * inc
+            f_val = np.asarray(coeffs.f(t, flatX, U, w_q.ravel(), z_slot,
+                                        k_agg.ravel(), nz), dtype=float)
+            total += f_val.reshape(total.shape)
+            best = total if best is None else np.minimum(best, total, out=best)
 
         j1 = -da_dx[None, :] * dw_q - phi_q * dsd_dx[None, :]
-        integrand = -(j1 + best)
-        rhs = np.einsum("nq,qk->nk", integrand * triple.quad_w[None, :],
-                        triple.basis_q)
-        return np.linalg.solve(triple.mass, rhs.T).T
+        return -(j1 + best) @ proj
 
     def xi_fn(noise_vals):
-        out = np.empty((noise_vals.shape[0], triple.n_modes))
-        for node in range(noise_vals.shape[0]):
-            nz = None
-            if channels:
-                nz = NoiseState(float(time_grid.horizon), channels,
-                                np.broadcast_to(noise_vals[node, columns], (Q, len(columns))))
-            hv = np.asarray(coeffs.h(X, nz), dtype=float).reshape(Q)
-            out[node] = triple.project(hv)
-        return out
+        flatX, nz = batch(time_grid.horizon, noise_vals)
+        hv = np.asarray(coeffs.h(flatX, nz), dtype=float)
+        return hv.reshape(noise_vals.shape[0], Q) @ proj
 
     solution = solve_nonlinear_bseej(pair, hjb_forcing, xi_fn, scenario,
                                      time_grid, triple, tol, max_iter)

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jumphjb import galerkin
-from jumphjb.coefficients import ControlSet
+from jumphjb.coefficients import ControlSet, NoiseState, batch_eval, broadcast_control
 from jumphjb.drivers import MarkMeasure, TimeGrid
 from jumphjb.errors import ConfigError, NotConvergedError
 from jumphjb.galerkin import (
     BinomialJumpTree,
     _as_terminal,
-    _basis_at,
     assemble_operators,
     assemble_triple,
     check_coercivity,
@@ -29,6 +28,7 @@ from conftest import make_coeffs
 from test_pide import benchmark_coeffs
 
 MEAS = MarkMeasure.from_atoms([((1.0,), 0.3)])
+MEAS2 = MarkMeasure.from_atoms([((1.0,), 0.3), ((-0.5,), 0.8)])
 U2 = ControlSet.from_1d(-0.6, 0.6, 2)
 L = 2.0
 
@@ -518,56 +518,157 @@ def assert_same_solution(a, b):
     assert a.history == b.history
 
 
-class CountingTriple:
-    """Duck-typed triple that records the points it evaluates."""
+def reference_hjb(coeffs, triple, control_set, measure, scenario):
+    """Forcing and terminal of the weak HJB solve, one node at a time.
 
-    def __init__(self, triple):
-        self.triple = triple
-        self.calls = []
+    Follows the formula of ``solve_hjb_weak`` with nothing kept between
+    calls: each call evaluates b, g, l, f and the basis at the shifted
+    points afresh, folds the compensator into the transport per atom
+    and projects each node's integrand with ``triple.project``.
+    ``clamped[0]`` counts the shifted points outside [-L, L] over every
+    call.
+    """
+    xq, Q, d = triple.quad_x, triple.n_quad, coeffs.d
+    X = xq[:, None]
+    channels = coeffs.randomness_channels
+    columns = [scenario.channels.index(c) for c in channels]
+    u_ref = control_set.atoms[0]
+    clamped = [0]
 
-    def eval_basis(self, x):
-        self.calls.append(np.array(x, dtype=float))
-        return self.triple.eval_basis(x)
+    def noise_at(t, row):
+        if not channels:
+            return None
+        return NoiseState(float(t), channels,
+                          np.broadcast_to(row[columns], (Q, len(columns))))
+
+    def forcing(i, t, noise_vals, y, z, r):
+        step = 1e-5 * (1.0 + np.abs(xq))
+        sp, sm, s0 = (batch_eval(coeffs.sigma, t, x[:, None], u_ref, None, (d,))
+                      for x in (xq + step, xq - step, xq))
+        da = (np.sum(sp * sp, axis=1) - np.sum(sm * sm, axis=1)) / (2.0 * step)
+        dsd = (sp[:, -1] - sm[:, -1]) / (2.0 * step)
+        have_psi = r.shape[1] == measure.n_atoms > 0
+        out = np.empty_like(y)
+        for n in range(y.shape[0]):
+            nz = noise_at(t, noise_vals[n])
+            w, dw = triple.basis_q @ y[n], triple.dbasis_q @ y[n]
+            phi = triple.basis_q @ z[n]
+            best = None
+            for u in control_set.atoms:
+                total = batch_eval(coeffs.b, t, X, u, nz, (1,))[:, 0] * dw
+                k = np.zeros(Q)
+                for a, (mark, wgt) in enumerate(zip(measure.marks, measure.weights)):
+                    g = batch_eval(coeffs.g, t, X, u, nz, (1,), mark)[:, 0]
+                    clamped[0] += int(np.sum(np.abs(xq + g) > triple.length))
+                    shifted = triple.eval_basis(xq + g)
+                    inc = shifted @ y[n] - w
+                    total = total - wgt * g * dw + wgt * inc
+                    if have_psi:
+                        psi_shift = shifted @ r[n, a]
+                        total = total + wgt * (psi_shift - triple.basis_q @ r[n, a])
+                        inc = inc + psi_shift
+                    k = k + wgt * float(coeffs.l(t, mark)) * inc
+                z_slot = s0 * dw[:, None]
+                z_slot[:, -1] += phi
+                f = coeffs.f(t, X, broadcast_control(u, Q), w, z_slot, k, nz)
+                total = total + np.asarray(f, dtype=float).reshape(Q)
+                best = total if best is None else np.minimum(best, total)
+            out[n] = triple.project(-(-da * dw - phi * dsd + best))
+        return out
+
+    def terminal(noise_vals):
+        t = scenario.grid.horizon
+        return np.array([triple.project(
+            np.asarray(coeffs.h(X, noise_at(t, row)), dtype=float).reshape(Q))
+            for row in noise_vals])
+
+    return forcing, terminal, clamped
+
+
+def reference_solve(coeffs, triple, control_set, measure, grid, scenario=None):
+    """Picard solve on the reference forcing, and its clamped count."""
+    tree = (scenario if scenario is not None
+            else BinomialJumpTree(grid, MarkMeasure.empty(), ()))
+    forcing, terminal, clamped = reference_hjb(coeffs, triple, control_set,
+                                               measure, tree)
+    pair = assemble_operators(coeffs, triple, grid, control_set)
+    return solve_nonlinear_bseej(pair, forcing, terminal, tree, grid, triple), clamped[0]
+
+
+def assert_within_gate(sol, ref):
+    """y, z and r within 1e-12 max|y| of the reference at every node and
+    step; Picard histories of one length, entries within 1e-12."""
+    tol = 1e-12 * max(float(np.max(np.abs(y))) for y in ref.y)
+    for name in ("y", "z", "r"):
+        for got, want in zip(getattr(sol, name), getattr(ref, name), strict=True):
+            assert got.shape == want.shape
+            if got.size:
+                assert float(np.max(np.abs(got - want))) <= tol, name
+    assert len(sol.history) == len(ref.history)
+    np.testing.assert_allclose(sol.history, ref.history, rtol=0, atol=1e-12)
 
 
 PROP_TRIPLE = assemble_triple(L, 1, 6)
+PROP_GRID = TimeGrid.uniform(0.5, 4)
 
 
-@st.composite
-def point_sets(draw):
-    """Points with repeats, points outside [-L, L] and both signed zeros."""
-    value = (st.floats(-2.5 * L, 2.5 * L, allow_nan=False)
-             | st.sampled_from([0.0, -0.0, L, -L, 1.5 * L]))
-    pool = draw(st.lists(value, min_size=1, max_size=8))
-    idx = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
-    return np.array([pool[i] for i in idx])
+def built_forcing(coeffs, measure, tree):
+    """The forcing and terminal ``solve_hjb_weak`` hands to the Picard
+    solver (which is not run)."""
+    captured = {}
+
+    def capture(pair, F, xi, *rest):
+        captured.update(F=F, xi=xi)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(galerkin, "solve_nonlinear_bseej", capture)
+        solve_hjb_weak(coeffs, PROP_TRIPLE, U2, measure, PROP_GRID, scenario=tree,
+                       require_coercivity=False)
+    return captured["F"], captured["xi"]
 
 
-@settings(max_examples=80, deadline=None)
-@given(point_sets(), point_sets())
-def test_basis_memo_matches_fresh_evaluation(points, other):
-    triple = CountingTriple(PROP_TRIPLE)
-    memo = {}
-    expected = PROP_TRIPLE.eval_basis(points)
-    # A miss evaluates the unique points once.
-    assert_bitwise(_basis_at(triple, points, memo, 0), expected)
-    assert len(triple.calls) == 1
-    # Equal as numbers: which signed zero stands for 0 is unspecified.
-    np.testing.assert_array_equal(triple.calls[0], np.unique(points))
-    # A hit evaluates nothing.
-    assert_bitwise(_basis_at(triple, points, memo, 0), expected)
-    assert len(triple.calls) == 1
-    # Another point set replaces the atom's one entry.
-    assert_bitwise(_basis_at(triple, other, memo, 0), PROP_TRIPLE.eval_basis(other))
-    # The same set of numbers may still miss when it differs only in the
-    # sign of a zero, which the key's bytes see.
-    if not np.array_equal(np.unique(other), np.unique(points)):
-        assert len(triple.calls) == 2
-    assert len(triple.calls) in (1, 2)
-    assert list(memo) == [0]
-    # Atoms keep separate entries.
-    assert_bitwise(_basis_at(triple, points, memo, 1), expected)
-    assert sorted(memo) == [0, 1]
+@settings(max_examples=30, deadline=None)
+@given(st.booleans(), st.tuples(*[st.floats(-1.0, 1.0)] * 5),
+       st.integers(0, 2 ** 32 - 1))
+def test_forcing_matches_reference(reads_channel, c, seed):
+    """For g with and without a channel read (so with node rows that
+    differ or agree), on every step and on a repeated call."""
+    c_t, c_u, c_x, c_w, c_j = c
+    if not reads_channel:
+        c_w = c_j = 0.0
+    co = make_coeffs(
+        n=1, d=2,
+        b=lambda t, x, u, nz: 0.4 * np.tanh(x) + u[:, 0:1] + 0.2 * nz.values[..., 0:1],
+        sigma=lambda t, x, u, nz: np.stack(
+            [0.5 + 0.1 * np.tanh(x[..., 0]), 0.15 + 0.05 * np.sin(x[..., 0])], axis=-1),
+        g=lambda t, e, x, u, nz: (0.3 * e[0] + c_t * t + c_u * u[:, 0:1] + c_x * x
+                                  + c_w * nz.values[..., 0:1]
+                                  + c_j * nz.values[..., 1:2]),
+        f=lambda t, x, u, y, z, k, nz: 0.1 * y + 0.05 * k + 0.2 * z[:, 1]
+        + 0.3 * u[:, 0] * nz.values[..., 1],
+        h=lambda x, nz: np.exp(-x[..., 0] ** 2)
+        * (1.0 + 0.3 * nz.values[..., 0] + 0.1 * nz.values[..., 1]),
+        l=lambda t, e: 1.0 + t * e[0],
+        rho=np.array([0.0]), randomness_channels=("W2", "J"))
+    tree = BinomialJumpTree(PROP_GRID, MEAS2, ("J", "W2"))
+    F, xi = built_forcing(co, MEAS2, tree)
+    F_ref, xi_ref, _ = reference_hjb(co, PROP_TRIPLE, U2, MEAS2, tree)
+    rng = np.random.default_rng(seed)
+    nb = PROP_TRIPLE.n_modes
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * max(1.0, float(np.max(np.abs(want)))))
+
+    close(xi(tree.noise_values(PROP_GRID.n_steps)),
+          xi_ref(tree.noise_values(PROP_GRID.n_steps)))
+    for i in range(PROP_GRID.n_steps - 1, -1, -1):
+        n = tree.n_nodes(i)
+        t, noise = float(PROP_GRID.nodes[i]), tree.noise_values(i)
+        for _ in range(2):
+            y, z = rng.standard_normal((n, nb)), rng.standard_normal((n, nb))
+            r = rng.standard_normal((n, MEAS2.n_atoms, nb))
+            close(F(i, t, noise, y, z, r), F_ref(i, t, noise, y, z, r))
 
 
 def scenario_g_coeffs():
@@ -586,10 +687,13 @@ def scenario_g_coeffs():
 
 
 class TestPicardInvariantWork:
-    """The basis memo, branch cache and one-off terminal change no bit."""
+    """Work that no Picard pass changes is done once: each step's
+    coefficient values and shifted basis, the lattice transitions and
+    the terminal projection."""
 
-    def _solve_both(self, monkeypatch, build):
-        """(as built, reference without the memo, eval_basis call count)."""
+    @staticmethod
+    def solve_counting(monkeypatch, build):
+        """(result of ``build()``, point count of each eval_basis call)."""
         calls = []
         original = galerkin.GelfandTriple.eval_basis
 
@@ -600,39 +704,45 @@ class TestPicardInvariantWork:
         with monkeypatch.context() as m:
             m.setattr(galerkin.GelfandTriple, "eval_basis", counting)
             built = build()
-        with monkeypatch.context() as m:
-            m.setattr(galerkin, "_basis_at",
-                      lambda triple, pts, memo, atom: triple.eval_basis(pts))
-            reference = build()
-        return built, reference, calls
+        return built, calls
 
     def test_deterministic_run_matches_reference(self, monkeypatch):
+        self.check_deterministic(monkeypatch, MEAS)
+
+    def test_deterministic_block_per_atom(self, monkeypatch):
+        # Both atoms move x_q by the same g; each keeps its own block.
+        self.check_deterministic(monkeypatch, MEAS2)
+
+    def check_deterministic(self, monkeypatch, meas):
+        co = benchmark_coeffs()
         tr = assemble_triple(6.0, 1, 16)
         grid = TimeGrid.uniform(0.5, 20)
-        built, ref, calls = self._solve_both(
-            monkeypatch,
-            lambda: solve_hjb_weak(benchmark_coeffs(), tr, U2, MEAS, grid))
-        assert_same_solution(built.solution, ref.solution)
-        assert built.clamped == ref.clamped
-        # g is constant: one evaluation at the Q shifted points serves
+        built, calls = self.solve_counting(
+            monkeypatch, lambda: solve_hjb_weak(co, tr, U2, meas, grid))
+        ref, clamped = reference_solve(co, tr, U2, meas, grid)
+        assert_within_gate(built.solution, ref)
+        assert built.clamped == clamped > 0
+        # g is constant: one block of Q shifted points per atom serves
         # every step, control and pass.
-        assert calls == [tr.n_quad]
+        assert calls == [tr.n_quad] * meas.n_atoms
         assert len(built.solution.history) > 2
 
     def test_scenario_run_matches_reference(self, monkeypatch):
+        co = scenario_g_coeffs()
         tr = assemble_triple(4.0, 1, 8)
         grid = TimeGrid.uniform(0.5, 8)
-        built, ref, calls = self._solve_both(
-            monkeypatch,
-            lambda: solve_hjb_weak(
-                scenario_g_coeffs(), tr, U2, MEAS, grid,
+        built, calls = self.solve_counting(
+            monkeypatch, lambda: solve_hjb_weak(
+                co, tr, U2, MEAS, grid,
                 scenario=BinomialJumpTree(grid, MEAS, ("J", "W2"))))
-        assert_same_solution(built.solution, ref.solution)
-        assert built.clamped == ref.clamped > 0
-        # g moves with t, u and W2: every forcing call misses, once per
-        # control and atom.
-        passes = len(built.solution.history)
-        assert len(calls) == passes * grid.n_steps * U2.n_atoms * MEAS.n_atoms
+        ref, clamped = reference_solve(
+            co, tr, U2, MEAS, grid, BinomialJumpTree(grid, MEAS, ("J", "W2")))
+        assert_within_gate(built.solution, ref)
+        assert built.clamped == clamped > 0
+        # g moves with t, u and W2: one evaluation per step, control and
+        # atom on the first pass, however many passes follow.
+        assert len(built.solution.history) > 2
+        assert len(calls) == grid.n_steps * U2.n_atoms * MEAS.n_atoms
 
     def test_branch_cache(self):
         grid = TimeGrid.uniform(1.0, 10)
@@ -714,9 +824,6 @@ class TestPicardInvariantWork:
                     np.zeros(5)):
             with pytest.raises(ValueError):
                 _as_terminal(bad, tr, tree, grid)
-
-
-MEAS2 = MarkMeasure.from_atoms([((1.0,), 0.3), ((-0.5,), 0.8)])
 
 
 def reference_branches(tree, i):

@@ -18,14 +18,20 @@ of the exit code.  Each run prints ``<subcommand>/<problem> exit
 <code>`` and then ``<subcommand>/<problem>/<file> <sha256>`` for every
 file it wrote except ``manifest.json``, whose config echo and library
 versions are not results.  Takes a few seconds.
+
+``--keep DIR`` also copies every hashed file to
+``DIR/<subcommand>__<problem>/<file>``, so that two kept trees can be
+compared number by number with ``tools/output_diffs.py``.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -80,7 +86,8 @@ def _runs():
         yield sub, f"{label}/{tag}", sections
 
 
-def _run(workdir: Path, sub: str, label: str, sections: dict) -> list:
+def _run(workdir: Path, sub: str, label: str, sections: dict,
+         keep: Path | None = None) -> list:
     run_dir = workdir / label.replace("/", "__")
     out = run_dir / "out"
     run_dir.mkdir(parents=True)
@@ -97,10 +104,19 @@ def _run(workdir: Path, sub: str, label: str, sections: dict) -> list:
             if path.name != "manifest.json":
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 lines.append(f"{label}/{path.name} {digest}")
+                if keep is not None:
+                    dest = keep / run_dir.name
+                    dest.mkdir(parents=True, exist_ok=True)
+                    shutil.copyfile(path, dest / path.name)
     return lines
 
 
 if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--keep", type=Path, metavar="DIR",
+                    help="copy every hashed output into DIR")
+    args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         for sub, label, sections in _runs():
-            print("\n".join(_run(Path(tmp), sub, label, sections)), flush=True)
+            print("\n".join(_run(Path(tmp), sub, label, sections, args.keep)),
+                  flush=True)
