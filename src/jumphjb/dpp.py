@@ -10,10 +10,12 @@ scheme, and the cost driver is applied explicitly:
     V_i(x) = min_u { E_u[V_{i+1}] + dt f(t_i, x, u, E_u[V_{i+1}], Z, k) }
 
 with Z the quadrature estimate of the martingale slope and k the
-l-weighted nonlocal increment of V_{i+1}.  Values live on cell centers;
-off-lattice evaluations clamp to the boundary and are counted in the
-report.  Argmin ties break to the lowest control index, so tables are
-bit-reproducible.
+l-weighted nonlocal increment of V_{i+1}.  For a fixed control the
+quadrature is a sparse linear map of the next slice (a Markov-chain
+approximation), assembled once and reused while dt and the coefficients
+at the cell centers stay bitwise the same.  Values live on cell
+centers; off-lattice evaluations clamp to the boundary and are counted
+in the report.  Argmin ties break to the lowest control index.
 
 These routines require deterministic coefficients (no randomness
 channels); the stochastic case is handled by the Galerkin solver.
@@ -22,6 +24,7 @@ channels); the stochastic case is handled by the Galerkin solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,45 +69,77 @@ def gauss_hermite(n_nodes: int, d: int):
     return nodes, weights
 
 
-def interpolate_multilinear(values: np.ndarray, points: np.ndarray, axes,
-                            widths: np.ndarray):
-    """Multilinear interpolation on a regular grid, with clamping.
+def interpolation_stencil(points: np.ndarray, axes, widths: np.ndarray):
+    """Corners and weights of multilinear interpolation on a regular grid.
 
-    ``axes`` holds each axis's coordinates (cell centers or nodes, one
-    value per grid point along it) and ``widths`` their spacings.
-    Points outside [axes[k][0], axes[k][-1]] read the nearest boundary
-    value, which keeps the monotone schemes monotone.  Returns
-    (interpolated (M,), number of clamped coordinates).
+    ``axes`` holds each axis's coordinates (cell centers or nodes) and
+    ``widths`` their spacings.  Points outside [axes[k][0], axes[k][-1]]
+    clamp to the boundary, which keeps the monotone schemes monotone.
+    Returns (flat C-order grid indices (M, 2^n), weights (M, 2^n),
+    number of clamped coordinates); corner c takes the upper neighbour
+    along axis k when bit k of c is set.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    shape = tuple(c.size for c in axes)
-    vals = np.asarray(values, dtype=float).reshape(shape)
-    M, n = points.shape[0], len(axes)
-    idx0 = np.empty((M, n), dtype=int)
-    frac = np.empty((M, n))
-    clamped = 0
+    M = points.shape[0]
+    strides = np.cumprod((1,) + tuple(c.size for c in axes[:0:-1]))[::-1]
+    index, weights, clamped = np.zeros((M, 1), dtype=int), np.ones((M, 1)), 0
     for k, c in enumerate(axes):
         x = points[:, k]
-        out = (x < c[0]) | (x > c[-1])
-        clamped += int(out.sum())
-        if c.size == 1:
-            idx0[:, k] = 0
-            frac[:, k] = 0.0
-            continue
-        pos = (np.clip(x, c[0], c[-1]) - c[0]) / widths[k]
-        i0 = np.clip(np.floor(pos).astype(int), 0, c.size - 2)
-        idx0[:, k] = i0
-        frac[:, k] = np.clip(pos - i0, 0.0, 1.0)
-    out = np.zeros(M)
-    for corner in range(1 << n):
-        weight = np.ones(M)
-        idx = []
-        for k in range(n):
-            hi = (corner >> k) & 1
-            weight = weight * (frac[:, k] if hi else 1.0 - frac[:, k])
-            idx.append(np.minimum(idx0[:, k] + hi, shape[k] - 1))
-        out += weight * vals[tuple(idx)]
+        clamped += int(np.sum((x < c[0]) | (x > c[-1])))
+        i0, frac = np.zeros(M, dtype=int), np.zeros(M)
+        if c.size > 1:
+            pos = (np.clip(x, c[0], c[-1]) - c[0]) / widths[k]
+            i0 = np.clip(np.floor(pos).astype(int), 0, c.size - 2)
+            frac = np.clip(pos - i0, 0.0, 1.0)
+        hi = np.minimum(i0 + 1, c.size - 1)
+        index = np.concatenate([index + (i0 * strides[k])[:, None],
+                                index + (hi * strides[k])[:, None]], axis=1)
+        weights = np.concatenate([weights * (1.0 - frac)[:, None],
+                                  weights * frac[:, None]], axis=1)
+    return index, weights, clamped
+
+
+def interpolate_multilinear(values: np.ndarray, points: np.ndarray, axes,
+                            widths: np.ndarray):
+    """Multilinear interpolation with clamping, a gather over
+    :func:`interpolation_stencil`: (values (M,), clamped coordinates)."""
+    index, weights, clamped = interpolation_stencil(points, axes, widths)
+    shape = tuple(c.size for c in axes)
+    flat = np.asarray(values, dtype=float).reshape(shape).ravel()
+    out = np.zeros(index.shape[0])
+    for corner in range(index.shape[1]):
+        out += weights[:, corner] * flat[index[:, corner]]
     return out, clamped
+
+
+class TransitionOperator(NamedTuple):
+    """W linear maps on one sparsity pattern, in CSR form: row r of map w
+    pairs ``data[w, row_starts[r]:row_starts[r + 1]]`` with the entries
+    of the applied vector at the same slice of ``indices``."""
+
+    indices: np.ndarray
+    data: np.ndarray
+    row_starts: np.ndarray
+
+    @classmethod
+    def from_entries(cls, rows, cols, weights, n_rows: int, n_cols: int):
+        """Sum duplicate (row, column) entries.  ``weights`` yields one
+        weight array per map, read one at a time so that one is held;
+        every row must hold an entry."""
+        key = np.asarray(rows) * n_cols + np.asarray(cols)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        data = np.stack([np.add.reduceat(np.asarray(w)[order], starts)
+                         for w in weights])
+        key = key[starts]
+        return cls(key % n_cols, data,
+                   np.searchsorted(key, np.arange(n_rows) * n_cols))
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """(W, n_rows): every map applied to the flat vector ``v``."""
+        return np.add.reduceat(self.data * v[self.indices], self.row_starts,
+                               axis=-1)
 
 
 def nearest_index(points: np.ndarray, axes, widths: np.ndarray) -> tuple:
@@ -149,8 +184,7 @@ class Lattice:
         return (self.upper - self.lower) / np.array(self.shape)
 
     def axis_centers(self, k: int) -> np.ndarray:
-        w = self.widths[k]
-        return self.lower[k] + w * (np.arange(self.shape[k]) + 0.5)
+        return self.lower[k] + self.widths[k] * (np.arange(self.shape[k]) + 0.5)
 
     def axes(self) -> list:
         return [self.axis_centers(k) for k in range(self.n)]
@@ -164,12 +198,7 @@ class Lattice:
         return Lattice(self.lower, self.upper, tuple(s * factor for s in self.shape))
 
     def interpolate(self, values: np.ndarray, points: np.ndarray):
-        """Multilinear interpolation at ``points`` (M, n) with clamping.
-
-        Returns (interpolated (M,), number of clamped coordinates).
-        Clamping keeps the scheme monotone: off-lattice points read the
-        nearest boundary value.
-        """
+        """:func:`interpolate_multilinear` at ``points`` (M, n)."""
         return interpolate_multilinear(values, points, self.axes(), self.widths)
 
 
@@ -202,10 +231,8 @@ class ValueTable:
                 flat = self.values[i].ravel()
                 am = self.argmin[i].ravel() if i < self.argmin.shape[0] else None
                 for c in range(centers.shape[0]):
-                    w.writerow([repr(float(t))]
-                               + [repr(float(v)) for v in centers[c]]
-                               + [repr(float(flat[c])),
-                                  int(am[c]) if am is not None else -1])
+                    w.writerow([repr(float(v)) for v in (t, *centers[c], flat[c])]
+                               + [int(am[c]) if am is not None else -1])
 
 
 class FeedbackPolicy(Control):
@@ -250,6 +277,51 @@ def _require_deterministic(coeffs: CoefficientSet, who: str):
             f"(randomness channels {coeffs.randomness_channels!r} declared)")
 
 
+class OperatorBuild(NamedTuple):
+    """A control's cached operator, the key it was built for, the clamped
+    coordinates of its interpolation points and its monotone step bound."""
+
+    key: tuple
+    op: TransitionOperator
+    clamped: int
+    bound: float = np.inf
+
+
+def _step_operator(lattice: Lattice, key: tuple, b_tilde, sig, gs, dt: float,
+                   zeta: np.ndarray, gh_w: np.ndarray,
+                   measure: MarkMeasure) -> OperatorBuild:
+    """The one-step quadrature of one control as 1 + d maps.
+
+    The continuation points are X + b~ dt + sqrt(dt) sigma zeta_q; each
+    branch reads one with probability 1 - lambda dt and its shift by
+    g_j with w_j dt.  Rows 0..C-1 of map 0 give E_u[V] (the branches
+    summed with Gauss-Hermite weights w_q), of map 1 + k the slope
+    channel Z_k (weights w_q zeta_qk / sqrt(dt)).  Rows (1 + j) C + c of
+    map 0 give V(x_c + g_j), which the other maps read as 0.
+    """
+    X = lattice.centers()
+    C, n = X.shape
+    sqdt = np.sqrt(dt)
+    cont = X + b_tilde * dt + sqdt * np.moveaxis(sig @ zeta.T, -1, 0)
+    jumps = np.stack([np.zeros_like(X)] + list(gs))
+    points = np.concatenate([(cont[:, None] + jumps).reshape(-1, n),
+                             (X + jumps[1:]).reshape(-1, n)])
+    index, weights, clamped = interpolation_stencil(
+        points, lattice.axes(), lattice.widths)
+    n_cont, K = cont.shape[0] * jumps.shape[0], index.shape[1]
+    rows = np.concatenate([np.tile(np.arange(C), n_cont),
+                           np.arange(C, C * jumps.shape[0])])
+    branch = np.concatenate([[1.0 - measure.total_mass * dt],
+                             np.asarray(measure.weights) * dt])
+    coef = np.concatenate([gh_w[None], (gh_w / sqdt) * zeta.T])[:, :, None] * branch
+    cont_w, shift_w = weights[:n_cont * C].reshape(n_cont, -1), weights[n_cont * C:]
+    op = TransitionOperator.from_entries(
+        np.repeat(rows, K), index.ravel(),
+        (np.concatenate([(c.reshape(-1, 1) * cont_w).ravel(), shift_w.ravel() * (r == 0)])
+         for r, c in enumerate(coef)), C * jumps.shape[0], C)
+    return OperatorBuild(key, op, clamped)
+
+
 def compute_value_table(coeffs: CoefficientSet, control_set: ControlSet,
                         lattice: Lattice, grid: TimeGrid, measure: MarkMeasure,
                         gh_nodes: int = 5) -> ValueTable:
@@ -257,7 +329,10 @@ def compute_value_table(coeffs: CoefficientSet, control_set: ControlSet,
 
     The terminal slice is h on the cell centers exactly; each interior
     entry is the minimum over U_h of the one-step quadrature functional,
-    with the argmin recorded (lowest index on ties).
+    with the argmin recorded (lowest index on ties).  A step evaluates
+    b~, sigma and g at the cell centers for every control and reuses
+    that control's operator while dt and those values are bitwise the
+    ones it was built for; l(t, e) stays outside the operator.
     """
     _require_deterministic(coeffs, "compute_value_table")
     n, d = coeffs.n, coeffs.d
@@ -270,79 +345,38 @@ def compute_value_table(coeffs: CoefficientSet, control_set: ControlSet,
             f"jump intensity {lam} times dt {max_dt} exceeds 1; refine the grid")
 
     X = lattice.centers()
-    C = X.shape[0]
+    C, N = X.shape[0], grid.n_steps
     zeta, gh_w = gauss_hermite(gh_nodes, d)
-    n_gh, n_jumps = zeta.shape[0], measure.n_atoms
-    N = grid.n_steps
     values = np.empty((N + 1,) + lattice.shape)
     argmin = np.empty((N,) + lattice.shape, dtype=int)
 
     values[N] = np.asarray(coeffs.h(X, None), dtype=float).reshape(lattice.shape)
 
     clamped = 0
-    l_cache = {}
+    builds = [None] * control_set.n_atoms
+    totals = np.empty((control_set.n_atoms, C))
+    controls = [broadcast_control(u, C) for u in control_set.atoms]
     for i in range(N - 1, -1, -1):
         t = float(grid.nodes[i])
         dt = float(grid.dt[i])
-        v_next = values[i + 1]
-        if i not in l_cache:
-            l_cache[i] = np.array(
-                [float(coeffs.l(t, mark)) for mark in measure.marks])
-        l_vals = l_cache[i]
-        best = None
-        best_idx = None
-        for iu, u in enumerate(control_set.atoms):
+        v_next = values[i + 1].ravel()
+        jump_w = np.asarray(measure.weights) * [
+            float(coeffs.l(t, mark)) for mark in measure.marks]
+        for iu, u in enumerate(controls):
             b_tilde, gs = compensated_drift(coeffs, measure, t, X, u, None)
             sig = batch_eval(coeffs.sigma, t, X, u, None, (n, d))
-            base = X + b_tilde * dt
-            sqdt = np.sqrt(dt)
-
-            # One interpolation for all query points of this control: each
-            # continuation point and its jump shifts, then the jump shifts
-            # of the cell centers, C rows each.
-            points = []
-            for q in range(n_gh):
-                x_cont = base + sqdt * (sig @ zeta[q])
-                points.append(x_cont)
-                points.extend(x_cont + gj for gj in gs)
-            points.extend(X + gj for gj in gs)
-            v_all, cl = lattice.interpolate(v_next, np.concatenate(points))
-            clamped += cl
-            v_all = v_all.reshape(len(points), C)
-            v_gh = v_all[:n_gh * (1 + n_jumps)].reshape(n_gh, 1 + n_jumps, C)
-            v_shifts = v_all[n_gh * (1 + n_jumps):]
-
-            e_val = np.zeros(C)
-            z_val = np.zeros((C, d))
-            for q in range(n_gh):
-                v_cont = v_gh[q, 0]
-                branch = (1.0 - lam * dt) * v_cont
-                zq = v_cont * (1.0 - lam * dt)
-                for j in range(n_jumps):
-                    v_jump = v_gh[q, 1 + j]
-                    branch = branch + measure.weights[j] * dt * v_jump
-                    zq = zq + measure.weights[j] * dt * v_jump
-                e_val += gh_w[q] * branch
-                z_val += (gh_w[q] / sqdt) * zq[:, None] * zeta[q][None, :]
-
-            k_val = np.zeros(C)
-            v_here = v_next.ravel()
-            for j in range(n_jumps):
-                k_val += measure.weights[j] * l_vals[j] * (v_shifts[j] - v_here)
-
-            f_val = np.asarray(
-                coeffs.f(t, X, broadcast_control(u, C), e_val, z_val, k_val, None),
-                dtype=float,
-            ).reshape(C)
-            total = e_val + dt * f_val
-            if best is None:
-                best = total
-                best_idx = np.zeros(C, dtype=int)
-            else:
-                better = total < best
-                best = np.where(better, total, best)
-                best_idx = np.where(better, iu, best_idx)
-        values[i] = best.reshape(lattice.shape)
+            key = (dt, b_tilde.tobytes(), sig.tobytes(), *(g.tobytes() for g in gs))
+            if builds[iu] is None or builds[iu].key != key:
+                builds[iu] = _step_operator(lattice, key, b_tilde, sig, gs, dt,
+                                            zeta, gh_w, measure)
+            clamped += builds[iu].clamped
+            out = builds[iu].op.apply(v_next)
+            e_val, z_val = out[0, :C], out[1:, :C].T
+            k_val = jump_w @ (out[0, C:].reshape(-1, C) - v_next)
+            f_val = coeffs.f(t, X, u, e_val, z_val, k_val, None)
+            totals[iu] = e_val + dt * np.asarray(f_val, dtype=float).reshape(C)
+        best_idx = totals.argmin(axis=0)
+        values[i] = totals[best_idx, np.arange(C)].reshape(lattice.shape)
         argmin[i] = best_idx.reshape(lattice.shape)
         if not np.all(np.isfinite(values[i])):
             raise NumericError(f"value table became non-finite at node {i}")

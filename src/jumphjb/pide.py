@@ -9,12 +9,11 @@ to a deterministic nonlinear second-order PIDE,
 
 where I V(t,e,x,u) = V(t, x + g(t,e,x,u)) - V(t,x) is the nonlocal jump
 operator and k(V) = int_E I V l(t,e) nu(de) feeds the driver's jump
-slot.  The solver below steps this explicitly: upwind first-order
-differences on the compensated drift b - int g nu(de) (which keeps the
-stencil monotone), central second differences, and linear interpolation
-for the shifted evaluations x + g with clamping outside the grid.  A
-monotone-scheme stability bound is checked at assembly and violations
-are refused with a suggested step.
+slot.  The solver steps this explicitly with one sparse generator per
+control (upwind differences on the compensated drift b - int g nu(de),
+central second differences, clamped linear interpolation at x + g),
+built once and reused while the coefficients at the nodes stay
+bitwise the same.  Every build checks the monotone step bound.
 
 The Hamiltonian follows
 
@@ -46,7 +45,14 @@ from .coefficients import (
     eval_g,
     eval_sigma,
 )
-from .dpp import FeedbackPolicy, interpolate_multilinear
+from .dpp import (
+    FeedbackPolicy,
+    OperatorBuild,
+    TransitionOperator,
+    _require_deterministic,
+    interpolate_multilinear,
+    interpolation_stencil,
+)
 from .drivers import MarkMeasure, TimeGrid
 from .errors import CflViolationError, ConfigError, NumericError
 from .forward import ConstantControl, OpenLoopControl
@@ -109,10 +115,7 @@ class SpatialGrid:
                            tuple((s - 1) * factor + 1 for s in self.shape))
 
     def interpolate(self, values: np.ndarray, points: np.ndarray):
-        """Multilinear interpolation with clamped extrapolation.
-
-        Returns (values (M,), clamped coordinate count).
-        """
+        """:func:`~jumphjb.dpp.interpolate_multilinear` at ``points`` (M, n)."""
         return interpolate_multilinear(values, points, self.axes(), self.widths)
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
@@ -121,10 +124,8 @@ class SpatialGrid:
         Returns shape (*shape, n).
         """
         vals = np.asarray(values, dtype=float).reshape(self.shape)
-        out = np.empty(self.shape + (self.n,))
-        for k in range(self.n):
-            out[..., k] = np.gradient(vals, self.widths[k], axis=k)
-        return out
+        return np.stack([np.gradient(vals, self.widths[k], axis=k)
+                         for k in range(self.n)], axis=-1)
 
 
 @dataclass
@@ -173,43 +174,30 @@ class RandomFieldTriplet:
                        + ["V"] + [f"Phi_{c+1}" for c in range(n_phi)]
                        + [f"Psi_{j+1}" for j in range(n_atoms)])
             for i, t in enumerate(self.time_nodes):
-                v = self.V[i].ravel()
-                phis = [self.Phi[i, c].ravel() for c in range(n_phi)]
-                psis = [self.Psi[i, j].ravel() for j in range(n_atoms)]
+                fields = np.concatenate([self.V[i].reshape(1, -1),
+                                         self.Phi[i].reshape(n_phi, len(nodes)),
+                                         self.Psi[i].reshape(n_atoms, len(nodes))])
                 for r in range(nodes.shape[0]):
-                    w.writerow([repr(float(t))]
-                               + [repr(float(c)) for c in nodes[r]]
-                               + [repr(float(v[r]))]
-                               + [repr(float(p[r])) for p in phis]
-                               + [repr(float(p[r])) for p in psis])
+                    w.writerow([repr(float(v)) for v in (t, *nodes[r], *fields[:, r])])
 
     @classmethod
     def from_csv(cls, path, space: SpatialGrid) -> "RandomFieldTriplet":
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        header, body = rows[0], rows[1:]
-        n = space.n
+            header, *body = list(csv.reader(fh))
         n_phi = sum(1 for c in header if c.startswith("Phi_"))
         n_atoms = sum(1 for c in header if c.startswith("Psi_"))
-        times = sorted({float(r[0]) for r in body})
-        n_pts = int(np.prod(space.shape))
-        t_index = {t: i for i, t in enumerate(times)}
-        V = np.zeros((len(times),) + space.shape)
-        Phi = np.zeros((len(times), max(n_phi, 1)) + space.shape)
-        Psi = np.zeros((len(times), n_atoms) + space.shape)
-        counts = np.zeros(len(times), dtype=int)
-        for r in body:
-            i = t_index[float(r[0])]
-            flat = counts[i]
-            counts[i] += 1
-            V[i].ravel()[flat] = float(r[1 + n])
-            for c in range(n_phi):
-                Phi[i, c].ravel()[flat] = float(r[2 + n + c])
-            for j in range(n_atoms):
-                Psi[i, j].ravel()[flat] = float(r[2 + n + n_phi + j])
-        if np.any(counts != n_pts):
+        body = np.array(body, dtype=float).reshape(len(body), len(header))
+        times, slot = np.unique(body[:, 0], return_inverse=True)
+        n_pts, nt = int(np.prod(space.shape)), times.size
+        if np.any(np.bincount(slot, minlength=nt) != n_pts):
             raise ValueError("CSV rows do not fill the spatial grid")
-        return cls(space, np.array(times), V, Phi, Psi)
+        # (time, column, point), rows of one time in file order.
+        cols = body[np.argsort(slot, kind="stable"), 1 + space.n:]
+        cols = np.moveaxis(cols.reshape(nt, n_pts, -1), -1, 1)
+        Phi = cols[:, 1:1 + n_phi] if n_phi else np.zeros((nt, 1, n_pts))
+        return cls(space, times, cols[:, 0].reshape((nt,) + space.shape),
+                   Phi.reshape((nt, -1) + space.shape),
+                   cols[:, 1 + n_phi:].reshape((nt, n_atoms) + space.shape))
 
 
 def hamiltonian(coeffs: CoefficientSet, t, x, u, p, dphi, hess, k_agg,
@@ -276,9 +264,7 @@ def nonlocal_apply(space: SpatialGrid, v_slice: np.ndarray,
         dv = np.atleast_1d(np.asarray(dv, dtype=float))
     per_atom = np.zeros(measure.n_atoms)
     integral = compensated = weighted = 0.0
-    for j in range(measure.n_atoms):
-        mark = measure.marks[j]
-        w = measure.weights[j]
+    for j, (mark, w) in enumerate(zip(measure.marks, measure.weights)):
         g = eval_g(coeffs, t, mark, x, u, noise)
         v_shift, cl = space.interpolate(v_slice, (x + g)[None, :])
         clamped += cl
@@ -313,25 +299,80 @@ class PideSolution:
         return self.triplet.value_at(t_node, x)
 
 
-def _stability_bound(coeffs, control_set, space, measure, times) -> float:
-    """Largest dt for which the explicit stencil stays monotone."""
-    X = space.nodes()
-    h = space.widths
-    worst = measure.total_mass
-    for t in times:
-        for u in control_set.atoms:
-            b, _ = compensated_drift(coeffs, measure, t, X, u, None)
-            sig = batch_eval(coeffs.sigma, t, X, u, None, (coeffs.n, coeffs.d))
-            a = np.einsum("cij,ckj->cik", sig, sig)
-            denom = measure.total_mass * np.ones(X.shape[0])
-            for k in range(coeffs.n):
-                denom += a[:, k, k] / h[k] ** 2 + np.abs(b[:, k]) / h[k]
-                for k2 in range(coeffs.n):
-                    if k2 != k:
-                        denom += np.abs(a[:, k, k2]) / (2.0 * h[k] * h[k2])
-            worst = max(worst, float(denom.max()))
+def _stability_bound(b_tilde: np.ndarray, sig: np.ndarray, h: np.ndarray,
+                     lam: float) -> float:
+    """Largest dt for which the explicit step stays monotone, given the
+    compensated drift (C, n) and sigma (C, n, d) at the nodes: dt times
+    lambda + sum_k (|b_k| / h_k + a_kk / h_k^2) + sum_{k != k2} |a_kk2|
+    / (2 h_k h_k2) is at most 1 at every node, with a = sigma sigma^T."""
+    a = np.abs(np.einsum("cij,ckj->cik", sig, sig)) / np.outer(h, h)
+    diag = np.einsum("ckk->c", a)
+    worst = float(np.max(lam + np.abs(b_tilde) @ (1.0 / h)
+                         + 0.5 * (diag + a.sum(axis=(1, 2)))))
     # With no drift, diffusion or jumps every step is monotone.
     return 1.0 / worst if worst > 0 else np.inf
+
+
+def _node_operator(space: SpatialGrid, key: tuple, b_tilde, sig, gs,
+                   measure: MarkMeasure) -> OperatorBuild:
+    """One control's maps on the node grid, 1 + n_atoms + n blocks of rows.
+
+    Block 0 is the generator L_u: upwind transport on b~ with the
+    linear-ghost edges (the adjacent one-sided difference), 1/2 a D^2 at
+    interior nodes and sum_j w_j (S_j - I).  Block 1 + j is the shift
+    S_j V = V(x + g_j), block 1 + n_atoms + k the centered gradient
+    along axis k, one-sided at the edges.
+    """
+    X = space.nodes()
+    C, n = X.shape
+    h = space.widths
+    a = np.einsum("cij,ckj->cik", sig, sig)
+    pos = np.indices(space.shape).reshape(n, C)
+    strides = np.cumprod((1,) + space.shape[:0:-1])[::-1]
+    node = np.arange(C)
+    rows, cols, vals = [], [], []
+
+    def add(block, col, val):
+        rows.append(block * C + node)
+        cols.append(col)
+        vals.append(val)
+
+    grad = []
+    for k in range(n):
+        first, last, st = pos[k] == 0, pos[k] == space.shape[k] - 1, strides[k]
+        lo = np.where(b_tilde[:, k] >= 0.0, node - st * last, node - st * ~first)
+        add(0, lo + st, b_tilde[:, k] / h[k])
+        add(0, lo, -b_tilde[:, k] / h[k])
+        inner = ~(first | last)
+        half = 0.5 * a[:, k, k] / h[k] ** 2 * inner
+        for off, weight in ((-1, half), (0, -2.0 * half), (1, half)):
+            add(0, node + off * st * inner, weight)
+        grad.append((node - st * ~first, node + st * ~last,
+                     1.0 / (h[k] * (2.0 - first - last))))
+    if n == 2:
+        # a_01 D_0 D_1, the composition of the centered gradients.
+        (l0, h0, q0), (l1, h1, q1) = grad
+        q = a[:, 0, 1] * q0 * q1
+        for c0, s0 in ((h0, q), (l0, -q)):
+            add(0, c0 + h1 - node, s0)
+            add(0, c0 + l1 - node, -s0)
+    index, weights, clamped = interpolation_stencil(
+        (X + np.stack(gs)).reshape(-1, n) if gs else np.empty((0, n)),
+        space.axes(), h)
+    for j, w in enumerate(measure.weights):
+        add(0, node, np.full(C, -w))
+        for corner in range(index.shape[1]):
+            col, wc = index[j * C:(j + 1) * C, corner], weights[j * C:(j + 1) * C, corner]
+            add(0, col, w * wc)
+            add(1 + j, col, wc)
+    for k, (lo, hi, q) in enumerate(grad):
+        add(1 + len(gs) + k, hi, q)
+        add(1 + len(gs) + k, lo, -q)
+    op = TransitionOperator.from_entries(
+        np.concatenate(rows), np.concatenate(cols), [np.concatenate(vals)],
+        (1 + len(gs) + n) * C, C)
+    return OperatorBuild(key, op, clamped,
+                         _stability_bound(b_tilde, sig, h, measure.total_mass))
 
 
 def solve_pide_deterministic(coeffs: CoefficientSet, space: SpatialGrid,
@@ -339,120 +380,57 @@ def solve_pide_deterministic(coeffs: CoefficientSet, space: SpatialGrid,
                              measure: MarkMeasure) -> PideSolution:
     """Explicit monotone scheme for the degenerate HJB integro-PDE.
 
-    Refuses to run when the time step violates the monotonicity bound
-    (the raised error carries the suggested step).
+    A step evaluates b~, sigma and g at the nodes for every control and
+    reuses that control's operators while those values are bitwise the
+    ones they were built for.  Every build checks the monotone step
+    bound; a step above it is refused, and the raised error suggests the
+    smallest bound over all steps and controls.
     """
-    if coeffs.is_random:
-        raise ConfigError("solve_pide_deterministic needs deterministic coefficients")
+    _require_deterministic(coeffs, "solve_pide_deterministic")
     if space.n != coeffs.n:
         raise ConfigError("spatial grid dimension must match the state dimension")
     if space.n > 2:
         raise ConfigError("the PIDE solver is desk scale: n <= 2 only")
 
-    probe_times = [float(time_grid.nodes[0]),
-                   float(time_grid.nodes[time_grid.n_steps // 2]),
-                   float(time_grid.nodes[-1])]
-    dt_max = _stability_bound(coeffs, control_set, space, measure, probe_times)
-    dt_used = float(np.max(time_grid.dt))
-    if dt_used > dt_max * (1.0 + 1e-12):
-        raise CflViolationError(dt_used, dt_max)
-
     X = space.nodes()
-    C = X.shape[0]
-    n, d = coeffs.n, coeffs.d
-    h = space.widths
-    N = time_grid.n_steps
-    lam = measure.total_mass
+    (C, n), d, N, n_atoms = X.shape, coeffs.d, time_grid.n_steps, measure.n_atoms
+
+    def coefficients(t, u):
+        b_tilde, gs = compensated_drift(coeffs, measure, t, X, u, None)
+        return b_tilde, batch_eval(coeffs.sigma, t, X, u, None, (n, d)), gs
 
     V = np.empty((N + 1,) + space.shape)
     argmin = np.empty((N,) + space.shape, dtype=int)
     V[N] = np.asarray(coeffs.h(X, None), dtype=float).reshape(space.shape)
 
     clamped = 0
+    builds = [None] * control_set.n_atoms
+    totals = np.empty((control_set.n_atoms, C))
+    controls = [broadcast_control(u, C) for u in control_set.atoms]
     for i in range(N - 1, -1, -1):
         t = float(time_grid.nodes[i])
         dt = float(time_grid.dt[i])
-        v_next = V[i + 1]
-        flat_next = v_next.ravel()
-        l_vals = np.array([float(coeffs.l(t, mark)) for mark in measure.marks])
-
-        # One-sided and centered differences per axis, shaped (*space,).
-        # The last forward and first backward entries fall back to the
-        # adjacent one-sided difference (linear-ghost boundary).
-        fwd, bwd, ctr, second = [], [], [], []
-        for k in range(n):
-            diff = np.diff(v_next, axis=k) / h[k]
-            sel_first = [slice(None)] * n
-            sel_first[k] = slice(0, 1)
-            sel_last = [slice(None)] * n
-            sel_last[k] = slice(-1, None)
-            vf = np.concatenate([diff, diff[tuple(sel_last)]], axis=k)
-            vb = np.concatenate([diff[tuple(sel_first)], diff], axis=k)
-            fwd.append(vf)
-            bwd.append(vb)
-            ctr.append(0.5 * (vf + vb))
-            d2 = np.zeros(space.shape)
-            sl_all = [slice(None)] * n
-            interior = list(sl_all)
-            interior[k] = slice(1, -1)
-            lo = list(sl_all)
-            lo[k] = slice(0, -2)
-            hi2 = list(sl_all)
-            hi2[k] = slice(2, None)
-            mid = list(sl_all)
-            mid[k] = slice(1, -1)
-            d2[tuple(interior)] = (
-                v_next[tuple(hi2)] - 2.0 * v_next[tuple(mid)] + v_next[tuple(lo)]
-            ) / h[k] ** 2
-            second.append(d2)
-
-        cross = None
-        if n == 2:
-            g01 = np.gradient(np.gradient(v_next, h[0], axis=0), h[1], axis=1)
-            cross = g01
-
-        best = None
-        best_idx = None
-        for iu, u in enumerate(control_set.atoms):
-            b_tilde, gs = compensated_drift(coeffs, measure, t, X, u, None)
-            sig = batch_eval(coeffs.sigma, t, X, u, None, (n, d))
-            a = np.einsum("cij,ckj->cik", sig, sig)
-
-            conv = np.zeros(C)
-            dv_c = np.empty((C, n))
-            diffu = np.zeros(C)
-            for k in range(n):
-                bk = b_tilde[:, k]
-                conv += np.where(bk >= 0.0, bk * fwd[k].ravel(), bk * bwd[k].ravel())
-                dv_c[:, k] = ctr[k].ravel()
-                diffu += 0.5 * a[:, k, k] * second[k].ravel()
-            if n == 2 and cross is not None:
-                diffu += a[:, 0, 1] * cross.ravel()
-
-            nonloc = np.zeros(C)
-            k_agg = np.zeros(C)
-            for j, gj in enumerate(gs):
-                v_shift, cl = space.interpolate(v_next, X + gj)
-                clamped += cl
-                inc = v_shift - flat_next
-                nonloc += measure.weights[j] * inc
-                k_agg += measure.weights[j] * l_vals[j] * inc
-
-            z_slot = np.einsum("cij,ci->cj", sig, dv_c)
-            f_val = np.asarray(coeffs.f(
-                t, X, broadcast_control(u, C), flat_next, z_slot, k_agg, None),
-                dtype=float).reshape(C)
-
-            total = f_val + conv + diffu + nonloc
-            if best is None:
-                best = total
-                best_idx = np.zeros(C, dtype=int)
-            else:
-                better = total < best
-                best = np.where(better, total, best)
-                best_idx = np.where(better, iu, best_idx)
-
-        V[i] = v_next + dt * best.reshape(space.shape)
+        v_next = V[i + 1].ravel()
+        jump_w = np.asarray(measure.weights) * [
+            float(coeffs.l(t, mark)) for mark in measure.marks]
+        for iu, u in enumerate(controls):
+            b_tilde, sig, gs = coefficients(t, u)
+            key = (b_tilde.tobytes(), sig.tobytes(), *(g.tobytes() for g in gs))
+            if builds[iu] is None or builds[iu].key != key:
+                builds[iu] = _node_operator(space, key, b_tilde, sig, gs, measure)
+            if dt > builds[iu].bound * (1.0 + 1e-12):
+                raise CflViolationError(dt, min(
+                    _stability_bound(*coefficients(float(s), w)[:2], space.widths,
+                                     measure.total_mass)
+                    for s in time_grid.nodes[:-1] for w in control_set.atoms))
+            clamped += builds[iu].clamped
+            out = builds[iu].op.apply(v_next).reshape(1 + n_atoms + n, C)
+            k_agg = jump_w @ (out[1:1 + n_atoms] - v_next)
+            z_slot = np.einsum("cij,ic->cj", sig, out[1 + n_atoms:])
+            f_val = coeffs.f(t, X, u, v_next, z_slot, k_agg, None)
+            totals[iu] = np.asarray(f_val, dtype=float).reshape(C) + out[0]
+        best_idx = totals.argmin(axis=0)
+        V[i] = V[i + 1] + dt * totals[best_idx, np.arange(C)].reshape(space.shape)
         argmin[i] = best_idx.reshape(space.shape)
         if not np.all(np.isfinite(V[i])):
             raise NumericError(f"PIDE field became non-finite at time node {i}")
@@ -477,7 +455,8 @@ def _delta_field(triplet: RandomFieldTriplet, coeffs: CoefficientSet,
     n, d = coeffs.n, coeffs.d
     v_slice = triplet.V[slice_idx]
     flat_v = v_slice.ravel()
-    grad_v = space.gradient(v_slice).reshape(C, n)
+    grads = space.gradient(v_slice)
+    grad_v = grads.reshape(C, n)
     n_phi = triplet.Phi.shape[1]
     phi_flat = triplet.Phi[slice_idx].reshape(n_phi, C)
     grad_phi = np.stack([
@@ -488,15 +467,11 @@ def _delta_field(triplet: RandomFieldTriplet, coeffs: CoefficientSet,
     l_vals = np.array([float(coeffs.l(t, mark)) for mark in measure.marks])
 
     # Hessian by differentiating the gradient once more, symmetrized.
-    hess = np.zeros((C, n, n))
-    grads = space.gradient(v_slice)
-    for k in range(n):
-        gk = space.gradient(grads[..., k])
-        hess[:, k, :] = gk.reshape(C, n)
+    hess = np.stack([space.gradient(grads[..., k]).reshape(C, n)
+                     for k in range(n)], axis=1)
     hess = 0.5 * (hess + np.transpose(hess, (0, 2, 1)))
 
-    best = None
-    best_idx = None
+    totals = np.empty((control_set.n_atoms, C))
     for iu, u in enumerate(control_set.atoms):
         b = batch_eval(coeffs.b, t, X, u, None, (n,))
         sig = batch_eval(coeffs.sigma, t, X, u, None, (n, d))
@@ -530,15 +505,10 @@ def _delta_field(triplet: RandomFieldTriplet, coeffs: CoefficientSet,
             dtype=float).reshape(C)
         trace_term = 0.5 * np.einsum("cik,cik->c",
                                      hess, np.einsum("cij,ckj->cik", sig, sig))
-        total = (f_val + np.sum(b * grad_v, axis=1) + q_sigma + trace_term
-                 + nonloc_comp + nonloc_psi)
-        if best is None:
-            best = total
-            best_idx = np.zeros(C, dtype=int)
-        else:
-            better = total < best
-            best = np.where(better, total, best)
-            best_idx = np.where(better, iu, best_idx)
+        totals[iu] = (f_val + np.sum(b * grad_v, axis=1) + q_sigma + trace_term
+                      + nonloc_comp + nonloc_psi)
+    best_idx = totals.argmin(axis=0)
+    best = totals[best_idx, np.arange(C)]
     if not np.all(np.isfinite(best)):
         bad = int(np.argmax(~np.isfinite(best)))
         raise NumericError(

@@ -2,8 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jumphjb.coefficients import ControlSet
+from jumphjb.coefficients import (
+    ControlSet,
+    batch_eval,
+    broadcast_control,
+    compensated_drift,
+)
 from jumphjb.dpp import (
     FeedbackPolicy,
     Lattice,
@@ -16,6 +23,7 @@ from jumphjb.drivers import MarkMeasure, TimeGrid, draw_noise
 from jumphjb.errors import ConfigError
 from jumphjb.bsde import price, solve_bsde
 from jumphjb.forward import ConstantControl, simulate_batch
+from jumphjb.problems import build_problem
 
 from conftest import make_coeffs
 
@@ -386,3 +394,153 @@ class TestCostEvaluation:
             assert j == pytest.approx(expect, abs=1e-7)
             best = min(best, j)
         assert best == pytest.approx((0.4 - 0.5) ** 2 + 0.25, abs=1e-7)
+
+
+def reference_value_table(coeffs, control_set, lattice, grid, measure, gh_nodes=5):
+    """The one-step quadrature evaluated point by point on every step.
+
+    Every step and control interpolates each Gauss-Hermite continuation
+    point, its jump shifts and the shifted cell centers afresh, sums
+    the branches in loops and counts the clamped coordinates.  Returns
+    (values, argmin, clamped, margin), where margin is the gap between
+    the two best totals of each cell (inf with one control).
+    """
+    n, d = coeffs.n, coeffs.d
+    X = lattice.centers()
+    C = X.shape[0]
+    zeta, gh_w = gauss_hermite(gh_nodes, d)
+    lam = measure.total_mass
+    N = grid.n_steps
+    values = np.empty((N + 1, C))
+    argmin = np.empty((N, C), dtype=int)
+    margin = np.empty((N, C))
+    values[N] = coeffs.h(X, None)
+    clamped = 0
+    for i in range(N - 1, -1, -1):
+        t, dt = float(grid.nodes[i]), float(grid.dt[i])
+        v_next = values[i + 1].reshape(lattice.shape)
+        l_vals = [float(coeffs.l(t, mark)) for mark in measure.marks]
+        totals = []
+        for u in control_set.atoms:
+            b_tilde, gs = compensated_drift(coeffs, measure, t, X, u, None)
+            sig = batch_eval(coeffs.sigma, t, X, u, None, (n, d))
+            e_val = np.zeros(C)
+            z_val = np.zeros((C, d))
+            for q in range(zeta.shape[0]):
+                x_cont = X + b_tilde * dt + np.sqrt(dt) * (sig @ zeta[q])
+                v_cont, cl = lattice.interpolate(v_next, x_cont)
+                clamped += cl
+                branch = (1.0 - lam * dt) * v_cont
+                for j, gj in enumerate(gs):
+                    v_jump, cl = lattice.interpolate(v_next, x_cont + gj)
+                    clamped += cl
+                    branch = branch + measure.weights[j] * dt * v_jump
+                e_val += gh_w[q] * branch
+                z_val += (gh_w[q] / np.sqrt(dt)) * branch[:, None] * zeta[q][None, :]
+            k_val = np.zeros(C)
+            for j, gj in enumerate(gs):
+                v_shift, cl = lattice.interpolate(v_next, X + gj)
+                clamped += cl
+                k_val += measure.weights[j] * l_vals[j] * (v_shift - v_next.ravel())
+            f_val = coeffs.f(t, X, broadcast_control(u, C), e_val, z_val, k_val, None)
+            totals.append(e_val + dt * np.asarray(f_val, dtype=float).reshape(C))
+        totals = np.array(totals)
+        argmin[i] = totals.argmin(axis=0)
+        values[i] = totals.min(axis=0)
+        ordered = np.sort(totals, axis=0)
+        margin[i] = ordered[1] - ordered[0] if len(totals) > 1 else np.inf
+    return values, argmin, clamped, margin
+
+
+def time_varying_coeffs(b_t=1.0, sigma_t=0.4):
+    """smooth1d with b, sigma and l moving with t (b_t = sigma_t = 0
+    leaves only l moving), a driver reading z and k, an x-dependent
+    jump and a two-channel diffusion."""
+    return make_coeffs(
+        n=1, d=2, m=1,
+        b=lambda t, x, u, nz: 0.4 * (1.0 + b_t * t) * np.tanh(x) + u[:, 0:1],
+        sigma=lambda t, x, u, nz: np.broadcast_to(
+            np.array([0.4 + sigma_t * t, 0.1]), x.shape + (2,)),
+        g=lambda t, e, x, u, nz: 0.2 + 0.05 * np.sin(x),
+        f=lambda t, x, u, y, z, k, nz:
+            (0.5 * x[..., 0] ** 2 + 0.3 * u[:, 0] * x[..., 0])
+            * np.exp(-0.25 * x[..., 0] ** 2) + 0.05 * z[..., 0] + 0.2 * k,
+        h=lambda x, nz: np.exp(-x[..., 0] ** 2),
+        l=lambda t, e: 1.0 + 2.0 * t,
+        rho=np.array([0.0]))
+
+
+# A grid whose steps change length, so that an operator built for one
+# dt and reused for another shows.
+UNEVEN = TimeGrid(np.array([0.0, 0.03, 0.06, 0.1, 0.14, 0.2, 0.25, 0.3,
+                            0.34, 0.38, 0.45, 0.5]))
+
+
+def reference_cases():
+    smooth, linear = build_problem("smooth1d"), build_problem("linear1d")
+    u2 = ControlSet.from_1d(-0.6, 0.6, 2)
+    return {
+        "smooth1d": (smooth.coeffs, smooth.control_set, Lattice([-3.0], [3.0], (40,)),
+                     TimeGrid.uniform(smooth.horizon, 16), smooth.measure),
+        "linear1d": (linear.coeffs, linear.control_set, Lattice([-2.0], [2.0], (30,)),
+                     TimeGrid.uniform(linear.horizon, 12), linear.measure),
+        "time-varying": (time_varying_coeffs(), u2, Lattice([-3.0], [3.0], (36,)),
+                         TimeGrid.uniform(0.5, 12), MEAS),
+        "l-only-uneven": (time_varying_coeffs(0.0, 0.0), u2,
+                          Lattice([-3.0], [3.0], (36,)), UNEVEN, MEAS),
+    }
+
+
+class TestReferenceQuadrature:
+    """The cached operators against the per-point quadrature.
+
+    Gates, fixed before the first comparison: values within 1e-12 of
+    max|V|, argmin identical except where the two best totals are
+    within 1e-12 of max|V|, clamped counts equal.
+    """
+
+    @pytest.mark.parametrize("case", sorted(reference_cases()))
+    def test_matches_per_point_quadrature(self, case):
+        args = reference_cases()[case]
+        tab = compute_value_table(*args)
+        values, argmin, clamped, margin = reference_value_table(*args)
+        scale = np.max(np.abs(values))
+        assert np.max(np.abs(tab.values.reshape(values.shape) - values)) <= 1e-12 * scale
+        same = tab.argmin.reshape(argmin.shape) == argmin
+        assert np.all(same | (margin <= 1e-12 * scale))
+        assert tab.clamped_points == clamped > 0
+
+
+@st.composite
+def monotone_draws(draw):
+    """Coefficients, controls and a pair of ordered terminals h1 <= h2."""
+    unit = st.floats(-1.0, 1.0)
+    b0, b1, s0, s1, g0, f0, f1, h0, h1 = (draw(unit) for _ in range(9))
+    weight = draw(st.floats(0.05, 1.5))
+    bump = draw(st.floats(0.0, 0.5))
+    shift = draw(st.floats(-2.0, 2.0))
+    coeffs = make_coeffs(
+        n=1, d=1, m=1,
+        b=lambda t, x, u, nz: 0.5 * b0 + 0.5 * b1 * np.tanh(x) + u[:, 0:1],
+        sigma=lambda t, x, u, nz: (0.2 + 0.2 * abs(s0) + 0.1 * s1 * np.sin(x))[..., None],
+        g=lambda t, e, x, u, nz: 0.3 * g0 + 0.1 * np.cos(x),
+        f=lambda t, x, u, y, z, k, nz: f0 * np.sin(x[..., 0]) + f1 * u[:, 0] * x[..., 0],
+        h=lambda x, nz: h0 * np.cos(x[..., 0]) + h1 * x[..., 0] / 3.0,
+        rho=np.array([0.0]))
+    higher = coeffs.with_terminal(
+        lambda x, nz: coeffs.h(x, nz) + bump * np.exp(-(x[..., 0] - shift) ** 2))
+    measure = MarkMeasure.from_atoms([((1.0,), weight)])
+    return coeffs, higher, measure
+
+
+@settings(max_examples=60, deadline=None)
+@given(monotone_draws())
+def test_value_table_monotone_in_terminal(draw):
+    # Every row of E_u is nonnegative and sums to one, so h1 <= h2 gives
+    # V1 <= V2 on every slice when f reads only (x, u).
+    lower, higher, measure = draw
+    args = (ControlSet.from_1d(-0.3, 0.3, 2), Lattice([-2.0], [2.0], (24,)),
+            TimeGrid.uniform(0.4, 8), measure)
+    v1 = compute_value_table(lower, *args).values
+    v2 = compute_value_table(higher, *args).values
+    assert np.all(v1 <= v2 + 1e-12 * np.max(np.abs(v2)))

@@ -1,9 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jumphjb.coefficients import ControlSet
+from jumphjb.coefficients import (
+    ControlSet,
+    batch_eval,
+    broadcast_control,
+    compensated_drift,
+)
 from jumphjb.drivers import MarkMeasure, TimeGrid
 from jumphjb.dpp import Lattice, compute_value_table
 from jumphjb.errors import CflViolationError, ConfigError
@@ -19,6 +29,7 @@ from jumphjb.pide import (
 from jumphjb.problems import build_problem
 
 from conftest import make_coeffs
+from test_dpp import time_varying_coeffs
 
 MEAS = MarkMeasure.from_atoms([((1.0,), 0.3)])
 U2 = ControlSet.from_1d(-0.6, 0.6, 2)
@@ -347,3 +358,224 @@ class TestTripletCsv:
         np.testing.assert_allclose(back.V, trip.V)
         np.testing.assert_allclose(back.Phi, trip.Phi)
         np.testing.assert_allclose(back.Psi, trip.Psi)
+
+
+def reference_pide(coeffs, space, time_grid, control_set, measure):
+    """The explicit scheme with its difference stencils rebuilt per step.
+
+    One-sided and centered differences per axis with the linear-ghost
+    edges, central second differences at interior nodes, the cross
+    term for n = 2 and the shifted values interpolated afresh.  Returns
+    (V, argmin, clamped, margin), where margin is the gap between the
+    two best totals of each node (inf with one control).
+    """
+    X = space.nodes()
+    C = X.shape[0]
+    n, d = coeffs.n, coeffs.d
+    h = space.widths
+    N = time_grid.n_steps
+    V = np.empty((N + 1,) + space.shape)
+    argmin = np.empty((N, C), dtype=int)
+    margin = np.empty((N, C))
+    V[N] = coeffs.h(X, None).reshape(space.shape)
+    clamped = 0
+    for i in range(N - 1, -1, -1):
+        t, dt = float(time_grid.nodes[i]), float(time_grid.dt[i])
+        v_next = V[i + 1]
+        flat_next = v_next.ravel()
+        l_vals = [float(coeffs.l(t, mark)) for mark in measure.marks]
+        fwd, bwd, second = [], [], []
+        for k in range(n):
+            diff = np.diff(v_next, axis=k) / h[k]
+            first = np.take(diff, [0], axis=k)
+            last = np.take(diff, [-1], axis=k)
+            fwd.append(np.concatenate([diff, last], axis=k).ravel())
+            bwd.append(np.concatenate([first, diff], axis=k).ravel())
+            d2 = np.zeros(space.shape)
+            inner = [slice(None)] * n
+            inner[k] = slice(1, -1)
+            d2[tuple(inner)] = np.diff(v_next, 2, axis=k) / h[k] ** 2
+            second.append(d2.ravel())
+        cross = (np.gradient(np.gradient(v_next, h[0], axis=0), h[1], axis=1).ravel()
+                 if n == 2 else None)
+        totals = []
+        for u in control_set.atoms:
+            b_tilde, gs = compensated_drift(coeffs, measure, t, X, u, None)
+            sig = batch_eval(coeffs.sigma, t, X, u, None, (n, d))
+            a = np.einsum("cij,ckj->cik", sig, sig)
+            total = np.zeros(C)
+            dv = np.empty((C, n))
+            for k in range(n):
+                bk = b_tilde[:, k]
+                total += np.where(bk >= 0.0, bk * fwd[k], bk * bwd[k])
+                total += 0.5 * a[:, k, k] * second[k]
+                dv[:, k] = 0.5 * (fwd[k] + bwd[k])
+            if cross is not None:
+                total += a[:, 0, 1] * cross
+            k_agg = np.zeros(C)
+            for j, gj in enumerate(gs):
+                v_shift, cl = space.interpolate(v_next, X + gj)
+                clamped += cl
+                total += measure.weights[j] * (v_shift - flat_next)
+                k_agg += measure.weights[j] * l_vals[j] * (v_shift - flat_next)
+            z_slot = np.einsum("cij,ci->cj", sig, dv)
+            f_val = coeffs.f(t, X, broadcast_control(u, C), flat_next, z_slot, k_agg, None)
+            totals.append(total + np.asarray(f_val, dtype=float).reshape(C))
+        totals = np.array(totals)
+        argmin[i] = totals.argmin(axis=0)
+        V[i] = v_next + dt * totals.min(axis=0).reshape(space.shape)
+        ordered = np.sort(totals, axis=0)
+        margin[i] = ordered[1] - ordered[0] if len(totals) > 1 else np.inf
+    return V, argmin, clamped, margin
+
+
+def two_dim_coeffs():
+    """Two states with correlated diffusion (a cross term), two atoms."""
+    return make_coeffs(
+        n=2, d=2, m=1,
+        b=lambda t, x, u, nz: np.stack(
+            [0.3 * np.tanh(x[..., 1]) + u[:, 0], -0.2 * x[..., 0]], axis=-1),
+        sigma=lambda t, x, u, nz: np.stack([
+            np.stack([0.4 + 0.1 * np.cos(x[..., 0]), 0.1 + 0.0 * x[..., 0]], axis=-1),
+            np.stack([0.2 + 0.1 * t + 0.0 * x[..., 0], 0.3 + 0.0 * x[..., 0]], axis=-1)],
+            axis=-2),
+        g=lambda t, e, x, u, nz: np.stack(
+            [0.2 * e[0] + 0.0 * x[..., 0], -0.1 * x[..., 1]], axis=-1),
+        f=lambda t, x, u, y, z, k, nz:
+            x[..., 0] ** 2 + 0.3 * u[:, 0] * x[..., 1] + 0.1 * z[..., 0] + 0.05 * k,
+        h=lambda x, nz: np.exp(-x[..., 0] ** 2 - x[..., 1] ** 2),
+        l=lambda t, e: 1.0 + t,
+        rho=np.array([0.0]))
+
+
+def pide_reference_cases():
+    smooth, linear = build_problem("smooth1d"), build_problem("linear1d")
+    space = SpatialGrid([-3.0], [3.0], (121,))
+    return {
+        "smooth1d": (smooth.coeffs, space, TimeGrid.uniform(smooth.horizon, 80),
+                     smooth.control_set, smooth.measure),
+        "linear1d": (linear.coeffs, SpatialGrid([-2.0], [2.0], (61,)),
+                     TimeGrid.uniform(linear.horizon, 120), linear.control_set,
+                     linear.measure),
+        "time-varying": (time_varying_coeffs(), space, TimeGrid.uniform(0.5, 100),
+                         U2, MEAS),
+        "l-only": (time_varying_coeffs(0.0, 0.0), space, TimeGrid.uniform(0.5, 80),
+                   U2, MEAS),
+        "two-dim": (two_dim_coeffs(), SpatialGrid([-2.0, -2.0], [2.0, 2.0], (21, 17)),
+                    TimeGrid.uniform(0.3, 40), ControlSet.from_1d(-0.5, 0.5, 3),
+                    MarkMeasure.from_atoms([((1.0,), 0.3), ((-1.0,), 0.2)])),
+    }
+
+
+class TestReferenceStencil:
+    """The cached node operators against the per-step stencils.
+
+    Gates, fixed before the first comparison: V within 1e-12 of max|V|,
+    argmin identical except where the two best totals are within 1e-12
+    of max|V|, clamped counts equal.
+    """
+
+    @pytest.mark.parametrize("case", sorted(pide_reference_cases()))
+    def test_matches_per_step_stencil(self, case):
+        args = pide_reference_cases()[case]
+        sol = solve_pide_deterministic(*args)
+        V, argmin, clamped, margin = reference_pide(*args)
+        scale = np.max(np.abs(V))
+        assert np.max(np.abs(sol.triplet.V - V)) <= 1e-12 * scale
+        same = sol.argmin.reshape(argmin.shape) == argmin
+        assert np.all(same | (margin <= 1e-12 * scale))
+        assert sol.clamped == clamped > 0
+
+
+class TestCflEveryStep:
+    def test_refuses_a_diffusion_peak_between_probe_times(self):
+        # sigma is 0.4 at t = 0, T/2 and T but peaks at 2.4 at t = T/4,
+        # where the monotone bound is about 12x below dt; the error
+        # suggests the bound of the peak step, the smallest of all.
+        T, lam, g = 0.5, 0.3, 0.25
+        co = make_coeffs(
+            sigma=lambda t, x, u, nz: np.full(
+                x.shape + (1,), 0.4 + 2.0 * np.exp(-((t - T / 4) / 0.03) ** 2)),
+            g=lambda t, e, x, u, nz: g * np.ones_like(x),
+            h=lambda x, nz: np.exp(-x[..., 0] ** 2), rho=np.array([0.0]))
+        space = SpatialGrid([-3.0], [3.0], (121,))
+        h = space.widths[0]
+        peak = 1.0 / (lam + lam * g / h + 2.4 ** 2 / h ** 2)
+        with pytest.raises(CflViolationError) as ei:
+            solve_pide_deterministic(co, space, TimeGrid.uniform(T, 100),
+                                     ControlSet.singleton([0.0]),
+                                     MarkMeasure.from_atoms([((1.0,), lam)]))
+        assert ei.value.suggested_dt == pytest.approx(peak, rel=1e-12)
+        assert ei.value.suggested_dt < 4.4e-4
+
+
+@st.composite
+def inward_drift_draws(draw):
+    """Coefficients whose compensated drift points into [-2, 2] at both
+    edges for every control, a step inside the monotone bound, and a
+    pair of ordered terminals h1 <= h2."""
+    unit = st.floats(-1.0, 1.0)
+    c0, s0, s1, g0, f0, f1, h0, h1 = (draw(unit) for _ in range(8))
+    kappa = draw(st.floats(0.5, 2.0))
+    weight = draw(st.floats(0.05, 1.0))
+    bump = draw(st.floats(0.0, 0.5))
+    shift = draw(st.floats(-2.0, 2.0))
+    # |c + u - w g| <= 0.3 + 0.3 + 0.3 < 2 kappa, so b~ > 0 at x = -2
+    # and b~ < 0 at x = 2.
+    coeffs = make_coeffs(
+        b=lambda t, x, u, nz: -kappa * x + 0.3 * c0 + u[:, 0:1],
+        sigma=lambda t, x, u, nz: (0.3 * abs(s0) + 0.2 * s1 * np.sin(x))[..., None],
+        g=lambda t, e, x, u, nz: 0.3 * g0 * np.ones_like(x),
+        f=lambda t, x, u, y, z, k, nz: f0 * np.sin(x[..., 0]) + f1 * u[:, 0] * x[..., 0],
+        h=lambda x, nz: h0 * np.cos(x[..., 0]) + h1 * x[..., 0] / 3.0,
+        rho=np.array([0.0]))
+    higher = coeffs.with_terminal(
+        lambda x, nz: coeffs.h(x, nz) + bump * np.exp(-(x[..., 0] - shift) ** 2))
+    space = SpatialGrid([-2.0], [2.0], (41,))
+    h = space.widths[0]
+    worst = weight + (2.0 * kappa + 0.9) / h + (0.3 * abs(s0) + 0.2 * abs(s1)) ** 2 / h ** 2
+    n_steps = int(np.ceil(0.4 * worst / 0.9))
+    return coeffs, higher, space, TimeGrid.uniform(0.4, n_steps), \
+        MarkMeasure.from_atoms([((1.0,), weight)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(inward_drift_draws())
+def test_pide_monotone_in_terminal(draw):
+    # Inside the bound, with the drift pointing inward at the edges,
+    # every row of I + dt L_u is nonnegative, so h1 <= h2 gives
+    # V1 <= V2 on every slice when f reads only (x, u).
+    lower, higher, space, tg, measure = draw
+    u2 = ControlSet.from_1d(-0.3, 0.3, 2)
+    v1 = solve_pide_deterministic(lower, space, tg, u2, measure).triplet.V
+    v2 = solve_pide_deterministic(higher, space, tg, u2, measure).triplet.V
+    assert np.all(v1 <= v2 + 1e-12 * np.max(np.abs(v2)))
+
+
+def test_value_solvers_load_no_scipy():
+    """The value solvers stay on numpy.
+
+    Importing ``scipy.sparse`` after numpy takes 0.15-0.18 s and adds
+    about 22 MB to the peak resident memory of the process (three runs
+    on a 2-vCPU VM), half again the 43 MB peak of a whole ``dpp_ladder``
+    benchmark run, so the operators are plain numpy CSR arrays.
+    """
+    code = (
+        "import sys\n"
+        "from jumphjb.problems import build_problem\n"
+        "from jumphjb.dpp import Lattice, compute_value_table\n"
+        "from jumphjb.drivers import TimeGrid\n"
+        "from jumphjb.pide import SpatialGrid, solve_pide_deterministic\n"
+        "p = build_problem('smooth1d')\n"
+        "compute_value_table(p.coeffs, p.control_set, Lattice([-3.0], [3.0], (20,)),\n"
+        "                    TimeGrid.uniform(p.horizon, 4), p.measure)\n"
+        "solve_pide_deterministic(p.coeffs, SpatialGrid([-3.0], [3.0], (21,)),\n"
+        "                         TimeGrid.uniform(p.horizon, 10), p.control_set,\n"
+        "                         p.measure)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    assert out.strip() == "[]"

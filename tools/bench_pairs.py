@@ -15,6 +15,12 @@ failed/attempted operation counts of each side, and runs that gave no
 result.  Standard library only.  The last line of its output is the raw
 per-pair data as JSON.
 
+Next to each run it times a fixed numpy kernel (the same code for both
+sides) in a fresh interpreter in that checkout, single-threaded as the
+benchmark runs, and reports each side's median as ``calibration_s``.
+The machine's speed drifts between sessions, so absolute medians of
+two BENCH files compare only after dividing by their calibration.
+
 ``--json PATH`` also writes that summary, with both checkouts' git
 commits, to PATH under ``workloads.<W>``.  An existing file for the same
 two commits keeps its other workloads, so one file can collect all of
@@ -50,6 +56,39 @@ def end_to_end_metrics(tree: str) -> dict:
     with open(path) as fh:
         spec = json.load(fh)
     return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+# Best of five rounds of a fixed mix of BLAS, sorting and elementwise
+# work; prints seconds.
+CALIBRATION_KERNEL = """
+import time
+import numpy as np
+rng = np.random.default_rng(0)
+a = rng.standard_normal((200, 200))
+x = rng.standard_normal(200000)
+best = float("inf")
+for _ in range(5):
+    t0 = time.perf_counter()
+    for _ in range(40):
+        a @ a
+        np.sort(x)
+        np.exp(x).sum()
+    best = min(best, time.perf_counter() - t0)
+print(best)
+"""
+THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+              "MKL_NUM_THREADS": "1"}
+
+
+def calibrate(tree: str):
+    """Seconds of the calibration kernel in ``tree``, or None on failure."""
+    proc = subprocess.run([sys.executable, "-c", CALIBRATION_KERNEL], cwd=tree,
+                          env=dict(os.environ, **THREAD_ENV),
+                          stdout=subprocess.PIPE, text=True)
+    try:
+        return float(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        return None
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: int):
@@ -169,15 +208,18 @@ def main(argv=None) -> int:
     metrics = end_to_end_metrics(trees["change"])
 
     pairs = []
+    calibration = {"parent": [], "change": []}
     for k, seed in enumerate(parse_seeds(args.seeds)):
         order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
         result = {}
         for side in order:
+            calibration[side].append(calibrate(trees[side]))
             result[side] = run_once(trees[side], args.workload, seed, args.seconds)
             got = ("no result" if result[side] is None else
                    " ".join(f"{m} {result[side]['metrics'][m]['value']:.4g}"
                             for m in metrics))
-            print(f"seed {seed} {side}: {got}", flush=True)
+            print(f"seed {seed} {side}: {got}, calibration "
+                  f"{calibration[side][-1]}", flush=True)
         pairs.append((result["parent"], result["change"]))
 
     print(f"workload {args.workload}, seeds {args.seeds}, {args.seconds} s per run, "
@@ -187,6 +229,12 @@ def main(argv=None) -> int:
         print(line)
     ops = {side: operation_counts([pair[i] for pair in pairs])
            for i, side in enumerate(("parent", "change"))}
+    calibration_s = {}
+    for side, cal in calibration.items():
+        done = [c for c in cal if c is not None]
+        calibration_s[side] = statistics.median(done) if done else None
+    print(f"calibration_s: parent {calibration_s['parent']}, "
+          f"change {calibration_s['change']}")
     for side, c in ops.items():
         print(f"{side}: failed/attempted operations {c['failed']}/{c['attempted']}, "
               f"runs without result {c['runs_without_result']}/{len(pairs)}, "
@@ -194,10 +242,11 @@ def main(argv=None) -> int:
     if args.json:
         write_json(args.json, trees, args.workload, {
             "seeds": parse_seeds(args.seeds), "seconds": args.seconds,
-            "metrics": summary, "operations": ops})
+            "metrics": summary, "operations": ops, "calibration_s": calibration_s})
     print(json.dumps({"workload": args.workload, "seconds": args.seconds,
                       "seeds": parse_seeds(args.seeds),
-                      "pairs": [{"parent": p, "change": c} for p, c in pairs]}))
+                      "pairs": [{"parent": p, "change": c} for p, c in pairs],
+                      "calibration": calibration}))
     return 0
 
 
