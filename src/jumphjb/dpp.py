@@ -129,7 +129,7 @@ class TransitionOperator(NamedTuple):
         key = np.asarray(rows) * n_cols + np.asarray(cols)
         order = np.argsort(key, kind="stable")
         key = key[order]
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
         data = np.stack([np.add.reduceat(np.asarray(w)[order], starts)
                          for w in weights])
         key = key[starts]
@@ -304,11 +304,11 @@ def _step_operator(lattice: Lattice, key: tuple, b_tilde, sig, gs, dt: float,
     sqdt = np.sqrt(dt)
     cont = X + b_tilde * dt + sqdt * np.moveaxis(sig @ zeta.T, -1, 0)
     jumps = np.stack([np.zeros_like(X)] + list(gs))
-    points = np.concatenate([(cont[:, None] + jumps).reshape(-1, n),
-                             (X + jumps[1:]).reshape(-1, n)])
+    n_cont = cont.shape[0] * jumps.shape[0]
     index, weights, clamped = interpolation_stencil(
-        points, lattice.axes(), lattice.widths)
-    n_cont, K = cont.shape[0] * jumps.shape[0], index.shape[1]
+        np.concatenate([(cont[:, None] + jumps).reshape(-1, n),
+                        (X + jumps[1:]).reshape(-1, n)]), lattice.axes(), lattice.widths)
+    K = index.shape[1]
     rows = np.concatenate([np.tile(np.arange(C), n_cont),
                            np.arange(C, C * jumps.shape[0])])
     branch = np.concatenate([[1.0 - measure.total_mass * dt],
