@@ -85,17 +85,17 @@ def interpolation_stencil(points: np.ndarray, axes, widths: np.ndarray):
     index, weights, clamped = np.zeros((M, 1), dtype=int), np.ones((M, 1)), 0
     for k, c in enumerate(axes):
         x = points[:, k]
-        clamped += int(np.sum((x < c[0]) | (x > c[-1])))
+        clamped += int(np.count_nonzero((x < c[0]) | (x > c[-1])))
         i0, frac = np.zeros(M, dtype=int), np.zeros(M)
         if c.size > 1:
             pos = (np.clip(x, c[0], c[-1]) - c[0]) / widths[k]
             i0 = np.clip(np.floor(pos).astype(int), 0, c.size - 2)
             frac = np.clip(pos - i0, 0.0, 1.0)
-        hi = np.minimum(i0 + 1, c.size - 1)
-        index = np.concatenate([index + (i0 * strides[k])[:, None],
-                                index + (hi * strides[k])[:, None]], axis=1)
-        weights = np.concatenate([weights * (1.0 - frac)[:, None],
-                                  weights * frac[:, None]], axis=1)
+        # Axis k's lower and upper neighbour become bit k of the corner.
+        pair = np.stack([i0, np.minimum(i0 + 1, c.size - 1)], axis=1) * strides[k]
+        index = (pair[:, :, None] + index[:, None, :]).reshape(M, 2 << k)
+        share = np.stack([1.0 - frac, frac], axis=1)
+        weights = (share[:, :, None] * weights[:, None, :]).reshape(M, 2 << k)
     return index, weights, clamped
 
 
@@ -104,11 +104,11 @@ def interpolate_multilinear(values: np.ndarray, points: np.ndarray, axes,
     """Multilinear interpolation with clamping, a gather over
     :func:`interpolation_stencil`: (values (M,), clamped coordinates)."""
     index, weights, clamped = interpolation_stencil(points, axes, widths)
-    shape = tuple(c.size for c in axes)
-    flat = np.asarray(values, dtype=float).reshape(shape).ravel()
+    flat = np.asarray(values, dtype=float).reshape(tuple(c.size for c in axes)).ravel()
+    terms = weights * flat[index]
     out = np.zeros(index.shape[0])
     for corner in range(index.shape[1]):
-        out += weights[:, corner] * flat[index[:, corner]]
+        out += terms[:, corner]
     return out, clamped
 
 
