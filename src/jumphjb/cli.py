@@ -175,24 +175,22 @@ def run_bsde(cfg: dict, out: Path) -> list:
     return ["bsde_summary.json", "bsde_solution.csv"]
 
 
-def _value_table(prob, sec: dict):
-    cells = sec.get("cells", prob.lattice_cells)
-    box = sec.get("box", [prob.space_low, prob.space_high])
-    grid = TimeGrid.uniform(prob.horizon, sec.get("n_steps", prob.n_steps))
-    return compute_value_table(prob.coeffs, prob.control_set,
-                               Lattice([box[0]], [box[1]], (cells,)), grid,
-                               prob.measure)
-
-
 def run_value(cfg: dict, out: Path) -> list:
     prob = _problem(cfg)
-    table = _value_table(prob, _section(cfg, "value"))
+    sec = _section(cfg, "value")
+    cells = sec.get("cells", prob.lattice_cells)
+    box = sec.get("box", [prob.space_low, prob.space_high])
+    n_steps = sec.get("n_steps", prob.n_steps)
+    lat = Lattice([box[0]], [box[1]], (cells,))
+    grid = TimeGrid.uniform(prob.horizon, n_steps)
+    table = compute_value_table(prob.coeffs, prob.control_set, lat, grid,
+                                prob.measure)
     table.to_csv(out / "value_table.csv")
     _write_json(out / "value_report.json", {
         "V0": table.value_at(0, prob.x0),
         "clamped_points": table.clamped_points,
-        "cells": table.lattice.shape[0],
-        "n_steps": table.grid.n_steps,
+        "cells": cells,
+        "n_steps": n_steps,
     })
     return ["value_table.csv", "value_report.json"]
 
@@ -200,11 +198,17 @@ def run_value(cfg: dict, out: Path) -> list:
 def run_dpp_check(cfg: dict, out: Path) -> list:
     prob = _problem(cfg)
     sec = _section(cfg, "dpp_check")
+    cells = sec.get("cells", prob.lattice_cells)
+    box = sec.get("box", [prob.space_low, prob.space_high])
+    n_steps = sec.get("n_steps", prob.n_steps)
     delta_nodes = sec.get("delta_nodes", 1)
     n_samples = sec.get("n_samples", 20000)
     t_node = sec.get("t_node", 0)
     x = np.asarray(sec.get("x", prob.x0.tolist()), dtype=float)
-    table = _value_table(prob, sec)
+    lat = Lattice([box[0]], [box[1]], (cells,))
+    grid = TimeGrid.uniform(prob.horizon, n_steps)
+    table = compute_value_table(prob.coeffs, prob.control_set, lat, grid,
+                                prob.measure)
     res = dpp_residual(prob.coeffs, prob.control_set, table, prob.measure,
                        t_node, x, delta_nodes, n_samples, cfg["seed"])
     _write_json(out / "dpp_report.json", {

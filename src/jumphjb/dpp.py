@@ -12,10 +12,12 @@ scheme, and the cost driver is applied explicitly:
 with Z the quadrature estimate of the martingale slope and k the
 l-weighted nonlocal increment of V_{i+1}.  For a fixed control the
 quadrature is a sparse linear map of the next slice (a Markov-chain
-approximation), assembled once and reused while dt and the coefficients
-at the cell centers stay bitwise the same.  Values live on cell
-centers; off-lattice evaluations clamp to the boundary and are counted
-in the report.  Argmin ties break to the lowest control index.
+approximation), assembled once and reused while the coefficients at
+the cell centers stay bitwise the same and dt the same up to the
+rounding of the node times.  Values live on cell centers; off-lattice
+evaluations clamp to the boundary and are counted in the report.
+Argmin ties break to the lowest control index, so tables are
+bit-reproducible.
 
 These routines require deterministic coefficients (no randomness
 channels); the stochastic case is handled by the Galerkin solver.
@@ -70,76 +72,61 @@ def gauss_hermite(n_nodes: int, d: int):
 
 
 def interpolation_stencil(points: np.ndarray, axes, widths: np.ndarray):
-    """Corners and weights of multilinear interpolation on a regular grid.
-
-    ``axes`` holds each axis's coordinates (cell centers or nodes) and
-    ``widths`` their spacings.  Points outside [axes[k][0], axes[k][-1]]
-    clamp to the boundary, which keeps the monotone schemes monotone.
-    Returns (flat C-order grid indices (M, 2^n), weights (M, 2^n),
-    number of clamped coordinates); corner c takes the upper neighbour
-    along axis k when bit k of c is set.
-    """
+    """The corners and weights of :func:`interpolate_multilinear` as a
+    :class:`Stencil` (M rows of 2^n flat C-order grid indices), and the
+    number of clamped coordinates.  Corner c takes the upper neighbour
+    along axis k when bit k of c is set."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    M = points.shape[0]
-    strides = np.cumprod((1,) + tuple(c.size for c in axes[:0:-1]))[::-1]
-    index, weights, clamped = np.zeros((M, 1), dtype=int), np.ones((M, 1)), 0
+    M, n = points.shape[0], len(axes)
+    idx0 = np.zeros((M, n), dtype=int)
+    frac = np.zeros((M, n))
+    clamped = 0
     for k, c in enumerate(axes):
         x = points[:, k]
         clamped += int(np.count_nonzero((x < c[0]) | (x > c[-1])))
-        i0, frac = np.zeros(M, dtype=int), np.zeros(M)
         if c.size > 1:
-            pos = (np.clip(x, c[0], c[-1]) - c[0]) / widths[k]
-            i0 = np.clip(np.floor(pos).astype(int), 0, c.size - 2)
-            frac = np.clip(pos - i0, 0.0, 1.0)
-        # Axis k's lower and upper neighbour become bit k of the corner.
-        pair = np.stack([i0, np.minimum(i0 + 1, c.size - 1)], axis=1) * strides[k]
-        index = (pair[:, :, None] + index[:, None, :]).reshape(M, 2 << k)
-        share = np.stack([1.0 - frac, frac], axis=1)
-        weights = (share[:, :, None] * weights[:, None, :]).reshape(M, 2 << k)
-    return index, weights, clamped
+            # np.minimum(np.maximum(.)) is np.clip without its call overhead.
+            pos = (np.minimum(np.maximum(x, c[0]), c[-1]) - c[0]) / widths[k]
+            idx0[:, k] = np.minimum(np.maximum(np.floor(pos).astype(int), 0), c.size - 2)
+            frac[:, k] = np.minimum(np.maximum(pos - idx0[:, k], 0.0), 1.0)
+    index, weights = np.zeros((M, 1 << n), dtype=int), np.ones((M, 1 << n))
+    for corner in range(1 << n):
+        for k, c in enumerate(axes):
+            hi = (corner >> k) & 1
+            weights[:, corner] *= frac[:, k] if hi else 1.0 - frac[:, k]
+            index[:, corner] = (index[:, corner] * c.size
+                                + np.minimum(idx0[:, k] + hi, c.size - 1))
+    return Stencil(index, weights), clamped
 
 
 def interpolate_multilinear(values: np.ndarray, points: np.ndarray, axes,
                             widths: np.ndarray):
-    """Multilinear interpolation with clamping, a gather over
-    :func:`interpolation_stencil`: (values (M,), clamped coordinates)."""
-    index, weights, clamped = interpolation_stencil(points, axes, widths)
+    """Multilinear interpolation on a regular grid, with clamping.
+
+    ``axes`` holds each axis's coordinates (cell centers or nodes, one
+    value per grid point along it) and ``widths`` their spacings.
+    Points outside [axes[k][0], axes[k][-1]] read the nearest boundary
+    value, which keeps the monotone schemes monotone.  Returns
+    (interpolated (M,), number of clamped coordinates).
+    """
+    (index, weights), clamped = interpolation_stencil(points, axes, widths)
     flat = np.asarray(values, dtype=float).reshape(tuple(c.size for c in axes)).ravel()
-    terms = weights * flat[index]
     out = np.zeros(index.shape[0])
     for corner in range(index.shape[1]):
-        out += terms[:, corner]
+        out += weights[:, corner] * flat[index[:, corner]]
     return out, clamped
 
 
-class TransitionOperator(NamedTuple):
-    """W linear maps on one sparsity pattern, in CSR form: row r of map w
-    pairs ``data[w, row_starts[r]:row_starts[r + 1]]`` with the entries
-    of the applied vector at the same slice of ``indices``."""
+class Stencil(NamedTuple):
+    """A sparse linear map stored row by row at a common width: row r
+    reads sum_s weights[r, s] v[indices[r, s]] (leading axes index the
+    rows too), and an index repeated within a row adds up."""
 
     indices: np.ndarray
-    data: np.ndarray
-    row_starts: np.ndarray
-
-    @classmethod
-    def from_entries(cls, rows, cols, weights, n_rows: int, n_cols: int):
-        """Sum duplicate (row, column) entries.  ``weights`` yields one
-        weight array per map, read one at a time so that one is held;
-        every row must hold an entry."""
-        key = np.asarray(rows) * n_cols + np.asarray(cols)
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        data = np.stack([np.add.reduceat(np.asarray(w)[order], starts)
-                         for w in weights])
-        key = key[starts]
-        return cls(key % n_cols, data,
-                   np.searchsorted(key, np.arange(n_rows) * n_cols))
+    weights: np.ndarray
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """(W, n_rows): every map applied to the flat vector ``v``."""
-        return np.add.reduceat(self.data * v[self.indices], self.row_starts,
-                               axis=-1)
+        return np.einsum("...s,...s->...", self.weights, v[self.indices])
 
 
 def nearest_index(points: np.ndarray, axes, widths: np.ndarray) -> tuple:
@@ -184,7 +171,8 @@ class Lattice:
         return (self.upper - self.lower) / np.array(self.shape)
 
     def axis_centers(self, k: int) -> np.ndarray:
-        return self.lower[k] + self.widths[k] * (np.arange(self.shape[k]) + 0.5)
+        w = self.widths[k]
+        return self.lower[k] + w * (np.arange(self.shape[k]) + 0.5)
 
     def axes(self) -> list:
         return [self.axis_centers(k) for k in range(self.n)]
@@ -198,7 +186,12 @@ class Lattice:
         return Lattice(self.lower, self.upper, tuple(s * factor for s in self.shape))
 
     def interpolate(self, values: np.ndarray, points: np.ndarray):
-        """:func:`interpolate_multilinear` at ``points`` (M, n)."""
+        """Multilinear interpolation at ``points`` (M, n) with clamping.
+
+        Returns (interpolated (M,), number of clamped coordinates).
+        Clamping keeps the scheme monotone: off-lattice points read the
+        nearest boundary value.
+        """
         return interpolate_multilinear(values, points, self.axes(), self.widths)
 
 
@@ -231,8 +224,10 @@ class ValueTable:
                 flat = self.values[i].ravel()
                 am = self.argmin[i].ravel() if i < self.argmin.shape[0] else None
                 for c in range(centers.shape[0]):
-                    w.writerow([repr(float(v)) for v in (t, *centers[c], flat[c])]
-                               + [int(am[c]) if am is not None else -1])
+                    w.writerow([repr(float(t))]
+                               + [repr(float(v)) for v in centers[c]]
+                               + [repr(float(flat[c])),
+                                  int(am[c]) if am is not None else -1])
 
 
 class FeedbackPolicy(Control):
@@ -277,49 +272,44 @@ def _require_deterministic(coeffs: CoefficientSet, who: str):
             f"(randomness channels {coeffs.randomness_channels!r} declared)")
 
 
-class OperatorBuild(NamedTuple):
-    """A control's cached operator, the key it was built for, the clamped
-    coordinates of its interpolation points and its monotone step bound."""
+class StepOperator(NamedTuple):
+    """A control's cached one-step quadrature: the coefficient key and
+    step it was built for, the interpolation stencil of its points, the
+    quadrature over the continuation points and the clamped coordinates
+    of its points."""
 
     key: tuple
-    op: TransitionOperator
+    dt: float
+    stencil: Stencil
+    quadrature: np.ndarray
     clamped: int
-    bound: float = np.inf
 
 
 def _step_operator(lattice: Lattice, key: tuple, b_tilde, sig, gs, dt: float,
                    zeta: np.ndarray, gh_w: np.ndarray,
-                   measure: MarkMeasure) -> OperatorBuild:
-    """The one-step quadrature of one control as 1 + d maps.
+                   measure: MarkMeasure) -> StepOperator:
+    """The one-step quadrature of one control.
 
     The continuation points are X + b~ dt + sqrt(dt) sigma zeta_q; each
-    branch reads one with probability 1 - lambda dt and its shift by
-    g_j with w_j dt.  Rows 0..C-1 of map 0 give E_u[V] (the branches
-    summed with Gauss-Hermite weights w_q), of map 1 + k the slope
-    channel Z_k (weights w_q zeta_qk / sqrt(dt)).  Rows (1 + j) C + c of
-    map 0 give V(x_c + g_j), which the other maps read as 0.
+    is read as it is with probability 1 - lambda dt and shifted by g_j
+    with w_j dt.  The stencil reads every continuation point, then the
+    shifted centers X + g_j, C rows each.  Row 0 of the quadrature sums
+    the continuation rows into E_u[V] (Gauss-Hermite weights w_q), row
+    1 + k into the slope channel Z_k (weights w_q zeta_qk / sqrt(dt)).
     """
     X = lattice.centers()
-    C, n = X.shape
+    n = X.shape[1]
     sqdt = np.sqrt(dt)
     cont = X + b_tilde * dt + sqdt * np.moveaxis(sig @ zeta.T, -1, 0)
     jumps = np.stack([np.zeros_like(X)] + list(gs))
-    n_cont = cont.shape[0] * jumps.shape[0]
-    index, weights, clamped = interpolation_stencil(
+    stencil, clamped = interpolation_stencil(
         np.concatenate([(cont[:, None] + jumps).reshape(-1, n),
                         (X + jumps[1:]).reshape(-1, n)]), lattice.axes(), lattice.widths)
-    K = index.shape[1]
-    rows = np.concatenate([np.tile(np.arange(C), n_cont),
-                           np.arange(C, C * jumps.shape[0])])
     branch = np.concatenate([[1.0 - measure.total_mass * dt],
                              np.asarray(measure.weights) * dt])
-    coef = np.concatenate([gh_w[None], (gh_w / sqdt) * zeta.T])[:, :, None] * branch
-    cont_w, shift_w = weights[:n_cont * C].reshape(n_cont, -1), weights[n_cont * C:]
-    op = TransitionOperator.from_entries(
-        np.repeat(rows, K), index.ravel(),
-        (np.concatenate([(c.reshape(-1, 1) * cont_w).ravel(), shift_w.ravel() * (r == 0)])
-         for r, c in enumerate(coef)), C * jumps.shape[0], C)
-    return OperatorBuild(key, op, clamped)
+    quadrature = np.concatenate([gh_w[None], (gh_w / sqdt) * zeta.T])[:, :, None] * branch
+    return StepOperator(key, dt, stencil, quadrature.reshape(1 + zeta.shape[1], -1),
+                        clamped)
 
 
 def compute_value_table(coeffs: CoefficientSet, control_set: ControlSet,
@@ -331,8 +321,10 @@ def compute_value_table(coeffs: CoefficientSet, control_set: ControlSet,
     entry is the minimum over U_h of the one-step quadrature functional,
     with the argmin recorded (lowest index on ties).  A step evaluates
     b~, sigma and g at the cell centers for every control and reuses
-    that control's operator while dt and those values are bitwise the
-    ones it was built for; l(t, e) stays outside the operator.
+    that control's operator while those values are bitwise the ones it
+    was built for and dt is its step up to the rounding of the node
+    times (the steps of a uniform grid differ by that much); l(t, e)
+    stays outside the operator.
     """
     _require_deterministic(coeffs, "compute_value_table")
     n, d = coeffs.n, coeffs.d
@@ -356,6 +348,7 @@ def compute_value_table(coeffs: CoefficientSet, control_set: ControlSet,
     builds = [None] * control_set.n_atoms
     totals = np.empty((control_set.n_atoms, C))
     controls = [broadcast_control(u, C) for u in control_set.atoms]
+    dt_slack = 4.0 * np.spacing(np.max(np.abs(grid.nodes)))
     for i in range(N - 1, -1, -1):
         t = float(grid.nodes[i])
         dt = float(grid.dt[i])
@@ -365,14 +358,17 @@ def compute_value_table(coeffs: CoefficientSet, control_set: ControlSet,
         for iu, u in enumerate(controls):
             b_tilde, gs = compensated_drift(coeffs, measure, t, X, u, None)
             sig = batch_eval(coeffs.sigma, t, X, u, None, (n, d))
-            key = (dt, b_tilde.tobytes(), sig.tobytes(), *(g.tobytes() for g in gs))
-            if builds[iu] is None or builds[iu].key != key:
+            key = (b_tilde.tobytes(), sig.tobytes(), *(g.tobytes() for g in gs))
+            if (builds[iu] is None or builds[iu].key != key
+                    or abs(dt - builds[iu].dt) > dt_slack):
                 builds[iu] = _step_operator(lattice, key, b_tilde, sig, gs, dt,
                                             zeta, gh_w, measure)
-            clamped += builds[iu].clamped
-            out = builds[iu].op.apply(v_next)
-            e_val, z_val = out[0, :C], out[1:, :C].T
-            k_val = jump_w @ (out[0, C:].reshape(-1, C) - v_next)
+            op = builds[iu]
+            clamped += op.clamped
+            read = op.stencil.apply(v_next).reshape(-1, C)
+            ez = op.quadrature @ read[:op.quadrature.shape[1]]
+            e_val, z_val = ez[0], ez[1:].T
+            k_val = jump_w @ (read[op.quadrature.shape[1]:] - v_next)
             f_val = coeffs.f(t, X, u, e_val, z_val, k_val, None)
             totals[iu] = e_val + dt * np.asarray(f_val, dtype=float).reshape(C)
         best_idx = totals.argmin(axis=0)

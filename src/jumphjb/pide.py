@@ -30,6 +30,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,9 +48,7 @@ from .coefficients import (
 )
 from .dpp import (
     FeedbackPolicy,
-    OperatorBuild,
-    TransitionOperator,
-    _require_deterministic,
+    Stencil,
     interpolate_multilinear,
     interpolation_stencil,
 )
@@ -115,7 +114,10 @@ class SpatialGrid:
                            tuple((s - 1) * factor + 1 for s in self.shape))
 
     def interpolate(self, values: np.ndarray, points: np.ndarray):
-        """:func:`~jumphjb.dpp.interpolate_multilinear` at ``points`` (M, n)."""
+        """Multilinear interpolation with clamped extrapolation.
+
+        Returns (values (M,), clamped coordinate count).
+        """
         return interpolate_multilinear(values, points, self.axes(), self.widths)
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
@@ -124,8 +126,10 @@ class SpatialGrid:
         Returns shape (*shape, n).
         """
         vals = np.asarray(values, dtype=float).reshape(self.shape)
-        return np.stack([np.gradient(vals, self.widths[k], axis=k)
-                         for k in range(self.n)], axis=-1)
+        out = np.empty(self.shape + (self.n,))
+        for k in range(self.n):
+            out[..., k] = np.gradient(vals, self.widths[k], axis=k)
+        return out
 
 
 @dataclass
@@ -174,30 +178,43 @@ class RandomFieldTriplet:
                        + ["V"] + [f"Phi_{c+1}" for c in range(n_phi)]
                        + [f"Psi_{j+1}" for j in range(n_atoms)])
             for i, t in enumerate(self.time_nodes):
-                fields = np.concatenate([self.V[i].reshape(1, -1),
-                                         self.Phi[i].reshape(n_phi, len(nodes)),
-                                         self.Psi[i].reshape(n_atoms, len(nodes))])
+                v = self.V[i].ravel()
+                phis = [self.Phi[i, c].ravel() for c in range(n_phi)]
+                psis = [self.Psi[i, j].ravel() for j in range(n_atoms)]
                 for r in range(nodes.shape[0]):
-                    w.writerow([repr(float(v)) for v in (t, *nodes[r], *fields[:, r])])
+                    w.writerow([repr(float(t))]
+                               + [repr(float(c)) for c in nodes[r]]
+                               + [repr(float(v[r]))]
+                               + [repr(float(p[r])) for p in phis]
+                               + [repr(float(p[r])) for p in psis])
 
     @classmethod
     def from_csv(cls, path, space: SpatialGrid) -> "RandomFieldTriplet":
         with open(path, newline="") as fh:
-            header, *body = list(csv.reader(fh))
+            rows = list(csv.reader(fh))
+        header, body = rows[0], rows[1:]
+        n = space.n
         n_phi = sum(1 for c in header if c.startswith("Phi_"))
         n_atoms = sum(1 for c in header if c.startswith("Psi_"))
-        body = np.array(body, dtype=float).reshape(len(body), len(header))
-        times, slot = np.unique(body[:, 0], return_inverse=True)
-        n_pts, nt = int(np.prod(space.shape)), times.size
-        if np.any(np.bincount(slot, minlength=nt) != n_pts):
+        times = sorted({float(r[0]) for r in body})
+        n_pts = int(np.prod(space.shape))
+        t_index = {t: i for i, t in enumerate(times)}
+        V = np.zeros((len(times),) + space.shape)
+        Phi = np.zeros((len(times), max(n_phi, 1)) + space.shape)
+        Psi = np.zeros((len(times), n_atoms) + space.shape)
+        counts = np.zeros(len(times), dtype=int)
+        for r in body:
+            i = t_index[float(r[0])]
+            flat = counts[i]
+            counts[i] += 1
+            V[i].ravel()[flat] = float(r[1 + n])
+            for c in range(n_phi):
+                Phi[i, c].ravel()[flat] = float(r[2 + n + c])
+            for j in range(n_atoms):
+                Psi[i, j].ravel()[flat] = float(r[2 + n + n_phi + j])
+        if np.any(counts != n_pts):
             raise ValueError("CSV rows do not fill the spatial grid")
-        # (time, column, point), rows of one time in file order.
-        cols = body[np.argsort(slot, kind="stable"), 1 + space.n:]
-        cols = np.moveaxis(cols.reshape(nt, n_pts, -1), -1, 1)
-        Phi = cols[:, 1:1 + n_phi] if n_phi else np.zeros((nt, 1, n_pts))
-        return cls(space, times, cols[:, 0].reshape((nt,) + space.shape),
-                   Phi.reshape((nt, -1) + space.shape),
-                   cols[:, 1 + n_phi:].reshape((nt, n_atoms) + space.shape))
+        return cls(space, np.array(times), V, Phi, Psi)
 
 
 def hamiltonian(coeffs: CoefficientSet, t, x, u, p, dphi, hess, k_agg,
@@ -264,7 +281,9 @@ def nonlocal_apply(space: SpatialGrid, v_slice: np.ndarray,
         dv = np.atleast_1d(np.asarray(dv, dtype=float))
     per_atom = np.zeros(measure.n_atoms)
     integral = compensated = weighted = 0.0
-    for j, (mark, w) in enumerate(zip(measure.marks, measure.weights)):
+    for j in range(measure.n_atoms):
+        mark = measure.marks[j]
+        w = measure.weights[j]
         g = eval_g(coeffs, t, mark, x, u, noise)
         v_shift, cl = space.interpolate(v_slice, (x + g)[None, :])
         clamped += cl
@@ -299,80 +318,106 @@ class PideSolution:
         return self.triplet.value_at(t_node, x)
 
 
-def _stability_bound(b_tilde: np.ndarray, sig: np.ndarray, h: np.ndarray,
-                     lam: float) -> float:
-    """Largest dt for which the explicit step stays monotone, given the
-    compensated drift (C, n) and sigma (C, n, d) at the nodes: dt times
-    lambda + sum_k (|b_k| / h_k + a_kk / h_k^2) + sum_{k != k2} |a_kk2|
-    / (2 h_k h_k2) is at most 1 at every node, with a = sigma sigma^T."""
-    a = np.abs(np.einsum("cij,ckj->cik", sig, sig)) / np.outer(h, h)
-    diag = np.einsum("ckk->c", a)
-    worst = float(np.max(lam + np.abs(b_tilde) @ (1.0 / h)
-                         + 0.5 * (diag + a.sum(axis=(1, 2)))))
-    # With no drift, diffusion or jumps every step is monotone.
-    return 1.0 / worst if worst > 0 else np.inf
+class NodePattern(NamedTuple):
+    """What the maps of every control share on one node grid: the nodes,
+    the axes and spacings, the columns of the local generator, per axis
+    the interior mask, the weights of the cross difference D_0 D_1
+    (n = 2) and the centered gradient, one-sided at the edges."""
+
+    nodes: np.ndarray
+    axes: list
+    widths: np.ndarray
+    columns: np.ndarray
+    inner: np.ndarray
+    cross: np.ndarray
+    gradient: Stencil
+
+    @classmethod
+    def of(cls, space: SpatialGrid) -> "NodePattern":
+        X = space.nodes()
+        C, n = X.shape
+        pos = np.indices(space.shape).reshape(n, C)
+        strides = np.cumprod((1,) + space.shape[:0:-1])[::-1]
+        node = np.arange(C)
+        cols, inner, grad = [], [], []
+        for k in range(n):
+            first, last, st = pos[k] == 0, pos[k] == space.shape[k] - 1, strides[k]
+            # Forward and backward differences; at the far edge each falls
+            # back to the adjacent one (linear ghost).
+            up, down = node + st * ~last, node - st * ~first
+            inner.append(~(first | last))
+            cols += [up, up - st, down + st, down,
+                     node - st * inner[k], node, node + st * inner[k]]
+            q = 1.0 / (space.widths[k] * (2.0 - first - last))
+            grad.append(Stencil(np.stack([up, down], axis=1), np.stack([q, -q], axis=1)))
+        cross = np.zeros((C, 0))
+        if n == 2:
+            # D_0 D_1, the composition of the centered gradients.
+            (i0, w0), (i1, w1) = grad
+            cols += [i0[:, s0] + i1[:, s1] - node for s0 in range(2) for s1 in range(2)]
+            cross = np.stack([w0[:, s0] * w1[:, s1] for s0 in range(2) for s1 in range(2)],
+                             axis=1)
+        return cls(X, space.axes(), space.widths, np.stack(cols, axis=1),
+                   np.array(inner), cross, Stencil(*(np.stack(x) for x in zip(*grad))))
 
 
-def _node_operator(space: SpatialGrid, key: tuple, b_tilde, sig, gs,
-                   measure: MarkMeasure) -> OperatorBuild:
-    """One control's maps on the node grid, 1 + n_atoms + n blocks of rows.
+class LocalGenerator(NamedTuple):
+    """A control's cached local generator, the (b~, sigma) key it was
+    built for and its monotone step bound."""
 
-    Block 0 is the generator L_u: upwind transport on b~ with the
-    linear-ghost edges (the adjacent one-sided difference), 1/2 a D^2 at
-    interior nodes and sum_j w_j (S_j - I).  Block 1 + j is the shift
-    S_j V = V(x + g_j), block 1 + n_atoms + k the centered gradient
-    along axis k, one-sided at the edges.
+    key: tuple
+    stencil: Stencil
+    bound: float
+
+
+class JumpShifts(NamedTuple):
+    """A control's cached shifts S_j V = V(x + g_j) as (n_atoms, C) rows,
+    the g key they were built for and the clamped coordinates of the
+    shifted nodes."""
+
+    key: tuple
+    stencil: Stencil
+    clamped: int
+
+
+def _local_generator(pattern: NodePattern, key: tuple, b_tilde, sig,
+                     lam: float) -> LocalGenerator:
+    """Upwind transport on b~ plus 1/2 a D^2 at interior nodes (and
+    a_01 D_0 D_1 when n = 2), so that the generator is L_u V = local V +
+    sum_j w_j (S_j V - V), with a = sigma sigma^T.
+
+    The explicit step stays monotone while dt times lambda + sum_k
+    (|b_k| / h_k + a_kk / h_k^2) + sum_{k < k2} |a_kk2| / (h_k h_k2) is
+    at most 1 at every node; the bound is that largest dt.
     """
-    X = space.nodes()
-    C, n = X.shape
-    h = space.widths
+    C, n = b_tilde.shape
+    h = pattern.widths
     a = np.einsum("cij,ckj->cik", sig, sig)
-    pos = np.indices(space.shape).reshape(n, C)
-    strides = np.cumprod((1,) + space.shape[:0:-1])[::-1]
-    node = np.arange(C)
-    rows, cols, vals = [], [], []
-
-    def add(block, col, val):
-        rows.append(block * C + node)
-        cols.append(col)
-        vals.append(val)
-
-    grad = []
-    for k in range(n):
-        first, last, st = pos[k] == 0, pos[k] == space.shape[k] - 1, strides[k]
-        lo = np.where(b_tilde[:, k] >= 0.0, node - st * last, node - st * ~first)
-        add(0, lo + st, b_tilde[:, k] / h[k])
-        add(0, lo, -b_tilde[:, k] / h[k])
-        inner = ~(first | last)
-        half = 0.5 * a[:, k, k] / h[k] ** 2 * inner
-        for off, weight in ((-1, half), (0, -2.0 * half), (1, half)):
-            add(0, node + off * st * inner, weight)
-        grad.append((node - st * ~first, node + st * ~last,
-                     1.0 / (h[k] * (2.0 - first - last))))
+    slope = b_tilde / h
+    fwd = np.maximum(slope, 0.0)
+    bwd = slope - fwd
+    curve = np.einsum("ckk->ck", a) / h ** 2
+    half = 0.5 * curve * pattern.inner.T
+    weights = np.concatenate([
+        np.stack([fwd, -fwd, bwd, -bwd, half, -2.0 * half, half], axis=-1).reshape(C, -1),
+        a[:, 0, -1, None] * pattern.cross], axis=1)
+    rate = lam + np.abs(slope).sum(axis=1) + curve.sum(axis=1)
     if n == 2:
-        # a_01 D_0 D_1, the composition of the centered gradients.
-        (l0, h0, q0), (l1, h1, q1) = grad
-        q = a[:, 0, 1] * q0 * q1
-        for c0, s0 in ((h0, q), (l0, -q)):
-            add(0, c0 + h1 - node, s0)
-            add(0, c0 + l1 - node, -s0)
-    index, weights, clamped = interpolation_stencil(
+        rate += np.abs(a[:, 0, 1]) / (h[0] * h[1])
+    worst = float(np.max(rate))
+    # With no drift, diffusion or jumps every step is monotone.
+    return LocalGenerator(key, Stencil(pattern.columns, weights),
+                          1.0 / worst if worst > 0 else np.inf)
+
+
+def _jump_shifts(pattern: NodePattern, key: tuple, gs) -> JumpShifts:
+    X = pattern.nodes
+    C, n = X.shape
+    shift, clamped = interpolation_stencil(
         (X + np.stack(gs)).reshape(-1, n) if gs else np.empty((0, n)),
-        space.axes(), h)
-    for j, w in enumerate(measure.weights):
-        add(0, node, np.full(C, -w))
-        for corner in range(index.shape[1]):
-            col, wc = index[j * C:(j + 1) * C, corner], weights[j * C:(j + 1) * C, corner]
-            add(0, col, w * wc)
-            add(1 + j, col, wc)
-    for k, (lo, hi, q) in enumerate(grad):
-        add(1 + len(gs) + k, hi, q)
-        add(1 + len(gs) + k, lo, -q)
-    op = TransitionOperator.from_entries(
-        np.concatenate(rows), np.concatenate(cols), [np.concatenate(vals)],
-        (1 + len(gs) + n) * C, C)
-    return OperatorBuild(key, op, clamped,
-                         _stability_bound(b_tilde, sig, h, measure.total_mass))
+        pattern.axes, pattern.widths)
+    return JumpShifts(key, Stencil(*(x.reshape(len(gs), C, 1 << n) for x in shift)),
+                      clamped)
 
 
 def solve_pide_deterministic(coeffs: CoefficientSet, space: SpatialGrid,
@@ -381,19 +426,22 @@ def solve_pide_deterministic(coeffs: CoefficientSet, space: SpatialGrid,
     """Explicit monotone scheme for the degenerate HJB integro-PDE.
 
     A step evaluates b~, sigma and g at the nodes for every control and
-    reuses that control's operators while those values are bitwise the
-    ones they were built for.  Every build checks the monotone step
-    bound; a step above it is refused, and the raised error suggests the
-    smallest bound over all steps and controls.
+    reuses that control's local generator while b~ and sigma, and its
+    jump shifts while g, are bitwise the values they were built for.
+    Every generator build checks the monotone step bound; a step above
+    it is refused, and the raised error suggests the smallest bound over
+    all steps and controls.
     """
-    _require_deterministic(coeffs, "solve_pide_deterministic")
+    if coeffs.is_random:
+        raise ConfigError("solve_pide_deterministic needs deterministic coefficients")
     if space.n != coeffs.n:
         raise ConfigError("spatial grid dimension must match the state dimension")
     if space.n > 2:
         raise ConfigError("the PIDE solver is desk scale: n <= 2 only")
 
-    X = space.nodes()
-    (C, n), d, N, n_atoms = X.shape, coeffs.d, time_grid.n_steps, measure.n_atoms
+    pattern = NodePattern.of(space)
+    X = pattern.nodes
+    (C, n), d, N = X.shape, coeffs.d, time_grid.n_steps
 
     def coefficients(t, u):
         b_tilde, gs = compensated_drift(coeffs, measure, t, X, u, None)
@@ -404,31 +452,35 @@ def solve_pide_deterministic(coeffs: CoefficientSet, space: SpatialGrid,
     V[N] = np.asarray(coeffs.h(X, None), dtype=float).reshape(space.shape)
 
     clamped = 0
-    builds = [None] * control_set.n_atoms
+    local, shifts = [None] * control_set.n_atoms, [None] * control_set.n_atoms
     totals = np.empty((control_set.n_atoms, C))
     controls = [broadcast_control(u, C) for u in control_set.atoms]
+    lam, mark_w = measure.total_mass, np.asarray(measure.weights)
     for i in range(N - 1, -1, -1):
         t = float(time_grid.nodes[i])
         dt = float(time_grid.dt[i])
         v_next = V[i + 1].ravel()
-        jump_w = np.asarray(measure.weights) * [
-            float(coeffs.l(t, mark)) for mark in measure.marks]
+        grad = pattern.gradient.apply(v_next)
+        jump_w = mark_w * [float(coeffs.l(t, mark)) for mark in measure.marks]
         for iu, u in enumerate(controls):
             b_tilde, sig, gs = coefficients(t, u)
-            key = (b_tilde.tobytes(), sig.tobytes(), *(g.tobytes() for g in gs))
-            if builds[iu] is None or builds[iu].key != key:
-                builds[iu] = _node_operator(space, key, b_tilde, sig, gs, measure)
-            if dt > builds[iu].bound * (1.0 + 1e-12):
+            key = (b_tilde.tobytes(), sig.tobytes())
+            if local[iu] is None or local[iu].key != key:
+                local[iu] = _local_generator(pattern, key, b_tilde, sig, lam)
+            if dt > local[iu].bound * (1.0 + 1e-12):
                 raise CflViolationError(dt, min(
-                    _stability_bound(*coefficients(float(s), w)[:2], space.widths,
-                                     measure.total_mass)
-                    for s in time_grid.nodes[:-1] for w in control_set.atoms))
-            clamped += builds[iu].clamped
-            out = builds[iu].op.apply(v_next).reshape(1 + n_atoms + n, C)
-            k_agg = jump_w @ (out[1:1 + n_atoms] - v_next)
-            z_slot = np.einsum("cij,ic->cj", sig, out[1 + n_atoms:])
+                    _local_generator(pattern, None, *coefficients(float(s), w)[:2], lam).bound
+                    for s in time_grid.nodes[:-1] for w in controls))
+            key = tuple(g.tobytes() for g in gs)
+            if shifts[iu] is None or shifts[iu].key != key:
+                shifts[iu] = _jump_shifts(pattern, key, gs)
+            clamped += shifts[iu].clamped
+            jumps = shifts[iu].stencil.apply(v_next) - v_next
+            k_agg = jump_w @ jumps
+            z_slot = np.einsum("cij,ic->cj", sig, grad)
             f_val = coeffs.f(t, X, u, v_next, z_slot, k_agg, None)
-            totals[iu] = np.asarray(f_val, dtype=float).reshape(C) + out[0]
+            totals[iu] = (np.asarray(f_val, dtype=float).reshape(C)
+                          + local[iu].stencil.apply(v_next) + mark_w @ jumps)
         best_idx = totals.argmin(axis=0)
         V[i] = V[i + 1] + dt * totals[best_idx, np.arange(C)].reshape(space.shape)
         argmin[i] = best_idx.reshape(space.shape)
@@ -455,8 +507,7 @@ def _delta_field(triplet: RandomFieldTriplet, coeffs: CoefficientSet,
     n, d = coeffs.n, coeffs.d
     v_slice = triplet.V[slice_idx]
     flat_v = v_slice.ravel()
-    grads = space.gradient(v_slice)
-    grad_v = grads.reshape(C, n)
+    grad_v = space.gradient(v_slice).reshape(C, n)
     n_phi = triplet.Phi.shape[1]
     phi_flat = triplet.Phi[slice_idx].reshape(n_phi, C)
     grad_phi = np.stack([
@@ -467,11 +518,15 @@ def _delta_field(triplet: RandomFieldTriplet, coeffs: CoefficientSet,
     l_vals = np.array([float(coeffs.l(t, mark)) for mark in measure.marks])
 
     # Hessian by differentiating the gradient once more, symmetrized.
-    hess = np.stack([space.gradient(grads[..., k]).reshape(C, n)
-                     for k in range(n)], axis=1)
+    hess = np.zeros((C, n, n))
+    grads = space.gradient(v_slice)
+    for k in range(n):
+        gk = space.gradient(grads[..., k])
+        hess[:, k, :] = gk.reshape(C, n)
     hess = 0.5 * (hess + np.transpose(hess, (0, 2, 1)))
 
-    totals = np.empty((control_set.n_atoms, C))
+    best = None
+    best_idx = None
     for iu, u in enumerate(control_set.atoms):
         b = batch_eval(coeffs.b, t, X, u, None, (n,))
         sig = batch_eval(coeffs.sigma, t, X, u, None, (n, d))
@@ -505,10 +560,15 @@ def _delta_field(triplet: RandomFieldTriplet, coeffs: CoefficientSet,
             dtype=float).reshape(C)
         trace_term = 0.5 * np.einsum("cik,cik->c",
                                      hess, np.einsum("cij,ckj->cik", sig, sig))
-        totals[iu] = (f_val + np.sum(b * grad_v, axis=1) + q_sigma + trace_term
-                      + nonloc_comp + nonloc_psi)
-    best_idx = totals.argmin(axis=0)
-    best = totals[best_idx, np.arange(C)]
+        total = (f_val + np.sum(b * grad_v, axis=1) + q_sigma + trace_term
+                 + nonloc_comp + nonloc_psi)
+        if best is None:
+            best = total
+            best_idx = np.zeros(C, dtype=int)
+        else:
+            better = total < best
+            best = np.where(better, total, best)
+            best_idx = np.where(better, iu, best_idx)
     if not np.all(np.isfinite(best)):
         bad = int(np.argmax(~np.isfinite(best)))
         raise NumericError(

@@ -11,6 +11,7 @@ from jumphjb.coefficients import (
     broadcast_control,
     compensated_drift,
 )
+from jumphjb import dpp
 from jumphjb.dpp import (
     FeedbackPolicy,
     Lattice,
@@ -452,16 +453,16 @@ def reference_value_table(coeffs, control_set, lattice, grid, measure, gh_nodes=
     return values, argmin, clamped, margin
 
 
-def time_varying_coeffs(b_t=1.0, sigma_t=0.4):
-    """smooth1d with b, sigma and l moving with t (b_t = sigma_t = 0
-    leaves only l moving), a driver reading z and k, an x-dependent
-    jump and a two-channel diffusion."""
+def time_varying_coeffs(b_t=1.0, sigma_t=0.4, g_t=0.0):
+    """smooth1d with b, sigma, g and l moving with t (b_t = sigma_t = 0
+    leaves only l moving; g moves only with g_t), a driver reading z and
+    k, an x-dependent jump and a two-channel diffusion."""
     return make_coeffs(
         n=1, d=2, m=1,
         b=lambda t, x, u, nz: 0.4 * (1.0 + b_t * t) * np.tanh(x) + u[:, 0:1],
         sigma=lambda t, x, u, nz: np.broadcast_to(
             np.array([0.4 + sigma_t * t, 0.1]), x.shape + (2,)),
-        g=lambda t, e, x, u, nz: 0.2 + 0.05 * np.sin(x),
+        g=lambda t, e, x, u, nz: 0.2 + 0.05 * np.sin(x) + g_t * t,
         f=lambda t, x, u, y, z, k, nz:
             (0.5 * x[..., 0] ** 2 + 0.3 * u[:, 0] * x[..., 0])
             * np.exp(-0.25 * x[..., 0] ** 2) + 0.05 * z[..., 0] + 0.2 * k,
@@ -488,6 +489,8 @@ def reference_cases():
                          TimeGrid.uniform(0.5, 12), MEAS),
         "l-only-uneven": (time_varying_coeffs(0.0, 0.0), u2,
                           Lattice([-3.0], [3.0], (36,)), UNEVEN, MEAS),
+        "g-moving": (time_varying_coeffs(g_t=0.4), u2, Lattice([-3.0], [3.0], (36,)),
+                     TimeGrid.uniform(0.5, 12), MEAS),
     }
 
 
@@ -544,3 +547,19 @@ def test_value_table_monotone_in_terminal(draw):
     v1 = compute_value_table(lower, *args).values
     v2 = compute_value_table(higher, *args).values
     assert np.all(v1 <= v2 + 1e-12 * np.max(np.abs(v2)))
+
+
+@pytest.mark.parametrize("family", ["smooth1d", "linear1d", "exp_decay", "zero"])
+def test_default_grid_builds_once_per_control(family, monkeypatch):
+    # The steps of a uniform grid differ by the rounding of its nodes
+    # (160 steps over 0.5 give 8 distinct dt bit patterns); one build
+    # per control must still serve all of them.
+    calls = []
+    build = dpp._step_operator
+    monkeypatch.setattr(dpp, "_step_operator", lambda *a: calls.append(1) or build(*a))
+    p = build_problem(family)
+    grid = TimeGrid.uniform(p.horizon, p.n_steps)
+    compute_value_table(p.coeffs, p.control_set,
+                        Lattice([p.space_low], [p.space_high], (p.lattice_cells,)),
+                        grid, p.measure)
+    assert len(calls) == p.control_set.n_atoms

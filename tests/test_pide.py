@@ -17,6 +17,7 @@ from jumphjb.coefficients import (
 from jumphjb.drivers import MarkMeasure, TimeGrid
 from jumphjb.dpp import Lattice, compute_value_table
 from jumphjb.errors import CflViolationError, ConfigError
+from jumphjb import pide
 from jumphjb.pide import (
     RandomFieldTriplet,
     SpatialGrid,
@@ -461,6 +462,8 @@ def pide_reference_cases():
                          U2, MEAS),
         "l-only": (time_varying_coeffs(0.0, 0.0), space, TimeGrid.uniform(0.5, 80),
                    U2, MEAS),
+        "g-moving": (time_varying_coeffs(g_t=0.4), space, TimeGrid.uniform(0.5, 100),
+                     U2, MEAS),
         "two-dim": (two_dim_coeffs(), SpatialGrid([-2.0, -2.0], [2.0, 2.0], (21, 17)),
                     TimeGrid.uniform(0.3, 40), ControlSet.from_1d(-0.5, 0.5, 3),
                     MarkMeasure.from_atoms([((1.0,), 0.3), ((-1.0,), 0.2)])),
@@ -558,7 +561,7 @@ def test_value_solvers_load_no_scipy():
     Importing ``scipy.sparse`` after numpy takes 0.15-0.18 s and adds
     about 22 MB to the peak resident memory of the process (three runs
     on a 2-vCPU VM), half again the 43 MB peak of a whole ``dpp_ladder``
-    benchmark run, so the operators are plain numpy CSR arrays.
+    benchmark run, so the operators are plain numpy arrays.
     """
     code = (
         "import sys\n"
@@ -579,3 +582,21 @@ def test_value_solvers_load_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          stdout=subprocess.PIPE, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("family", ["smooth1d", "linear1d", "exp_decay", "zero"])
+def test_default_grid_builds_once_per_control(family, monkeypatch):
+    # The coefficients of every built-in family are constant in t, so
+    # one generator and one set of jump shifts per control serve all
+    # steps of its default grid, whose steps differ by rounding only.
+    calls = []
+    for name in ("_local_generator", "_jump_shifts"):
+        build = getattr(pide, name)
+        monkeypatch.setattr(pide, name, lambda *a, _b=build, _n=name:
+                            calls.append(_n) or _b(*a))
+    p = build_problem(family)
+    solve_pide_deterministic(
+        p.coeffs, SpatialGrid([p.space_low], [p.space_high], (p.space_nodes,)),
+        TimeGrid.uniform(p.horizon, p.n_steps), p.control_set, p.measure)
+    n_u = p.control_set.n_atoms
+    assert calls.count("_local_generator") == calls.count("_jump_shifts") == n_u
