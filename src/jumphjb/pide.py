@@ -9,11 +9,12 @@ to a deterministic nonlinear second-order PIDE,
 
 where I V(t,e,x,u) = V(t, x + g(t,e,x,u)) - V(t,x) is the nonlocal jump
 operator and k(V) = int_E I V l(t,e) nu(de) feeds the driver's jump
-slot.  The solver steps this explicitly with one sparse generator per
-control (upwind differences on the compensated drift b - int g nu(de),
-central second differences, clamped linear interpolation at x + g),
-built once and reused while the coefficients at the nodes stay
-bitwise the same.  Every build checks the monotone step bound.
+slot.  The solver steps this explicitly.  Per control it keeps a local
+generator (upwind differences on the compensated drift b - int g
+nu(de), central second differences), reused while b~ and sigma at the
+nodes stay bitwise the same, and the jump shifts (clamped linear
+interpolation at x + g), reused while g does.  Every generator build
+checks the monotone step bound.
 
 The Hamiltonian follows
 
