@@ -18,7 +18,7 @@ per-pair data as JSON.
 Next to each run it times a fixed numpy kernel (the same code for both
 sides) in a fresh interpreter in that checkout, single-threaded as the
 benchmark runs, and reports each side's median as ``calibration_s``.
-The machine's speed drifts between sessions, so absolute medians of
+The machine's speed drifts over hours and days, so absolute medians of
 two BENCH files compare only after dividing by their calibration.
 
 ``--json PATH`` also writes that summary, with both checkouts' git
