@@ -3,11 +3,12 @@
 Every run consumes a JSON config (seed required, no silent
 nondeterminism), writes CSV/JSON artifacts plus a ``manifest.json``
 carrying the config hash, the full config echo and library versions,
-and exits 0 on success, 2 on config errors, 3 on numeric failures
-(including a Monte Carlo batch too large for memory) and 4 when an
-iterative solver did not converge.  Failures other than config errors
-write ``failure_diagnostic.json`` to the output directory.  Identical
-configs reproduce byte-identical CSV output.
+and exits 0 on success, 2 on config errors (a bad grid box or point
+count among them), 3 on numeric failures (including a Monte Carlo
+batch too large for memory) and 4 when an iterative solver did not
+converge.  Failures other than config errors write
+``failure_diagnostic.json`` to the output directory.  Identical configs
+reproduce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -97,6 +98,15 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _grid(kind, box, count, section: str):
+    """A one-dimensional ``kind`` grid of ``count`` points over ``box``;
+    a bad box or count is a config error naming ``section``."""
+    try:
+        return kind([box[0]], [box[1]], (count,))
+    except (TypeError, IndexError, ValueError) as exc:
+        _fail(str(exc), section)
+
+
 def _problem(cfg: dict):
     sec = _section(cfg, "problem")
     name = _need(sec, "name", str, "problem")
@@ -181,7 +191,7 @@ def run_value(cfg: dict, out: Path) -> list:
     cells = sec.get("cells", prob.lattice_cells)
     box = sec.get("box", [prob.space_low, prob.space_high])
     n_steps = sec.get("n_steps", prob.n_steps)
-    lat = Lattice([box[0]], [box[1]], (cells,))
+    lat = _grid(Lattice, box, cells, "value")
     grid = TimeGrid.uniform(prob.horizon, n_steps)
     table = compute_value_table(prob.coeffs, prob.control_set, lat, grid,
                                 prob.measure)
@@ -205,7 +215,7 @@ def run_dpp_check(cfg: dict, out: Path) -> list:
     n_samples = sec.get("n_samples", 20000)
     t_node = sec.get("t_node", 0)
     x = np.asarray(sec.get("x", prob.x0.tolist()), dtype=float)
-    lat = Lattice([box[0]], [box[1]], (cells,))
+    lat = _grid(Lattice, box, cells, "dpp_check")
     grid = TimeGrid.uniform(prob.horizon, n_steps)
     table = compute_value_table(prob.coeffs, prob.control_set, lat, grid,
                                 prob.measure)
@@ -226,7 +236,7 @@ def _pide_solution(cfg: dict, prob):
     nodes = sec.get("nodes", prob.space_nodes)
     box = sec.get("box", [prob.space_low, prob.space_high])
     n_steps = sec.get("n_steps", prob.n_steps)
-    space = SpatialGrid([box[0]], [box[1]], (nodes,))
+    space = _grid(SpatialGrid, box, nodes, "pide")
     grid = TimeGrid.uniform(prob.horizon, n_steps)
     return solve_pide_deterministic(prob.coeffs, space, grid,
                                     prob.control_set, prob.measure)
@@ -312,6 +322,8 @@ def run_hjb_weak(cfg: dict, out: Path) -> list:
     n_steps = sec.get("n_steps", max(prob.n_steps // 2, 10))
     triple = assemble_triple(length, 1, n_modes)
     grid = TimeGrid.uniform(prob.horizon, n_steps)
+    out_box = sec.get("out_box", [prob.space_low, prob.space_high])
+    space = _grid(SpatialGrid, out_box, sec.get("out_nodes", 81), "hjb_weak")
     scenario = None
     if prob.coeffs.is_random:
         channels = tuple(sorted(set(prob.coeffs.randomness_channels) | {"J"}))
@@ -324,9 +336,6 @@ def run_hjb_weak(cfg: dict, out: Path) -> list:
     if sec.get("dump_operators", False):
         res.pair.dump_csv(out / "operators.csv")
         extra.append("operators.csv")
-    out_nodes = sec.get("out_nodes", 81)
-    out_box = sec.get("out_box", [prob.space_low, prob.space_high])
-    space = SpatialGrid([out_box[0]], [out_box[1]], (out_nodes,))
     trip = res.reconstruct_triplet(space)
     trip.to_csv(out / "hjb_weak_field.csv")
     _write_json(out / "hjb_weak_report.json", {
@@ -400,7 +409,7 @@ def run_convergence(cfg: dict, out: Path) -> list:
         box = sec.get("box", [prob.space_low, prob.space_high])
         for lvl in range(halvings + 1):
             k = 2 ** lvl
-            lat = Lattice([box[0]], [box[1]], (base_cells * k,))
+            lat = _grid(Lattice, box, base_cells * k, "convergence")
             grid = TimeGrid.uniform(prob.horizon, base_steps * k)
             table = compute_value_table(prob.coeffs, prob.control_set, lat,
                                         grid, prob.measure)

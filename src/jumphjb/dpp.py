@@ -14,8 +14,11 @@ l-weighted nonlocal increment of V_{i+1}.  For a fixed control the
 quadrature is a sparse linear map of the next slice (a Markov-chain
 approximation), assembled once and reused while the coefficients at
 the cell centers stay bitwise the same and dt the same up to the
-rounding of the node times.  Values live on cell centers; off-lattice
-evaluations clamp to the boundary and are counted in the report.
+rounding of the node times.  Values live on a :class:`Lattice`, the
+cell-center placement of the regular :class:`Grid` whose node placement
+the PIDE solver uses.  The grid interpolates, builds the stencils and
+looks up nearest points; off-lattice evaluations clamp to the boundary
+and are counted in the report.
 Argmin ties break to the lowest control index, so tables are
 bit-reproducible.
 
@@ -26,7 +29,7 @@ channels); the stochastic case is handled by the Galerkin solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -43,6 +46,7 @@ from .errors import ConfigError, NumericError
 from .forward import ConstantControl, Control, check_batch
 
 __all__ = [
+    "Grid",
     "Lattice",
     "ValueTable",
     "FeedbackPolicy",
@@ -50,8 +54,6 @@ __all__ = [
     "dpp_residual",
     "epsilon_optimal_control",
     "gauss_hermite",
-    "interpolate_multilinear",
-    "nearest_index",
 ]
 
 
@@ -71,52 +73,6 @@ def gauss_hermite(n_nodes: int, d: int):
     return nodes, weights
 
 
-def interpolation_stencil(points: np.ndarray, axes, widths: np.ndarray):
-    """The corners and weights of :func:`interpolate_multilinear` as a
-    :class:`Stencil` (M rows of 2^n flat C-order grid indices), and the
-    number of clamped coordinates.  Corner c takes the upper neighbour
-    along axis k when bit k of c is set."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    M, n = points.shape[0], len(axes)
-    idx0 = np.zeros((M, n), dtype=int)
-    frac = np.zeros((M, n))
-    clamped = 0
-    for k, c in enumerate(axes):
-        x = points[:, k]
-        clamped += int(np.count_nonzero((x < c[0]) | (x > c[-1])))
-        if c.size > 1:
-            # np.minimum(np.maximum(.)) is np.clip without its call overhead.
-            pos = (np.minimum(np.maximum(x, c[0]), c[-1]) - c[0]) / widths[k]
-            idx0[:, k] = np.minimum(np.maximum(np.floor(pos).astype(int), 0), c.size - 2)
-            frac[:, k] = np.minimum(np.maximum(pos - idx0[:, k], 0.0), 1.0)
-    index, weights = np.zeros((M, 1 << n), dtype=int), np.ones((M, 1 << n))
-    for corner in range(1 << n):
-        for k, c in enumerate(axes):
-            hi = (corner >> k) & 1
-            weights[:, corner] *= frac[:, k] if hi else 1.0 - frac[:, k]
-            index[:, corner] = (index[:, corner] * c.size
-                                + np.minimum(idx0[:, k] + hi, c.size - 1))
-    return Stencil(index, weights), clamped
-
-
-def interpolate_multilinear(values: np.ndarray, points: np.ndarray, axes,
-                            widths: np.ndarray):
-    """Multilinear interpolation on a regular grid, with clamping.
-
-    ``axes`` holds each axis's coordinates (cell centers or nodes, one
-    value per grid point along it) and ``widths`` their spacings.
-    Points outside [axes[k][0], axes[k][-1]] read the nearest boundary
-    value, which keeps the monotone schemes monotone.  Returns
-    (interpolated (M,), number of clamped coordinates).
-    """
-    (index, weights), clamped = interpolation_stencil(points, axes, widths)
-    flat = np.asarray(values, dtype=float).reshape(tuple(c.size for c in axes)).ravel()
-    out = np.zeros(index.shape[0])
-    for corner in range(index.shape[1]):
-        out += weights[:, corner] * flat[index[:, corner]]
-    return out, clamped
-
-
 class Stencil(NamedTuple):
     """A sparse linear map stored row by row at a common width: row r
     reads sum_s weights[r, s] v[indices[r, s]] (leading axes index the
@@ -129,35 +85,31 @@ class Stencil(NamedTuple):
         return np.einsum("...s,...s->...", self.weights, v[self.indices])
 
 
-def nearest_index(points: np.ndarray, axes, widths: np.ndarray) -> tuple:
-    """Per-axis index of the grid point nearest to each of ``points``.
-
-    Off-grid points get the nearest boundary index.
-    """
-    points = np.atleast_2d(points)
-    idx = []
-    for k, c in enumerate(axes):
-        i = np.round((points[:, k] - c[0]) / widths[k]).astype(int)
-        idx.append(np.clip(i, 0, c.size - 1))
-    return tuple(idx)
-
-
 @dataclass(frozen=True)
-class Lattice:
-    """Uniform cell-center lattice over a box in R^n."""
+class Grid:
+    """Uniform grid over a box in R^n with ``shape[k]`` points on axis k.
+
+    The class constant ``e`` places the points, and each placement is a
+    subclass: 0 on the cell centers (:class:`Lattice`), 1 on the nodes,
+    box ends included (:class:`~jumphjb.pide.SpatialGrid`).  Off-grid
+    points clamp to the boundary in :meth:`interpolate` and
+    :meth:`nearest`.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
     shape: tuple
+    e: ClassVar[int]
 
     def __post_init__(self):
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         shape = tuple(int(s) for s in np.atleast_1d(self.shape))
         if lower.size != upper.size or lower.size != len(shape):
-            raise ValueError("lattice box and shape dimensions disagree")
-        if np.any(lower >= upper) or any(s < 1 for s in shape):
-            raise ValueError("lattice box must be nonempty with >= 1 cell per dim")
+            raise ConfigError("grid box and shape dimensions disagree")
+        if np.any(lower >= upper) or any(s < 1 + self.e for s in shape):
+            raise ConfigError(
+                f"grid box must be nonempty with >= {1 + self.e} points per dim")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "shape", shape)
@@ -168,31 +120,98 @@ class Lattice:
 
     @property
     def widths(self) -> np.ndarray:
-        return (self.upper - self.lower) / np.array(self.shape)
-
-    def axis_centers(self, k: int) -> np.ndarray:
-        w = self.widths[k]
-        return self.lower[k] + w * (np.arange(self.shape[k]) + 0.5)
+        return (self.upper - self.lower) / (np.array(self.shape) - self.e)
 
     def axes(self) -> list:
-        return [self.axis_centers(k) for k in range(self.n)]
+        """Each axis's coordinates; on nodes the last one is ``upper``
+        itself, which makes the axis np.linspace bit for bit."""
+        axes = []
+        for lo, hi, w, s in zip(self.lower, self.upper, self.widths, self.shape):
+            axis = lo + w * (np.arange(s) + (1 - self.e) / 2)
+            if self.e:
+                axis[-1] = hi
+            axes.append(axis)
+        return axes
 
-    def centers(self) -> np.ndarray:
-        """All cell centers, shape (n_cells, n), C-order over the grid."""
+    def nodes(self) -> np.ndarray:
+        """All grid points, shape (n_points, n), C-order over the grid."""
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
-    def refine(self, factor: int = 2) -> "Lattice":
-        return Lattice(self.lower, self.upper, tuple(s * factor for s in self.shape))
+    def refine(self, factor: int = 2) -> "Grid":
+        return type(self)(self.lower, self.upper,
+                          tuple((s - self.e) * factor + self.e for s in self.shape))
+
+    def stencil(self, points: np.ndarray):
+        """The corners and weights of :meth:`interpolate` as a
+        :class:`Stencil` (M rows of 2^n flat C-order grid indices), and
+        the number of clamped coordinates.  Corner c takes the upper
+        neighbour along axis k when bit k of c is set."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        axes, widths = self.axes(), self.widths
+        M, n = points.shape[0], len(axes)
+        idx0 = np.zeros((M, n), dtype=int)
+        frac = np.zeros((M, n))
+        clamped = 0
+        for k, c in enumerate(axes):
+            x = points[:, k]
+            clamped += int(np.count_nonzero((x < c[0]) | (x > c[-1])))
+            if c.size > 1:
+                # np.minimum(np.maximum(.)) is np.clip without its call overhead.
+                pos = (np.minimum(np.maximum(x, c[0]), c[-1]) - c[0]) / widths[k]
+                idx0[:, k] = np.minimum(np.maximum(np.floor(pos).astype(int), 0), c.size - 2)
+                frac[:, k] = np.minimum(np.maximum(pos - idx0[:, k], 0.0), 1.0)
+        index, weights = np.zeros((M, 1 << n), dtype=int), np.ones((M, 1 << n))
+        for corner in range(1 << n):
+            for k, c in enumerate(axes):
+                hi = (corner >> k) & 1
+                weights[:, corner] *= frac[:, k] if hi else 1.0 - frac[:, k]
+                index[:, corner] = (index[:, corner] * c.size
+                                    + np.minimum(idx0[:, k] + hi, c.size - 1))
+        return Stencil(index, weights), clamped
 
     def interpolate(self, values: np.ndarray, points: np.ndarray):
         """Multilinear interpolation at ``points`` (M, n) with clamping.
 
         Returns (interpolated (M,), number of clamped coordinates).
-        Clamping keeps the scheme monotone: off-lattice points read the
-        nearest boundary value.
+        Clamping keeps the monotone schemes monotone: points outside
+        [axes[k][0], axes[k][-1]] read the nearest boundary value.
         """
-        return interpolate_multilinear(values, points, self.axes(), self.widths)
+        (index, weights), clamped = self.stencil(points)
+        flat = np.asarray(values, dtype=float).reshape(self.shape).ravel()
+        out = np.zeros(index.shape[0])
+        for corner in range(index.shape[1]):
+            out += weights[:, corner] * flat[index[:, corner]]
+        return out, clamped
+
+    def nearest(self, points: np.ndarray) -> tuple:
+        """Per-axis index of the grid point nearest to each of ``points``.
+
+        Off-grid points get the nearest boundary index.
+        """
+        points, widths = np.atleast_2d(points), self.widths
+        idx = []
+        for k, c in enumerate(self.axes()):
+            i = np.round((points[:, k] - c[0]) / widths[k]).astype(int)
+            idx.append(np.clip(i, 0, c.size - 1))
+        return tuple(idx)
+
+    def gradient(self, values: np.ndarray) -> np.ndarray:
+        """Central-difference gradient, one-sided at the edges.
+
+        Returns shape (*shape, n).
+        """
+        vals = np.asarray(values, dtype=float).reshape(self.shape)
+        out = np.empty(self.shape + (self.n,))
+        for k in range(self.n):
+            out[..., k] = np.gradient(vals, self.widths[k], axis=k)
+        return out
+
+
+class Lattice(Grid):
+    """Uniform cell-center lattice over a box in R^n."""
+
+    e = 0
 
 
 @dataclass
@@ -215,7 +234,7 @@ class ValueTable:
 
     def to_csv(self, path) -> None:
         import csv
-        centers = self.lattice.centers()
+        centers = self.lattice.nodes()
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t"] + [f"x_{k+1}" for k in range(self.lattice.n)]
@@ -233,25 +252,26 @@ class ValueTable:
 class FeedbackPolicy(Control):
     """Markov feedback policy: (time node, grid point) -> control atom.
 
-    The grid is a cell-center :class:`Lattice` or a node grid; states
-    use the nearest grid point, off-grid ones the nearest boundary
+    The space is a :class:`Grid` of either placement (the cell centers
+    of a value table or the nodes of a PIDE solution); states use
+    :meth:`Grid.nearest`, so off-grid ones get the nearest boundary
     point.  Total by construction: every point of every time slice
     carries an atom index.
     """
 
-    def __init__(self, lattice: Lattice, grid: TimeGrid, control_set: ControlSet,
+    def __init__(self, space: Grid, grid: TimeGrid, control_set: ControlSet,
                  table: np.ndarray):
-        self.lattice = lattice
+        self.space = space
         self.grid = grid
         self.control_set = control_set
         self.table = np.asarray(table, dtype=int)
-        if self.table.shape[1:] != lattice.shape:
-            raise ValueError("policy table shape does not match the lattice")
+        if self.table.shape[1:] != space.shape:
+            raise ValueError("policy table shape does not match the grid")
         if self.table.min() < 0 or self.table.max() >= control_set.n_atoms:
             raise ValueError("policy table entries must index control atoms")
 
     def cell_of(self, points: np.ndarray) -> tuple:
-        return nearest_index(points, self.lattice.axes(), self.lattice.widths)
+        return self.space.nearest(points)
 
     def _slice(self, i: int) -> int:
         return min(i, self.table.shape[0] - 1)
@@ -297,14 +317,14 @@ def _step_operator(lattice: Lattice, key: tuple, b_tilde, sig, gs, dt: float,
     the continuation rows into E_u[V] (Gauss-Hermite weights w_q), row
     1 + k into the slope channel Z_k (weights w_q zeta_qk / sqrt(dt)).
     """
-    X = lattice.centers()
+    X = lattice.nodes()
     n = X.shape[1]
     sqdt = np.sqrt(dt)
     cont = X + b_tilde * dt + sqdt * np.moveaxis(sig @ zeta.T, -1, 0)
     jumps = np.stack([np.zeros_like(X)] + list(gs))
-    stencil, clamped = interpolation_stencil(
+    stencil, clamped = lattice.stencil(
         np.concatenate([(cont[:, None] + jumps).reshape(-1, n),
-                        (X + jumps[1:]).reshape(-1, n)]), lattice.axes(), lattice.widths)
+                        (X + jumps[1:]).reshape(-1, n)]))
     branch = np.concatenate([[1.0 - measure.total_mass * dt],
                              np.asarray(measure.weights) * dt])
     quadrature = np.concatenate([gh_w[None], (gh_w / sqdt) * zeta.T])[:, :, None] * branch
@@ -336,7 +356,7 @@ def compute_value_table(coeffs: CoefficientSet, control_set: ControlSet,
         raise ConfigError(
             f"jump intensity {lam} times dt {max_dt} exceeds 1; refine the grid")
 
-    X = lattice.centers()
+    X = lattice.nodes()
     C, N = X.shape[0], grid.n_steps
     zeta, gh_w = gauss_hermite(gh_nodes, d)
     values = np.empty((N + 1,) + lattice.shape)

@@ -9,12 +9,15 @@ to a deterministic nonlinear second-order PIDE,
 
 where I V(t,e,x,u) = V(t, x + g(t,e,x,u)) - V(t,x) is the nonlocal jump
 operator and k(V) = int_E I V l(t,e) nu(de) feeds the driver's jump
-slot.  The solver steps this explicitly.  Per control it keeps a local
-generator (upwind differences on the compensated drift b - int g
-nu(de), central second differences), reused while b~ and sigma at the
-nodes stay bitwise the same, and the jump shifts (clamped linear
-interpolation at x + g), reused while g does.  Every generator build
-checks the monotone step bound.
+slot.  The field lives on a :class:`SpatialGrid`, the node placement
+(box ends included) of the regular :class:`~jumphjb.dpp.Grid` that the
+DPP lattice shares, and reads off-node values through that grid's
+interpolation and stencil.  The solver steps this explicitly.  Per
+control it keeps a local generator (upwind differences on the
+compensated drift b - int g nu(de), central second differences),
+reused while b~ and sigma at the nodes stay bitwise the same, and the
+jump shifts (clamped linear interpolation at x + g), reused while g
+does.  Every generator build checks the monotone step bound.
 
 The Hamiltonian follows
 
@@ -47,12 +50,7 @@ from .coefficients import (
     eval_g,
     eval_sigma,
 )
-from .dpp import (
-    FeedbackPolicy,
-    Stencil,
-    interpolate_multilinear,
-    interpolation_stencil,
-)
+from .dpp import FeedbackPolicy, Grid, Stencil
 from .drivers import MarkMeasure, TimeGrid
 from .errors import CflViolationError, ConfigError, NumericError
 from .forward import ConstantControl, OpenLoopControl
@@ -67,70 +65,14 @@ __all__ = [
     "solve_pide_deterministic",
     "drift_consistency_residual",
     "verification_run",
-    "TripletFeedback",
     "VerificationReport",
 ]
 
 
-@dataclass(frozen=True)
-class SpatialGrid:
+class SpatialGrid(Grid):
     """Uniform node grid (endpoints included) over a box in R^n."""
 
-    lower: np.ndarray
-    upper: np.ndarray
-    shape: tuple
-
-    def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        shape = tuple(int(s) for s in np.atleast_1d(self.shape))
-        if lower.size != upper.size or lower.size != len(shape):
-            raise ValueError("grid box and shape dimensions disagree")
-        if np.any(lower >= upper) or any(s < 2 for s in shape):
-            raise ValueError("grid box must be nonempty with >= 2 nodes per dim")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "shape", shape)
-
-    @property
-    def n(self) -> int:
-        return self.lower.size
-
-    @property
-    def widths(self) -> np.ndarray:
-        return (self.upper - self.lower) / (np.array(self.shape) - 1)
-
-    def axis_nodes(self, k: int) -> np.ndarray:
-        return np.linspace(self.lower[k], self.upper[k], self.shape[k])
-
-    def axes(self) -> list:
-        return [self.axis_nodes(k) for k in range(self.n)]
-
-    def nodes(self) -> np.ndarray:
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
-
-    def refine(self, factor: int = 2) -> "SpatialGrid":
-        return SpatialGrid(self.lower, self.upper,
-                           tuple((s - 1) * factor + 1 for s in self.shape))
-
-    def interpolate(self, values: np.ndarray, points: np.ndarray):
-        """Multilinear interpolation with clamped extrapolation.
-
-        Returns (values (M,), clamped coordinate count).
-        """
-        return interpolate_multilinear(values, points, self.axes(), self.widths)
-
-    def gradient(self, values: np.ndarray) -> np.ndarray:
-        """Central-difference gradient, one-sided at the edges.
-
-        Returns shape (*shape, n).
-        """
-        vals = np.asarray(values, dtype=float).reshape(self.shape)
-        out = np.empty(self.shape + (self.n,))
-        for k in range(self.n):
-            out[..., k] = np.gradient(vals, self.widths[k], axis=k)
-        return out
+    e = 1
 
 
 @dataclass
@@ -320,14 +262,13 @@ class PideSolution:
 
 
 class NodePattern(NamedTuple):
-    """What the maps of every control share on one node grid: the nodes,
-    the axes and spacings, the columns of the local generator, per axis
-    the interior mask, the weights of the cross difference D_0 D_1
-    (n = 2) and the centered gradient, one-sided at the edges."""
+    """What the maps of every control share on one node grid: the grid
+    and its nodes, the columns of the local generator, per axis the
+    interior mask, the weights of the cross difference D_0 D_1 (n = 2)
+    and the centered gradient, one-sided at the edges."""
 
+    space: SpatialGrid
     nodes: np.ndarray
-    axes: list
-    widths: np.ndarray
     columns: np.ndarray
     inner: np.ndarray
     cross: np.ndarray
@@ -358,7 +299,7 @@ class NodePattern(NamedTuple):
             cols += [i0[:, s0] + i1[:, s1] - node for s0 in range(2) for s1 in range(2)]
             cross = np.stack([w0[:, s0] * w1[:, s1] for s0 in range(2) for s1 in range(2)],
                              axis=1)
-        return cls(X, space.axes(), space.widths, np.stack(cols, axis=1),
+        return cls(space, X, np.stack(cols, axis=1),
                    np.array(inner), cross, Stencil(*(np.stack(x) for x in zip(*grad))))
 
 
@@ -392,7 +333,7 @@ def _local_generator(pattern: NodePattern, key: tuple, b_tilde, sig,
     at most 1 at every node; the bound is that largest dt.
     """
     C, n = b_tilde.shape
-    h = pattern.widths
+    h = pattern.space.widths
     a = np.einsum("cij,ckj->cik", sig, sig)
     slope = b_tilde / h
     fwd = np.maximum(slope, 0.0)
@@ -414,9 +355,8 @@ def _local_generator(pattern: NodePattern, key: tuple, b_tilde, sig,
 def _jump_shifts(pattern: NodePattern, key: tuple, gs) -> JumpShifts:
     X = pattern.nodes
     C, n = X.shape
-    shift, clamped = interpolation_stencil(
-        (X + np.stack(gs)).reshape(-1, n) if gs else np.empty((0, n)),
-        pattern.axes, pattern.widths)
+    shift, clamped = pattern.space.stencil(
+        (X + np.stack(gs)).reshape(-1, n) if gs else np.empty((0, n)))
     return JumpShifts(key, Stencil(*(x.reshape(len(gs), C, 1 << n) for x in shift)),
                       clamped)
 
@@ -600,19 +540,6 @@ def drift_consistency_residual(triplet: RandomFieldTriplet, gamma: np.ndarray,
     return out
 
 
-class TripletFeedback(FeedbackPolicy):
-    """Feedback control extracted from a candidate field triplet.
-
-    ``table`` holds one control-atom index per time step and grid node.
-    """
-
-    def __init__(self, triplet: RandomFieldTriplet, control_set: ControlSet,
-                 table: np.ndarray):
-        super().__init__(triplet.space, TimeGrid(triplet.time_nodes),
-                         control_set, table)
-        self.triplet = triplet
-
-
 @dataclass
 class VerificationReport:
     j_feedback: float
@@ -660,7 +587,7 @@ def verification_run(triplet: RandomFieldTriplet, coeffs: CoefficientSet,
         t = float(triplet.time_nodes[i])
         _, idx = _delta_field(triplet, coeffs, control_set, measure, t, i)
         table[i] = idx.reshape(triplet.space.shape)
-    feedback = TripletFeedback(triplet, control_set, table)
+    feedback = FeedbackPolicy(triplet.space, grid, control_set, table)
 
     names, controls = [], [feedback]
     rng = np.random.default_rng(seed)

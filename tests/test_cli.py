@@ -129,6 +129,21 @@ class TestExitCodes:
                         "--out", str(tmp_path / "o")]) == 2
         assert "problem.params" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sub, section, bad", [
+        ("value", "value", {"cells": 0}),
+        ("pide", "pide", {"nodes": 1}),
+        ("value", "value", {"box": [1.0, -1.0]}),
+        ("value", "value", {"box": [1.0]}),
+        ("dpp-check", "dpp_check", {"box": [0.5, 0.5]}),
+        ("hjb-weak", "hjb_weak", {"out_nodes": 1}),
+        ("convergence", "convergence", {"study": "dpp_residual", "base_cells": 0}),
+    ])
+    def test_bad_grid_is_config_error(self, tmp_path, capsys, sub, section, bad):
+        cfg = write_cfg(tmp_path / "c.json", {
+            "seed": 1, "problem": {"name": "smooth1d"}, section: bad})
+        assert run_cli([sub, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {section}:" in capsys.readouterr().err
+
     def test_cfl_violation_is_numeric_failure(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.json", {
             "seed": 1,

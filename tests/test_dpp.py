@@ -57,11 +57,11 @@ class TestGaussHermite:
 class TestLattice:
     def test_centers(self):
         lat = Lattice([0.0], [1.0], (4,))
-        np.testing.assert_allclose(lat.axis_centers(0), [0.125, 0.375, 0.625, 0.875])
+        np.testing.assert_allclose(lat.axes()[0], [0.125, 0.375, 0.625, 0.875])
 
     def test_interpolation_affine_exact(self):
         lat = Lattice([-1.0, 0.0], [1.0, 2.0], (8, 6))
-        centers = lat.centers()
+        centers = lat.nodes()
         vals = (2.0 + 1.5 * centers[:, 0] - 0.5 * centers[:, 1]).reshape(lat.shape)
         pts = np.array([[0.11, 0.93], [-0.4, 1.2], [0.0, 1.0]])
         out, clamped = lat.interpolate(vals, pts)
@@ -113,7 +113,7 @@ class TestValueTable:
         tab = compute_value_table(co, ControlSet.from_1d(-1, 1, 2), lat,
                                   TimeGrid.uniform(1.0, 4), MEAS)
         np.testing.assert_array_equal(
-            tab.values[-1].ravel(), lat.centers()[:, 0] ** 2)
+            tab.values[-1].ravel(), lat.nodes()[:, 0] ** 2)
 
     def test_rejects_random_coefficients(self):
         co = controlled_coeffs(randomness_channels=("W1",))
@@ -149,7 +149,7 @@ def enumerate_policy_optimum(co, control_set, lat, grid, measure):
     """
     n_cells = lat.shape[0]
     N = grid.n_steps
-    centers = lat.centers()
+    centers = lat.nodes()
     zeta, gw = gauss_hermite(5, 1)
     lam = measure.total_mass
 
@@ -407,7 +407,7 @@ def reference_value_table(coeffs, control_set, lattice, grid, measure, gh_nodes=
     the two best totals of each cell (inf with one control).
     """
     n, d = coeffs.n, coeffs.d
-    X = lattice.centers()
+    X = lattice.nodes()
     C = X.shape[0]
     zeta, gh_w = gauss_hermite(gh_nodes, d)
     lam = measure.total_mass

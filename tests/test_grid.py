@@ -1,18 +1,21 @@
-"""Properties of the shared regular-grid kernel.
+"""Properties of the one regular-grid class, :class:`jumphjb.dpp.Grid`.
 
 The cell-center lattice of the DPP solver and the node grid of the PIDE
-solver interpolate and look up nearest points through one kernel; these
-properties hold for both on random boxes, shapes and points.
+solver are its two placements; both build axes, interpolate and look
+up nearest points through the same methods.  These properties hold for
+both on random boxes, shapes and points.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jumphjb.coefficients import ControlSet
 from jumphjb.dpp import FeedbackPolicy, Lattice
 from jumphjb.drivers import TimeGrid
-from jumphjb.pide import RandomFieldTriplet, SpatialGrid, TripletFeedback
+from jumphjb.errors import ConfigError
+from jumphjb.pide import SpatialGrid
 
 
 @st.composite
@@ -23,9 +26,9 @@ def grids(draw):
     coord = st.floats(-3.0, 3.0, allow_nan=False)
     lower = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
     span = np.array(draw(st.lists(st.floats(0.1, 4.0), min_size=n, max_size=n)))
-    shape = tuple(draw(st.lists(st.integers(2 if node_grid else 1, 7),
-                                min_size=n, max_size=n)))
-    grid = (SpatialGrid if node_grid else Lattice)(lower, lower + span, shape)
+    kind = SpatialGrid if node_grid else Lattice
+    shape = tuple(draw(st.lists(st.integers(1 + kind.e, 7), min_size=n, max_size=n)))
+    grid = kind(lower, lower + span, shape)
     m = draw(st.integers(1, 12))
     # Points reach past the box on every side, so clamping is exercised.
     pts = draw(st.lists(st.floats(-1.0, 2.0), min_size=m * n, max_size=m * n))
@@ -35,10 +38,6 @@ def grids(draw):
     return grid, points, coefs
 
 
-def grid_points(grid):
-    return grid.nodes() if isinstance(grid, SpatialGrid) else grid.centers()
-
-
 @settings(max_examples=80, deadline=None)
 @given(grids())
 def test_affine_fields_interpolate_exactly(case):
@@ -46,7 +45,7 @@ def test_affine_fields_interpolate_exactly(case):
     axes = grid.axes()
     first = np.array([a[0] for a in axes])
     last = np.array([a[-1] for a in axes])
-    values = (coefs[0] + grid_points(grid) @ coefs[1:]).reshape(grid.shape)
+    values = (coefs[0] + grid.nodes() @ coefs[1:]).reshape(grid.shape)
     out, clamped = grid.interpolate(values, points)
     # Off-grid coordinates read the boundary value: the field at the
     # clamped point.
@@ -82,13 +81,7 @@ def test_policy_lookup_is_nearest(case):
     grid, points, _ = case
     controls = ControlSet.from_1d(-1.0, 1.0, 2)
     table = np.zeros((1,) + grid.shape, dtype=int)
-    if isinstance(grid, SpatialGrid):
-        times = np.array([0.0, 1.0])
-        field = RandomFieldTriplet.deterministic(
-            grid, times, np.zeros((2,) + grid.shape), 0)
-        policy = TripletFeedback(field, controls, table)
-    else:
-        policy = FeedbackPolicy(grid, TimeGrid.uniform(1.0, 1), controls, table)
+    policy = FeedbackPolicy(grid, TimeGrid.uniform(1.0, 1), controls, table)
     _assert_nearest(grid, points, policy.cell_of(points))
 
 
@@ -131,3 +124,47 @@ def test_stencil_gather_matches_corner_reads_bitwise(case, seed):
     out, clamped = grid.interpolate(values, points)
     ref, ref_clamped = reference_interpolate(values, points, grid.axes(), grid.widths)
     assert out.tobytes() == ref.tobytes() and clamped == ref_clamped
+
+
+@st.composite
+def boxes(draw):
+    """A grid of either placement on a random box in R^1..R^3, with up
+    to 64 points per axis."""
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from([Lattice, SpatialGrid]))
+    lower = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    span = np.array(draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n)))
+    shape = draw(st.lists(st.integers(1 + kind.e, 64), min_size=n, max_size=n))
+    return kind(lower, lower + span, tuple(shape))
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxes(), st.integers(1, 4))
+def test_placements_match_their_own_formulas(grid, factor):
+    # Nodes: np.linspace over the box; cell centers: the midpoints of
+    # shape[k] equal cells.  Both bit for bit, with the matching widths
+    # and refined shapes.
+    span, shape = grid.upper - grid.lower, np.array(grid.shape)
+    if isinstance(grid, SpatialGrid):
+        axes = [np.linspace(lo, hi, s) for lo, hi, s in zip(grid.lower, grid.upper, shape)]
+        widths, refined = span / (shape - 1), (shape - 1) * factor + 1
+    else:
+        widths, refined = span / shape, shape * factor
+        axes = [lo + w * (np.arange(s) + 0.5) for lo, w, s in zip(grid.lower, widths, shape)]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(grid.axes(), axes))
+    assert grid.widths.tobytes() == widths.tobytes()
+    fine = grid.refine(factor)
+    assert type(fine) is type(grid) and fine.shape == tuple(refined)
+
+
+@pytest.mark.parametrize("kind, lower, upper, shape", [
+    (Lattice, [0.0], [1.0], (0,)),
+    (SpatialGrid, [0.0], [1.0], (1,)),
+    (Lattice, [1.0], [-1.0], (4,)),
+    (SpatialGrid, [0.0, 2.0], [1.0, 2.0], (3, 3)),
+    (Lattice, [0.0, 0.0], [1.0], (4, 4)),
+    (SpatialGrid, [0.0], [1.0], (3, 3)),
+])
+def test_constructor_refusals_are_config_errors(kind, lower, upper, shape):
+    with pytest.raises(ConfigError):
+        kind(lower, upper, shape)
