@@ -10,14 +10,14 @@ to a deterministic nonlinear second-order PIDE,
 where I V(t,e,x,u) = V(t, x + g(t,e,x,u)) - V(t,x) is the nonlocal jump
 operator and k(V) = int_E I V l(t,e) nu(de) feeds the driver's jump
 slot.  The field lives on a :class:`SpatialGrid`, the node placement
-(box ends included) of the regular :class:`~jumphjb.dpp.Grid` that the
-DPP lattice shares, and reads off-node values through that grid's
-interpolation and stencil.  The solver steps this explicitly.  Per
-control it keeps a local generator (upwind differences on the
-compensated drift b - int g nu(de), central second differences),
-reused while b~ and sigma at the nodes stay bitwise the same, and the
-jump shifts (clamped linear interpolation at x + g), reused while g
-does.  Every generator build checks the monotone step bound.
+(box ends included) of :class:`~jumphjb.dpp.Grid`, whose interpolation
+and stencil read it between the nodes.  The solver steps this
+explicitly.  Per control it keeps a local generator (upwind
+differences on the compensated drift b - int g nu(de), central second
+differences), reused while b~ and sigma at the nodes stay bitwise the
+same, and the jump shifts (clamped linear interpolation at x + g),
+reused while g does.  Every generator build checks the monotone step
+bound.
 
 The Hamiltonian follows
 

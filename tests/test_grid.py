@@ -22,11 +22,10 @@ from jumphjb.pide import SpatialGrid
 def grids(draw):
     """(grid, points, affine coefficients) for a random box in R^1..R^3."""
     n = draw(st.integers(1, 3))
-    node_grid = draw(st.booleans())
+    kind = draw(st.sampled_from([Lattice, SpatialGrid]))
     coord = st.floats(-3.0, 3.0, allow_nan=False)
     lower = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
     span = np.array(draw(st.lists(st.floats(0.1, 4.0), min_size=n, max_size=n)))
-    kind = SpatialGrid if node_grid else Lattice
     shape = tuple(draw(st.lists(st.integers(1 + kind.e, 7), min_size=n, max_size=n)))
     grid = kind(lower, lower + span, shape)
     m = draw(st.integers(1, 12))
