@@ -3,8 +3,9 @@
 Every run consumes a JSON config (seed required, no silent
 nondeterminism), writes CSV/JSON artifacts plus a ``manifest.json``
 carrying the config hash, the full config echo and library versions,
-and exits 0 on success, 2 on config errors (a bad grid box or point
-count among them), 3 on numeric failures (including a Monte Carlo
+and exits 0 on success, 2 on config errors (a bad grid box, or an
+integer setting of a section, such as a count, that is not an integer
+in range, among them), 3 on numeric failures (including a Monte Carlo
 batch too large for memory) and 4 when an iterative solver did not
 converge.  Failures other than config errors write
 ``failure_diagnostic.json`` to the output directory.  Identical configs
@@ -75,6 +76,15 @@ def _need(cfg: dict, key: str, kind, path: str):
     return val
 
 
+def _count(sec: dict, key: str, default, path: str, low: int = 1) -> int:
+    """``sec[key]``, or ``default`` when absent, as an integer >= ``low``;
+    anything else is a config error naming ``path.key``."""
+    val = sec.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, int) or val < low:
+        _fail(f"expected an integer >= {low}", f"{path}.{key}")
+    return val
+
+
 def _section(cfg: dict, name: str) -> dict:
     sec = cfg.get(name, {})
     if not isinstance(sec, dict):
@@ -142,8 +152,8 @@ def _write_json(path: Path, payload: dict):
 def run_simulate(cfg: dict, out: Path) -> list:
     prob = _problem(cfg)
     sec = _section(cfg, "simulate")
-    n_steps = sec.get("n_steps", prob.n_steps)
-    n_paths = sec.get("n_paths", 1)
+    n_steps = _count(sec, "n_steps", prob.n_steps, "simulate")
+    n_paths = _count(sec, "n_paths", 1, "simulate")
     grid = TimeGrid.uniform(prob.horizon, n_steps)
     control = _control_from(sec, prob.coeffs.m)
     bank = draw_noise(grid, prob.coeffs.d, prob.measure, n_paths, cfg["seed"])
@@ -159,11 +169,11 @@ def run_simulate(cfg: dict, out: Path) -> list:
 def run_bsde(cfg: dict, out: Path) -> list:
     prob = _problem(cfg)
     sec = _section(cfg, "bsde")
-    n_steps = sec.get("n_steps", prob.n_steps)
-    n_samples = sec.get("n_samples", 2000)
+    n_steps = _count(sec, "n_steps", prob.n_steps, "bsde")
+    n_samples = _count(sec, "n_samples", 2000, "bsde")
     grid = TimeGrid.uniform(prob.horizon, n_steps)
     control = _control_from(sec, prob.coeffs.m)
-    basis = PolynomialBasis(degree=sec.get("basis_degree", 3),
+    basis = PolynomialBasis(degree=_count(sec, "basis_degree", 3, "bsde", low=0),
                             ridge=sec.get("ridge", 1e-8))
     batch = simulate_batch(prob.coeffs, control, prob.x0, grid, prob.measure,
                            n_samples, cfg["seed"])
@@ -190,7 +200,7 @@ def run_value(cfg: dict, out: Path) -> list:
     sec = _section(cfg, "value")
     cells = sec.get("cells", prob.lattice_cells)
     box = sec.get("box", [prob.space_low, prob.space_high])
-    n_steps = sec.get("n_steps", prob.n_steps)
+    n_steps = _count(sec, "n_steps", prob.n_steps, "value")
     lat = _grid(Lattice, box, cells, "value")
     grid = TimeGrid.uniform(prob.horizon, n_steps)
     table = compute_value_table(prob.coeffs, prob.control_set, lat, grid,
@@ -210,10 +220,10 @@ def run_dpp_check(cfg: dict, out: Path) -> list:
     sec = _section(cfg, "dpp_check")
     cells = sec.get("cells", prob.lattice_cells)
     box = sec.get("box", [prob.space_low, prob.space_high])
-    n_steps = sec.get("n_steps", prob.n_steps)
-    delta_nodes = sec.get("delta_nodes", 1)
-    n_samples = sec.get("n_samples", 20000)
-    t_node = sec.get("t_node", 0)
+    n_steps = _count(sec, "n_steps", prob.n_steps, "dpp_check")
+    delta_nodes = _count(sec, "delta_nodes", 1, "dpp_check", low=0)
+    n_samples = _count(sec, "n_samples", 20000, "dpp_check")
+    t_node = _count(sec, "t_node", 0, "dpp_check", low=0)
     x = np.asarray(sec.get("x", prob.x0.tolist()), dtype=float)
     lat = _grid(Lattice, box, cells, "dpp_check")
     grid = TimeGrid.uniform(prob.horizon, n_steps)
@@ -235,7 +245,7 @@ def _pide_solution(cfg: dict, prob):
     sec = _section(cfg, "pide")
     nodes = sec.get("nodes", prob.space_nodes)
     box = sec.get("box", [prob.space_low, prob.space_high])
-    n_steps = sec.get("n_steps", prob.n_steps)
+    n_steps = _count(sec, "n_steps", prob.n_steps, "pide")
     space = _grid(SpatialGrid, box, nodes, "pide")
     grid = TimeGrid.uniform(prob.horizon, n_steps)
     return solve_pide_deterministic(prob.coeffs, space, grid,
@@ -256,11 +266,12 @@ def run_pide(cfg: dict, out: Path) -> list:
 def run_verify(cfg: dict, out: Path) -> list:
     prob = _problem(cfg)
     sec = _section(cfg, "verify")
+    n_samples = _count(sec, "n_samples", 4000, "verify")
+    n_alternatives = _count(sec, "n_alternatives", 4, "verify", low=0)
     sol = _pide_solution(cfg, prob)
     rep = verification_run(
         sol.triplet, prob.coeffs, prob.control_set, prob.measure, prob.x0,
-        sec.get("n_samples", 4000), cfg["seed"],
-        n_alternatives=sec.get("n_alternatives", 4))
+        n_samples, cfg["seed"], n_alternatives=n_alternatives)
     (out / "verify_report.json").write_text(rep.to_json() + "\n")
     return ["verify_report.json"]
 
@@ -281,8 +292,8 @@ def run_bseej(cfg: dict, out: Path) -> list:
     sec = _section(cfg, "bseej")
     kind = sec.get("kind", "heat")
     length = sec.get("length", 2.0)
-    n_modes = sec.get("modes", 8)
-    n_steps = sec.get("n_steps", 200)
+    n_modes = _count(sec, "modes", 8, "bseej")
+    n_steps = _count(sec, "n_steps", 200, "bseej")
     horizon = sec.get("horizon", 1.0)
     sigma0 = sec.get("sigma", 1.0)
     triple = assemble_triple(length, 1, n_modes)
@@ -317,9 +328,9 @@ def run_bseej(cfg: dict, out: Path) -> list:
 def run_hjb_weak(cfg: dict, out: Path) -> list:
     prob = _problem(cfg)
     sec = _section(cfg, "hjb_weak")
-    n_modes = sec.get("modes", prob.galerkin_modes)
+    n_modes = _count(sec, "modes", prob.galerkin_modes, "hjb_weak")
     length = sec.get("length", prob.galerkin_length)
-    n_steps = sec.get("n_steps", max(prob.n_steps // 2, 10))
+    n_steps = _count(sec, "n_steps", max(prob.n_steps // 2, 10), "hjb_weak")
     triple = assemble_triple(length, 1, n_modes)
     grid = TimeGrid.uniform(prob.horizon, n_steps)
     out_box = sec.get("out_box", [prob.space_low, prob.space_high])
@@ -331,7 +342,7 @@ def run_hjb_weak(cfg: dict, out: Path) -> list:
     res = solve_hjb_weak(prob.coeffs, triple, prob.control_set, prob.measure,
                          grid, scenario=scenario,
                          tol=sec.get("tol", 1e-8),
-                         max_iter=sec.get("max_iter", 50))
+                         max_iter=_count(sec, "max_iter", 50, "hjb_weak"))
     extra = []
     if sec.get("dump_operators", False):
         res.pair.dump_csv(out / "operators.csv")
@@ -361,14 +372,12 @@ def _coarsen_path(path: DriverPath, factor: int) -> DriverPath:
 def run_convergence(cfg: dict, out: Path) -> list:
     sec = _section(cfg, "convergence")
     study = sec.get("study", "forward_strong")
-    halvings = sec.get("halvings", 3)
-    if halvings < 1:
-        _fail("need at least one halving", "convergence.halvings")
+    halvings = _count(sec, "halvings", 3, "convergence")
     rows = []
     if study == "forward_strong":
         prob = _problem(cfg)
-        base = sec.get("base_steps", 16)
-        n_paths = sec.get("n_paths", 40)
+        base = _count(sec, "base_steps", 16, "convergence")
+        n_paths = _count(sec, "n_paths", 40, "convergence")
         fine_factor = 4 * 2 ** halvings
         fine_steps = base * fine_factor
         control = ConstantControl(np.zeros(prob.coeffs.m))
@@ -388,8 +397,8 @@ def run_convergence(cfg: dict, out: Path) -> list:
             rows.append([lvl, prob.horizon / n, float(np.mean(errs[lvl]))])
     elif study == "energy_identity":
         length = sec.get("length", 2.0)
-        n_modes = sec.get("modes", 6)
-        base = sec.get("base_steps", 40)
+        n_modes = _count(sec, "modes", 6, "convergence")
+        base = _count(sec, "base_steps", 40, "convergence")
         triple = assemble_triple(length, 1, n_modes)
         coeffs = _heat_coeffs(1.0)
         xi = np.zeros(n_modes)
@@ -403,9 +412,9 @@ def run_convergence(cfg: dict, out: Path) -> list:
             rows.append([lvl, 1.0 / n, abs(rep.residual)])
     elif study == "dpp_residual":
         prob = _problem(cfg)
-        base_steps = sec.get("base_steps", 8)
+        base_steps = _count(sec, "base_steps", 8, "convergence")
         base_cells = sec.get("base_cells", 40)
-        n_samples = sec.get("n_samples", 40000)
+        n_samples = _count(sec, "n_samples", 40000, "convergence")
         box = sec.get("box", [prob.space_low, prob.space_high])
         for lvl in range(halvings + 1):
             k = 2 ** lvl
@@ -437,7 +446,7 @@ def run_validate_assumptions(cfg: dict, out: Path) -> list:
     plan = SamplingPlan.cube(
         prob.coeffs.n, prob.coeffs.m,
         half_width=sec.get("box_half_width", 2.0),
-        n_samples=sec.get("n_samples", 200),
+        n_samples=_count(sec, "n_samples", 200, "validate_assumptions"),
         seed=cfg["seed"])
     reports = {
         "lipschitz": validate_lipschitz(prob.coeffs, prob.measure, plan),

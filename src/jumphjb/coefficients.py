@@ -18,19 +18,22 @@ callables must be pure and re-entrant.
 Every callable except l follows one batch convention: ``x`` has shape
 (B, n), ``u`` (B, m), ``y`` and ``k`` (B,), ``z`` (B, d) and the noise
 values (B, r), and each output carries the same leading batch axis.
-Every solver calls the coefficients this way (:func:`batch_eval`, and
-:func:`compensated_drift` for the drift with the jump compensator folded
-in); single-point call sites pass a one-row batch.  The time ``t`` is a
-scalar shared by the rows, except in the event sub-steps of the batch
-forward simulation, where rows stand at different event times: there
-``t``, and the ``t`` of the NoiseState, are (B,) arrays with one entry
-per row.  A family that reads t writes it so that both broadcast, for
+Every caller evaluates the coefficients this way (:func:`batch_eval`,
+and :func:`compensated_drift` for the drift with the jump compensator
+folded in); there is no single-point evaluator, and the per-path
+reference simulation holds its state as a one-row batch.  The time
+``t`` is a scalar shared by the rows, except where rows stand at
+different times: in the event sub-steps of the batch forward
+simulation, and in the validators below, whose samples each draw their
+own t.  There ``t``, and the ``t`` of the NoiseState, are (B,) arrays
+with one entry per row.  A family that reads t writes it so that both broadcast, for
 example ``np.reshape(t, (-1, 1)) * x``.  Callables written for one
 point at a time go through :meth:`CoefficientSet.from_pointwise`, which
 loops over the rows and passes each row its own t.
 
 The validators below check the standing regularity assumptions by
-sampling, since the coefficients are opaque callables: Lipschitz bounds
+sampling, all samples of a check in one batch, since the coefficients
+are opaque callables: Lipschitz bounds
 for (b, sigma) and per-atom envelopes for g, the non-degeneracy floor
 |det(I + D_x g)| >= delta, monotonicity of the driver in its jump
 aggregate, and the growth bound on l.
@@ -231,44 +234,6 @@ def compensated_drift(coeffs: CoefficientSet, measure: MarkMeasure, t,
     return b, gs
 
 
-def _as_batch(x, u, noise):
-    """One point as a one-row batch: (1, n) state, (1, m) control, noise."""
-    if noise is not None and noise.values.ndim == 1:
-        noise = NoiseState(noise.t, noise.channels, noise.values[None, :])
-    return (np.asarray(x, dtype=float)[None, :],
-            np.atleast_1d(np.asarray(u, dtype=float))[None, :], noise)
-
-
-def eval_drift_tilde(coeffs: CoefficientSet, measure: MarkMeasure, t, x, u,
-                     noise):
-    """Compensated drift b - sum_j w_j g_j at a single point."""
-    X, U, nz = _as_batch(x, u, noise)
-    return compensated_drift(coeffs, measure, t, X, U, nz)[0][0]
-
-
-def eval_b(coeffs: CoefficientSet, t, x, u, noise):
-    """Drift at a single point."""
-    X, U, nz = _as_batch(x, u, noise)
-    return batch_eval(coeffs.b, t, X, U, nz, (coeffs.n,))[0]
-
-
-def eval_sigma(coeffs: CoefficientSet, t, x, u, noise):
-    X, U, nz = _as_batch(x, u, noise)
-    return batch_eval(coeffs.sigma, t, X, U, nz, (coeffs.n, coeffs.d))[0]
-
-
-def eval_g(coeffs: CoefficientSet, t, mark, x, u, noise):
-    X, U, nz = _as_batch(x, u, noise)
-    return batch_eval(coeffs.g, t, X, U, nz, (coeffs.n,), mark)[0]
-
-
-def eval_f(coeffs: CoefficientSet, t, x, u, y, z, k, noise) -> float:
-    X, U, nz = _as_batch(x, u, noise)
-    out = coeffs.f(t, X, U, np.atleast_1d(float(y)),
-                   np.asarray(z, dtype=float)[None, :], np.atleast_1d(float(k)), nz)
-    return float(np.asarray(out, dtype=float).ravel()[0])
-
-
 @dataclass(frozen=True)
 class ControlSet:
     """Finite grid U_h inside a compact box of R^m."""
@@ -383,14 +348,18 @@ def _plan_samples(coeffs: CoefficientSet, plan: SamplingPlan):
     return ts, xs, xs2, us, us2, noises
 
 
-def _noise_at(coeffs: CoefficientSet, t: float, values) -> NoiseState:
-    return NoiseState(t, coeffs.randomness_channels, np.asarray(values, dtype=float))
+def _noise_at(coeffs: CoefficientSet, ts: np.ndarray, values) -> NoiseState:
+    """The sampled channel values as one batch, each row at its own time."""
+    return NoiseState(ts, coeffs.randomness_channels, np.asarray(values, dtype=float))
 
 
-def _check_finite(name: str, value, point) -> np.ndarray:
+def _check_finite(name: str, value, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """``value`` (one row per sample); a non-finite row raises with its point."""
     value = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(value)):
-        raise NumericError(f"{name} returned non-finite value at {point}")
+    bad = ~np.isfinite(value.reshape(value.shape[0], -1)).all(axis=1)
+    if np.any(bad):
+        s = int(np.argmax(bad))
+        raise NumericError(f"{name} returned non-finite value at t={ts[s]}, x={xs[s]}")
     return value
 
 
@@ -406,33 +375,32 @@ def validate_lipschitz(coeffs: CoefficientSet, measure: MarkMeasure,
     if measure.n_atoms and coeffs.rho.size != measure.n_atoms:
         raise ValueError("coeffs.rho must have one entry per measure atom")
     ts, xs, xs2, us, us2, noises = _plan_samples(coeffs, plan)
+    gap = np.linalg.norm(xs - xs2, axis=1) + np.linalg.norm(us - us2, axis=1)
+    keep = gap >= 1e-12
+    ts, xs, xs2, us, us2, noises, gap = (
+        a[keep] for a in (ts, xs, xs2, us, us2, noises, gap))
+    noise = _noise_at(coeffs, ts, noises)
+
+    def spread(name, fun, out_shape, *mark):
+        """|fun(x) - fun(x')| of every kept pair."""
+        ends = [_check_finite(name, batch_eval(fun, ts, x, u, noise, out_shape, *mark), ts, x)
+                for x, u in ((xs, us), (xs2, us2))]
+        return np.linalg.norm((ends[0] - ends[1]).reshape(gap.size, -1), axis=1)
+
     tol = 1.0 + 1e-9
-    worst_ratio = 0.0
+    ratio = (spread("b", coeffs.b, (coeffs.n,))
+             + spread("sigma", coeffs.sigma, (coeffs.n, coeffs.d))) / gap
+    worst_ratio = float(ratio.max(initial=0.0))
     worst = {}
+    if worst_ratio > 0.0:
+        s = int(np.argmax(ratio))
+        worst = {"t": float(ts[s]), "x": xs[s].tolist(), "x2": xs2[s].tolist()}
     g_ok = True
-    for t, x, x2, u, u2, nv in zip(ts, xs, xs2, us, us2, noises):
-        gap = float(np.linalg.norm(x - x2) + np.linalg.norm(u - u2))
-        if gap < 1e-12:
-            continue
-        noise = _noise_at(coeffs, t, nv)
-        db = _check_finite("b", eval_b(coeffs, t, x, u, noise), (t, x, u)) - _check_finite(
-            "b", eval_b(coeffs, t, x2, u2, noise), (t, x2, u2)
-        )
-        ds = _check_finite(
-            "sigma", eval_sigma(coeffs, t, x, u, noise), (t, x, u)
-        ) - _check_finite("sigma", eval_sigma(coeffs, t, x2, u2, noise), (t, x2, u2))
-        ratio = (np.linalg.norm(db) + np.linalg.norm(ds)) / gap
-        if ratio > worst_ratio:
-            worst_ratio = ratio
-            worst = {"t": float(t), "x": x.tolist(), "x2": x2.tolist()}
-        for j in range(measure.n_atoms):
-            mark = measure.marks[j]
-            dg = _check_finite(
-                "g", eval_g(coeffs, t, mark, x, u, noise), (t, mark, x, u)
-            ) - _check_finite("g", eval_g(coeffs, t, mark, x2, u2, noise), (t, mark, x2, u2))
-            if np.linalg.norm(dg) > coeffs.rho[j] * gap * tol + 1e-14:
-                g_ok = False
-                worst.setdefault("g_atom", j)
+    for j, mark in enumerate(measure.marks):
+        if np.any(spread("g", coeffs.g, (coeffs.n,), mark)
+                  > coeffs.rho[j] * gap * tol + 1e-14):
+            g_ok = False
+            worst.setdefault("g_atom", j)
     passed = worst_ratio <= coeffs.lipschitz_C * tol and g_ok
     notes = "" if g_ok else "per-atom jump Lipschitz envelope violated"
     return ValidationReport(
@@ -441,42 +409,52 @@ def validate_lipschitz(coeffs: CoefficientSet, measure: MarkMeasure,
     )
 
 
-def jacobian_x(fun, x: np.ndarray, n_out: int) -> np.ndarray:
-    """Central-difference Jacobian in x, step 1e-5 (1 + |x|)."""
-    x = np.asarray(x, dtype=float)
-    step = FD_STEP_SCALE * (1.0 + np.linalg.norm(x))
-    jac = np.empty((n_out, x.size))
-    for k in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[k] += step
-        xm[k] -= step
-        jac[:, k] = (np.asarray(fun(xp), dtype=float).ravel()
-                     - np.asarray(fun(xm), dtype=float).ravel()) / (2.0 * step)
-    return jac
+def jacobian_x(fun, t, X: np.ndarray, u, noise, n_out: int) -> np.ndarray:
+    """Central-difference D_x of ``fun(t, X, u, noise)`` on the rows of X.
+
+    Returns (B, n_out, n).  The 2 n B shifted rows go through ``fun`` in
+    one call, each with its row's t, u and noise; the step of row b is
+    1e-5 (1 + |X_b|).
+    """
+    X = np.asarray(X, dtype=float)
+    B, n = X.shape
+
+    def tile(a):
+        a = np.asarray(a, dtype=float)
+        return np.tile(a, (2 * n,) + (1,) * (a.ndim - 1))
+
+    step = FD_STEP_SCALE * (1.0 + np.linalg.norm(X, axis=1))
+    shift = np.eye(n)[:, None, :] * step[:, None]          # (n, B, n)
+    points = np.concatenate([X + shift, X - shift]).reshape(-1, n)
+    u = np.asarray(u, dtype=float)
+    if noise is not None:
+        noise = NoiseState(tile(noise.t) if np.ndim(noise.t) else noise.t,
+                           noise.channels, tile(noise.values))
+    vals = np.asarray(fun(tile(t) if np.ndim(t) else t, points,
+                          tile(u) if u.ndim == 2 else u, noise),
+                      dtype=float).reshape(2, n, B, n_out)
+    return np.transpose((vals[0] - vals[1]) / (2.0 * step[:, None]), (1, 2, 0))
 
 
 def validate_jump_nondegeneracy(coeffs: CoefficientSet, measure: MarkMeasure,
                                 plan: SamplingPlan) -> ValidationReport:
     """Sampled check of |det(I + D_x g)| >= delta on the atoms."""
     ts, xs, _, us, _, noises = _plan_samples(coeffs, plan)
-    min_det = np.inf
-    worst = {}
-    for t, x, u, nv in zip(ts, xs, us, noises):
-        noise = _noise_at(coeffs, t, nv)
-        for j in range(measure.n_atoms):
-            mark = measure.marks[j]
-            dg = jacobian_x(lambda xx: eval_g(coeffs, t, mark, xx, u, noise), x, coeffs.n)
-            _check_finite("D_x g", dg, (t, mark, x, u))
-            det = abs(float(np.linalg.det(np.eye(coeffs.n) + dg)))
-            if det < min_det:
-                min_det = det
-                worst = {"t": float(t), "x": x.tolist(), "atom": j}
-    if measure.n_atoms == 0:
-        min_det = 1.0
+    noise = _noise_at(coeffs, ts, noises)
+    min_det, worst = 1.0, {}
+    if measure.n_atoms:
+        # (samples, atoms), so the first minimum is the sample-major one.
+        dets = np.stack([np.abs(np.linalg.det(np.eye(coeffs.n) + _check_finite(
+            "D_x g", jacobian_x(
+                lambda t, x, u, nz: batch_eval(coeffs.g, t, x, u, nz, (coeffs.n,), mark),
+                ts, xs, us, noise, coeffs.n), ts, xs)))
+            for mark in measure.marks], axis=1)
+        s, j = np.unravel_index(np.argmin(dets), dets.shape)
+        min_det = float(dets[s, j])
+        worst = {"t": float(ts[s]), "x": xs[s].tolist(), "atom": int(j)}
     passed = min_det >= coeffs.delta - 1e-9
     return ValidationReport(
-        "jump-nondegeneracy", passed, float(min_det), coeffs.delta,
+        "jump-nondegeneracy", passed, min_det, coeffs.delta,
         plan.n_samples, worst,
     )
 
@@ -489,20 +467,20 @@ def validate_driver_monotonicity(coeffs: CoefficientSet, measure: MarkMeasure,
     satisfy 0 <= l(t, e) <= C (1 + |e|) on every atom.
     """
     ts, xs, _, us, _, noises = _plan_samples(coeffs, plan)
-    rng = np.random.default_rng(plan.seed + 1)
-    min_gap = np.inf
-    worst = {}
-    for t, x, u, nv in zip(ts, xs, us, noises):
-        noise = _noise_at(coeffs, t, nv)
-        y, k1 = rng.standard_normal(2)
-        z = rng.standard_normal(coeffs.d)
-        k2 = k1 + abs(rng.standard_normal()) + 1e-3
-        f1 = float(_check_finite("f", eval_f(coeffs, t, x, u, y, z, k1, noise), (t, x, u, k1)))
-        f2 = float(_check_finite("f", eval_f(coeffs, t, x, u, y, z, k2, noise), (t, x, u, k2)))
-        gap = f2 - f1
-        if gap < min_gap:
-            min_gap = gap
-            worst = {"t": float(t), "x": x.tolist(), "k1": float(k1), "k2": float(k2)}
+    noise = _noise_at(coeffs, ts, noises)
+    ns, d = plan.n_samples, coeffs.d
+    # One row of normals per sample: y, k1, z (d of them), then the
+    # draw that sets k2 - k1.
+    draws = np.random.default_rng(plan.seed + 1).standard_normal((ns, 3 + d))
+    y, k1, z = draws[:, 0], draws[:, 1], draws[:, 2:2 + d]
+    k2 = k1 + np.abs(draws[:, -1]) + 1e-3
+    f1, f2 = (_check_finite("f", np.asarray(
+        coeffs.f(ts, xs, us, y, z, k, noise), dtype=float).reshape(ns), ts, xs)
+        for k in (k1, k2))
+    gap = f2 - f1
+    s = int(np.argmin(gap))
+    min_gap = float(gap[s])
+    worst = {"t": float(ts[s]), "x": xs[s].tolist(), "k1": float(k1[s]), "k2": float(k2[s])}
     l_ok = True
     for t in np.linspace(0.0, plan.t_max, 7):
         for mark in measure.marks:
@@ -514,6 +492,6 @@ def validate_driver_monotonicity(coeffs: CoefficientSet, measure: MarkMeasure,
     passed = min_gap >= -1e-9 and l_ok
     notes = "" if l_ok else "l outside [0, C(1+|e|)] on some atom"
     return ValidationReport(
-        "driver-monotonicity", passed, float(min_gap), 0.0, plan.n_samples,
+        "driver-monotonicity", passed, min_gap, 0.0, plan.n_samples,
         worst, notes,
     )

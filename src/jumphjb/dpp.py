@@ -104,7 +104,10 @@ class Grid:
     def __post_init__(self):
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        shape = tuple(int(s) for s in np.atleast_1d(self.shape))
+        counts = np.atleast_1d(self.shape)
+        if counts.dtype.kind not in "iu":
+            raise ConfigError(f"grid point counts must be integers, got {self.shape!r}")
+        shape = tuple(int(s) for s in counts)
         if lower.size != upper.size or lower.size != len(shape):
             raise ConfigError("grid box and shape dimensions disagree")
         if np.any(lower >= upper) or any(s < 1 + self.e for s in shape):
@@ -275,10 +278,6 @@ class FeedbackPolicy(Control):
 
     def _slice(self, i: int) -> int:
         return min(i, self.table.shape[0] - 1)
-
-    def value(self, i, t, x, noise):
-        cell = self.cell_of(np.atleast_2d(x))
-        return self.control_set.atoms[int(self.table[self._slice(i)][cell][0])]
 
     def value_batch(self, i, t, x, noise):
         cell = self.cell_of(x)

@@ -32,9 +32,6 @@ from .coefficients import (
     NoiseState,
     batch_eval,
     compensated_drift,
-    eval_drift_tilde,
-    eval_g,
-    eval_sigma,
     jacobian_x,
 )
 from .drivers import (DriverPath, MarkMeasure, NoiseBank, TimeGrid, check_batch_bytes,
@@ -66,25 +63,21 @@ DIVERGENCE_GUARD = 1e8
 class Control:
     """Step-constant admissible control.
 
-    ``value(i, t, x, noise)`` returns the control applied on step i,
-    chosen from the information available at the left endpoint.
-    ``value_batch`` does the same for a batch of states; controls that
-    read the state override it.
+    ``value_batch(i, t, x, noise)`` returns the control applied on step
+    i to the states ``x`` (B, n), chosen from the information available
+    at the left endpoint: one control (m,) for every row, or one per row
+    (B, m).
     """
 
-    def value(self, i: int, t: float, x, noise):
-        raise NotImplementedError
-
     def value_batch(self, i: int, t: float, x, noise):
-        """One control for every sample, shape (m,)."""
-        return self.value(i, t, x[0] if x.ndim > 1 else x, noise)
+        raise NotImplementedError
 
 
 class ConstantControl(Control):
     def __init__(self, u):
         self.u = np.atleast_1d(np.asarray(u, dtype=float))
 
-    def value(self, i, t, x, noise):
+    def value_batch(self, i, t, x, noise):
         return self.u
 
 
@@ -94,7 +87,7 @@ class OpenLoopControl(Control):
     def __init__(self, values):
         self.values = np.atleast_2d(np.asarray(values, dtype=float))
 
-    def value(self, i, t, x, noise):
+    def value_batch(self, i, t, x, noise):
         return self.values[i]
 
 
@@ -108,9 +101,6 @@ class FeedbackControl(Control):
     def __init__(self, fn, m: int = 1):
         self.fn = fn
         self.m = m
-
-    def value(self, i, t, x, noise):
-        return self.value_batch(i, t, np.asarray(x, dtype=float)[None, :], noise)[0]
 
     def value_batch(self, i, t, x, noise):
         return np.asarray(self.fn(t, x), dtype=float).reshape(x.shape[0], self.m)
@@ -161,9 +151,9 @@ class _NoiseTracker:
     def state(self, t: float) -> NoiseState | None:
         if not self.channels:
             return None
-        return NoiseState(t, self.channels, np.array([
+        return NoiseState(t, self.channels, np.array([[
             self.count - t * self.mass if c == "J" else self.w[int(c[1:]) - 1]
-            for c in self.channels]))
+            for c in self.channels]]))
 
 
 def _events_in_step(path: DriverPath, i: int):
@@ -176,10 +166,11 @@ def _euler_path(coeffs: CoefficientSet, control: Control, x0, path: DriverPath,
                 start_node: int, end_node: int | None, with_grad: bool):
     """One event-exact Euler pass along ``path``, the per-path reference.
 
+    The state is a one-row batch, and so are the noise and the control.
     Returns the trajectory and, with ``with_grad``, the flow gradients
     aligned to its rows (else None).
     """
-    grid, measure, n = path.grid, path.measure, coeffs.n
+    grid, measure, n, d = path.grid, path.measure, coeffs.n, coeffs.d
     if end_node is None:
         end_node = grid.n_steps
     if not (0 <= start_node < end_node <= grid.n_steps):
@@ -187,16 +178,23 @@ def _euler_path(coeffs: CoefficientSet, control: Control, x0, path: DriverPath,
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     if x.size != n or not np.all(np.isfinite(x)):
         raise ValueError("x0 must be a finite vector of length n")
+    x = x[None, :]
     jac = np.eye(n)
     tracker = _NoiseTracker(coeffs, path, start_node)
-    times, states, atoms, grads = [grid.nodes[start_node]], [x.copy()], [-1], [jac.copy()]
+    times, states, atoms, grads = [grid.nodes[start_node]], [x[0].copy()], [-1], [jac.copy()]
     controls, grid_rows = [], [0]
+
+    def drift(*args):
+        return compensated_drift(coeffs, measure, *args)[0]
+
+    def sigma(*args):
+        return batch_eval(coeffs.sigma, *args, (n * d,))
 
     def record(t, atom, u):
         times.append(t)
-        states.append(x.copy())
+        states.append(x[0].copy())
         atoms.append(atom)
-        controls.append(u)
+        controls.append(u[0])
         grads.append(jac.copy())
 
     def advance(t_cur, t_to, dt, dw, u):
@@ -204,14 +202,11 @@ def _euler_path(coeffs: CoefficientSet, control: Control, x0, path: DriverPath,
         noise = tracker.state(t_cur)
         span = t_to - t_cur
         dw_part = dw * (span / dt)
-        x_new = (x + eval_drift_tilde(coeffs, measure, t_cur, x, u, noise) * span
-                 + eval_sigma(coeffs, t_cur, x, u, noise) @ dw_part)
+        x_new = (x + drift(t_cur, x, u, noise) * span
+                 + sigma(t_cur, x, u, noise).reshape(n, d) @ dw_part)
         if with_grad:
-            d_drift = jacobian_x(
-                lambda xx: eval_drift_tilde(coeffs, measure, t_cur, xx, u, noise), x, n)
-            d_sig = jacobian_x(
-                lambda xx: eval_sigma(coeffs, t_cur, xx, u, noise).ravel(),
-                x, n * coeffs.d).reshape(n, coeffs.d, n)
+            d_drift = jacobian_x(drift, t_cur, x, u, noise, n)[0]
+            d_sig = jacobian_x(sigma, t_cur, x, u, noise, n * d)[0].reshape(n, d, n)
             jac = jac + span * (d_drift @ jac) + np.einsum(
                 "c,acm,mk->ak", dw_part, d_sig, jac)
         x = x_new
@@ -220,8 +215,8 @@ def _euler_path(coeffs: CoefficientSet, control: Control, x0, path: DriverPath,
     for i in range(start_node, end_node):
         t_lo, t_hi = grid.nodes[i], grid.nodes[i + 1]
         dt = t_hi - t_lo
-        u = np.atleast_1d(np.asarray(
-            control.value(i, t_lo, x, tracker.state(t_lo)), dtype=float))
+        u = np.asarray(control.value_batch(i, t_lo, x, tracker.state(t_lo)),
+                       dtype=float).reshape(1, -1)
         ev_times, ev_atoms = _events_in_step(path, i)
         dw = path.brownian_increments[i]
         t_cur = t_lo
@@ -231,11 +226,13 @@ def _euler_path(coeffs: CoefficientSet, control: Control, x0, path: DriverPath,
                 t_cur = tau
             noise = tracker.state(tau)
             mark = measure.marks[a]
+
+            def jump(*args):
+                return batch_eval(coeffs.g, *args, (n,), mark)
+
             if with_grad:
-                d_g = jacobian_x(
-                    lambda xx: eval_g(coeffs, tau, mark, xx, u, noise), x, n)
-                jac = (np.eye(n) + d_g) @ jac
-            x = x + eval_g(coeffs, tau, mark, x, u, noise)
+                jac = (np.eye(n) + jacobian_x(jump, tau, x, u, noise, n)[0]) @ jac
+            x = x + jump(tau, x, u, noise)
             tracker.count += 1
             record(tau, int(a), u)
         if t_hi > t_cur:

@@ -49,6 +49,7 @@ from .coefficients import (
     batch_eval,
     broadcast_control,
     compensated_drift,
+    jacobian_x,
 )
 from .drivers import MarkMeasure, TimeGrid
 from .errors import ConfigError, NotConvergedError, NumericError
@@ -470,15 +471,20 @@ def _as_terminal(xi, triple, scenario, grid):
     return np.broadcast_to(xi.reshape(triple.n_modes), shape).copy()
 
 
-def _as_forcing(f0, i, t, noise, n_nodes, nb):
-    if f0 is None:
-        return np.zeros((n_nodes, nb))
-    if callable(f0):
-        return np.asarray(f0(i, t, noise), dtype=float).reshape(n_nodes, nb)
-    arr = np.asarray(f0, dtype=float)
-    if arr.ndim == 1:
-        return np.broadcast_to(arr, (n_nodes, nb)).copy()
-    return np.broadcast_to(arr[i], (n_nodes, nb)).copy()
+def _as_forcing(F, i, t, noise, shape, *state):
+    """Step i's forcing, shape (n_nodes, n_b).
+
+    ``F`` is None (no forcing), a callable of (i, t, noise values,
+    *state), a per-step array or list (entry i), or one coordinate
+    vector shared by every step and node.
+    """
+    if F is None:
+        return np.zeros(shape)
+    if callable(F):
+        return np.asarray(F(i, t, noise, *state), dtype=float).reshape(shape)
+    if isinstance(F, list) or np.ndim(F) > 1:
+        F = F[i]
+    return np.broadcast_to(np.asarray(F, dtype=float), shape).copy()
 
 
 def solve_linear_bseej(pair: OperatorPair, f0, xi, scenario: BinomialJumpTree | None,
@@ -520,7 +526,7 @@ def solve_linear_bseej(pair: OperatorPair, f0, xi, scenario: BinomialJumpTree | 
             ind = (atoms == a).astype(float) - mw[a] * dt
             r_i[:, a] = (probs * ind) @ yc / (mw[a] * dt)
 
-        forcing = _as_forcing(f0, i, t, scenario.noise_values(i), n_nodes, nb)
+        forcing = _as_forcing(f0, i, t, scenario.noise_values(i), (n_nodes, nb))
         forcings[i] = forcing
         rhs = e_y - dt * (z_i @ pair.B[i].T + forcing)
         step_matrix = np.eye(nb) + dt * pair.A[i]
@@ -645,29 +651,14 @@ def continuous_dependence_check(sol: BseejSolution, sol_bar: BseejSolution,
         for a in range(dr.shape[1]):
             int_r += dt * weights[a] * _expect(p, dr[:, a], triple.mass)
         noise = scenario.noise_values(i)
-        df = (_as_forcing_like(F, i, t, noise, sol_bar)
-              - _as_forcing_like(F_bar, i, t, noise, sol_bar))
+        state = (sol_bar.y[i], sol_bar.z[i], sol_bar.r[i])
+        df = (_as_forcing(F, i, t, noise, state[0].shape, *state)
+              - _as_forcing(F_bar, i, t, noise, state[0].shape, *state))
         rhs_f += dt * _expect(p, df, triple.mass)
     dxi = (_as_terminal(xi, triple, scenario, time_grid)
            - _as_terminal(xi_bar, triple, scenario, time_grid))
     rhs_xi = _expect(sol.probabilities(time_grid.n_steps), dxi, triple.mass)
     return DependenceReport(sup_h, int_v, int_z, int_r, rhs_xi, rhs_f)
-
-
-def _as_forcing_like(F, i, t, noise, sol):
-    if F is None:
-        n_nodes = sol.y[i].shape[0]
-        return np.zeros((n_nodes, sol.y[i].shape[1]))
-    if callable(F):
-        return np.asarray(F(i, t, noise, sol.y[i], sol.z[i], sol.r[i]),
-                          dtype=float).reshape(sol.y[i].shape)
-    if isinstance(F, list):
-        return np.asarray(F[i], dtype=float).reshape(sol.y[i].shape)
-    arr = np.asarray(F, dtype=float)
-    target = sol.y[i].shape
-    if arr.ndim == 1:
-        return np.broadcast_to(arr, target).copy()
-    return np.broadcast_to(arr[i], target).copy()
 
 
 @dataclass
@@ -703,7 +694,7 @@ def energy_identity_residual(sol: BseejSolution, pair: OperatorPair, F,
         t = float(time_grid.nodes[i])
         p = sol.probabilities(i)
         y_i, z_i, r_i = sol.y[i], sol.z[i], sol.r[i]
-        f_i = _as_forcing_like(F, i, t, sol.scenario.noise_values(i), sol)
+        f_i = _as_forcing(F, i, t, sol.scenario.noise_values(i), y_i.shape, y_i, z_i, r_i)
         gen = y_i @ pair.A[i].T + z_i @ pair.B[i].T + f_i
         drift += 2.0 * dt * _expect(p, gen, triple.mass, y_i)
         z_term += dt * _expect(p, z_i, triple.mass)
@@ -727,7 +718,8 @@ def weak_residual(sol: BseejSolution, pair: OperatorPair, F,
     for i in range(time_grid.n_steps):
         dt = float(time_grid.dt[i])
         t = float(time_grid.nodes[i])
-        f_i = _as_forcing_like(F, i, t, sol.scenario.noise_values(i), sol)
+        f_i = _as_forcing(F, i, t, sol.scenario.noise_values(i), sol.y[i].shape,
+                          sol.y[i], sol.z[i], sol.r[i])
         children, probs, _, _ = sol.scenario.branches(i)
         e_y = probs @ sol.y[i + 1][children]
         defect = e_y - sol.y[i] - dt * (
@@ -854,16 +846,14 @@ def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
     # Spatial derivative of sigma sigma^T and sigma_d by central
     # differences (sigma is deterministic and control-free here).
     def sigma_derivatives(t):
+        def a_and_sd(t, x, u, nz):
+            s = batch_eval(coeffs.sigma, t, x, u, nz, (coeffs.d,))
+            return np.stack([np.sum(s * s, axis=1), s[:, -1]], axis=1)
+
         u_ref = control_set.atoms[0]
-        step = 1e-5 * (1.0 + np.abs(xq))
-        sp = batch_eval(coeffs.sigma, t, (xq + step)[:, None], u_ref, None, (coeffs.d,))
-        sm = batch_eval(coeffs.sigma, t, (xq - step)[:, None], u_ref, None, (coeffs.d,))
+        jac = jacobian_x(a_and_sd, t, xq[:, None], u_ref, None, 2)
         s0 = batch_eval(coeffs.sigma, t, xq[:, None], u_ref, None, (coeffs.d,))
-        a_p = np.sum(sp * sp, axis=1)
-        a_m = np.sum(sm * sm, axis=1)
-        da = (a_p - a_m) / (2.0 * step)
-        dsd = (sp[:, -1] - sm[:, -1]) / (2.0 * step)
-        return s0, da, dsd
+        return s0, jac[:, 0, 0], jac[:, 1, 0]
 
     def shifted_basis(a, g):
         """Basis at x_q + g (n_nodes, Q): one shared (Q, n_b) block when

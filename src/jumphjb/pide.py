@@ -26,7 +26,11 @@ The Hamiltonian follows
 
 where q is the x-gradient of the martingale field Phi and phi its
 value; with deterministic coefficients both vanish.  The driver's y
-slot is fed the field value V(t,x).
+slot is fed the field value V(t,x).  :func:`hamiltonian` and
+:func:`nonlocal_apply` (the jump terms, int I Psi nu(de) among them)
+take a batch of points, and the verification integrand of
+:func:`verification_run` and :func:`drift_consistency_residual` is
+their sum at the grid nodes, minimised over the controls.
 """
 
 from __future__ import annotations
@@ -45,10 +49,6 @@ from .coefficients import (
     batch_eval,
     broadcast_control,
     compensated_drift,
-    eval_b,
-    eval_f,
-    eval_g,
-    eval_sigma,
 )
 from .dpp import FeedbackPolicy, Grid, Stencil
 from .drivers import MarkMeasure, TimeGrid
@@ -161,42 +161,53 @@ class RandomFieldTriplet:
 
 
 def hamiltonian(coeffs: CoefficientSet, t, x, u, p, dphi, hess, k_agg,
-                noise=None, y: float = 0.0, phi=None) -> float:
-    """Pointwise Hamiltonian of the control problem.
+                noise=None, y=0.0, phi=None) -> np.ndarray:
+    """Hamiltonian of the control problem on a batch of B points, (B,).
 
-    ``p`` is the value gradient, ``dphi`` (n, d) the gradient of the
-    martingale field, ``hess`` the symmetric value Hessian, ``k_agg``
-    the l-weighted nonlocal aggregate, ``phi`` (d,) the martingale
-    field value entering the driver's z slot and ``y`` the field value
-    feeding the driver's y slot.
+    ``x`` (B, n) are the points and ``u`` one control or one per row;
+    ``p`` (B, n) is the value gradient, ``dphi`` (B, n, d) the gradient
+    of the martingale field, ``hess`` (B, n, n) the symmetric value
+    Hessian, ``k_agg`` (B,) the l-weighted nonlocal aggregate, ``phi``
+    (B, d) the martingale field value entering the driver's z slot and
+    ``y`` (B,) the field value feeding the driver's y slot.  ``t`` is
+    shared or one per row.  A non-finite value raises NumericError.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    hess = np.asarray(hess, dtype=float).reshape(coeffs.n, coeffs.n)
-    if not np.allclose(hess, hess.T, atol=1e-12):
+    x = np.asarray(x, dtype=float)
+    (B, n), d = x.shape, coeffs.d
+    p = np.asarray(p, dtype=float).reshape(B, n)
+    hess = np.asarray(hess, dtype=float).reshape(B, n, n)
+    if not np.allclose(hess, np.swapaxes(hess, 1, 2), atol=1e-12):
         raise ValueError("the Hessian argument must be symmetric")
-    dphi = np.zeros((coeffs.n, coeffs.d)) if dphi is None else \
-        np.asarray(dphi, dtype=float).reshape(coeffs.n, coeffs.d)
-    phi = np.zeros(coeffs.d) if phi is None else \
-        np.asarray(phi, dtype=float).reshape(coeffs.d)
-    b = eval_b(coeffs, t, x, u, noise)
-    sig = eval_sigma(coeffs, t, x, u, noise)
-    z_slot = sig.T @ p + phi
-    val = (eval_f(coeffs, t, x, u, y, z_slot, k_agg, noise)
-           + float(p @ b)
-           + float(np.sum(dphi * sig))
-           + 0.5 * float(np.trace(hess @ (sig @ sig.T))))
-    if not np.isfinite(val):
-        raise NumericError(f"Hamiltonian evaluated to {val!r} at x={x}")
+    u = broadcast_control(u, B)
+    b = batch_eval(coeffs.b, t, x, u, noise, (n,))
+    sig = batch_eval(coeffs.sigma, t, x, u, noise, (n, d))
+    z_slot = np.einsum("cij,ci->cj", sig, p)
+    if phi is not None:
+        z_slot = z_slot + np.asarray(phi, dtype=float).reshape(B, d)
+    f_val = np.asarray(coeffs.f(
+        t, x, u, np.broadcast_to(np.asarray(y, dtype=float), (B,)), z_slot,
+        np.broadcast_to(np.asarray(k_agg, dtype=float), (B,)), noise),
+        dtype=float).reshape(B)
+    q_sigma = 0.0 if dphi is None else np.sum(
+        np.asarray(dphi, dtype=float).reshape(B, n, d) * sig, axis=(1, 2))
+    val = (f_val + np.sum(b * p, axis=1) + q_sigma
+           + 0.5 * np.einsum("cik,cik->c", hess, np.einsum("cij,ckj->cik", sig, sig)))
+    if not np.all(np.isfinite(val)):
+        bad = int(np.argmax(~np.isfinite(val)))
+        raise NumericError(f"Hamiltonian evaluated to {val[bad]!r} at x={x[bad]}")
     return val
 
 
 @dataclass
 class NonlocalResult:
+    """Jump terms at B points: ``per_atom`` (B, n_atoms) increments and
+    (B,) nu-aggregates, with the clamped coordinates of the points read."""
+
     per_atom: np.ndarray
-    integral: float
-    compensated: float
-    weighted: float
+    integral: np.ndarray
+    compensated: np.ndarray
+    weighted: np.ndarray
+    psi: np.ndarray
     clamped: int
 
 
@@ -206,41 +217,47 @@ def nonlocal_apply(space: SpatialGrid, v_slice: np.ndarray,
                    dv=None, noise=None) -> NonlocalResult:
     """Jump operator values I V(t, e, x, u) and their nu-aggregates.
 
-    Returns per-atom increments V(x + g) - V(x), the plain integral
-    int I V nu(de), the compensated integral int [I V - (g, DV)] nu(de)
-    and the l-weighted aggregate int (I V + Psi(e, x + g)) l(t,e) nu(de)
-    feeding the driver.  ``psi_slice`` has one field per atom; omit it
-    for deterministic problems.
+    ``x`` (B, n) are the points, or None for the nodes of ``space``,
+    where the fields are read as they are rather than interpolated;
+    ``u`` is one control or one per row and ``t`` a scalar.  Returns
+    per-atom increments V(x + g) - V(x), the plain integral
+    int I V nu(de), the compensated integral int [I V - (g, DV)] nu(de),
+    the l-weighted aggregate int (I V + Psi(e, x + g)) l(t,e) nu(de)
+    feeding the driver and int I Psi nu(de).  One stencil per atom reads
+    V and Psi at x + g.  ``psi_slice`` has one field per atom; omit it
+    for deterministic problems.  ``dv`` (B, n) is the value gradient at
+    x, taken from the central differences of the slice when omitted.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    v_here, cl0 = space.interpolate(v_slice, x[None, :])
-    clamped = cl0
+    v_flat = np.asarray(v_slice, dtype=float).ravel()
+    psi = (np.zeros((measure.n_atoms, v_flat.size)) if psi_slice is None
+           else np.asarray(psi_slice, dtype=float).reshape(measure.n_atoms, v_flat.size))
+    clamped = 0
+    if x is None:
+        x, read = space.nodes(), np.asarray
+    else:
+        x = np.asarray(x, dtype=float)
+        here, clamped = space.stencil(x)
+        read = here.apply
+    v_here, psi_here = read(v_flat), [read(field) for field in psi]
     if dv is None:
         grad = space.gradient(v_slice).reshape(-1, space.n)
-        cols = [space.interpolate(grad[:, k].reshape(space.shape), x[None, :])
-                for k in range(space.n)]
-        dv = np.array([c[0][0] for c in cols])
-    else:
-        dv = np.atleast_1d(np.asarray(dv, dtype=float))
-    per_atom = np.zeros(measure.n_atoms)
-    integral = compensated = weighted = 0.0
-    for j in range(measure.n_atoms):
-        mark = measure.marks[j]
-        w = measure.weights[j]
-        g = eval_g(coeffs, t, mark, x, u, noise)
-        v_shift, cl = space.interpolate(v_slice, (x + g)[None, :])
+        dv = np.stack([read(column) for column in grad.T], axis=1)
+    dv = np.asarray(dv, dtype=float).reshape(x.shape)
+    B = x.shape[0]
+    per_atom = np.zeros((B, measure.n_atoms))
+    integral, compensated, weighted, psi_term = (np.zeros(B) for _ in range(4))
+    for j, (mark, w) in enumerate(zip(measure.marks, measure.weights)):
+        g = batch_eval(coeffs.g, t, x, u, noise, (space.n,), mark)
+        shift, cl = space.stencil(x + g)
         clamped += cl
-        inc = float(v_shift[0] - v_here[0])
-        per_atom[j] = inc
+        inc = shift.apply(v_flat) - v_here
+        psi_shift = shift.apply(psi[j])
+        per_atom[:, j] = inc
         integral += w * inc
-        compensated += w * (inc - float(g @ dv))
-        psi_val = 0.0
-        if psi_slice is not None:
-            pv, cl = space.interpolate(psi_slice[j], (x + g)[None, :])
-            clamped += cl
-            psi_val = float(pv[0])
-        weighted += w * float(coeffs.l(t, mark)) * (inc + psi_val)
-    return NonlocalResult(per_atom, integral, compensated, weighted, clamped)
+        compensated += w * (inc - np.sum(g * dv, axis=1))
+        psi_term += w * (psi_shift - psi_here[j])
+        weighted += w * float(coeffs.l(t, mark)) * (inc + psi_shift)
+    return NonlocalResult(per_atom, integral, compensated, weighted, psi_term, clamped)
 
 
 @dataclass
@@ -438,71 +455,37 @@ def _delta_field(triplet: RandomFieldTriplet, coeffs: CoefficientSet,
                  t: float, slice_idx: int):
     """min_u Delta(t, x, u) over the grid plus the argmin table.
 
-    Delta is the verification-theorem integrand: the Hamiltonian with
-    the candidate fields plus the compensated and Psi nonlocal terms.
-    Spatial derivatives are central; shifted evaluations interpolate.
+    Delta is the verification-theorem integrand at the nodes, per
+    control the :func:`hamiltonian` with the candidate fields plus the
+    compensated and Psi terms of :func:`nonlocal_apply`.  Spatial
+    derivatives are central; shifted evaluations interpolate.
     """
     space = triplet.space
     X = space.nodes()
-    C = X.shape[0]
-    n, d = coeffs.n, coeffs.d
+    C, n, d = X.shape[0], coeffs.n, coeffs.d
     v_slice = triplet.V[slice_idx]
-    flat_v = v_slice.ravel()
-    grad_v = space.gradient(v_slice).reshape(C, n)
-    n_phi = triplet.Phi.shape[1]
-    phi_flat = triplet.Phi[slice_idx].reshape(n_phi, C)
-    grad_phi = np.stack([
-        space.gradient(triplet.Phi[slice_idx, c]).reshape(C, n)
-        for c in range(n_phi)
-    ])  # (n_phi, C, n)
-    psi_slices = triplet.Psi[slice_idx]
-    l_vals = np.array([float(coeffs.l(t, mark)) for mark in measure.marks])
-
-    # Hessian by differentiating the gradient once more, symmetrized.
-    hess = np.zeros((C, n, n))
     grads = space.gradient(v_slice)
-    for k in range(n):
-        gk = space.gradient(grads[..., k])
-        hess[:, k, :] = gk.reshape(C, n)
+    grad_v = grads.reshape(C, n)
+    # Hessian by differentiating the gradient once more, symmetrized.
+    hess = np.stack([space.gradient(grads[..., k]).reshape(C, n) for k in range(n)], axis=1)
     hess = 0.5 * (hess + np.transpose(hess, (0, 2, 1)))
+    # Phi sits on the carried channels (the last Brownian components):
+    # its value enters the driver's z slot, its gradient the (q, sigma)
+    # term.
+    n_phi = triplet.Phi.shape[1]
+    phi = np.zeros((C, d))
+    dphi = np.zeros((C, n, d))
+    for c in range(n_phi):
+        phi[:, d - n_phi + c] = triplet.Phi[slice_idx, c].ravel()
+        dphi[:, :, d - n_phi + c] = space.gradient(triplet.Phi[slice_idx, c]).reshape(C, n)
 
-    best = None
-    best_idx = None
+    best = best_idx = None
     for iu, u in enumerate(control_set.atoms):
-        b = batch_eval(coeffs.b, t, X, u, None, (n,))
-        sig = batch_eval(coeffs.sigma, t, X, u, None, (n, d))
-        gs = [batch_eval(coeffs.g, t, X, u, None, (n,), mark)
-              for mark in measure.marks]
-        nonloc_comp = np.zeros(C)
-        nonloc_psi = np.zeros(C)
-        k_agg = np.zeros(C)
-        for j, gj in enumerate(gs):
-            v_shift, _ = space.interpolate(v_slice, X + gj)
-            inc = v_shift - flat_v
-            nonloc_comp += measure.weights[j] * (inc - np.sum(gj * grad_v, axis=1))
-            psi_shift, _ = space.interpolate(psi_slices[j], X + gj)
-            psi_here = psi_slices[j].ravel()
-            nonloc_psi += measure.weights[j] * (psi_shift - psi_here)
-            k_agg += measure.weights[j] * l_vals[j] * (inc + psi_shift)
-
-        # Phi enters the driver's z slot on its carried channel (the
-        # last Brownian component) and the (q, sigma) term via its
-        # gradient.
-        phi_vec = np.zeros((C, d))
-        q_sigma = np.zeros(C)
-        for c in range(n_phi):
-            ch = d - n_phi + c
-            phi_vec[:, ch] = phi_flat[c]
-            q_sigma += np.sum(grad_phi[c] * sig[:, :, ch], axis=1)
-
-        z_slot = np.einsum("cij,ci->cj", sig, grad_v) + phi_vec
-        f_val = np.asarray(coeffs.f(
-            t, X, broadcast_control(u, C), flat_v, z_slot, k_agg, None),
-            dtype=float).reshape(C)
-        trace_term = 0.5 * np.einsum("cik,cik->c",
-                                     hess, np.einsum("cij,ckj->cik", sig, sig))
-        total = (f_val + np.sum(b * grad_v, axis=1) + q_sigma + trace_term
-                 + nonloc_comp + nonloc_psi)
+        jumps = nonlocal_apply(space, v_slice, coeffs, t, None, u, measure,
+                               triplet.Psi[slice_idx], dv=grad_v)
+        total = (hamiltonian(coeffs, t, X, u, grad_v, dphi, hess, jumps.weighted,
+                             y=v_slice.ravel(), phi=phi)
+                 + jumps.compensated + jumps.psi)
         if best is None:
             best = total
             best_idx = np.zeros(C, dtype=int)

@@ -137,12 +137,35 @@ class TestExitCodes:
         ("dpp-check", "dpp_check", {"box": [0.5, 0.5]}),
         ("hjb-weak", "hjb_weak", {"out_nodes": 1}),
         ("convergence", "convergence", {"study": "dpp_residual", "base_cells": 0}),
+        ("value", "value", {"cells": 12.7}),
+        ("pide", "pide", {"nodes": 41.5}),
     ])
     def test_bad_grid_is_config_error(self, tmp_path, capsys, sub, section, bad):
         cfg = write_cfg(tmp_path / "c.json", {
             "seed": 1, "problem": {"name": "smooth1d"}, section: bad})
         assert run_cli([sub, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {section}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub, section, bad", [
+        ("simulate", "simulate", {"n_paths": "3"}),
+        ("simulate", "simulate", {"n_steps": 0}),
+        ("bsde", "bsde", {"n_samples": 0}),
+        ("validate-assumptions", "validate_assumptions", {"n_samples": 0}),
+        ("verify", "verify", {"n_alternatives": -1}),
+        ("hjb-weak", "hjb_weak", {"max_iter": True}),
+        ("convergence", "convergence", {"halvings": 0}),
+        ("bseej", "bseej", {"modes": 2.5}),
+        ("bsde", "bsde", {"basis_degree": -1}),
+        ("dpp-check", "dpp_check", {"t_node": 1.5}),
+    ])
+    def test_bad_count_is_config_error(self, tmp_path, capsys, sub, section, bad):
+        cfg = write_cfg(tmp_path / "c.json", {
+            "seed": 1, "problem": {"name": "smooth1d"}, section: bad})
+        out = tmp_path / "o"
+        assert run_cli([sub, "--config", cfg, "--out", str(out)]) == 2
+        key, = bad
+        assert f"config error: {section}.{key}: expected an integer" in capsys.readouterr().err
+        assert not (out / "failure_diagnostic.json").exists()
 
     def test_cfl_violation_is_numeric_failure(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.json", {

@@ -196,6 +196,17 @@ class TestFromPointwise:
             for co in self.twins()]
         np.testing.assert_allclose(tables[0], tables[1], rtol=0, atol=1e-12)
 
+    def test_validators_match_batched(self):
+        # Each validator runs its samples as one batch with a per-row t;
+        # the pointwise set sees every row with its own t and noise.
+        measure = MarkMeasure.from_atoms([((1.0,), 1.5)])
+        plan = SamplingPlan.cube(1, 1, half_width=1.5, n_samples=40, seed=3)
+        for validate in (validate_lipschitz, validate_jump_nondegeneracy,
+                         validate_driver_monotonicity):
+            pointwise, batched = (validate(co, measure, plan) for co in self.twins())
+            assert pointwise == batched
+            assert batched.worst_point and batched.observed != 0.0
+
     def test_pointwise_flag_refused(self):
         with pytest.raises(ValueError, match="from_pointwise"):
             make_coeffs(vectorized=False)

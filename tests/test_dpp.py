@@ -209,8 +209,8 @@ class TestFeedbackPolicy:
                                   TimeGrid.uniform(1.0, 4), MEAS)
         pol = tab.policy()
         for x in np.linspace(-3, 3, 13):
-            u = pol.value(2, 0.5, np.array([x]), None)
-            assert -1.0 <= u[0] <= 1.0
+            u = pol.value_batch(2, 0.5, np.array([[x]]), None)
+            assert u.shape == (1, 1) and -1.0 <= u[0, 0] <= 1.0
 
     def test_rejects_bad_table(self):
         lat = Lattice([-1.0], [1.0], (3,))

@@ -163,6 +163,9 @@ def test_placements_match_their_own_formulas(grid, factor):
     (SpatialGrid, [0.0, 2.0], [1.0, 2.0], (3, 3)),
     (Lattice, [0.0, 0.0], [1.0], (4, 4)),
     (SpatialGrid, [0.0], [1.0], (3, 3)),
+    (Lattice, [0.0], [1.0], (12.7,)),
+    (SpatialGrid, [0.0, 0.0], [1.0, 1.0], (3, 3.5)),
+    (Lattice, [0.0], [1.0], ("12",)),
 ])
 def test_constructor_refusals_are_config_errors(kind, lower, upper, shape):
     with pytest.raises(ConfigError):

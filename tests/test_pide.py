@@ -16,7 +16,7 @@ from jumphjb.coefficients import (
 )
 from jumphjb.drivers import MarkMeasure, TimeGrid
 from jumphjb.dpp import Lattice, compute_value_table
-from jumphjb.errors import CflViolationError, ConfigError
+from jumphjb.errors import CflViolationError, ConfigError, NumericError
 from jumphjb import pide
 from jumphjb.pide import (
     RandomFieldTriplet,
@@ -58,28 +58,34 @@ def benchmark_coeffs():
 class TestHamiltonian:
     def test_all_zero(self):
         co = make_coeffs()
-        assert hamiltonian(co, 0.0, [0.0], [0.0], [1.0], None, [[0.0]], 0.0) == 0.0
+        h = hamiltonian(co, 0.0, [[0.0]], [0.0], [[1.0]], None, [[[0.0]]], [0.0])
+        assert h.shape == (1,) and h[0] == 0.0
 
     def test_drift_inner_product(self):
         co = make_coeffs(b=lambda t, x, u, nz: np.ones_like(x))
-        assert hamiltonian(co, 0.0, [0.0], [0.0], [1.0], None, [[0.0]], 0.0) == 1.0
+        h = hamiltonian(co, 0.0, [[0.0], [2.0]], [0.0], [[1.0], [-3.0]], None,
+                        np.zeros((2, 1, 1)), [0.0, 0.0])
+        assert h.tolist() == [1.0, -3.0]
 
     def test_duplicate_formula_oracle(self):
         # Independent re-implementation of the same formula on smooth
-        # randomized inputs.
+        # randomized inputs, one row at a time against one batch with a
+        # per-row t.
         n, d = 2, 2
         co = make_coeffs(
             n=n, d=d, m=1,
             b=lambda t, x, u, nz: np.stack(
-                [np.sin(x[..., 0]), np.cos(x[..., 1])], axis=-1) + 0.2 * u,
+                [np.sin(x[..., 0]), np.cos(x[..., 1])], axis=-1) + 0.2 * u
+                + 0.1 * np.reshape(t, (-1, 1)),
             sigma=lambda t, x, u, nz: np.stack([
                 np.stack([1.0 + 0.1 * np.tanh(x[..., 0]),
                           0.2 * np.ones_like(x[..., 0])], axis=-1),
                 np.stack([0.1 * x[..., 1], 0.8 * np.ones_like(x[..., 0])],
                          axis=-1)], axis=-2),
             f=lambda t, x, u, y, z, k, nz:
-                y + z[..., 0] * z[..., 1] + 0.3 * k + x[..., 0] * u[..., 0])
+                y + z[..., 0] * z[..., 1] + 0.3 * k + x[..., 0] * u[..., 0] - 0.2 * t)
         rng = np.random.default_rng(0)
+        rows = []
         for _ in range(25):
             t = rng.uniform(0, 1)
             x = rng.standard_normal(n)
@@ -91,8 +97,11 @@ class TestHamiltonian:
             k = rng.standard_normal()
             y = rng.standard_normal()
             phi = rng.standard_normal(d)
-            got = hamiltonian(co, t, x, u, p, dphi, A, k, y=y, phi=phi)
-
+            rows.append((t, x, u, p, dphi, A, k, y, phi))
+        ts, xs, us, ps, dphis, As, ks, ys, phis = (np.array(c) for c in zip(*rows))
+        got = hamiltonian(co, ts, xs, us, ps, dphis, As, ks, y=ys, phi=phis)
+        assert got.shape == (25,)
+        for s, (t, x, u, p, dphi, A, k, y, phi) in enumerate(rows):
             b = co.b(t, x[None, :], u[None, :], None)[0]
             sig = co.sigma(t, x[None, :], u[None, :], None).reshape(n, d)
             z = sig.T @ p + phi
@@ -100,7 +109,7 @@ class TestHamiltonian:
                             z[None, :], np.array([k]), None)[0])
             expect = (fv + p @ b + np.sum(dphi * sig)
                       + 0.5 * np.trace(A @ sig @ sig.T))
-            assert got == pytest.approx(expect, abs=1e-12)
+            assert got[s] == pytest.approx(expect, abs=1e-12)
 
     def test_linearity_in_p_and_hessian(self):
         # With f = 0 the <p, b> and trace terms are linear in (p, A).
@@ -108,50 +117,61 @@ class TestHamiltonian:
             b=lambda t, x, u, nz: np.tanh(x),
             sigma=lambda t, x, u, nz: (0.5 + 0.1 * np.cos(x))[..., None])
         rng = np.random.default_rng(1)
-        x, u = [0.3], [0.0]
-        for _ in range(10):
-            a, bcoef = rng.standard_normal(2)
-            p1, p2 = rng.standard_normal((2, 1))
-            A1, A2 = rng.standard_normal(2)
-            h_combo = hamiltonian(co, 0.0, x, u, a * p1 + bcoef * p2, None,
-                                  [[a * A1 + bcoef * A2]], 0.0)
-            h_split = (a * hamiltonian(co, 0.0, x, u, p1, None, [[A1]], 0.0)
-                       + bcoef * hamiltonian(co, 0.0, x, u, p2, None, [[A2]], 0.0))
-            assert h_combo == pytest.approx(h_split, abs=1e-12)
+        draws = [(rng.standard_normal(2), rng.standard_normal((2, 1)),
+                  rng.standard_normal(2)) for _ in range(10)]
+        (a, bcoef), (p1, p2), (A1, A2) = (np.stack(c, axis=-1) for c in zip(*draws))
+        x, k = np.full((10, 1), 0.3), np.zeros(10)
+
+        def ham(p, A):
+            return hamiltonian(co, 0.0, x, [0.0], p.T, None, A.reshape(10, 1, 1), k)
+
+        h_combo = ham(a * p1 + bcoef * p2, a * A1 + bcoef * A2)
+        h_split = a * ham(p1, A1) + bcoef * ham(p2, A2)
+        np.testing.assert_allclose(h_combo, h_split, rtol=0, atol=1e-12)
 
     def test_asymmetric_hessian_rejected(self):
         co = make_coeffs(n=2, d=1)
+        hess = np.array([[[1.0, 0.5], [0.5, 0.0]], [[0.0, 1.0], [0.0, 0.0]]])
         with pytest.raises(ValueError):
-            hamiltonian(co, 0.0, [0.0, 0.0], [0.0], [0.0, 0.0], None,
-                        [[0.0, 1.0], [0.0, 0.0]], 0.0)
+            hamiltonian(co, 0.0, np.zeros((2, 2)), [0.0], np.zeros((2, 2)), None,
+                        hess, np.zeros(2))
+
+    def test_nonfinite_rejected(self):
+        co = make_coeffs(f=lambda t, x, u, y, z, k, nz: np.where(x[:, 0] > 0, 0.0, np.nan))
+        with pytest.raises(NumericError, match="Hamiltonian"):
+            hamiltonian(co, 0.0, [[1.0], [-1.0]], [0.0], np.zeros((2, 1)), None,
+                        np.zeros((2, 1, 1)), np.zeros(2))
 
 
 class TestNonlocal:
     def test_zero_g(self):
         space = SpatialGrid([-2.0], [2.0], (41,))
         co = make_coeffs(rho=np.array([0.0]))
-        res = nonlocal_apply(space, space.nodes()[:, 0] ** 2, co, 0.0, [0.3],
-                             [0.0], MEAS)
-        assert np.all(res.per_atom == 0.0)
-        assert res.integral == res.compensated == res.weighted == 0.0
+        res = nonlocal_apply(space, space.nodes()[:, 0] ** 2, co, 0.0,
+                             [[0.3], [-1.1]], [0.0], MEAS)
+        assert res.per_atom.shape == (2, 1) and np.all(res.per_atom == 0.0)
+        for term in (res.integral, res.compensated, res.weighted, res.psi):
+            assert term.tolist() == [0.0, 0.0]
 
     def test_constant_field(self):
         space = SpatialGrid([-2.0], [2.0], (41,))
         co = make_coeffs(g=lambda t, e, x, u, nz: 0.5 * np.ones_like(x),
                          rho=np.array([0.0]))
-        res = nonlocal_apply(space, np.full(41, 3.0), co, 0.0, [0.3], [0.0], MEAS)
-        assert np.all(res.per_atom == 0.0) and res.weighted == 0.0
+        res = nonlocal_apply(space, np.full(41, 3.0), co, 0.0, [[0.3], [1.9]],
+                             [0.0], MEAS)
+        assert np.all(res.per_atom == 0.0) and np.all(res.weighted == 0.0)
 
     def test_linear_exactness(self):
         # V(x) = x, g = e: I V = e and the compensated term vanishes.
         space = SpatialGrid([-3.0], [3.0], (61,))
         co = make_coeffs(g=lambda t, e, x, u, nz: e[0] * np.ones_like(x),
                          rho=np.array([0.0]))
-        res = nonlocal_apply(space, space.nodes()[:, 0], co, 0.0, [0.4],
-                             [0.0], MEAS)
-        assert res.per_atom[0] == pytest.approx(1.0, abs=1e-12)
-        assert res.compensated == pytest.approx(0.0, abs=1e-12)
-        assert res.integral == pytest.approx(0.3, abs=1e-12)
+        res = nonlocal_apply(space, space.nodes()[:, 0], co, 0.0,
+                             [[0.4], [-2.0], [1.05]], [0.0], MEAS)
+        np.testing.assert_allclose(res.per_atom[:, 0], 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.compensated, 0.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.integral, 0.3, rtol=0, atol=1e-12)
+        assert res.clamped == 0
 
     def test_affine_exactness_with_psi(self):
         space = SpatialGrid([-3.0], [3.0], (121,))
@@ -160,11 +180,31 @@ class TestNonlocal:
                          l=lambda t, e: 2.0, rho=np.array([0.0]))
         v = 1.0 + 2.0 * xs
         psi = (0.5 - 0.25 * xs)[None, :]
-        res = nonlocal_apply(space, v, co, 0.0, [0.2], [0.0], MEAS,
-                             psi_slice=psi)
-        # I V = 2 * 0.5 = 1; psi(x + 0.5) = 0.5 - 0.25 * 0.7 = 0.325.
-        assert res.per_atom[0] == pytest.approx(1.0, abs=1e-12)
-        assert res.weighted == pytest.approx(0.3 * 2.0 * (1.0 + 0.325), abs=1e-12)
+        x = np.array([[0.2], [-1.0]])
+        res = nonlocal_apply(space, v, co, 0.0, x, [0.0], MEAS, psi_slice=psi)
+        # I V = 2 * 0.5 = 1; psi(x + 0.5) = 0.5 - 0.25 (x + 0.5); I Psi = -0.125.
+        np.testing.assert_allclose(res.per_atom[:, 0], 1.0, rtol=0, atol=1e-12)
+        expect = 0.3 * 2.0 * (1.0 + 0.5 - 0.25 * (x[:, 0] + 0.5))
+        np.testing.assert_allclose(res.weighted, expect, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.psi, 0.3 * -0.125, rtol=0, atol=1e-12)
+
+    def test_nodes_read_exactly(self):
+        # x = None reads V and Psi at the nodes as they are; the same
+        # nodes passed as points are interpolated, which agrees up to
+        # rounding, and a per-row control gives each row its own g.
+        space = SpatialGrid([-3.0], [3.0], (41,))
+        rng = np.random.default_rng(2)
+        v, psi = rng.standard_normal(41), rng.standard_normal((1, 41))
+        co = make_coeffs(g=lambda t, e, x, u, nz: 0.1 * u, rho=np.array([0.0]))
+        u = rng.uniform(-1, 1, (41, 1))
+        on_nodes = nonlocal_apply(space, v, co, 0.0, None, u, MEAS, psi_slice=psi)
+        at_points = nonlocal_apply(space, v, co, 0.0, space.nodes(), u, MEAS,
+                                   psi_slice=psi)
+        shifted, _ = space.interpolate(v, space.nodes() + 0.1 * u)
+        np.testing.assert_array_equal(on_nodes.per_atom[:, 0], shifted - v)
+        for name in ("per_atom", "integral", "compensated", "weighted", "psi"):
+            np.testing.assert_allclose(getattr(on_nodes, name), getattr(at_points, name),
+                                       rtol=0, atol=1e-12)
 
 
 class TestPideSolver:
@@ -262,6 +302,18 @@ class TestDriftConsistency:
         res = drift_consistency_residual(trip, np.zeros((5, 21)), co,
                                          ControlSet.singleton([0.0]), MEAS)
         np.testing.assert_allclose(res, 0.0, atol=1e-14)
+
+    def test_nonfinite_hamiltonian_of_any_control_refused(self):
+        # Only the second control's driver is NaN, so the minimum over the
+        # controls would be finite; the Hamiltonian refuses it anyway.
+        space = SpatialGrid([-2.0], [2.0], (21,))
+        co = make_coeffs(
+            f=lambda t, x, u, y, z, k, nz: np.where(u[:, 0] > 0, np.nan, 0.0),
+            rho=np.array([0.0]))
+        tg = TimeGrid.uniform(1.0, 5)
+        trip = RandomFieldTriplet.deterministic(space, tg.nodes, np.ones((6, 21)), 1)
+        with pytest.raises(NumericError, match="Hamiltonian"):
+            drift_consistency_residual(trip, np.zeros((5, 21)), co, U2, MEAS)
 
     def test_gamma_shift_affine(self):
         co = benchmark_coeffs()
