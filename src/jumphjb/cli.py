@@ -3,13 +3,13 @@
 Every run consumes a JSON config (seed required, no silent
 nondeterminism), writes CSV/JSON artifacts plus a ``manifest.json``
 carrying the config hash, the full config echo and library versions,
-and exits 0 on success, 2 on config errors (a bad grid box, or an
-integer setting of a section, such as a count, that is not an integer
-in range, among them), 3 on numeric failures (including a Monte Carlo
-batch too large for memory) and 4 when an iterative solver did not
-converge.  Failures other than config errors write
-``failure_diagnostic.json`` to the output directory.  Identical configs
-reproduce byte-identical CSV output.
+and exits 0 on success, 2 on config errors (a bad grid box or horizon,
+or a setting of a section, such as a count or a tolerance, that is not
+an integer or a finite real number in range, among them), 3 on numeric
+failures (including a Monte Carlo batch too large for memory) and 4
+when an iterative solver did not converge.  Failures other than config
+errors write ``failure_diagnostic.json`` to the output directory.
+Identical configs reproduce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -83,6 +83,17 @@ def _count(sec: dict, key: str, default, path: str, low: int = 1) -> int:
     if isinstance(val, bool) or not isinstance(val, int) or val < low:
         _fail(f"expected an integer >= {low}", f"{path}.{key}")
     return val
+
+
+def _real(sec: dict, key: str, default, path: str, low=-np.inf, strict=True) -> float:
+    """``sec[key]``, or ``default`` when absent, as a finite real (not a
+    bool) above ``low``, or at it unless ``strict``; else a config error."""
+    val = sec.get(key, default)
+    real = isinstance(val, (int, float)) and not isinstance(val, bool)
+    if not (real and (low < val if strict else low <= val) and val < np.inf):
+        bound = f" {'>' if strict else '>='} {low}" if low > -np.inf else ""
+        _fail(f"expected a finite real number{bound}", f"{path}.{key}")
+    return float(val)
 
 
 def _section(cfg: dict, name: str) -> dict:
@@ -174,7 +185,7 @@ def run_bsde(cfg: dict, out: Path) -> list:
     grid = TimeGrid.uniform(prob.horizon, n_steps)
     control = _control_from(sec, prob.coeffs.m)
     basis = PolynomialBasis(degree=_count(sec, "basis_degree", 3, "bsde", low=0),
-                            ridge=sec.get("ridge", 1e-8))
+                            ridge=_real(sec, "ridge", 1e-8, "bsde", 0.0, strict=False))
     batch = simulate_batch(prob.coeffs, control, prob.x0, grid, prob.measure,
                            n_samples, cfg["seed"])
     sol = solve_bsde(prob.coeffs, control, batch, basis)
@@ -291,11 +302,12 @@ def _heat_coeffs(sigma: float) -> CoefficientSet:
 def run_bseej(cfg: dict, out: Path) -> list:
     sec = _section(cfg, "bseej")
     kind = sec.get("kind", "heat")
-    length = sec.get("length", 2.0)
+    length = _real(sec, "length", 2.0, "bseej", 0.0)
     n_modes = _count(sec, "modes", 8, "bseej")
     n_steps = _count(sec, "n_steps", 200, "bseej")
-    horizon = sec.get("horizon", 1.0)
-    sigma0 = sec.get("sigma", 1.0)
+    horizon = _real(sec, "horizon", 1.0, "bseej", 0.0)
+    sigma0 = _real(sec, "sigma", 1.0, "bseej")
+    forcing = _real(sec, "forcing", 0.3, "bseej")
     triple = assemble_triple(length, 1, n_modes)
     grid = TimeGrid.uniform(horizon, n_steps)
     pair = assemble_operators(_heat_coeffs(sigma0), triple, grid)
@@ -304,19 +316,19 @@ def run_bseej(cfg: dict, out: Path) -> list:
     if kind == "heat":
         f0 = None
     elif kind == "integration":
-        f0 = np.broadcast_to(sec.get("forcing", 0.3) * np.ones(n_modes),
+        f0 = np.broadcast_to(forcing * np.ones(n_modes),
                              (n_steps, n_modes)).copy()
     else:
         _fail(f"unknown bseej kind {kind!r}", "bseej.kind")
-    sol = solve_linear_bseej(pair, f0, xi, None, grid, triple)
-    energy = energy_identity_residual(sol, pair, f0, triple, grid)
+    sol = solve_linear_bseej(pair, f0, xi, None)
+    energy = energy_identity_residual(sol, f0)
     kappa = 0.5 * sigma0 ** 2 * (np.pi / (2 * length)) ** 2
     _write_json(out / "bseej_report.json", {
         "kind": kind,
         "y0": [float(v) for v in sol.y[0][0]],
         "first_mode_decay_target": float(np.exp(-kappa * horizon)),
         "energy_residual": energy.residual,
-        "weak_residual": weak_residual(sol, pair, f0, triple, grid),
+        "weak_residual": weak_residual(sol, f0),
     })
     rows = [[float(grid.nodes[i])] + [float(v) for v in sol.y[i][0]]
             for i in range(n_steps + 1)]
@@ -329,7 +341,7 @@ def run_hjb_weak(cfg: dict, out: Path) -> list:
     prob = _problem(cfg)
     sec = _section(cfg, "hjb_weak")
     n_modes = _count(sec, "modes", prob.galerkin_modes, "hjb_weak")
-    length = sec.get("length", prob.galerkin_length)
+    length = _real(sec, "length", prob.galerkin_length, "hjb_weak", 0.0)
     n_steps = _count(sec, "n_steps", max(prob.n_steps // 2, 10), "hjb_weak")
     triple = assemble_triple(length, 1, n_modes)
     grid = TimeGrid.uniform(prob.horizon, n_steps)
@@ -341,11 +353,11 @@ def run_hjb_weak(cfg: dict, out: Path) -> list:
         scenario = BinomialJumpTree(grid, prob.measure, channels)
     res = solve_hjb_weak(prob.coeffs, triple, prob.control_set, prob.measure,
                          grid, scenario=scenario,
-                         tol=sec.get("tol", 1e-8),
+                         tol=_real(sec, "tol", 1e-8, "hjb_weak", 0.0),
                          max_iter=_count(sec, "max_iter", 50, "hjb_weak"))
     extra = []
     if sec.get("dump_operators", False):
-        res.pair.dump_csv(out / "operators.csv")
+        res.solution.pair.dump_csv(out / "operators.csv")
         extra.append("operators.csv")
     trip = res.reconstruct_triplet(space)
     trip.to_csv(out / "hjb_weak_field.csv")
@@ -396,7 +408,7 @@ def run_convergence(cfg: dict, out: Path) -> list:
             n = base * 2 ** lvl
             rows.append([lvl, prob.horizon / n, float(np.mean(errs[lvl]))])
     elif study == "energy_identity":
-        length = sec.get("length", 2.0)
+        length = _real(sec, "length", 2.0, "convergence", 0.0)
         n_modes = _count(sec, "modes", 6, "convergence")
         base = _count(sec, "base_steps", 40, "convergence")
         triple = assemble_triple(length, 1, n_modes)
@@ -407,8 +419,8 @@ def run_convergence(cfg: dict, out: Path) -> list:
             n = base * 2 ** lvl
             grid = TimeGrid.uniform(1.0, n)
             pair = assemble_operators(coeffs, triple, grid)
-            sol = solve_linear_bseej(pair, None, xi, None, grid, triple)
-            rep = energy_identity_residual(sol, pair, None, triple, grid)
+            sol = solve_linear_bseej(pair, None, xi, None)
+            rep = energy_identity_residual(sol, None)
             rows.append([lvl, 1.0 / n, abs(rep.residual)])
     elif study == "dpp_residual":
         prob = _problem(cfg)
@@ -445,7 +457,7 @@ def run_validate_assumptions(cfg: dict, out: Path) -> list:
     sec = _section(cfg, "validate_assumptions")
     plan = SamplingPlan.cube(
         prob.coeffs.n, prob.coeffs.m,
-        half_width=sec.get("box_half_width", 2.0),
+        half_width=_real(sec, "box_half_width", 2.0, "validate_assumptions", 0.0),
         n_samples=_count(sec, "n_samples", 200, "validate_assumptions"),
         seed=cfg["seed"])
     reports = {

@@ -18,11 +18,11 @@ steps: it is not a slice of the full-horizon bank of the same seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 
 __all__ = [
     "MarkMeasure",
@@ -136,9 +136,11 @@ class MarkMeasure:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing time nodes 0 = t_0 < ... < t_N."""
+    """Strictly increasing time nodes 0 = t_0 < ... < t_N; ``dt`` holds
+    the N steps, read-only like ``nodes``."""
 
     nodes: np.ndarray
+    dt: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float).ravel()
@@ -149,11 +151,12 @@ class TimeGrid:
         if not np.all(np.diff(nodes) > 0):
             raise ValueError("time nodes must be strictly increasing")
         object.__setattr__(self, "nodes", _readonly(nodes))
+        object.__setattr__(self, "dt", _readonly(np.diff(nodes)))
 
     @classmethod
     def uniform(cls, horizon: float, n_steps: int) -> "TimeGrid":
         if horizon <= 0 or n_steps < 1:
-            raise ValueError("need horizon > 0 and n_steps >= 1")
+            raise ConfigError("need horizon > 0 and n_steps >= 1")
         return cls(np.linspace(0.0, horizon, n_steps + 1))
 
     @property
@@ -163,10 +166,6 @@ class TimeGrid:
     @property
     def horizon(self) -> float:
         return float(self.nodes[-1])
-
-    @property
-    def dt(self) -> np.ndarray:
-        return np.diff(self.nodes)
 
     def refine(self, factor: int) -> "TimeGrid":
         """Split every step into ``factor`` equal pieces."""

@@ -20,12 +20,16 @@ sigma_hat sigma_hat^T >= alpha on the first d-1 diffusion columns
 |Dphi|^2 dx; checked numerically by the coercivity validator).
 
 Projection onto the first n_b sine modes turns the equation into a
-finite BSDE system in the coordinates.  Time stepping is implicit in A
-and explicit in B and F, so the stiff part never restricts the step.
-Randomness is carried by a recombining scenario lattice: a binomial
-walk for the carried Brownian channel times at-most-one-jump-per-step
-atom branches, under which Z and R are conditional-covariance
-projections exactly as in the regression solver.  Nonlinear equations
+finite BSDE system in the coordinates.  An :class:`OperatorPair` is
+one discretisation: A and B with the triple and time grid they were
+assembled on, which every solution carries and every solver and
+diagnostic reads.  Time stepping is implicit in A and explicit in B and
+F, so the stiff part never restricts the step.  Randomness is carried
+by a recombining scenario lattice, whose step tables are built once: a
+binomial walk for the carried Brownian channel times
+at-most-one-jump-per-step atom branches, under which Z and R are
+conditional-covariance projections exactly as in the regression solver.
+Nonlinear equations
 are solved by Picard iteration, freezing (Y, Z, R) inside F and
 solving the linear equation until the successive difference in the
 mixed norm sup_t E||.||_H^2 + int E||.||_V^2 dt falls below tolerance.
@@ -117,10 +121,6 @@ class GelfandTriple:
     def reconstruct(self, coords: np.ndarray, x) -> np.ndarray:
         return self.eval_basis(x) @ np.asarray(coords, dtype=float)
 
-    def h_norm2(self, coords: np.ndarray) -> float:
-        c = np.asarray(coords, dtype=float)
-        return float(c @ self.mass @ c)
-
     def v_norm2(self, coords: np.ndarray) -> float:
         c = np.asarray(coords, dtype=float)
         return float(c @ (self.mass + self.stiffness) @ c)
@@ -160,12 +160,14 @@ def assemble_triple(length: float, n_dim: int, n_modes: int,
 
 @dataclass(frozen=True)
 class OperatorPair:
-    """Time-indexed Galerkin matrices of the evolution operators.
+    """Time-indexed Galerkin matrices of the evolution operators, with
+    the basis ``triple`` and the time ``grid`` they were assembled on.
 
     ``A[i]``, ``B[i]`` act at step i (left time node); ``bstar_gram[i]``
     is the exact H Gram of B* phi = sigma_d D phi, and ``hat_gram[i]``
     the Gram weighted by sigma_hat sigma_hat^T, so the one-dimensional
-    super-parabolicity identity reads 2A = bstar_gram + hat_gram.
+    super-parabolicity identity reads 2A = bstar_gram + hat_gram, and
+    ``alpha`` is the least sigma_hat sigma_hat^T.
     """
 
     A: np.ndarray
@@ -173,11 +175,12 @@ class OperatorPair:
     bstar_gram: np.ndarray
     hat_gram: np.ndarray
     alpha: float
-    lam: float
+    triple: GelfandTriple
+    grid: TimeGrid
 
     @property
     def n_steps(self) -> int:
-        return self.A.shape[0]
+        return self.grid.n_steps
 
     def dump_csv(self, path) -> None:
         """Long-format dump of the assembled matrices for inspection."""
@@ -185,14 +188,9 @@ class OperatorPair:
         with open(path, "w", newline="") as fh:
             w = _csv.writer(fh)
             w.writerow(["step", "row", "col", "A", "B", "bstar_gram"])
-            for i in range(self.n_steps):
-                nb = self.A.shape[1]
-                for r in range(nb):
-                    for c in range(nb):
-                        w.writerow([i, r, c,
-                                    repr(float(self.A[i, r, c])),
-                                    repr(float(self.B[i, r, c])),
-                                    repr(float(self.bstar_gram[i, r, c]))])
+            for idx in np.ndindex(self.A.shape):
+                w.writerow(list(idx) + [repr(float(m[idx]))
+                                        for m in (self.A, self.B, self.bstar_gram)])
 
 
 def assemble_operators(coeffs: CoefficientSet, triple: GelfandTriple,
@@ -239,7 +237,7 @@ def assemble_operators(coeffs: CoefficientSet, triple: GelfandTriple,
         hat[i] = triple.dbasis_q.T @ ((w * a_hat)[:, None] * triple.dbasis_q)
         alpha = min(alpha, float(a_hat.min()))
     alpha = max(alpha, 0.0)
-    return OperatorPair(A, B, bstar, hat, alpha, alpha)
+    return OperatorPair(A, B, bstar, hat, alpha, triple, time_grid)
 
 
 @dataclass
@@ -258,8 +256,8 @@ class CoercivityReport:
                 f"identity gap {self.identity_gap:.3e}")
 
 
-def check_coercivity(pair: OperatorPair, triple: GelfandTriple, alpha: float,
-                     lam: float, n_trials: int = 64, seed=0) -> CoercivityReport:
+def check_coercivity(pair: OperatorPair, alpha: float, lam: float,
+                     n_trials: int = 64, seed=0) -> CoercivityReport:
     """Verify the super-parabolic inequality on sampled directions.
 
     Tests every basis vector plus random unit combinations at every
@@ -272,6 +270,7 @@ def check_coercivity(pair: OperatorPair, triple: GelfandTriple, alpha: float,
     2A - ||B*.||^2-Gram = sigma_hat-Gram, a quadrature cross-check.
     """
     rng = np.random.default_rng(seed)
+    triple = pair.triple
     nb = triple.n_modes
     trials = rng.standard_normal((n_trials, nb))
     # One direction per row: every basis vector, then the unit trials.
@@ -303,7 +302,9 @@ class BinomialJumpTree:
     at ``j_cap`` (excess mass is parked on the cap, an O((lam T)^cap)
     truncation).  A lattice without channels has one node per step and
     is the deterministic model; only a lattice that carries a channel
-    needs a uniform time grid.
+    needs a uniform time grid.  The constructor builds every step's
+    ``branches``, ``noise_values`` and ``probabilities`` as read-only
+    arrays, which the accessors look up.
     """
 
     def __init__(self, grid: TimeGrid, measure: MarkMeasure, channels,
@@ -327,7 +328,6 @@ class BinomialJumpTree:
             horizon_mean = lam * grid.horizon
             j_cap = int(np.ceil(horizon_mean + 4.0 * np.sqrt(horizon_mean + 1.0) + 2))
         self.j_cap = int(j_cap) if self.has_jumps else 0
-        self._prob_cache = {0: np.ones(1)}
         # Branches in order: W up then down, each with no jump and then
         # one jump per atom.  Every node of every step has the same
         # branches; only the child indices move with the node.
@@ -341,9 +341,21 @@ class BinomialJumpTree:
                           for a, w in enumerate(measure.weights)]
             else:
                 moves.append((dk, 0, pw, dw, -1))
-        self._dk, self._dj, self._probs, self._dw, self._atom = (
-            np.array(c) for c in zip(*moves))
-        for arr in (self._probs, self._dw, self._atom):
+        dk, dj, self._probs, self._dw, self._atom = (np.array(c) for c in zip(*moves))
+        self._noise = [self._channel_values(i) for i in range(grid.n_steps + 1)]
+        self._children, self._prob = [], [np.ones(1)]
+        for i in range(grid.n_steps):
+            ks, js = self.node_states(i)
+            children = self.node_index(i + 1, ks[:, None] + dk,
+                                       np.minimum(js[:, None] + dj, self.j_cap))
+            self._children.append(children)
+            # children repeat (capped jump count); bincount adds in
+            # node-then-branch order.
+            self._prob.append(np.bincount(
+                children.ravel(), (self._prob[i][:, None] * self._probs).ravel(),
+                self.n_nodes(i + 1)))
+        for arr in (self._probs, self._dw, self._atom,
+                    *self._children, *self._noise, *self._prob):
             arr.flags.writeable = False
 
     def n_w(self, i: int) -> int:
@@ -364,8 +376,7 @@ class BinomialJumpTree:
     def node_index(self, i: int, k, j):
         return k * self.n_j(i) + j
 
-    def noise_values(self, i: int) -> np.ndarray:
-        """Channel values per node at time node i, shape (n_nodes, r)."""
+    def _channel_values(self, i: int) -> np.ndarray:
         t = float(self.grid.nodes[i])
         ks, js = self.node_states(i)
         cols = []
@@ -377,38 +388,32 @@ class BinomialJumpTree:
                             if self.has_w else np.zeros(ks.size))
         return np.stack(cols, axis=-1) if cols else np.zeros((ks.size, 0))
 
+    def noise_values(self, i: int) -> np.ndarray:
+        """Channel values per node at time node i, shape (n_nodes, r)."""
+        return self._noise[i]
+
     def probabilities(self, i: int) -> np.ndarray:
-        """Forward node probabilities at time node i (cached)."""
-        if i in self._prob_cache:
-            return self._prob_cache[i]
-        start = max(k for k in self._prob_cache if k <= i)
-        full = self._prob_cache[start]
-        for step in range(start, i):
-            children, probs, _, _ = self.branches(step)
-            # children repeat (capped jump count); bincount adds in
-            # node-then-branch order.
-            full = np.bincount(children.ravel(), (full[:, None] * probs).ravel(),
-                               self.n_nodes(step + 1))
-            self._prob_cache[step + 1] = full
-        return full
+        """Forward node probabilities at time node i."""
+        return self._prob[i]
 
     def branches(self, i: int):
         """Transition of step i: (children, probs, dw, atom).
 
         ``children`` (n_nodes_i, K) indexes the nodes of step i + 1;
         ``probs``, ``dw`` and ``atom`` (jump atom or -1), shape (K,), are
-        the same for every node and step, and read-only.
+        the same for every node and step.
         """
-        ks, js = self.node_states(i)
-        children = self.node_index(i + 1, ks[:, None] + self._dk,
-                                    np.minimum(js[:, None] + self._dj, self.j_cap))
-        return children, self._probs, self._dw, self._atom
+        return self._children[i], self._probs, self._dw, self._atom
 
 
 def _lattice(scenario: BinomialJumpTree | None, grid: TimeGrid) -> BinomialJumpTree:
-    """``scenario``, or the one-node lattice that models a deterministic run."""
-    return (scenario if scenario is not None
-            else BinomialJumpTree(grid, MarkMeasure.empty(), ()))
+    """``scenario``, or the one-node lattice that models a deterministic
+    run; a lattice on other time nodes than ``grid`` is refused."""
+    if scenario is None:
+        return BinomialJumpTree(grid, MarkMeasure.empty(), ())
+    if not np.array_equal(scenario.grid.nodes, grid.nodes):
+        raise ConfigError("the scenario lattice and the operators have different time grids")
+    return scenario
 
 
 def _expect(p: np.ndarray, a: np.ndarray, gram: np.ndarray, b=None) -> float:
@@ -418,15 +423,15 @@ def _expect(p: np.ndarray, a: np.ndarray, gram: np.ndarray, b=None) -> float:
 
 @dataclass
 class BseejSolution:
-    """Coordinate solution of the scenario-indexed system.
+    """Coordinate solution of the scenario-indexed system on the basis
+    and time grid of ``pair``.
 
     ``y[i]`` has shape (n_nodes_i, n_b); ``z[i]`` and ``r[i]`` (shape
     (n_nodes_i, n_atoms, n_b)) are the martingale coordinates on step
     i.  Deterministic runs carry the one-node lattice.
     """
 
-    grid: TimeGrid
-    triple: GelfandTriple
+    pair: OperatorPair
     y: list
     z: list
     r: list
@@ -437,7 +442,7 @@ class BseejSolution:
 
     @property
     def n_steps(self) -> int:
-        return self.grid.n_steps
+        return self.pair.n_steps
 
     def y0(self) -> np.ndarray:
         return self.y[0][0]
@@ -446,7 +451,7 @@ class BseejSolution:
         return self.scenario.probabilities(i)
 
     def expected_h_norm2(self, i: int) -> float:
-        return _expect(self.probabilities(i), self.y[i], self.triple.mass)
+        return _expect(self.probabilities(i), self.y[i], self.pair.triple.mass)
 
     def max_z_norm(self) -> float:
         return max((float(np.max(np.abs(z))) for z in self.z if z.size), default=0.0)
@@ -455,20 +460,20 @@ class BseejSolution:
         return max((float(np.max(np.abs(r))) for r in self.r if r.size), default=0.0)
 
 
-def _as_terminal(xi, triple, scenario, grid):
+def _as_terminal(xi, pair, scenario):
     """Terminal coordinates per node, shape (n_nodes, n_b).
 
     ``xi`` is a callable of the terminal noise values, one coordinate
     vector shared by every node, or an (n_nodes, n_b) array.
     """
-    shape = (scenario.n_nodes(grid.n_steps), triple.n_modes)
+    N, nb = pair.n_steps, pair.triple.n_modes
+    shape = (scenario.n_nodes(N), nb)
     if callable(xi):
-        out = np.asarray(xi(scenario.noise_values(grid.n_steps)), dtype=float)
-        return out.reshape(shape)
+        return np.asarray(xi(scenario.noise_values(N)), dtype=float).reshape(shape)
     xi = np.asarray(xi, dtype=float)
     if xi.shape == shape:
         return xi.copy()
-    return np.broadcast_to(xi.reshape(triple.n_modes), shape).copy()
+    return np.broadcast_to(xi.reshape(nb), shape).copy()
 
 
 def _as_forcing(F, i, t, noise, shape, *state):
@@ -487,8 +492,8 @@ def _as_forcing(F, i, t, noise, shape, *state):
     return np.broadcast_to(np.asarray(F, dtype=float), shape).copy()
 
 
-def solve_linear_bseej(pair: OperatorPair, f0, xi, scenario: BinomialJumpTree | None,
-                       time_grid: TimeGrid, triple: GelfandTriple) -> BseejSolution:
+def solve_linear_bseej(pair: OperatorPair, f0, xi,
+                       scenario: BinomialJumpTree | None) -> BseejSolution:
     """Backward stepping of the linear equation (forcing independent of Y).
 
     Implicit in A, explicit in B and the forcing; Z and R are the
@@ -498,23 +503,19 @@ def solve_linear_bseej(pair: OperatorPair, f0, xi, scenario: BinomialJumpTree | 
     and the scheme is a deterministic implicit parabolic step;
     ``scenario=None`` runs on the one-node lattice.
     """
-    N = time_grid.n_steps
-    nb = triple.n_modes
-    if pair.n_steps != N:
-        raise ConfigError("operator pair and time grid disagree on step count")
-    scenario = _lattice(scenario, time_grid)
+    grid, nb = pair.grid, pair.triple.n_modes
+    N = grid.n_steps
+    scenario = _lattice(scenario, grid)
     n_atoms = scenario.measure.n_atoms if scenario.has_jumps else 0
     mw = scenario.measure.weights
 
     y = [None] * (N + 1)
-    z = [None] * N
-    r = [None] * N
-    forcings = [None] * N
-    y[N] = _as_terminal(xi, triple, scenario, time_grid)
+    z, r, forcings = [None] * N, [None] * N, [None] * N
+    y[N] = _as_terminal(xi, pair, scenario)
 
     for i in range(N - 1, -1, -1):
-        dt = float(time_grid.dt[i])
-        t = float(time_grid.nodes[i])
+        dt = float(grid.dt[i])
+        t = float(grid.nodes[i])
         children, probs, dws, atoms = scenario.branches(i)
         n_nodes = children.shape[0]
         yc = y[i + 1][children]
@@ -539,30 +540,26 @@ def solve_linear_bseej(pair: OperatorPair, f0, xi, scenario: BinomialJumpTree | 
             ) from exc
         if not np.all(np.isfinite(y[i])):
             raise NumericError(f"coordinates became non-finite at node {i}")
-        z[i] = z_i
-        r[i] = r_i
-    return BseejSolution(time_grid, triple, y, z, r, scenario,
-                         forcing_values=forcings)
+        z[i], r[i] = z_i, r_i
+    return BseejSolution(pair, y, z, r, scenario, forcing_values=forcings)
 
 
-def _mixed_norm_sq(sol_a: BseejSolution, sol_b: BseejSolution | None,
-                   triple: GelfandTriple, time_grid: TimeGrid):
+def _mixed_norm_sq(sol_a: BseejSolution, sol_b: BseejSolution | None):
     """sup_t E||dY||_H^2 and int E||dY||_V^2 dt of a (difference of) solution."""
-    sup_h = 0.0
-    int_v = 0.0
+    triple, grid = sol_a.pair.triple, sol_a.pair.grid
+    sup_h = int_v = 0.0
     mv = triple.mass + triple.stiffness
-    for i in range(time_grid.n_steps + 1):
+    for i in range(grid.n_steps + 1):
         d = sol_a.y[i] - (sol_b.y[i] if sol_b is not None else 0.0)
         p = sol_a.probabilities(i)
         sup_h = max(sup_h, _expect(p, d, triple.mass))
-        if i < time_grid.n_steps:
-            int_v += float(time_grid.dt[i]) * _expect(p, d, mv)
+        if i < grid.n_steps:
+            int_v += float(grid.dt[i]) * _expect(p, d, mv)
     return sup_h, int_v
 
 
 def solve_nonlinear_bseej(pair: OperatorPair, F, xi,
                           scenario: BinomialJumpTree | None,
-                          time_grid: TimeGrid, triple: GelfandTriple,
                           tol: float = 1e-8, max_iter: int = 50) -> BseejSolution:
     """Picard iteration for the nonlinear equation.
 
@@ -576,9 +573,9 @@ def solve_nonlinear_bseej(pair: OperatorPair, F, xi,
     # Iterate 0 is the forcing-free linear solution; each pass freezes
     # the latest iterate inside F and re-solves the linear equation.
     # The terminal does not depend on the iterate: project it once.
-    scenario = _lattice(scenario, time_grid)
-    xi = _as_terminal(xi, triple, scenario, time_grid)
-    current = solve_linear_bseej(pair, None, xi, scenario, time_grid, triple)
+    scenario = _lattice(scenario, pair.grid)
+    xi = _as_terminal(xi, pair, scenario)
+    current = solve_linear_bseej(pair, None, xi, scenario)
     history = []
     for _ in range(max_iter):
         frozen = current
@@ -586,10 +583,10 @@ def solve_nonlinear_bseej(pair: OperatorPair, F, xi,
         def forcing(i, t, noise, _frozen=frozen):
             return F(i, t, noise, _frozen.y[i], _frozen.z[i], _frozen.r[i])
 
-        new = solve_linear_bseej(pair, forcing, xi, scenario, time_grid, triple)
-        sup_h, int_v = _mixed_norm_sq(new, current, triple, time_grid)
+        new = solve_linear_bseej(pair, forcing, xi, scenario)
+        sup_h, int_v = _mixed_norm_sq(new, current)
         diff = np.sqrt(sup_h + int_v)
-        ref_h, ref_v = _mixed_norm_sq(new, None, triple, time_grid)
+        ref_h, ref_v = _mixed_norm_sq(new, None)
         scale = max(np.sqrt(ref_h + ref_v), 1e-30)
         history.append(diff / scale)
         current = new
@@ -627,8 +624,7 @@ class DependenceReport:
 
 
 def continuous_dependence_check(sol: BseejSolution, sol_bar: BseejSolution,
-                                F, F_bar, xi, xi_bar, triple: GelfandTriple,
-                                time_grid: TimeGrid) -> DependenceReport:
+                                F, F_bar, xi, xi_bar) -> DependenceReport:
     """Both sides of the stability estimate for two generator pairs.
 
     LHS: sup_t E||dY||_H^2 + int E||dY||_V^2 + int E||dZ||_H^2
@@ -637,14 +633,13 @@ def continuous_dependence_check(sol: BseejSolution, sol_bar: BseejSolution,
     along the second solution.
     """
     scenario = sol.scenario
-    sup_h, int_v = _mixed_norm_sq(sol, sol_bar, triple, time_grid)
-    int_z = 0.0
-    int_r = 0.0
-    rhs_f = 0.0
+    triple, grid = sol.pair.triple, sol.pair.grid
+    sup_h, int_v = _mixed_norm_sq(sol, sol_bar)
+    int_z = int_r = rhs_f = 0.0
     weights = scenario.measure.weights
-    for i in range(time_grid.n_steps):
-        dt = float(time_grid.dt[i])
-        t = float(time_grid.nodes[i])
+    for i in range(grid.n_steps):
+        dt = float(grid.dt[i])
+        t = float(grid.nodes[i])
         p = sol.probabilities(i)
         int_z += dt * _expect(p, sol.z[i] - sol_bar.z[i], triple.mass)
         dr = sol.r[i] - sol_bar.r[i]
@@ -655,9 +650,8 @@ def continuous_dependence_check(sol: BseejSolution, sol_bar: BseejSolution,
         df = (_as_forcing(F, i, t, noise, state[0].shape, *state)
               - _as_forcing(F_bar, i, t, noise, state[0].shape, *state))
         rhs_f += dt * _expect(p, df, triple.mass)
-    dxi = (_as_terminal(xi, triple, scenario, time_grid)
-           - _as_terminal(xi_bar, triple, scenario, time_grid))
-    rhs_xi = _expect(sol.probabilities(time_grid.n_steps), dxi, triple.mass)
+    dxi = _as_terminal(xi, sol.pair, scenario) - _as_terminal(xi_bar, sol.pair, scenario)
+    rhs_xi = _expect(sol.probabilities(grid.n_steps), dxi, triple.mass)
     return DependenceReport(sup_h, int_v, int_z, int_r, rhs_xi, rhs_f)
 
 
@@ -671,9 +665,7 @@ class EnergyReport:
     r_term: float
 
 
-def energy_identity_residual(sol: BseejSolution, pair: OperatorPair, F,
-                             triple: GelfandTriple,
-                             time_grid: TimeGrid) -> EnergyReport:
+def energy_identity_residual(sol: BseejSolution, F) -> EnergyReport:
     """Discrete defect of the squared-H-norm balance.
 
     The continuous identity gives
@@ -686,12 +678,13 @@ def energy_identity_residual(sol: BseejSolution, pair: OperatorPair, F,
     scheme's own left-point quadrature, which vanishes at first order
     in dt on smooth data.
     """
-    N = time_grid.n_steps
+    pair, triple, grid = sol.pair, sol.pair.triple, sol.pair.grid
+    N = grid.n_steps
     drift = z_term = r_term = 0.0
     weights = sol.scenario.measure.weights
     for i in range(N):
-        dt = float(time_grid.dt[i])
-        t = float(time_grid.nodes[i])
+        dt = float(grid.dt[i])
+        t = float(grid.nodes[i])
         p = sol.probabilities(i)
         y_i, z_i, r_i = sol.y[i], sol.z[i], sol.r[i]
         f_i = _as_forcing(F, i, t, sol.scenario.noise_values(i), y_i.shape, y_i, z_i, r_i)
@@ -700,24 +693,23 @@ def energy_identity_residual(sol: BseejSolution, pair: OperatorPair, F,
         z_term += dt * _expect(p, z_i, triple.mass)
         for a in range(r_i.shape[1]):
             r_term += dt * weights[a] * _expect(p, r_i[:, a], triple.mass)
-    terminal = sol.expected_h_norm2(N)
-    initial = sol.expected_h_norm2(0)
+    terminal, initial = sol.expected_h_norm2(N), sol.expected_h_norm2(0)
     residual = (terminal - initial) - (drift + z_term + r_term)
     return EnergyReport(float(residual), terminal, initial, drift, z_term, r_term)
 
 
-def weak_residual(sol: BseejSolution, pair: OperatorPair, F,
-                  triple: GelfandTriple, time_grid: TimeGrid) -> float:
+def weak_residual(sol: BseejSolution, F) -> float:
     """Max defect of the discrete weak form over basis functions.
 
     Checks, node by node, that the solved coordinates satisfy
     E_i[y_{i+1}] = y_i + dt (A y_i + B z_i + F_i); for the scheme's own
     output this is solver algebra and sits at rounding level.
     """
+    pair, grid = sol.pair, sol.pair.grid
     worst = 0.0
-    for i in range(time_grid.n_steps):
-        dt = float(time_grid.dt[i])
-        t = float(time_grid.nodes[i])
+    for i in range(grid.n_steps):
+        dt = float(grid.dt[i])
+        t = float(grid.nodes[i])
         f_i = _as_forcing(F, i, t, sol.scenario.noise_values(i), sol.y[i].shape,
                           sol.y[i], sol.z[i], sol.r[i])
         children, probs, _, _ = sol.scenario.branches(i)
@@ -730,7 +722,7 @@ def weak_residual(sol: BseejSolution, pair: OperatorPair, F,
 
 @dataclass
 class WeakHjbResult:
-    """Weak HJB solution with its operators and health figures.
+    """Weak HJB solution (operators in ``solution.pair``) and health figures.
 
     ``clamped`` counts jump-shifted quadrature points x_q + g outside
     [-L, L] (where the basis reads zero), summed over every forcing
@@ -740,8 +732,6 @@ class WeakHjbResult:
     """
 
     solution: BseejSolution
-    pair: OperatorPair
-    triple: GelfandTriple
     measure: MarkMeasure
     coercivity: CoercivityReport
     clamped: int
@@ -752,23 +742,20 @@ class WeakHjbResult:
         Psi always carries one field per measure atom (zeros when the
         run had no jump channel), matching the PIDE export schema.
         """
-        xs = space.nodes()[:, 0]
-        basis = self.triple.eval_basis(xs)
-        N = self.solution.n_steps
-        n_atoms = self.measure.n_atoms
-        r_atoms = self.solution.r[0].shape[1] if N else 0
+        sol = self.solution
+        basis = sol.pair.triple.eval_basis(space.nodes()[:, 0])
+        N = sol.n_steps
         V = np.zeros((N + 1,) + space.shape)
         Phi = np.zeros((N + 1, 1) + space.shape)
-        Psi = np.zeros((N + 1, n_atoms) + space.shape)
+        Psi = np.zeros((N + 1, self.measure.n_atoms) + space.shape)
         for i in range(N + 1):
-            p = self.solution.probabilities(i)
-            V[i] = (basis @ (p @ self.solution.y[i])).reshape(space.shape)
+            p = sol.probabilities(i)
+            V[i] = (basis @ (p @ sol.y[i])).reshape(space.shape)
             if i < N:
-                Phi[i, 0] = (basis @ (p @ self.solution.z[i])).reshape(space.shape)
-                for a in range(r_atoms):
-                    Psi[i, a] = (basis @ (p @ self.solution.r[i][:, a])).reshape(
-                        space.shape)
-        return RandomFieldTriplet(space, self.solution.grid.nodes, V, Phi, Psi)
+                Phi[i, 0] = (basis @ (p @ sol.z[i])).reshape(space.shape)
+                for a in range(sol.r[i].shape[1]):
+                    Psi[i, a] = (basis @ (p @ sol.r[i][:, a])).reshape(space.shape)
+        return RandomFieldTriplet(space, sol.pair.grid.nodes, V, Phi, Psi)
 
 
 def _at_shift(block: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -809,7 +796,7 @@ def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
             f"the weak pipeline carries only W_d and jumps; got {bad}")
 
     pair = assemble_operators(coeffs, triple, time_grid, control_set)
-    coercivity = check_coercivity(pair, triple, pair.alpha, pair.lam)
+    coercivity = check_coercivity(pair, pair.alpha, pair.alpha)
     if require_coercivity:
         if pair.alpha <= 0:
             raise ConfigError(
@@ -818,8 +805,7 @@ def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
         if not coercivity.passed:
             raise ConfigError(f"coercivity check failed: {coercivity}")
 
-    xq = triple.quad_x
-    Q = xq.size
+    xq, Q = triple.quad_x, triple.n_quad
     channels = coeffs.randomness_channels
     # The scenario's noise values come in the scenario's channel order;
     # the coefficients read them in their own.
@@ -828,11 +814,8 @@ def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
     # L^2 projection of values at the quadrature points: values @ proj.
     proj = np.linalg.solve(triple.mass, (triple.quad_w[:, None] * triple.basis_q).T).T
     clamp_count = [0]
-    # No Picard pass changes the coefficient values or the basis at the
-    # jump-shifted points: each step builds them on its first forcing
-    # call and later passes read them.  A basis block at x_q + g is
-    # shared by every step and control whose g moves all nodes alike.
-    steps = {}
+    # A basis block at x_q + g is shared by every step and control whose
+    # g moves all nodes alike.
     blocks = {}
 
     def batch(t, noise_vals):
@@ -883,9 +866,12 @@ def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
         l_vals = np.array([float(coeffs.l(t, mark)) for mark in measure.marks])
         return flatX, nz, sigma_derivatives(t), l_vals, controls
 
+    # No Picard pass changes the coefficient values or the basis at the
+    # jump-shifted points: every step's are built before the first pass.
+    steps = [step_data(float(time_grid.nodes[i]), scenario.noise_values(i))
+             for i in range(time_grid.n_steps)]
+
     def hjb_forcing(i, t, noise_vals, y, z, r):
-        if i not in steps:
-            steps[i] = step_data(t, noise_vals)
         flatX, nz, (sig0, da_dx, dsd_dx), l_vals, controls = steps[i]
 
         w_q = y @ triple.basis_q.T          # (n_nodes, Q)
@@ -928,6 +914,5 @@ def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
         return hv.reshape(noise_vals.shape[0], Q) @ proj
 
     solution = solve_nonlinear_bseej(pair, hjb_forcing, xi_fn, scenario,
-                                     time_grid, triple, tol, max_iter)
-    return WeakHjbResult(solution, pair, triple, measure, coercivity,
-                         clamp_count[0])
+                                     tol, max_iter)
+    return WeakHjbResult(solution, measure, coercivity, clamp_count[0])

@@ -163,11 +163,11 @@ def test_criterion_06_coercivity_validator():
     co_good = make_coeffs(d=2, sigma=lambda t, x, u, nz: np.broadcast_to(
         np.array([np.sqrt(2 * a), 0.0]), x.shape + (2,)))
     pair_good = assemble_operators(co_good, tr, grid)
-    rep_good = check_coercivity(pair_good, tr, pair_good.alpha, pair_good.lam)
+    rep_good = check_coercivity(pair_good, pair_good.alpha, pair_good.alpha)
     co_bad = make_coeffs(d=2, sigma=lambda t, x, u, nz: np.broadcast_to(
         np.array([0.0, 0.5]), x.shape + (2,)))
     pair_bad = assemble_operators(co_bad, tr, grid)
-    rep_bad = check_coercivity(pair_bad, tr, 0.1, 0.1)
+    rep_bad = check_coercivity(pair_bad, 0.1, 0.1)
     ok = rep_good.passed and rep_good.min_slack >= -1e-10 and not rep_bad.passed
     announce(6, "coercivity validator", ok,
              f"construction slack {rep_good.min_slack:.2e}, "
@@ -180,7 +180,7 @@ def test_criterion_07_galerkin_heat_oracle():
     grid = TimeGrid.uniform(1.0, 1000)
     co = make_coeffs(sigma=lambda t, x, u, nz: np.ones(x.shape + (1,)))
     pair = assemble_operators(co, tr, grid)
-    sol = solve_linear_bseej(pair, None, unit_mode(8), None, grid, tr)
+    sol = solve_linear_bseej(pair, None, unit_mode(8), None)
     kappa = 0.5 * (np.pi / (2 * L)) ** 2
     rel = abs(sol.y[0][0][0] - np.exp(-kappa)) / np.exp(-kappa)
     ok = rel <= 1e-3
@@ -194,7 +194,7 @@ def test_criterion_08_picard_contraction():
     co = make_coeffs(sigma=lambda t, x, u, nz: np.ones(x.shape + (1,)))
     pair = assemble_operators(co, tr, grid)
     sol = solve_nonlinear_bseej(pair, lambda i, t, nz, y, z, r: 0.01 * y,
-                                unit_mode(8), None, grid, tr, tol=1e-8)
+                                unit_mode(8), None, tol=1e-8)
     h = sol.history
     ratios = [h[i + 1] / h[i] for i in range(len(h) - 1) if h[i] > 0]
     ok = all(r <= 0.5 for r in ratios) and len(h) <= 10 and sol.converged
@@ -211,13 +211,13 @@ def test_criterion_09_continuous_dependence_scaling():
     for n_steps in (50, 100):
         grid = TimeGrid.uniform(1.0, n_steps)
         pair = assemble_operators(co, tr, grid)
-        base = solve_linear_bseej(pair, None, unit_mode(8), None, grid, tr)
+        base = solve_linear_bseej(pair, None, unit_mode(8), None)
         lhs = []
         for eps in eps_list:
             xi2 = unit_mode(8) * (1.0 + eps)
-            pert = solve_linear_bseej(pair, None, xi2, None, grid, tr)
+            pert = solve_linear_bseej(pair, None, xi2, None)
             rep = continuous_dependence_check(base, pert, None, None,
-                                              unit_mode(8), xi2, tr, grid)
+                                              unit_mode(8), xi2)
             lhs.append(rep.lhs)
         slopes.append(float(np.polyfit(np.log10(eps_list), np.log10(lhs), 1)[0]))
         ks.append(lhs[0] / (eps_list[0] ** 2))
@@ -237,9 +237,8 @@ def test_criterion_10_energy_identity_decay():
         n = 50 * 2 ** lvl
         grid = TimeGrid.uniform(1.0, n)
         pair = assemble_operators(co, tr, grid)
-        sol = solve_linear_bseej(pair, None, unit_mode(8), None, grid, tr)
-        residuals.append(abs(energy_identity_residual(
-            sol, pair, None, tr, grid).residual))
+        sol = solve_linear_bseej(pair, None, unit_mode(8), None)
+        residuals.append(abs(energy_identity_residual(sol, None).residual))
         dts.append(1.0 / n)
     slope = float(np.polyfit(np.log(dts), np.log(residuals), 1)[0])
     ok = slope >= 0.8

@@ -167,6 +167,51 @@ class TestExitCodes:
         assert f"config error: {section}.{key}: expected an integer" in capsys.readouterr().err
         assert not (out / "failure_diagnostic.json").exists()
 
+    @pytest.mark.parametrize("sub, section, bad", [
+        ("hjb-weak", "hjb_weak", {"tol": "x"}),
+        ("bseej", "bseej", {"length": "x"}),
+        ("bseej", "bseej", {"sigma": "a"}),
+        ("bseej", "bseej", {"forcing": "a"}),
+        ("bsde", "bsde", {"ridge": "a"}),
+        ("validate-assumptions", "validate_assumptions", {"box_half_width": "a"}),
+        ("convergence", "convergence", {"study": "energy_identity", "length": "x"}),
+        ("bseej", "bseej", {"horizon": 0}),
+        ("bseej", "bseej", {"horizon": -1}),
+        ("bseej", "bseej", {"length": True}),
+        ("hjb-weak", "hjb_weak", {"length": -2.0}),
+        ("hjb-weak", "hjb_weak", {"tol": float("nan")}),
+        ("bseej", "bseej", {"sigma": float("inf")}),
+        ("bsde", "bsde", {"ridge": -1e-8}),
+    ])
+    def test_bad_real_is_config_error(self, tmp_path, capsys, sub, section, bad):
+        cfg = write_cfg(tmp_path / "c.json", {
+            "seed": 1, "problem": {"name": "smooth1d"}, section: bad})
+        out = tmp_path / "o"
+        assert run_cli([sub, "--config", cfg, "--out", str(out)]) == 2
+        key, = (k for k in bad if k != "study")
+        err = capsys.readouterr().err
+        assert f"config error: {section}.{key}: expected a finite real number" in err
+        assert not (out / "failure_diagnostic.json").exists()
+
+    @pytest.mark.parametrize("sub", ["simulate", "pide", "hjb-weak"])
+    def test_bad_problem_horizon_is_config_error(self, tmp_path, capsys, sub):
+        cfg = write_cfg(tmp_path / "c.json", {
+            "seed": 1, "problem": {"name": "smooth1d", "params": {"horizon": -1}}})
+        out = tmp_path / "o"
+        assert run_cli([sub, "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: need horizon > 0" in capsys.readouterr().err
+        assert not (out / "failure_diagnostic.json").exists()
+
+    def test_real_bounds_admit_their_edge(self, tmp_path):
+        # A zero ridge is plain least squares; integers are real numbers.
+        cfg = write_cfg(tmp_path / "c.json", {
+            "seed": 1, "problem": {"name": "zero"},
+            "bsde": {"ridge": 0, "n_steps": 4, "n_samples": 50},
+            "bseej": {"length": 2, "horizon": 1, "sigma": 1, "modes": 2,
+                      "n_steps": 4}})
+        for sub in ("bsde", "bseej"):
+            assert run_cli([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 0
+
     def test_cfl_violation_is_numeric_failure(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.json", {
             "seed": 1,

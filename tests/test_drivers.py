@@ -14,7 +14,7 @@ from jumphjb.drivers import (
     jump_counts_per_step,
     sample_driver_path,
 )
-from jumphjb.errors import NumericError
+from jumphjb.errors import ConfigError, NumericError
 
 
 def measure_1atom(weight=2.0):
@@ -40,6 +40,19 @@ class TestTimeGrid:
         g = TimeGrid.uniform(1.0, 3).refine(2)
         assert g.n_steps == 6
         np.testing.assert_allclose(g.dt, 1.0 / 6.0)
+
+    def test_dt_stored_read_only(self):
+        g = TimeGrid(np.array([0.0, 0.05, 0.2, 0.3, 1.0]))
+        assert g.dt.tobytes() == np.diff(g.nodes).tobytes()
+        assert g.dt is g.dt
+        with pytest.raises(ValueError):
+            g.dt[0] = 1.0
+        assert "dt" not in repr(g)
+
+    @pytest.mark.parametrize("horizon, n_steps", [(0.0, 4), (-1.0, 4), (1.0, 0)])
+    def test_uniform_refusal_is_config_error(self, horizon, n_steps):
+        with pytest.raises(ConfigError):
+            TimeGrid.uniform(horizon, n_steps)
 
 
 class TestMarkMeasure:

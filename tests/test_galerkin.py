@@ -109,7 +109,7 @@ class TestCoercivity:
         tr = assemble_triple(L, 1, 10)
         pair = assemble_operators(co, tr, TimeGrid.uniform(1.0, 3))
         assert pair.alpha == pytest.approx(2 * a, abs=1e-12)
-        rep = check_coercivity(pair, tr, pair.alpha, pair.lam)
+        rep = check_coercivity(pair, pair.alpha, pair.alpha)
         assert rep.passed and rep.min_slack >= -1e-10
 
     def test_degenerate_fails(self):
@@ -117,7 +117,7 @@ class TestCoercivity:
             np.array([0.0, 0.5]), x.shape + (2,)))
         tr = assemble_triple(L, 1, 10)
         pair = assemble_operators(co, tr, TimeGrid.uniform(1.0, 3))
-        rep = check_coercivity(pair, tr, 0.1, 0.1)
+        rep = check_coercivity(pair, 0.1, 0.1)
         assert not rep.passed
 
     def test_superparabolic_identity(self):
@@ -127,7 +127,7 @@ class TestCoercivity:
             [0.6 + 0.1 * np.tanh(x), 0.2 * np.ones_like(x)], axis=-1))
         tr = assemble_triple(L, 1, 10)
         pair = assemble_operators(co, tr, TimeGrid.uniform(1.0, 3))
-        assert check_coercivity(pair, tr, pair.alpha, pair.lam).identity_gap < 1e-8
+        assert check_coercivity(pair, pair.alpha, pair.alpha).identity_gap < 1e-8
 
     def test_slack_invariant_under_rotation(self):
         co = make_coeffs(d=2, sigma=lambda t, x, u, nz: np.broadcast_to(
@@ -139,7 +139,7 @@ class TestCoercivity:
         mv = tr.mass + tr.stiffness
 
         def slack(c, A, bstar, mass, v_mat):
-            return (2 * c @ A @ c + pair.lam * (c @ mass @ c)
+            return (2 * c @ A @ c + pair.alpha * (c @ mass @ c)
                     - pair.alpha * (c @ v_mat @ c) - c @ bstar @ c)
 
         for _ in range(20):
@@ -156,7 +156,7 @@ class TestLinearSolver:
         tr = assemble_triple(L, 1, 6)
         grid = TimeGrid.uniform(1.0, 30)
         pair = assemble_operators(make_coeffs(), tr, grid)
-        sol = solve_linear_bseej(pair, None, unit_mode(6), None, grid, tr)
+        sol = solve_linear_bseej(pair, None, unit_mode(6), None)
         for i in range(31):
             np.testing.assert_allclose(sol.y[i][0], unit_mode(6), atol=1e-14)
         assert sol.max_z_norm() == 0.0
@@ -165,7 +165,7 @@ class TestLinearSolver:
         tr = assemble_triple(L, 1, 6)
         grid = TimeGrid.uniform(1.0, 1000)
         pair = assemble_operators(heat_coeffs(), tr, grid)
-        sol = solve_linear_bseej(pair, None, unit_mode(6), None, grid, tr)
+        sol = solve_linear_bseej(pair, None, unit_mode(6), None)
         kappa = 0.5 * (np.pi / (2 * L)) ** 2
         rel = abs(sol.y[0][0][0] - np.exp(-kappa)) / np.exp(-kappa)
         assert rel < 1e-3
@@ -177,7 +177,7 @@ class TestLinearSolver:
         pair = assemble_operators(make_coeffs(), tr, grid)
         f0 = 0.3 * np.ones(6)
         sol = solve_linear_bseej(pair, np.broadcast_to(f0, (40, 6)),
-                                 unit_mode(6), None, grid, tr)
+                                 unit_mode(6), None)
         np.testing.assert_allclose(sol.y[0][0], unit_mode(6) - f0, atol=1e-12)
 
     def test_scenario_probabilities_conserved(self):
@@ -191,10 +191,10 @@ class TestLinearSolver:
         grid = TimeGrid.uniform(1.0, 30)
         tree = BinomialJumpTree(grid, MEAS, ("W1", "J"))
         pair = assemble_operators(heat_coeffs(), tr, grid)
-        sol = solve_linear_bseej(pair, None, unit_mode(6), tree, grid, tr)
+        sol = solve_linear_bseej(pair, None, unit_mode(6), tree)
         assert sol.max_z_norm() < 1e-12
         assert sol.max_r_norm() < 1e-12
-        det = solve_linear_bseej(pair, None, unit_mode(6), None, grid, tr)
+        det = solve_linear_bseej(pair, None, unit_mode(6), None)
         np.testing.assert_allclose(sol.y[0][0], det.y[0][0], atol=1e-12)
 
     def test_random_terminal_gives_martingale_parts(self):
@@ -208,10 +208,10 @@ class TestLinearSolver:
             out[:, 0] = 1.0 + 0.2 * noise[:, 0] + 0.1 * noise[:, 1]
             return out
 
-        sol = solve_linear_bseej(pair, None, xi, tree, grid, tr)
+        sol = solve_linear_bseej(pair, None, xi, tree)
         assert sol.max_z_norm() > 1e-4
         assert sol.max_r_norm() > 1e-4
-        assert weak_residual(sol, pair, None, tr, grid) < 1e-12
+        assert weak_residual(sol, None) < 1e-12
 
 
 class TestPicard:
@@ -220,8 +220,7 @@ class TestPicard:
         grid = TimeGrid.uniform(1.0, 50)
         pair = assemble_operators(heat_coeffs(), tr, grid)
         sol = solve_nonlinear_bseej(pair, lambda i, t, nz, y, z, r:
-                                    np.zeros_like(y), unit_mode(6), None,
-                                    grid, tr)
+                                    np.zeros_like(y), unit_mode(6), None)
         assert len(sol.history) == 1 and sol.history[0] == 0.0
 
     def test_small_lipschitz_geometric(self):
@@ -229,7 +228,7 @@ class TestPicard:
         grid = TimeGrid.uniform(1.0, 50)
         pair = assemble_operators(heat_coeffs(), tr, grid)
         sol = solve_nonlinear_bseej(pair, lambda i, t, nz, y, z, r: 0.01 * y,
-                                    unit_mode(6), None, grid, tr)
+                                    unit_mode(6), None)
         h = sol.history
         ratios = [h[k + 1] / h[k] for k in range(len(h) - 1) if h[k] > 1e-14]
         assert all(r < 0.1 for r in ratios)
@@ -242,7 +241,7 @@ class TestPicard:
         grid = TimeGrid.uniform(1.0, 200)
         pair = assemble_operators(heat_coeffs(), tr, grid)
         sol = solve_nonlinear_bseej(pair, lambda i, t, nz, y, z, r: c * y,
-                                    unit_mode(6), None, grid, tr,
+                                    unit_mode(6), None,
                                     tol=1e-12, max_iter=80)
         yref = unit_mode(6)
         dt = 1.0 / 200
@@ -257,7 +256,7 @@ class TestPicard:
         pair = assemble_operators(heat_coeffs(), tr, grid)
         with pytest.raises(NotConvergedError) as ei:
             solve_nonlinear_bseej(pair, lambda i, t, nz, y, z, r: 50.0 * y,
-                                  unit_mode(4), None, grid, tr, max_iter=10)
+                                  unit_mode(4), None, max_iter=10)
         assert len(ei.value.history) == 10
         assert ei.value.partial is not None
 
@@ -267,23 +266,23 @@ class TestContinuousDependence:
         tr = assemble_triple(L, 1, 6)
         grid = TimeGrid.uniform(1.0, 30)
         pair = assemble_operators(heat_coeffs(), tr, grid)
-        sol = solve_linear_bseej(pair, None, unit_mode(6), None, grid, tr)
+        sol = solve_linear_bseej(pair, None, unit_mode(6), None)
         rep = continuous_dependence_check(sol, sol, None, None, unit_mode(6),
-                                          unit_mode(6), tr, grid)
+                                          unit_mode(6))
         assert rep.lhs == 0.0
 
     def test_quadratic_scaling_in_xi(self):
         tr = assemble_triple(L, 1, 6)
         grid = TimeGrid.uniform(1.0, 30)
         pair = assemble_operators(heat_coeffs(), tr, grid)
-        base = solve_linear_bseej(pair, None, unit_mode(6), None, grid, tr)
+        base = solve_linear_bseej(pair, None, unit_mode(6), None)
         eps_list = (1e-1, 1e-2, 1e-3)
         lhs = []
         for eps in eps_list:
             xi2 = unit_mode(6) + eps * unit_mode(6)
-            pert = solve_linear_bseej(pair, None, xi2, None, grid, tr)
+            pert = solve_linear_bseej(pair, None, xi2, None)
             rep = continuous_dependence_check(base, pert, None, None,
-                                              unit_mode(6), xi2, tr, grid)
+                                              unit_mode(6), xi2)
             lhs.append(rep.lhs)
         slope = np.polyfit(np.log10(eps_list), np.log10(lhs), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
@@ -296,10 +295,10 @@ class TestContinuousDependence:
         pair = assemble_operators(heat_coeffs(), tr, grid)
         c = 0.37
         f_pert = np.broadcast_to(c * unit_mode(6), (25, 6))
-        a = solve_linear_bseej(pair, None, unit_mode(6), None, grid, tr)
-        b = solve_linear_bseej(pair, f_pert, unit_mode(6), None, grid, tr)
+        a = solve_linear_bseej(pair, None, unit_mode(6), None)
+        b = solve_linear_bseej(pair, f_pert, unit_mode(6), None)
         rep = continuous_dependence_check(a, b, None, f_pert, unit_mode(6),
-                                          unit_mode(6), tr, grid)
+                                          unit_mode(6))
         assert rep.rhs_forcing == pytest.approx(c ** 2 * 1.0, abs=1e-12)
         assert rep.rhs_xi == 0.0
 
@@ -309,11 +308,11 @@ class TestContinuousDependence:
         for n in (40, 80):
             grid = TimeGrid.uniform(1.0, n)
             pair = assemble_operators(heat_coeffs(), tr, grid)
-            base = solve_linear_bseej(pair, None, unit_mode(6), None, grid, tr)
+            base = solve_linear_bseej(pair, None, unit_mode(6), None)
             xi2 = unit_mode(6) * 1.01
-            pert = solve_linear_bseej(pair, None, xi2, None, grid, tr)
+            pert = solve_linear_bseej(pair, None, xi2, None)
             rep = continuous_dependence_check(base, pert, None, None,
-                                              unit_mode(6), xi2, tr, grid)
+                                              unit_mode(6), xi2)
             ratios.append(rep.ratio)
         assert 0.5 <= ratios[1] / ratios[0] <= 2.0
 
@@ -332,11 +331,10 @@ class TestContinuousDependence:
             for _ in range(4):
                 xi = rng.standard_normal(6)
                 f0 = np.broadcast_to(rng.standard_normal(6), (n, 6)).copy()
-                sol = solve_linear_bseej(pair, f0, xi, None, grid, tr)
-                zero = solve_linear_bseej(pair, None, np.zeros(6), None,
-                                          grid, tr)
+                sol = solve_linear_bseej(pair, f0, xi, None)
+                zero = solve_linear_bseej(pair, None, np.zeros(6), None)
                 rep = continuous_dependence_check(sol, zero, f0, None, xi,
-                                                  np.zeros(6), tr, grid)
+                                                  np.zeros(6))
                 rhs = float(xi @ tr.mass @ xi) + rep.rhs_forcing
                 ratios.append(rep.lhs / rhs)
                 assert rep.lhs <= max(ratios) * rhs + 1e-12
@@ -349,8 +347,8 @@ class TestEnergyIdentity:
         tr = assemble_triple(L, 1, 6)
         grid = TimeGrid.uniform(1.0, 20)
         pair = assemble_operators(heat_coeffs(), tr, grid)
-        sol = solve_linear_bseej(pair, None, np.zeros(6), None, grid, tr)
-        rep = energy_identity_residual(sol, pair, None, tr, grid)
+        sol = solve_linear_bseej(pair, None, np.zeros(6), None)
+        rep = energy_identity_residual(sol, None)
         assert rep.residual == 0.0
 
     def test_heat_residual_halves(self):
@@ -359,9 +357,8 @@ class TestEnergyIdentity:
         for n in (40, 80):
             grid = TimeGrid.uniform(1.0, n)
             pair = assemble_operators(heat_coeffs(), tr, grid)
-            sol = solve_linear_bseej(pair, None, unit_mode(6), None, grid, tr)
-            res.append(abs(energy_identity_residual(
-                sol, pair, None, tr, grid).residual))
+            sol = solve_linear_bseej(pair, None, unit_mode(6), None)
+            res.append(abs(energy_identity_residual(sol, None).residual))
         assert res[1] / res[0] == pytest.approx(0.5, abs=0.1)
 
     def test_pure_jump_bookkeeping_eventwise(self):
@@ -378,7 +375,7 @@ class TestEnergyIdentity:
             out[:, 0] = 1.0 + 0.3 * noise[:, 0]
             return out
 
-        sol = solve_linear_bseej(pair, None, xi, tree, grid, tr)
+        sol = solve_linear_bseej(pair, None, xi, tree)
         assert sol.max_r_norm() > 1e-6
         dt = float(grid.dt[0])
         w0 = MEAS.weights[0]
@@ -420,9 +417,7 @@ class TestWeakHjb:
         # Weak-form residual against the assembled (frozen) forcing of
         # the final Picard pass: solver algebra modulo the last
         # successive-difference gap.
-        wr = weak_residual(res.solution, res.pair,
-                           res.solution.forcing_values, tr,
-                           TimeGrid.uniform(0.5, 100))
+        wr = weak_residual(res.solution, res.solution.forcing_values)
         assert wr < 1e-6
 
     def test_operator_dump(self, tmp_path):
@@ -592,7 +587,7 @@ def reference_solve(coeffs, triple, control_set, measure, grid, scenario=None):
     forcing, terminal, clamped = reference_hjb(coeffs, triple, control_set,
                                                measure, tree)
     pair = assemble_operators(coeffs, triple, grid, control_set)
-    return solve_nonlinear_bseej(pair, forcing, terminal, tree, grid, triple), clamped[0]
+    return solve_nonlinear_bseej(pair, forcing, terminal, tree), clamped[0]
 
 
 def assert_within_gate(sol, ref):
@@ -771,6 +766,44 @@ class TestPicardInvariantWork:
             assert_bitwise(p, BinomialJumpTree(grid, MEAS, ("W1", "J"))
                            .probabilities(i))
 
+    def test_lattice_tables_read_only_and_reused(self):
+        tr = assemble_triple(L, 1, 5)
+        grid = TimeGrid.uniform(1.0, 8)
+
+        def lattice():
+            return BinomialJumpTree(grid, MEAS2, ("W1", "J"), j_cap=3)
+
+        tree = lattice()
+        for i in range(grid.n_steps + 1):
+            tables = [tree.noise_values(i), tree.probabilities(i)]
+            if i < grid.n_steps:
+                tables += tree.branches(i)
+                assert tree.branches(i)[0] is tables[2]
+            assert tree.noise_values(i) is tables[0]
+            assert tree.probabilities(i) is tables[1]
+            for arr in tables:
+                with pytest.raises(ValueError):
+                    arr[(0,) * arr.ndim] = 0
+        pair = assemble_operators(heat_coeffs(0.8), tr, grid)
+
+        def xi(noise):
+            out = np.zeros((noise.shape[0], 5))
+            out[:, 0] = 1.0 + 0.2 * noise[:, 0] + 0.1 * noise[:, 1]
+            return out
+
+        def F(i, t, nz, y, z, r):
+            return 0.05 * y + 0.1 * z + 0.01 * nz[:, :1]
+
+        first = solve_nonlinear_bseej(pair, F, xi, tree)
+        assert first.pair is pair and first.scenario is tree
+        assert len(first.history) > 1
+        assert_same_solution(solve_nonlinear_bseej(pair, F, xi, tree), first)
+        assert_same_solution(solve_nonlinear_bseej(pair, F, xi, lattice()), first)
+        # A lattice on other time nodes than the operators is refused.
+        other = BinomialJumpTree(TimeGrid.uniform(1.0, 4), MEAS2, ("W1", "J"))
+        with pytest.raises(ConfigError):
+            solve_linear_bseej(pair, None, xi, other)
+
     def test_shared_tree_matches_fresh_trees(self):
         tr = assemble_triple(4.0, 1, 8)
         grid = TimeGrid.uniform(0.5, 6)
@@ -802,11 +835,11 @@ class TestPicardInvariantWork:
         def F(i, t, nz, y, z, r):
             return 0.05 * y
 
-        sol = solve_nonlinear_bseej(pair, F, xi, tree, grid, tr)
+        sol = solve_nonlinear_bseej(pair, F, xi, tree)
         assert len(sol.history) > 1
         assert calls == [(tree.n_nodes(grid.n_steps), 2)]
         terminal = xi(tree.noise_values(grid.n_steps))
-        again = solve_nonlinear_bseej(pair, F, terminal, tree, grid, tr)
+        again = solve_nonlinear_bseej(pair, F, terminal, tree)
         assert_same_solution(sol, again)
 
     def test_terminal_array_shapes(self):
@@ -815,15 +848,16 @@ class TestPicardInvariantWork:
         tree = BinomialJumpTree(grid, MEAS, ("W1", "J"))
         n_nodes = tree.n_nodes(grid.n_steps)
         per_node = np.arange(n_nodes * 4, dtype=float).reshape(n_nodes, 4)
-        out = _as_terminal(per_node, tr, tree, grid)
+        pair = assemble_operators(heat_coeffs(), tr, grid)
+        out = _as_terminal(per_node, pair, tree)
         assert_bitwise(out, per_node)
         assert out is not per_node
-        shared = _as_terminal(np.arange(4.0), tr, tree, grid)
+        shared = _as_terminal(np.arange(4.0), pair, tree)
         assert_bitwise(shared, np.tile(np.arange(4.0), (n_nodes, 1)))
         for bad in (np.zeros((n_nodes + 1, 4)), np.zeros((n_nodes, 3)),
                     np.zeros(5)):
             with pytest.raises(ValueError):
-                _as_terminal(bad, tr, tree, grid)
+                _as_terminal(bad, pair, tree)
 
 
 def reference_branches(tree, i):
@@ -904,12 +938,12 @@ class TestLatticeTransition:
         probs, y, z, r, worst = self.reference(tr, grid, tree, pair, xi)
         for i in range(self.N + 1):
             assert_bitwise(tree.probabilities(i), probs[i])
-        sol = solve_linear_bseej(pair, None, xi, tree, grid, tr)
+        sol = solve_linear_bseej(pair, None, xi, tree)
         for name, ref in (("y", y), ("z", z), ("r", r)):
             for got, want in zip(getattr(sol, name), ref):
                 assert_bitwise(got, want)
         assert sol.max_z_norm() > 1e-3 and sol.max_r_norm() > 1e-3
-        assert weak_residual(sol, pair, None, tr, grid) == worst
+        assert weak_residual(sol, None) == worst
 
     def test_deterministic_run_on_non_uniform_grid(self):
         # scenario=None is the one-node lattice: no uniform-grid refusal,
@@ -919,7 +953,7 @@ class TestLatticeTransition:
         co = make_coeffs(sigma=lambda t, x, u, nz: (1.0 + t) * np.ones(x.shape + (1,)))
         pair = assemble_operators(co, tr, grid)
         f = 0.3 * np.arange(1.0, 7.0)
-        sol = solve_linear_bseej(pair, f, unit_mode(6), None, grid, tr)
+        sol = solve_linear_bseej(pair, f, unit_mode(6), None)
         y = unit_mode(6)
         for i in range(grid.n_steps - 1, -1, -1):
             dt = float(grid.dt[i])

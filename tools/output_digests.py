@@ -9,8 +9,9 @@ script before and after it and diffing the two listings:
     diff before.txt after.txt
 
 Each subcommand runs on every problem family with small inline configs
-in a temporary directory, and ``hjb-weak`` runs once more on
-``random_terminal`` at the CLI's default sizes.  Pairs the CLI refuses
+in a temporary directory, and ``hjb-weak`` runs twice more: on
+``random_terminal`` at the CLI's default sizes, and on ``smooth1d``
+with ``dump_operators``, which also writes the assembled matrices.  Pairs the CLI refuses
 with a config error (a lattice solver on random coefficients, a weak
 solve on a degenerate diffusion) write nothing and show up only as
 their exit line; a run that raises shows the exception's type in place
@@ -75,6 +76,9 @@ PLAIN_RUNS = [
     # full-size scenario lattice.
     ("hjb-weak", "hjb-weak[defaults]", "random_terminal",
      {"problem": {"name": "random_terminal"}}),
+    ("hjb-weak", "hjb-weak[dump_operators]", "smooth1d",
+     {"problem": {"name": "smooth1d"}, "hjb_weak": {
+         "modes": 8, "n_steps": 10, "out_nodes": 21, "dump_operators": True}}),
 ]
 
 
