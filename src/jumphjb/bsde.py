@@ -28,7 +28,7 @@ from .coefficients import CoefficientSet
 from .errors import NumericError
 from .forward import (Control, ForwardBatch, as_controls, check_batch, simulate_batch,
                       stack_controls, stack_size)
-from .drivers import MarkMeasure, NoiseBank, TimeGrid, child_seed, draw_noise
+from .drivers import MarkMeasure, NoiseBank, TimeGrid, child_seed, draw_noise, write_csv
 
 __all__ = [
     "PolynomialBasis",
@@ -191,24 +191,14 @@ class BsdeSolution:
         """
         if self.Y is None:
             raise ValueError("solution was computed with keep_paths=False")
-        import csv as _csv
-        N = self.Y.shape[0] - 1
-        M = self.Y.shape[1]
-        d = self.Z.shape[2]
-        n_atoms = self.K.shape[2]
-        with open(path, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["node", "t", "sample", "Y"]
-                       + [f"Z_{c+1}" for c in range(d)]
-                       + [f"K_{j+1}" for j in range(n_atoms)])
-            for i in range(N + 1):
-                t = float(self.grid.nodes[i])
-                for s in range(M):
-                    z_row = (self.Z[i, s].tolist() if i < N else [0.0] * d)
-                    k_row = (self.K[i, s].tolist() if i < N else [0.0] * n_atoms)
-                    w.writerow([i, repr(t), s, repr(float(self.Y[i, s]))]
-                               + [repr(float(v)) for v in z_row]
-                               + [repr(float(v)) for v in k_row])
+        N, M = self.Y.shape[0] - 1, self.Y.shape[1]
+        Z, K = (np.concatenate([a[:N], np.zeros_like(a[:1])]).reshape(-1, a.shape[2])
+                for a in (self.Z, self.K))
+        reals = np.column_stack([np.repeat(self.grid.nodes[:N + 1], M),
+                                 self.Y.reshape(-1), Z, K]).tolist()
+        write_csv(path, ["node", "t", "sample", "Y"] + [f"Z_{c+1}" for c in range(Z.shape[1])]
+                  + [f"K_{j+1}" for j in range(K.shape[1])],
+                  [[r // M, row[0], r % M] + row[1:] for r, row in enumerate(reals)])
 
 
 def solve_bsde(coeffs: CoefficientSet, control, batch: ForwardBatch,

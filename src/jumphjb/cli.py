@@ -15,7 +15,6 @@ Identical configs reproduce byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -34,7 +33,7 @@ from .coefficients import (
     validate_lipschitz,
 )
 from .dpp import Lattice, compute_value_table, dpp_residual
-from .drivers import DriverPath, TimeGrid, draw_noise
+from .drivers import DriverPath, TimeGrid, draw_noise, write_csv
 from .errors import (
     CflViolationError,
     ConfigError,
@@ -54,11 +53,6 @@ from .galerkin import (
 )
 from .pide import SpatialGrid, solve_pide_deterministic, verification_run
 from .problems import build_problem
-
-SUBCOMMANDS = (
-    "simulate", "bsde", "value", "dpp-check", "pide", "verify",
-    "bseej", "hjb-weak", "convergence", "validate-assumptions",
-)
 
 
 def _fail(msg: str, field: str | None = None):
@@ -85,15 +79,35 @@ def _count(sec: dict, key: str, default, path: str, low: int = 1) -> int:
     return val
 
 
+def _finite(val) -> bool:
+    """Whether ``val`` is a finite real number and not a bool."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and abs(val) < np.inf
+
+
 def _real(sec: dict, key: str, default, path: str, low=-np.inf, strict=True) -> float:
     """``sec[key]``, or ``default`` when absent, as a finite real (not a
     bool) above ``low``, or at it unless ``strict``; else a config error."""
     val = sec.get(key, default)
-    real = isinstance(val, (int, float)) and not isinstance(val, bool)
-    if not (real and (low < val if strict else low <= val) and val < np.inf):
+    if not (_finite(val) and (low < val if strict else low <= val)):
         bound = f" {'>' if strict else '>='} {low}" if low > -np.inf else ""
         _fail(f"expected a finite real number{bound}", f"{path}.{key}")
     return float(val)
+
+
+def _reals(val, length: int, field: str) -> np.ndarray:
+    """``val`` as a list of ``length`` finite reals (not bools); anything
+    else is a config error naming ``field``."""
+    if not (isinstance(val, list) and len(val) == length and all(map(_finite, val))):
+        _fail(f"expected a list of {length} finite real numbers", field)
+    return np.array(val, dtype=float)
+
+
+def _flag(sec: dict, key: str, default: bool, path: str) -> bool:
+    """``sec[key]``, or ``default`` when absent, as true or false."""
+    val = sec.get(key, default)
+    if not isinstance(val, bool):
+        _fail("expected true or false", f"{path}.{key}")
+    return val
 
 
 def _section(cfg: dict, name: str) -> dict:
@@ -137,23 +151,20 @@ def _problem(cfg: dict):
     return build_problem(name, params)
 
 
-def _control_from(cfg_sec: dict, m: int):
-    ctl = cfg_sec.get("control", {"type": "constant", "value": [0.0] * m})
-    kind = ctl.get("type", "constant")
+def _control_from(sec: dict, path: str, m: int, n_steps: int):
+    """The ``control`` object of a section: ``{"type": "constant",
+    "value": m reals}`` or ``{"type": "openloop", "values": n_steps rows
+    of m reals}``; the zero control when absent."""
+    ctl = sec.get("control", {"type": "constant", "value": [0.0] * m})
+    kind = ctl.get("type") if isinstance(ctl, dict) else None
     if kind == "constant":
-        return ConstantControl(ctl.get("value", [0.0] * m))
+        return ConstantControl(_reals(ctl.get("value"), m, f"{path}.control.value"))
     if kind == "openloop":
-        return OpenLoopControl(np.asarray(ctl["values"], dtype=float))
-    _fail(f"unknown control type {kind!r}", "control.type")
-
-
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
-                        else v for v in row])
+        rows = ctl.get("values")
+        if not (isinstance(rows, list) and len(rows) == n_steps):
+            _fail(f"expected a list of {n_steps} rows, one per step", f"{path}.control.values")
+        return OpenLoopControl(np.array([_reals(r, m, f"{path}.control.values") for r in rows]))
+    _fail('expected an object with "type" "constant" or "openloop"', f"{path}.control")
 
 
 def _write_json(path: Path, payload: dict):
@@ -166,7 +177,7 @@ def run_simulate(cfg: dict, out: Path) -> list:
     n_steps = _count(sec, "n_steps", prob.n_steps, "simulate")
     n_paths = _count(sec, "n_paths", 1, "simulate")
     grid = TimeGrid.uniform(prob.horizon, n_steps)
-    control = _control_from(sec, prob.coeffs.m)
+    control = _control_from(sec, "simulate", prob.coeffs.m, n_steps)
     bank = draw_noise(grid, prob.coeffs.d, prob.measure, n_paths, cfg["seed"])
     outputs = []
     for k in range(n_paths):
@@ -183,26 +194,19 @@ def run_bsde(cfg: dict, out: Path) -> list:
     n_steps = _count(sec, "n_steps", prob.n_steps, "bsde")
     n_samples = _count(sec, "n_samples", 2000, "bsde")
     grid = TimeGrid.uniform(prob.horizon, n_steps)
-    control = _control_from(sec, prob.coeffs.m)
+    control = _control_from(sec, "bsde", prob.coeffs.m, n_steps)
     basis = PolynomialBasis(degree=_count(sec, "basis_degree", 3, "bsde", low=0),
                             ridge=_real(sec, "ridge", 1e-8, "bsde", 0.0, strict=False))
     batch = simulate_batch(prob.coeffs, control, prob.x0, grid, prob.measure,
                            n_samples, cfg["seed"])
     sol = solve_bsde(prob.coeffs, control, batch, basis)
     _write_json(out / "bsde_summary.json", sol.summary())
-    rows = []
-    for i in range(grid.n_steps + 1):
-        row = [float(grid.nodes[i]), float(sol.Y[i].mean()), float(sol.Y[i].std())]
-        if i < grid.n_steps:
-            row += [float(v) for v in sol.Z[i].mean(axis=0)]
-            row += [float(v) for v in sol.K[i].mean(axis=0)]
-        else:
-            row += [0.0] * (prob.coeffs.d + prob.measure.n_atoms)
-        rows.append(row)
+    means = [np.concatenate([a.mean(axis=1), np.zeros((1, a.shape[2]))]) for a in (sol.Z, sol.K)]
+    rows = np.column_stack([grid.nodes, sol.Y.mean(axis=1), sol.Y.std(axis=1)] + means)
     header = (["t", "Y_mean", "Y_std"]
               + [f"Z{c+1}_mean" for c in range(prob.coeffs.d)]
               + [f"K{j+1}_mean" for j in range(prob.measure.n_atoms)])
-    _write_csv(out / "bsde_solution.csv", header, rows)
+    write_csv(out / "bsde_solution.csv", header, rows.tolist())
     return ["bsde_summary.json", "bsde_solution.csv"]
 
 
@@ -235,7 +239,7 @@ def run_dpp_check(cfg: dict, out: Path) -> list:
     delta_nodes = _count(sec, "delta_nodes", 1, "dpp_check", low=0)
     n_samples = _count(sec, "n_samples", 20000, "dpp_check")
     t_node = _count(sec, "t_node", 0, "dpp_check", low=0)
-    x = np.asarray(sec.get("x", prob.x0.tolist()), dtype=float)
+    x = _reals(sec.get("x", prob.x0.tolist()), prob.coeffs.n, "dpp_check.x")
     lat = _grid(Lattice, box, cells, "dpp_check")
     grid = TimeGrid.uniform(prob.horizon, n_steps)
     table = compute_value_table(prob.coeffs, prob.control_set, lat, grid,
@@ -330,10 +334,8 @@ def run_bseej(cfg: dict, out: Path) -> list:
         "energy_residual": energy.residual,
         "weak_residual": weak_residual(sol, f0),
     })
-    rows = [[float(grid.nodes[i])] + [float(v) for v in sol.y[i][0]]
-            for i in range(n_steps + 1)]
-    _write_csv(out / "bseej_coords.csv",
-               ["t"] + [f"y_{k+1}" for k in range(n_modes)], rows)
+    write_csv(out / "bseej_coords.csv", ["t"] + [f"y_{k+1}" for k in range(n_modes)],
+              np.column_stack([grid.nodes, [y[0] for y in sol.y]]).tolist())
     return ["bseej_report.json", "bseej_coords.csv"]
 
 
@@ -347,6 +349,7 @@ def run_hjb_weak(cfg: dict, out: Path) -> list:
     grid = TimeGrid.uniform(prob.horizon, n_steps)
     out_box = sec.get("out_box", [prob.space_low, prob.space_high])
     space = _grid(SpatialGrid, out_box, sec.get("out_nodes", 81), "hjb_weak")
+    extra = ["operators.csv"] if _flag(sec, "dump_operators", False, "hjb_weak") else []
     scenario = None
     if prob.coeffs.is_random:
         channels = tuple(sorted(set(prob.coeffs.randomness_channels) | {"J"}))
@@ -355,10 +358,8 @@ def run_hjb_weak(cfg: dict, out: Path) -> list:
                          grid, scenario=scenario,
                          tol=_real(sec, "tol", 1e-8, "hjb_weak", 0.0),
                          max_iter=_count(sec, "max_iter", 50, "hjb_weak"))
-    extra = []
-    if sec.get("dump_operators", False):
+    if extra:
         res.solution.pair.dump_csv(out / "operators.csv")
-        extra.append("operators.csv")
     trip = res.reconstruct_triplet(space)
     trip.to_csv(out / "hjb_weak_field.csv")
     _write_json(out / "hjb_weak_report.json", {
@@ -441,9 +442,8 @@ def run_convergence(cfg: dict, out: Path) -> list:
     else:
         _fail(f"unknown study {study!r}", "convergence.study")
 
-    _write_csv(out / "convergence.csv", ["level", "dt", "error"], rows)
-    errors = np.array([r[2] for r in rows], dtype=float)
-    dts = np.array([r[1] for r in rows], dtype=float)
+    write_csv(out / "convergence.csv", ["level", "dt", "error"], rows)
+    _, dts, errors = np.array(rows, dtype=float).T
     mask = errors > 0
     slope = float(np.polyfit(np.log(dts[mask]), np.log(errors[mask]), 1)[0]) \
         if mask.sum() >= 2 else float("nan")
@@ -527,7 +527,7 @@ def main(argv=None) -> int:
         prog="jumphjb",
         description="Stochastic optimal control of jump-diffusions: "
                     "simulation, BSDEs, dynamic programming, HJB solvers.")
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=tuple(RUNNERS))
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default=None,
                         help="output directory (default: config out_dir or .)")

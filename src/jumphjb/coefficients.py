@@ -46,7 +46,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .drivers import MarkMeasure
+from .drivers import MarkMeasure, fields_equal
 from .errors import NumericError
 
 __all__ = [
@@ -241,6 +241,7 @@ class ControlSet:
     atoms: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    __eq__ = fields_equal
 
     def __post_init__(self):
         atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))

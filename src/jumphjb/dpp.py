@@ -41,7 +41,7 @@ from .coefficients import (
     broadcast_control,
     compensated_drift,
 )
-from .drivers import MarkMeasure, TimeGrid, draw_noise
+from .drivers import MarkMeasure, TimeGrid, draw_noise, fields_equal, write_csv
 from .errors import ConfigError, NumericError
 from .forward import ConstantControl, Control, check_batch
 
@@ -100,6 +100,7 @@ class Grid:
     upper: np.ndarray
     shape: tuple
     e: ClassVar[int]
+    __eq__ = fields_equal
 
     def __post_init__(self):
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
@@ -236,20 +237,14 @@ class ValueTable:
         return FeedbackPolicy(self.lattice, self.grid, self.control_set, self.argmin)
 
     def to_csv(self, path) -> None:
-        import csv
         centers = self.lattice.nodes()
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t"] + [f"x_{k+1}" for k in range(self.lattice.n)]
-                       + ["value", "argmin"])
-            for i, t in enumerate(self.grid.nodes):
-                flat = self.values[i].ravel()
-                am = self.argmin[i].ravel() if i < self.argmin.shape[0] else None
-                for c in range(centers.shape[0]):
-                    w.writerow([repr(float(t))]
-                               + [repr(float(v)) for v in centers[c]]
-                               + [repr(float(flat[c])),
-                                  int(am[c]) if am is not None else -1])
+        nt, pts = self.values.shape[0], centers.shape[0]
+        reals = np.column_stack([np.repeat(self.grid.nodes, pts), np.tile(centers, (nt, 1)),
+                                 self.values.reshape(-1)]).tolist()
+        argmin = np.full((nt, pts), -1)
+        argmin[:self.argmin.shape[0]] = self.argmin.reshape(-1, pts)
+        write_csv(path, ["t"] + [f"x_{k+1}" for k in range(self.lattice.n)] + ["value", "argmin"],
+                  [r + [a] for r, a in zip(reals, argmin.ravel().tolist())])
 
 
 class FeedbackPolicy(Control):

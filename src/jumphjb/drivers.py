@@ -13,12 +13,16 @@ and, for a window bank (``start_node > 0``), W and the event count at
 the start node as one Gaussian and one Poisson variate.  Row s is thus
 the same in a bank of any size.  A window bank draws only its own
 steps: it is not a slice of the full-horizon bank of the same seed.
+
+:func:`write_csv` writes every CSV artifact of the package, each real
+as the shortest text that reads back bit for bit.
 """
 
 from __future__ import annotations
 
+import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,6 +40,7 @@ __all__ = [
     "NoiseBank",
     "draw_noise",
     "check_batch_bytes",
+    "write_csv",
 ]
 
 # Largest batch, in bytes, that the simulators agree to allocate.
@@ -50,6 +55,24 @@ def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=dtype)
     a.flags.writeable = False
     return a
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` to ``path``, a real cell (``float`` or
+    ``np.floating``) as ``repr(float(v))`` and any other (an index, an
+    atom, a ``-1`` marker) as it is."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                     for v in row] for row in rows)
+
+
+def fields_equal(a, b) -> bool:
+    """``==`` of frozen dataclasses with array fields: the same type and
+    every compared field ``np.array_equal``."""
+    return type(a) is type(b) and all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+                                      for f in fields(a) if f.compare)
 
 
 def child_seed(seed, index: int) -> np.random.SeedSequence:
@@ -77,6 +100,7 @@ class MarkMeasure:
 
     marks: np.ndarray
     weights: np.ndarray
+    __eq__ = fields_equal
 
     def __post_init__(self):
         marks = np.atleast_2d(np.asarray(self.marks, dtype=float))
@@ -141,6 +165,7 @@ class TimeGrid:
 
     nodes: np.ndarray
     dt: np.ndarray = field(init=False, repr=False, compare=False)
+    __eq__ = fields_equal
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float).ravel()
@@ -339,10 +364,9 @@ class NoiseBank:
               n_samples: int, seed, start_node: int, end_node: int) -> None:
         """Raise ValueError unless the bank was drawn for exactly this batch."""
         wanted = {
-            "grid": np.array_equal(self.grid.nodes, grid.nodes),
+            "grid": self.grid == grid,
             "d": self.d == d,
-            "measure": (np.array_equal(self.measure.marks, measure.marks)
-                        and np.array_equal(self.measure.weights, measure.weights)),
+            "measure": self.measure == measure,
             "n_samples": self.n_samples == int(n_samples),
             "seed": _stream_key(self.seed) == _stream_key(seed),
             "node range": (self.start_node, self.end_node) == (start_node, end_node),

@@ -21,7 +21,6 @@ difference accuracy.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -595,12 +594,7 @@ def trajectory_to_csv(traj: StateTrajectory, path) -> None:
     """Columns: t, X_1..X_n, u_1..u_m, event (atom index or -1)."""
     n = traj.states.shape[1]
     m = traj.controls.shape[1]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"X_{k+1}" for k in range(n)]
-                   + [f"u_{k+1}" for k in range(m)] + ["event"])
-        for k in range(traj.times.size):
-            w.writerow([repr(float(traj.times[k]))]
-                       + [repr(float(v)) for v in traj.states[k]]
-                       + [repr(float(v)) for v in traj.controls[k]]
-                       + [int(traj.event_atom[k])])
+    reals = np.column_stack([traj.times, traj.states, traj.controls]).tolist()
+    drivers.write_csv(path, ["t"] + [f"X_{k+1}" for k in range(n)]
+                      + [f"u_{k+1}" for k in range(m)] + ["event"],
+                      [r + [a] for r, a in zip(reals, traj.event_atom.tolist())])

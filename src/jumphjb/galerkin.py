@@ -55,7 +55,7 @@ from .coefficients import (
     compensated_drift,
     jacobian_x,
 )
-from .drivers import MarkMeasure, TimeGrid
+from .drivers import MarkMeasure, TimeGrid, write_csv
 from .errors import ConfigError, NotConvergedError, NumericError
 from .pide import RandomFieldTriplet, SpatialGrid
 
@@ -184,13 +184,10 @@ class OperatorPair:
 
     def dump_csv(self, path) -> None:
         """Long-format dump of the assembled matrices for inspection."""
-        import csv as _csv
-        with open(path, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["step", "row", "col", "A", "B", "bstar_gram"])
-            for idx in np.ndindex(self.A.shape):
-                w.writerow(list(idx) + [repr(float(m[idx]))
-                                        for m in (self.A, self.B, self.bstar_gram)])
+        idx = np.indices(self.A.shape).reshape(3, -1).T.tolist()
+        reals = np.column_stack([m.reshape(-1) for m in (self.A, self.B, self.bstar_gram)])
+        write_csv(path, ["step", "row", "col", "A", "B", "bstar_gram"],
+                  [i + r for i, r in zip(idx, reals.tolist())])
 
 
 def assemble_operators(coeffs: CoefficientSet, triple: GelfandTriple,
@@ -411,7 +408,7 @@ def _lattice(scenario: BinomialJumpTree | None, grid: TimeGrid) -> BinomialJumpT
     run; a lattice on other time nodes than ``grid`` is refused."""
     if scenario is None:
         return BinomialJumpTree(grid, MarkMeasure.empty(), ())
-    if not np.array_equal(scenario.grid.nodes, grid.nodes):
+    if scenario.grid != grid:
         raise ConfigError("the scenario lattice and the operators have different time grids")
     return scenario
 

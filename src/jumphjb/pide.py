@@ -35,7 +35,6 @@ their sum at the grid nodes, minimised over the controls.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -51,7 +50,7 @@ from .coefficients import (
     compensated_drift,
 )
 from .dpp import FeedbackPolicy, Grid, Stencil
-from .drivers import MarkMeasure, TimeGrid
+from .drivers import MarkMeasure, TimeGrid, write_csv
 from .errors import CflViolationError, ConfigError, NumericError
 from .forward import ConstantControl, OpenLoopControl
 
@@ -112,52 +111,35 @@ class RandomFieldTriplet:
         return float(v[0])
 
     def to_csv(self, path) -> None:
+        """One row per (time, node): t, x_1..x_n, V, Phi_c, Psi_j."""
         nodes = self.space.nodes()
-        n_phi = self.Phi.shape[1]
-        n_atoms = self.Psi.shape[1]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t"] + [f"x_{k+1}" for k in range(self.space.n)]
-                       + ["V"] + [f"Phi_{c+1}" for c in range(n_phi)]
-                       + [f"Psi_{j+1}" for j in range(n_atoms)])
-            for i, t in enumerate(self.time_nodes):
-                v = self.V[i].ravel()
-                phis = [self.Phi[i, c].ravel() for c in range(n_phi)]
-                psis = [self.Psi[i, j].ravel() for j in range(n_atoms)]
-                for r in range(nodes.shape[0]):
-                    w.writerow([repr(float(t))]
-                               + [repr(float(c)) for c in nodes[r]]
-                               + [repr(float(v[r]))]
-                               + [repr(float(p[r])) for p in phis]
-                               + [repr(float(p[r])) for p in psis])
+        nt, pts = self.time_nodes.size, nodes.shape[0]
+        per_node = np.concatenate([self.V[:, None], self.Phi, self.Psi], axis=1)
+        per_node = per_node.reshape(nt, -1, pts).transpose(0, 2, 1).reshape(nt * pts, -1)
+        write_csv(path, ["t"] + [f"x_{k+1}" for k in range(self.space.n)] + ["V"]
+                  + [f"Phi_{c+1}" for c in range(self.Phi.shape[1])]
+                  + [f"Psi_{j+1}" for j in range(self.Psi.shape[1])],
+                  np.column_stack([np.repeat(self.time_nodes, pts),
+                                   np.tile(nodes, (nt, 1)), per_node]).tolist())
 
     @classmethod
     def from_csv(cls, path, space: SpatialGrid) -> "RandomFieldTriplet":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        header, body = rows[0], rows[1:]
-        n = space.n
-        n_phi = sum(1 for c in header if c.startswith("Phi_"))
-        n_atoms = sum(1 for c in header if c.startswith("Psi_"))
-        times = sorted({float(r[0]) for r in body})
-        n_pts = int(np.prod(space.shape))
-        t_index = {t: i for i, t in enumerate(times)}
-        V = np.zeros((len(times),) + space.shape)
-        Phi = np.zeros((len(times), max(n_phi, 1)) + space.shape)
-        Psi = np.zeros((len(times), n_atoms) + space.shape)
-        counts = np.zeros(len(times), dtype=int)
-        for r in body:
-            i = t_index[float(r[0])]
-            flat = counts[i]
-            counts[i] += 1
-            V[i].ravel()[flat] = float(r[1 + n])
-            for c in range(n_phi):
-                Phi[i, c].ravel()[flat] = float(r[2 + n + c])
-            for j in range(n_atoms):
-                Psi[i, j].ravel()[flat] = float(r[2 + n + n_phi + j])
-        if np.any(counts != n_pts):
+        """Read back a :meth:`to_csv` file.  Rows of different times may
+        interleave; the rows of one time come in node order."""
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+        body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        n_phi = sum(c.startswith("Phi_") for c in header)
+        pts = int(np.prod(space.shape))
+        times, at, counts = np.unique(body[:, 0], return_inverse=True, return_counts=True)
+        if not times.size or np.any(counts != pts):
             raise ValueError("CSV rows do not fill the spatial grid")
-        return cls(space, np.array(times), V, Phi, Psi)
+        # (column, time, *space): a column's slice of one time is its field.
+        cols = body[np.argsort(at, kind="stable")].T.reshape((-1, times.size) + space.shape)
+        lo = 2 + space.n
+        Phi = cols[lo:lo + n_phi] if n_phi else np.zeros((1, times.size) + space.shape)
+        return cls(space, times, cols[lo - 1], Phi.swapaxes(0, 1),
+                   cols[lo + n_phi:].swapaxes(0, 1))
 
 
 def hamiltonian(coeffs: CoefficientSet, t, x, u, p, dphi, hess, k_agg,

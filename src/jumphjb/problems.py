@@ -37,14 +37,23 @@ class Problem:
     params: dict = field(default_factory=dict)
 
 
-def _take(params: dict, defaults: dict, family: str) -> dict:
+def _fits(value, default) -> bool:
+    """Whether an override has its default's kind: an integer, a finite
+    real (an integer too) or a list of finite reals, and never a bool."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_fits(v, 0.0) for v in value)
+    return (isinstance(value, int if isinstance(default, int) else (int, float))
+            and not isinstance(value, bool) and -np.inf < value < np.inf)
+
+
+def _take(params: dict, defaults: dict) -> dict:
     unknown = set(params) - set(defaults)
     if unknown:
-        raise ConfigError(f"unknown parameters {sorted(unknown)}",
-                          field=f"problem.params ({family})")
-    merged = dict(defaults)
-    merged.update(params)
-    return merged
+        raise ValueError(f"unknown parameters {sorted(unknown)}")
+    for key, value in params.items():
+        if not _fits(value, defaults[key]):
+            raise ValueError(f"{key}: expected the kind of its default {defaults[key]!r}")
+    return {**defaults, **params}
 
 
 def _smooth1d(params: dict) -> Problem:
@@ -67,7 +76,7 @@ def _smooth1d(params: dict) -> Problem:
         "n_controls": 2,
         "horizon": 0.5,
         "x0": 0.0,
-    }, "smooth1d")
+    })
     sig = np.asarray(p["sigma"], dtype=float)
     d = sig.size
     a, cx, cxu, ck, gj = (p["drift_scale"], p["cost_x"], p["cost_xu"],
@@ -87,14 +96,14 @@ def _smooth1d(params: dict) -> Problem:
         delta=1.0)
     measure = MarkMeasure.from_atoms([((1.0,), p["jump_weight"])])
     control = ControlSet.from_1d(-p["control_max"], p["control_max"],
-                                 int(p["n_controls"]))
+                                 p["n_controls"])
     return Problem("smooth1d", coeffs, measure, control,
                    np.array([p["x0"]]), float(p["horizon"]), params=p)
 
 
 def _zero(params: dict) -> Problem:
     p = _take(params, {"h_const": 1.0, "horizon": 1.0, "x0": 0.0,
-                       "jump_weight": 0.5}, "zero")
+                       "jump_weight": 0.5})
     hc = float(p["h_const"])
     coeffs = CoefficientSet(
         n=1, d=1, m=1,
@@ -113,7 +122,7 @@ def _zero(params: dict) -> Problem:
 
 def _exp_decay(params: dict) -> Problem:
     """Scalar closed form: f = -r y, h = 1, so Y(t) = exp(-r (T - t))."""
-    p = _take(params, {"rate": 0.1, "horizon": 1.0, "x0": 0.0}, "exp_decay")
+    p = _take(params, {"rate": 0.1, "horizon": 1.0, "x0": 0.0})
     r = float(p["rate"])
     coeffs = CoefficientSet(
         n=1, d=1, m=1,
@@ -135,7 +144,7 @@ def _linear1d(params: dict) -> Problem:
         "b_x": 0.5, "b_u": 1.0, "sigma0": 0.3, "g_x": 0.2,
         "jump_weight": 1.0, "horizon": 1.0, "x0": 0.5,
         "lipschitz_C": 1.6, "rho": 0.25, "delta": 0.5,
-    }, "linear1d")
+    })
     bx, bu, s0, gx = p["b_x"], p["b_u"], p["sigma0"], p["g_x"]
     coeffs = CoefficientSet(
         n=1, d=1, m=1,
@@ -157,7 +166,7 @@ def _linear1d(params: dict) -> Problem:
 def _random_terminal(params: dict) -> Problem:
     """smooth1d dynamics with a terminal cost reading the W_d channel."""
     p = _take(params, {"noise_gain": 0.3, "horizon": 0.5, "x0": 0.0,
-                       "jump_weight": 0.3}, "random_terminal")
+                       "jump_weight": 0.3})
     gain = float(p["noise_gain"])
     coeffs = CoefficientSet(
         n=1, d=2, m=1,
@@ -193,4 +202,7 @@ def build_problem(name: str, params: dict | None = None) -> Problem:
     if name not in _FAMILIES:
         raise ConfigError(f"unknown problem {name!r}; available: "
                           f"{', '.join(PROBLEM_NAMES)}", field="problem.name")
-    return _FAMILIES[name](dict(params or {}))
+    try:
+        return _FAMILIES[name](dict(params or {}))
+    except ValueError as exc:
+        raise ConfigError(str(exc), field=f"problem.params ({name})") from exc

@@ -4,7 +4,11 @@ import sys
 
 import pytest
 
+from jumphjb.bsde import PolynomialBasis, solve_bsde
 from jumphjb.cli import main
+from jumphjb.drivers import TimeGrid
+from jumphjb.forward import ConstantControl, simulate_batch
+from jumphjb.problems import build_problem
 
 
 def run_cli(args):
@@ -69,6 +73,28 @@ class TestRuns:
                         "--out", str(out)]) == 0
         rep = json.loads((out / "validation_report.json").read_text())
         assert rep["all_passed"]
+
+    def test_bsde_table_matches_per_node_loop(self, tmp_path):
+        # The CLI averages over the samples with axis reductions; the
+        # per-node loop below is the reference, bit for bit.
+        cfg = write_cfg(tmp_path / "c.json", {
+            "seed": 4, "problem": {"name": "smooth1d"},
+            "bsde": {"n_steps": 6, "n_samples": 300, "basis_degree": 2}})
+        assert run_cli(["bsde", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        prob = build_problem("smooth1d")
+        grid = TimeGrid.uniform(prob.horizon, 6)
+        control = ConstantControl([0.0])
+        batch = simulate_batch(prob.coeffs, control, prob.x0, grid, prob.measure, 300, 4)
+        sol = solve_bsde(prob.coeffs, control, batch, PolynomialBasis(degree=2))
+        lines = (tmp_path / "o" / "bsde_solution.csv").read_text().splitlines()
+        assert lines[0] == "t,Y_mean,Y_std,Z1_mean,Z2_mean,K1_mean"
+        for i, line in enumerate(lines[1:]):
+            want = [grid.nodes[i], sol.Y[i].mean(), sol.Y[i].std()]
+            if i < 6:
+                want += list(sol.Z[i].mean(axis=0)) + list(sol.K[i].mean(axis=0))
+            else:
+                want += [0.0] * 3
+            assert line.split(",") == [repr(float(v)) for v in want], i
 
     def test_convergence_forward(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.json", {
@@ -201,6 +227,53 @@ class TestExitCodes:
         assert run_cli([sub, "--config", cfg, "--out", str(out)]) == 2
         assert "config error: need horizon > 0" in capsys.readouterr().err
         assert not (out / "failure_diagnostic.json").exists()
+
+    @pytest.mark.parametrize("key, bad", [
+        ("horizon", "x"), ("x0", "a"), ("sigma", "a"), ("n_controls", 0),
+        ("jump_weight", -1), ("n_controls", 2.7), ("n_controls", "2"), ("horizon", True),
+    ])
+    def test_bad_problem_param_is_config_error(self, tmp_path, capsys, key, bad):
+        cfg = write_cfg(tmp_path / "c.json", {
+            "seed": 1, "problem": {"name": "smooth1d", "params": {key: bad}}})
+        out = tmp_path / "o"
+        assert run_cli(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: problem.params (smooth1d): " in capsys.readouterr().err
+        assert not (out / "failure_diagnostic.json").exists()
+
+    @pytest.mark.parametrize("sub, section, bad, field", [
+        ("dpp-check", "dpp_check", {"x": "a"}, "dpp_check.x"),
+        ("hjb-weak", "hjb_weak", {"dump_operators": "no", "modes": 4, "n_steps": 10,
+                                  "out_nodes": 21}, "hjb_weak.dump_operators"),
+        ("simulate", "simulate", {"control": "zero"}, "simulate.control"),
+        ("simulate", "simulate", {"control": {"type": "openloop"}}, "simulate.control.values"),
+        ("simulate", "simulate", {"control": {"type": "constant", "value": "a"}},
+         "simulate.control.value"),
+        ("simulate", "simulate", {"control": {"type": "constant", "value": [0.1, 0.2]}},
+         "simulate.control.value"),
+        ("bsde", "bsde", {"n_steps": 4, "n_samples": 50, "control": {
+            "type": "openloop", "values": [0.1, 0.2, 0.3, 0.4]}}, "bsde.control.values"),
+    ])
+    def test_bad_section_value_is_config_error(self, tmp_path, capsys, sub, section, bad,
+                                               field):
+        cfg = write_cfg(tmp_path / "c.json", {
+            "seed": 1, "problem": {"name": "smooth1d"}, section: bad})
+        out = tmp_path / "o"
+        assert run_cli([sub, "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: {field}: expected" in capsys.readouterr().err
+        assert not (out / "failure_diagnostic.json").exists()
+        assert not (out / "operators.csv").exists()
+
+    def test_well_formed_controls_run(self, tmp_path):
+        # One row of m = 1 reals per step, as the CLI documents.
+        cfg = write_cfg(tmp_path / "c.json", {
+            "seed": 1, "problem": {"name": "smooth1d"},
+            "simulate": {"n_steps": 4, "control": {"type": "constant", "value": [0.3]}},
+            "bsde": {"n_steps": 4, "n_samples": 50, "control": {
+                "type": "openloop", "values": [[0.1], [0.2], [0.3], [0.4]]}}})
+        for sub in ("simulate", "bsde"):
+            assert run_cli([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 0
+        lines = (tmp_path / "simulate" / "trajectory_000.csv").read_text().splitlines()
+        assert {line.split(",")[2] for line in lines[1:]} == {"0.3"}
 
     def test_real_bounds_admit_their_edge(self, tmp_path):
         # A zero ridge is plain least squares; integers are real numbers.

@@ -1,6 +1,8 @@
+import csv
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from jumphjb.drivers import (
@@ -13,6 +15,7 @@ from jumphjb.drivers import (
     draw_noise,
     jump_counts_per_step,
     sample_driver_path,
+    write_csv,
 )
 from jumphjb.errors import ConfigError, NumericError
 
@@ -72,6 +75,29 @@ class TestMarkMeasure:
         m2 = MarkMeasure.from_json(m.to_json())
         np.testing.assert_array_equal(m.marks, m2.marks)
         np.testing.assert_array_equal(m.weights, m2.weights)
+
+
+class TestWriteCsv:
+    """Every real cell reads back bit for bit with ``float``; every
+    integer cell stays integer text."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(reals=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          min_size=1, max_size=8),
+           ints=st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=3),
+           numpy_reals=st.booleans())
+    @example(reals=[5e-324, -2.2250738585072014e-308, 1e308, -1e308, -0.0, 0.1],
+             ints=[-1, 0, 7], numpy_reals=True)
+    def test_reals_read_back_bitwise_and_ints_stay_integers(self, tmp_path_factory, reals,
+                                                              ints, numpy_reals):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        cells = [np.float64(v) for v in reals] if numpy_reals else reals
+        write_csv(path, ["c"] * (len(reals) + len(ints)), [cells + ints])
+        with open(path, newline="") as fh:
+            _, row = csv.reader(fh)
+        back = np.array([float(c) for c in row[:len(reals)]])
+        assert back.tobytes() == np.array(reals).tobytes()
+        assert row[len(reals):] == [str(i) for i in ints]
 
 
 class TestBrownian:

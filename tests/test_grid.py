@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from jumphjb.coefficients import ControlSet
 from jumphjb.dpp import FeedbackPolicy, Lattice
-from jumphjb.drivers import TimeGrid
+from jumphjb.drivers import MarkMeasure, TimeGrid
 from jumphjb.errors import ConfigError
 from jumphjb.pide import SpatialGrid
 
@@ -170,3 +170,31 @@ def test_placements_match_their_own_formulas(grid, factor):
 def test_constructor_refusals_are_config_errors(kind, lower, upper, shape):
     with pytest.raises(ConfigError):
         kind(lower, upper, shape)
+
+
+def _measure(*weights):
+    return MarkMeasure.from_atoms([((0.5 * j,), w) for j, w in enumerate(weights)])
+
+
+@pytest.mark.parametrize("make, same, other", [
+    (lambda a: TimeGrid.uniform(1.0, a), 4, 5),
+    (lambda a: TimeGrid(np.array([0.0, 0.5, a])), 1.0, 1.5),
+    (lambda a: _measure(0.3, a), 0.2, 0.25),
+    (lambda a: _measure(*[0.3] * a), 2, 3),
+    (lambda a: ControlSet.from_1d(-1, 1, a), 3, 2),
+    (lambda a: ControlSet.from_1d(-1, a, 3), 1, 2),
+    (lambda a: Lattice([0.0, 0.0], [1.0, 1.0], (3, a)), 4, 5),
+    (lambda a: Lattice([0.0, 0.0], [1.0, a], (3, 4)), 1.0, 2.0),
+    (lambda a: SpatialGrid([0.0] * a, [1.0] * a, (3,) * a), 2, 3),
+])
+def test_value_classes_compare_by_value(make, same, other):
+    assert make(same) == make(same) and not make(same) != make(same)
+    assert make(same) != make(other) and not make(same) == make(other)
+
+
+def test_value_classes_of_different_types_are_unequal():
+    box = ([0.0, 0.0], [1.0, 1.0], (3, 3))
+    assert Lattice(*box) != SpatialGrid(*box)
+    assert TimeGrid.uniform(1.0, 4) != TimeGrid.uniform(1.0, 4).nodes
+    assert _measure(0.3) != ControlSet.singleton([0.3])
+    assert ControlSet.singleton([0.0]) != 0.0

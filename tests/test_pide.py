@@ -412,6 +412,47 @@ class TestTripletCsv:
         np.testing.assert_allclose(back.Phi, trip.Phi)
         np.testing.assert_allclose(back.Psi, trip.Psi)
 
+    @staticmethod
+    def wide_triplet(space, n_times=4):
+        """Fields spanning 1e-300 to 1e300, negative zero and signs included."""
+        rng = np.random.default_rng(3)
+
+        def field(*shape):
+            v = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 301, shape)
+            v.flat[0] = -0.0
+            return v
+
+        return RandomFieldTriplet(space, np.array([0.0, 0.1, 0.25, 1 / 3])[:n_times],
+                                  field(n_times, *space.shape),
+                                  field(n_times, 2, *space.shape),
+                                  field(n_times, 1, *space.shape))
+
+    @pytest.mark.parametrize("shape", [(6,), (3, 4)])
+    def test_interleaved_times_read_back_bitwise(self, tmp_path, shape):
+        space = SpatialGrid([-1.0] * len(shape), [1.0] * len(shape), shape)
+        trip = self.wide_triplet(space)
+        path = tmp_path / "triplet.csv"
+        trip.to_csv(path)
+        header, *body = path.read_text().splitlines()
+        pts = int(np.prod(shape))
+        # Row r of every time, then row r + 1 of every time, ...
+        mixed = [body[i * pts + r] for r in range(pts) for i in range(4)]
+        path.write_text("\n".join([header] + mixed) + "\n")
+        back = RandomFieldTriplet.from_csv(path, space)
+        for name in ("time_nodes", "V", "Phi", "Psi"):
+            assert getattr(back, name).tobytes() == getattr(trip, name).tobytes(), name
+
+    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+    def test_missing_row_is_refused(self, tmp_path):
+        space = SpatialGrid([-1.0], [1.0], (6,))
+        path = tmp_path / "triplet.csv"
+        self.wide_triplet(space).to_csv(path)
+        lines = path.read_text().splitlines()
+        for kept in (lines[:5] + lines[6:], lines[:1]):
+            path.write_text("\n".join(kept) + "\n")
+            with pytest.raises(ValueError, match="do not fill the spatial grid"):
+                RandomFieldTriplet.from_csv(path, space)
+
 
 def reference_pide(coeffs, space, time_grid, control_set, measure):
     """The explicit scheme with its difference stencils rebuilt per step.
