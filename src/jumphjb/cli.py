@@ -426,7 +426,8 @@ def run_convergence(cfg: dict, out: Path) -> list:
     elif study == "dpp_residual":
         prob = _problem(cfg)
         base_steps = _count(sec, "base_steps", 8, "convergence")
-        base_cells = sec.get("base_cells", 40)
+        # An integer here; the lattice refuses a count below 1.
+        base_cells = _count(sec, "base_cells", 40, "convergence", low=0)
         n_samples = _count(sec, "n_samples", 40000, "convergence")
         box = sec.get("box", [prob.space_low, prob.space_high])
         for lvl in range(halvings + 1):

@@ -34,6 +34,16 @@ are solved by Picard iteration, freezing (Y, Z, R) inside F and
 solving the linear equation until the successive difference in the
 mixed norm sup_t E||.||_H^2 + int E||.||_V^2 dt falls below tolerance.
 
+Each pass runs over the whole horizon at once.  Its forcing reads only
+the frozen previous iterate, so it is evaluated for every step before
+the backward sweep, in one call F(i, t, noise, y, z, r) on the lattice
+rows of steps 0..N-1 stacked step by step: ``i`` and ``t`` are the step
+index and time of each row (R,), ``noise`` the channel values (R, r),
+``y`` and ``z`` (R, n_b) and ``r`` (R, n_atoms, n_b), and F returns
+(R, n_b).  The sweep applies the stored step inverses (I + dt A)^{-1},
+and the successive difference and its reference are summed in one pass
+over the stacked steps.
+
 The stochastic HJB equation in divergence form is recovered by the
 specific nonlinearity assembled in :func:`solve_hjb_weak`: transport
 and reaction terms, the compensated nonlocal jump terms, the driver,
@@ -43,6 +53,7 @@ and a pointwise infimum over the control grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -167,7 +178,9 @@ class OperatorPair:
     is the exact H Gram of B* phi = sigma_d D phi, and ``hat_gram[i]``
     the Gram weighted by sigma_hat sigma_hat^T, so the one-dimensional
     super-parabolicity identity reads 2A = bstar_gram + hat_gram, and
-    ``alpha`` is the least sigma_hat sigma_hat^T.
+    ``alpha`` is the least sigma_hat sigma_hat^T.  ``step_inverse[i]``
+    is (I + dt_i A_i)^{-1}, the implicit step, inverted once for every
+    solve on the pair.
     """
 
     A: np.ndarray
@@ -177,6 +190,10 @@ class OperatorPair:
     alpha: float
     triple: GelfandTriple
     grid: TimeGrid
+    step_inverse: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "step_inverse", _step_inverses(self.A, self.grid.dt))
 
     @property
     def n_steps(self) -> int:
@@ -188,6 +205,20 @@ class OperatorPair:
         reals = np.column_stack([m.reshape(-1) for m in (self.A, self.B, self.bstar_gram)])
         write_csv(path, ["step", "row", "col", "A", "B", "bstar_gram"],
                   [i + r for i, r in zip(idx, reals.tolist())])
+
+
+def _step_inverses(A: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """(I + dt_i A_i)^{-1} of every step in one batched inversion; a
+    singular step raises :class:`NumericError` with its condition number."""
+    steps = dt[:, None, None] * A
+    steps += np.eye(A.shape[1])
+    try:
+        return np.linalg.inv(steps)
+    except np.linalg.LinAlgError as exc:
+        cond = np.nan_to_num(np.linalg.cond(steps), nan=np.inf)
+        i = int(np.argmax(cond))
+        raise NumericError(
+            f"singular implicit step at node {i} (cond ~ {cond[i]:.2e})") from exc
 
 
 def assemble_operators(coeffs: CoefficientSet, triple: GelfandTriple,
@@ -302,6 +333,12 @@ class BinomialJumpTree:
     needs a uniform time grid.  The constructor builds every step's
     ``branches``, ``noise_values`` and ``probabilities`` as read-only
     arrays, which the accessors look up.
+
+    Whole-horizon work reads the nodes of all time nodes stacked step by
+    step: time node i owns rows ``offsets[i]:offsets[i + 1]``, and
+    ``row_step``, ``noise_rows`` and ``prob_rows`` hold each row's
+    step, channel values and probability (the per-step accessors return
+    views of them).
     """
 
     def __init__(self, grid: TimeGrid, measure: MarkMeasure, channels,
@@ -351,9 +388,16 @@ class BinomialJumpTree:
             self._prob.append(np.bincount(
                 children.ravel(), (self._prob[i][:, None] * self._probs).ravel(),
                 self.n_nodes(i + 1)))
-        for arr in (self._probs, self._dw, self._atom,
-                    *self._children, *self._noise, *self._prob):
+        counts = [self.n_nodes(i) for i in range(grid.n_steps + 1)]
+        self.offsets = np.concatenate([[0], np.cumsum(counts)])
+        self.row_step = np.repeat(np.arange(grid.n_steps + 1), counts)
+        self.noise_rows = np.concatenate(self._noise)
+        self.prob_rows = np.concatenate(self._prob)
+        for arr in (self._probs, self._dw, self._atom, *self._children,
+                    self.offsets, self.row_step, self.noise_rows, self.prob_rows):
             arr.flags.writeable = False
+        self._noise = _per_step(self.noise_rows, self.offsets)
+        self._prob = _per_step(self.prob_rows, self.offsets)
 
     def n_w(self, i: int) -> int:
         return (i + 1) if self.has_w else 1
@@ -403,6 +447,12 @@ class BinomialJumpTree:
         return self._children[i], self._probs, self._dw, self._atom
 
 
+def _per_step(rows: np.ndarray, offsets: np.ndarray) -> list:
+    """Views of stacked ``rows``, one per step of the ``offsets`` that
+    the rows cover."""
+    return [rows[a:b] for a, b in zip(offsets[:-1], offsets[1:]) if b <= len(rows)]
+
+
 def _lattice(scenario: BinomialJumpTree | None, grid: TimeGrid) -> BinomialJumpTree:
     """``scenario``, or the one-node lattice that models a deterministic
     run; a lattice on other time nodes than ``grid`` is refused."""
@@ -423,19 +473,41 @@ class BseejSolution:
     """Coordinate solution of the scenario-indexed system on the basis
     and time grid of ``pair``.
 
-    ``y[i]`` has shape (n_nodes_i, n_b); ``z[i]`` and ``r[i]`` (shape
-    (n_nodes_i, n_atoms, n_b)) are the martingale coordinates on step
-    i.  Deterministic runs carry the one-node lattice.
+    The coordinates are held stacked over the lattice rows (see
+    :class:`BinomialJumpTree`): ``y_rows`` over every time node,
+    ``z_rows`` and ``r_rows`` over the steps 0..N-1.  ``y[i]`` (shape
+    (n_nodes_i, n_b)), ``z[i]`` and ``r[i]`` (shape (n_nodes_i,
+    n_atoms, n_b)), the martingale coordinates on step i, are views of
+    them, built on first use, as is ``forcing_values[i]``.
+    Deterministic runs carry the one-node lattice.
     """
 
     pair: OperatorPair
-    y: list
-    z: list
-    r: list
     scenario: BinomialJumpTree
+    y_rows: np.ndarray
+    z_rows: np.ndarray
+    r_rows: np.ndarray
+    forcing_rows: np.ndarray | None = None
     history: list = field(default_factory=list)
     converged: bool = True
-    forcing_values: list | None = None
+
+    @cached_property
+    def y(self) -> list:
+        return _per_step(self.y_rows, self.scenario.offsets)
+
+    @cached_property
+    def z(self) -> list:
+        return _per_step(self.z_rows, self.scenario.offsets)
+
+    @cached_property
+    def r(self) -> list:
+        return _per_step(self.r_rows, self.scenario.offsets)
+
+    @cached_property
+    def forcing_values(self) -> list | None:
+        if self.forcing_rows is None:
+            return None
+        return _per_step(self.forcing_rows, self.scenario.offsets)
 
     @property
     def n_steps(self) -> int:
@@ -451,10 +523,10 @@ class BseejSolution:
         return _expect(self.probabilities(i), self.y[i], self.pair.triple.mass)
 
     def max_z_norm(self) -> float:
-        return max((float(np.max(np.abs(z))) for z in self.z if z.size), default=0.0)
+        return float(np.max(np.abs(self.z_rows), initial=0.0))
 
     def max_r_norm(self) -> float:
-        return max((float(np.max(np.abs(r))) for r in self.r if r.size), default=0.0)
+        return float(np.max(np.abs(self.r_rows), initial=0.0))
 
 
 def _as_terminal(xi, pair, scenario):
@@ -473,20 +545,28 @@ def _as_terminal(xi, pair, scenario):
     return np.broadcast_to(xi.reshape(nb), shape).copy()
 
 
-def _as_forcing(F, i, t, noise, shape, *state):
-    """Step i's forcing, shape (n_nodes, n_b).
+def _forcing_rows(F, scenario: BinomialJumpTree, nb: int, *state) -> np.ndarray:
+    """The forcing on the stacked rows of steps 0..N-1, shape (R, n_b).
 
-    ``F`` is None (no forcing), a callable of (i, t, noise values,
-    *state), a per-step array or list (entry i), or one coordinate
-    vector shared by every step and node.
+    ``F`` is None (no forcing); a callable of (i, t, noise values,
+    *state), called once with per-row arrays (the step index (R,), its
+    time (R,) and the channel values (R, r)) and the stacked ``state``;
+    a per-step array or list (entry i for the nodes of step i); or one
+    coordinate vector shared by every step and node.
     """
+    N = scenario.grid.n_steps
+    R = int(scenario.offsets[N])
     if F is None:
-        return np.zeros(shape)
+        return np.zeros((R, nb))
     if callable(F):
-        return np.asarray(F(i, t, noise, *state), dtype=float).reshape(shape)
+        steps = scenario.row_step[:R]
+        return np.asarray(F(steps, scenario.grid.nodes[steps], scenario.noise_rows[:R],
+                            *state), dtype=float).reshape(R, nb)
     if isinstance(F, list) or np.ndim(F) > 1:
-        F = F[i]
-    return np.broadcast_to(np.asarray(F, dtype=float), shape).copy()
+        return np.concatenate([np.broadcast_to(np.asarray(F[i], dtype=float),
+                                               (scenario.n_nodes(i), nb))
+                               for i in range(N)])
+    return np.broadcast_to(np.asarray(F, dtype=float), (R, nb)).copy()
 
 
 def solve_linear_bseej(pair: OperatorPair, f0, xi,
@@ -499,60 +579,55 @@ def solve_linear_bseej(pair: OperatorPair, f0, xi,
     deterministic data the martingale coordinates vanish identically
     and the scheme is a deterministic implicit parabolic step;
     ``scenario=None`` runs on the one-node lattice.
+
+    The forcing of every step is taken before the backward sweep (see
+    :func:`_forcing_rows`: a callable ``f0(i, t, noise)`` is called once,
+    on the stacked rows of all steps), and each step applies the pair's
+    stored ``step_inverse``.
     """
     grid, nb = pair.grid, pair.triple.n_modes
     N = grid.n_steps
     scenario = _lattice(scenario, grid)
+    off = scenario.offsets
     n_atoms = scenario.measure.n_atoms if scenario.has_jumps else 0
     mw = scenario.measure.weights
 
-    y = [None] * (N + 1)
-    z, r, forcings = [None] * N, [None] * N, [None] * N
-    y[N] = _as_terminal(xi, pair, scenario)
+    forcing = _forcing_rows(f0, scenario, nb)
+    y = np.empty((off[-1], nb))
+    z, r = np.zeros((off[N], nb)), np.zeros((off[N], n_atoms, nb))
+    y[off[N]:] = _as_terminal(xi, pair, scenario)
 
     for i in range(N - 1, -1, -1):
         dt = float(grid.dt[i])
-        t = float(grid.nodes[i])
+        rows = slice(off[i], off[i + 1])
         children, probs, dws, atoms = scenario.branches(i)
-        n_nodes = children.shape[0]
-        yc = y[i + 1][children]
+        yc = y[off[i + 1]:off[i + 2]][children]
         e_y = probs @ yc
-        z_i = ((probs * dws) @ yc / dt if scenario.has_w
-               else np.zeros((n_nodes, nb)))
-        r_i = np.zeros((n_nodes, n_atoms, nb))
+        if scenario.has_w:
+            z[rows] = (probs * dws) @ yc / dt
         for a in range(n_atoms):
             ind = (atoms == a).astype(float) - mw[a] * dt
-            r_i[:, a] = (probs * ind) @ yc / (mw[a] * dt)
-
-        forcing = _as_forcing(f0, i, t, scenario.noise_values(i), (n_nodes, nb))
-        forcings[i] = forcing
-        rhs = e_y - dt * (z_i @ pair.B[i].T + forcing)
-        step_matrix = np.eye(nb) + dt * pair.A[i]
-        try:
-            y[i] = np.linalg.solve(step_matrix, rhs.T).T
-        except np.linalg.LinAlgError as exc:
-            cond = np.linalg.cond(step_matrix)
-            raise NumericError(
-                f"singular implicit step at node {i} (cond ~ {cond:.2e})"
-            ) from exc
-        if not np.all(np.isfinite(y[i])):
+            r[rows, a] = (probs * ind) @ yc / (mw[a] * dt)
+        rhs = e_y - dt * (z[rows] @ pair.B[i].T + forcing[rows])
+        y[rows] = rhs @ pair.step_inverse[i].T
+        if not np.all(np.isfinite(y[rows])):
             raise NumericError(f"coordinates became non-finite at node {i}")
-        z[i], r[i] = z_i, r_i
-    return BseejSolution(pair, y, z, r, scenario, forcing_values=forcings)
+    return BseejSolution(pair, scenario, y, z, r, forcing_rows=forcing)
 
 
-def _mixed_norm_sq(sol_a: BseejSolution, sol_b: BseejSolution | None):
-    """sup_t E||dY||_H^2 and int E||dY||_V^2 dt of a (difference of) solution."""
-    triple, grid = sol_a.pair.triple, sol_a.pair.grid
-    sup_h = int_v = 0.0
-    mv = triple.mass + triple.stiffness
-    for i in range(grid.n_steps + 1):
-        d = sol_a.y[i] - (sol_b.y[i] if sol_b is not None else 0.0)
-        p = sol_a.probabilities(i)
-        sup_h = max(sup_h, _expect(p, d, triple.mass))
-        if i < grid.n_steps:
-            int_v += float(grid.dt[i]) * _expect(p, d, mv)
-    return sup_h, int_v
+def _mixed_norms(pair: OperatorPair, scenario: BinomialJumpTree, *stacks) -> list:
+    """(sup_t E||.||_H^2, int E||.||_V^2 dt) of each stacked coordinate
+    array (rows of every time node), in one pass: the H and V forms of
+    every row, weighted by its probability, then the per-step sums of
+    all stacks by one ``np.add.reduceat``."""
+    triple, N = pair.triple, pair.n_steps
+    grams = (triple.mass, triple.mass + triple.stiffness)
+    # Row by row <x, G x>, without a temporary wider than x.
+    q = np.stack([[np.einsum("rk,rk->r", x @ gram, x) for gram in grams] for x in stacks])
+    per_step = np.add.reduceat(q * scenario.prob_rows, scenario.offsets[:-1], axis=2)
+    sup_h = per_step[:, 0].max(axis=1)
+    int_v = per_step[:, 1, :N] @ pair.grid.dt
+    return list(zip(sup_h.tolist(), int_v.tolist()))
 
 
 def solve_nonlinear_bseej(pair: OperatorPair, F, xi,
@@ -560,32 +635,40 @@ def solve_nonlinear_bseej(pair: OperatorPair, F, xi,
                           tol: float = 1e-8, max_iter: int = 50) -> BseejSolution:
     """Picard iteration for the nonlinear equation.
 
-    ``F(i, t, noise_values, y, z, r) -> (n_nodes, n_b)`` is evaluated on
-    the frozen previous iterate and the resulting linear equation is
-    solved; iteration stops when the relative successive difference in
-    the mixed norm drops below ``tol``.  Raises
-    :class:`NotConvergedError` (carrying the history and the last
-    iterate) when ``max_iter`` is exhausted.
+    Each pass calls ``F(i, t, noise_values, y, z, r)`` once, on the
+    frozen previous iterate over the whole horizon: the rows of steps
+    0..N-1 stacked step by step (the lattice's ``offsets``), with the
+    step index ``i`` and time ``t`` per row (R,), the channel values
+    (R, r), ``y`` and ``z`` (R, n_b) and ``r`` (R, n_atoms, n_b).  F
+    returns (R, n_b); an elementwise forcing such as ``0.01 * y``
+    serves unchanged.  The resulting linear equation is solved, and
+    iteration stops when the relative successive difference in the
+    mixed norm drops below ``tol``.  Raises :class:`NotConvergedError`
+    (carrying the history and the last iterate) when ``max_iter`` is
+    exhausted.
     """
     # Iterate 0 is the forcing-free linear solution; each pass freezes
     # the latest iterate inside F and re-solves the linear equation.
     # The terminal does not depend on the iterate: project it once.
     scenario = _lattice(scenario, pair.grid)
     xi = _as_terminal(xi, pair, scenario)
+    R = scenario.offsets[pair.n_steps]
     current = solve_linear_bseej(pair, None, xi, scenario)
     history = []
     for _ in range(max_iter):
         frozen = current
 
         def forcing(i, t, noise, _frozen=frozen):
-            return F(i, t, noise, _frozen.y[i], _frozen.z[i], _frozen.r[i])
+            return F(i, t, noise, _frozen.y_rows[:R], _frozen.z_rows, _frozen.r_rows)
 
         new = solve_linear_bseej(pair, forcing, xi, scenario)
-        sup_h, int_v = _mixed_norm_sq(new, current)
-        diff = np.sqrt(sup_h + int_v)
-        ref_h, ref_v = _mixed_norm_sq(new, None)
+        # Nothing reads the previous iterate again: its rows take the
+        # difference.
+        (sup_h, int_v), (ref_h, ref_v) = _mixed_norms(
+            pair, scenario, np.subtract(new.y_rows, current.y_rows, out=current.y_rows),
+            new.y_rows)
         scale = max(np.sqrt(ref_h + ref_v), 1e-30)
-        history.append(diff / scale)
+        history.append(np.sqrt(sup_h + int_v) / scale)
         current = new
         if history[-1] < tol:
             current.history = history
@@ -629,26 +712,22 @@ def continuous_dependence_check(sol: BseejSolution, sol_bar: BseejSolution,
     + int E||F - F_bar||_H^2 dt with the forcing difference evaluated
     along the second solution.
     """
-    scenario = sol.scenario
-    triple, grid = sol.pair.triple, sol.pair.grid
-    sup_h, int_v = _mixed_norm_sq(sol, sol_bar)
-    int_z = int_r = rhs_f = 0.0
-    weights = scenario.measure.weights
-    for i in range(grid.n_steps):
-        dt = float(grid.dt[i])
-        t = float(grid.nodes[i])
-        p = sol.probabilities(i)
-        int_z += dt * _expect(p, sol.z[i] - sol_bar.z[i], triple.mass)
-        dr = sol.r[i] - sol_bar.r[i]
-        for a in range(dr.shape[1]):
-            int_r += dt * weights[a] * _expect(p, dr[:, a], triple.mass)
-        noise = scenario.noise_values(i)
-        state = (sol_bar.y[i], sol_bar.z[i], sol_bar.r[i])
-        df = (_as_forcing(F, i, t, noise, state[0].shape, *state)
-              - _as_forcing(F_bar, i, t, noise, state[0].shape, *state))
-        rhs_f += dt * _expect(p, df, triple.mass)
+    scenario, mass = sol.scenario, sol.pair.triple.mass
+    nb, N = sol.pair.triple.n_modes, sol.n_steps
+    (sup_h, int_v), = _mixed_norms(sol.pair, scenario, sol.y_rows - sol_bar.y_rows)
+    R = scenario.offsets[N]
+    # Probability times dt of each row of steps 0..N-1.
+    w = scenario.prob_rows[:R] * sol.pair.grid.dt[scenario.row_step[:R]]
+    int_z = _expect(w, sol.z_rows - sol_bar.z_rows, mass)
+    dr = sol.r_rows - sol_bar.r_rows
+    int_r = sum(scenario.measure.weights[a] * _expect(w, dr[:, a], mass)
+                for a in range(dr.shape[1]))
+    state = (sol_bar.y_rows[:R], sol_bar.z_rows, sol_bar.r_rows)
+    df = (_forcing_rows(F, scenario, nb, *state)
+          - _forcing_rows(F_bar, scenario, nb, *state))
+    rhs_f = _expect(w, df, mass)
     dxi = _as_terminal(xi, sol.pair, scenario) - _as_terminal(xi_bar, sol.pair, scenario)
-    rhs_xi = _expect(sol.probabilities(grid.n_steps), dxi, triple.mass)
+    rhs_xi = _expect(sol.probabilities(N), dxi, mass)
     return DependenceReport(sup_h, int_v, int_z, int_r, rhs_xi, rhs_f)
 
 
@@ -660,6 +739,14 @@ class EnergyReport:
     drift_term: float
     z_term: float
     r_term: float
+
+
+def _forcing_of(sol: BseejSolution, F) -> list:
+    """Per-step views of ``F`` on the stacked rows of ``sol``."""
+    N = sol.n_steps
+    rows = _forcing_rows(F, sol.scenario, sol.pair.triple.n_modes,
+                         sol.y_rows[:sol.scenario.offsets[N]], sol.z_rows, sol.r_rows)
+    return _per_step(rows, sol.scenario.offsets)
 
 
 def energy_identity_residual(sol: BseejSolution, F) -> EnergyReport:
@@ -679,13 +766,12 @@ def energy_identity_residual(sol: BseejSolution, F) -> EnergyReport:
     N = grid.n_steps
     drift = z_term = r_term = 0.0
     weights = sol.scenario.measure.weights
+    forcing = _forcing_of(sol, F)
     for i in range(N):
         dt = float(grid.dt[i])
-        t = float(grid.nodes[i])
         p = sol.probabilities(i)
         y_i, z_i, r_i = sol.y[i], sol.z[i], sol.r[i]
-        f_i = _as_forcing(F, i, t, sol.scenario.noise_values(i), y_i.shape, y_i, z_i, r_i)
-        gen = y_i @ pair.A[i].T + z_i @ pair.B[i].T + f_i
+        gen = y_i @ pair.A[i].T + z_i @ pair.B[i].T + forcing[i]
         drift += 2.0 * dt * _expect(p, gen, triple.mass, y_i)
         z_term += dt * _expect(p, z_i, triple.mass)
         for a in range(r_i.shape[1]):
@@ -703,16 +789,14 @@ def weak_residual(sol: BseejSolution, F) -> float:
     output this is solver algebra and sits at rounding level.
     """
     pair, grid = sol.pair, sol.pair.grid
+    forcing = _forcing_of(sol, F)
     worst = 0.0
     for i in range(grid.n_steps):
         dt = float(grid.dt[i])
-        t = float(grid.nodes[i])
-        f_i = _as_forcing(F, i, t, sol.scenario.noise_values(i), sol.y[i].shape,
-                          sol.y[i], sol.z[i], sol.r[i])
         children, probs, _, _ = sol.scenario.branches(i)
         e_y = probs @ sol.y[i + 1][children]
         defect = e_y - sol.y[i] - dt * (
-            sol.y[i] @ pair.A[i].T + sol.z[i] @ pair.B[i].T + f_i)
+            sol.y[i] @ pair.A[i].T + sol.z[i] @ pair.B[i].T + forcing[i])
         worst = max(worst, float(np.max(np.abs(defect))))
     return worst
 
@@ -755,11 +839,45 @@ class WeakHjbResult:
         return RandomFieldTriplet(space, sol.pair.grid.nodes, V, Phi, Psi)
 
 
-def _at_shift(block: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Values at the shifted points (n_nodes, Q) of coordinates (n_nodes, n_b)."""
-    if block.ndim == 2:
-        return coords @ block.T
-    return np.einsum("nqk,nk->nq", block, coords)
+def _at_shift(segments: list, coords: np.ndarray) -> np.ndarray:
+    """Values at the shifted points (rows, Q) of coordinates (rows, n_b).
+
+    ``segments`` are the (first row, end row, block) runs that cover a
+    slab's rows: a (Q, n_b) block that every row of the run shares, or
+    an (n_rows, Q, n_b) block with one row per node.
+    """
+    if len(segments) == 1 and segments[0][2].ndim == 2:
+        return coords @ segments[0][2].T
+    out = np.empty((coords.shape[0], segments[0][2].shape[-2]))
+    for lo, hi, block in segments:
+        out[lo:hi] = (coords[lo:hi] @ block.T if block.ndim == 2
+                      else np.einsum("nqk,nk->nq", block, coords[lo:hi]))
+    return out
+
+
+@dataclass
+class _Slab:
+    """Picard-invariant data of the weak HJB forcing on a run of
+    consecutive lattice steps: the stacked ``rows`` of the steps, the
+    slab-local step of each row, which indexes ``sigma`` (sigma, D_x of
+    sigma sigma^T and D_x sigma_d per step; None when every step has the
+    same, kept once), the time, points and noise of each quadrature
+    point, l per row and atom, and per control its compensated drift
+    (rows, Q) and per atom the key of its shifted basis in ``shifts``.
+    ``outside`` counts the shifted points outside [-L, L] over the
+    slab's steps, controls and atoms.
+    """
+
+    rows: slice
+    local_step: np.ndarray | None
+    sigma: tuple
+    t: np.ndarray
+    flat_x: np.ndarray
+    noise: NoiseState | None
+    l_rows: np.ndarray
+    controls: list
+    shifts: dict
+    outside: int
 
 
 def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
@@ -775,6 +893,11 @@ def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
     coefficients the martingale fields vanish and the first component
     is comparable with the finite-difference PIDE solver on the shared
     interior.
+
+    The forcing walks the lattice in slabs, runs of consecutive steps
+    whose coefficient values and shifted basis are built once, and
+    calls the driver f once per slab and control on every Picard pass,
+    with a per-row t.
 
     ``require_coercivity=False`` skips the super-parabolicity refusal;
     the implicit stepping itself tolerates a degenerate A (for example
@@ -846,64 +969,116 @@ def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
             return blocks[key]
         return triple.eval_basis((xq + g).ravel()).reshape(g.shape + (-1,))
 
-    def step_data(t, noise_vals):
-        n_nodes = noise_vals.shape[0]
-        flatX, nz = batch(t, noise_vals)
-        controls = []
-        for u in control_set.atoms:
-            U = broadcast_control(u, flatX.shape[0])
-            # b carries the compensator -sum_a w_a g_a of the transport.
-            b, gs = compensated_drift(coeffs, measure, t, flatX, U, nz)
-            jumps = []
-            for a, g in enumerate(gs):
-                g = g.reshape(n_nodes, Q)
-                outside = int(np.count_nonzero(np.abs(xq + g) > triple.length))
-                jumps.append((outside, shifted_basis(a, g)))
-            controls.append((U, b.reshape(n_nodes, Q), jumps))
-        l_vals = np.array([float(coeffs.l(t, mark)) for mark in measure.marks])
-        return flatX, nz, sigma_derivatives(t), l_vals, controls
+    off, N = scenario.offsets, time_grid.n_steps
+    # A slab holds at most as many rows as the widest step or n_b, so no
+    # (rows, Q) temporary outgrows a step's or a basis block.
+    cap = max(int(np.max(np.diff(off[:N + 1]))), triple.n_modes)
+    flat_x = np.tile(xq, cap)[:, None]
+
+    def slab(s0, s1):
+        lo, hi = off[s0], off[s1]
+        drifts = [[] for _ in control_set.atoms]
+        runs = [[[] for _ in range(n_atoms)] for _ in control_set.atoms]
+        sigma, l_rows, outside = [], [], 0
+        for i in range(s0, s1):
+            # The coefficients read this step's t; the step's values are
+            # copied into the slab's arrays below and not kept.
+            t, noise_vals = float(time_grid.nodes[i]), scenario.noise_values(i)
+            n_nodes, first = noise_vals.shape[0], off[i] - lo
+            flatX, nz = batch(t, noise_vals)
+            for c, u in enumerate(control_set.atoms):
+                U = broadcast_control(u, flatX.shape[0])
+                # b carries the compensator -sum_a w_a g_a of the transport.
+                b, gs = compensated_drift(coeffs, measure, t, flatX, U, nz)
+                drifts[c].append(b.reshape(n_nodes, Q))
+                for a, g in enumerate(gs):
+                    g = g.reshape(n_nodes, Q)
+                    outside += int(np.count_nonzero(np.abs(xq + g) > triple.length))
+                    block, run = shifted_basis(a, g), runs[c][a]
+                    if run and run[-1][2] is block:
+                        run[-1] = (run[-1][0], first + n_nodes, block)
+                    else:
+                        run.append((first, first + n_nodes, block))
+            sigma.append(sigma_derivatives(t))
+            l_rows.append(np.broadcast_to([float(coeffs.l(t, mark)) for mark in measure.marks],
+                                          (n_nodes, n_atoms)))
+        # Controls whose runs hold the same blocks share one key, so the
+        # jump increment is formed once per key on every pass.
+        shifts, controls = {}, []
+        for u, drift, per_atom in zip(control_set.atoms, drifts, runs):
+            keys = []
+            for a, run in enumerate(per_atom):
+                key = (a,) + tuple((r0, r1, id(block)) for r0, r1, block in run)
+                shifts[key] = run
+                keys.append(key)
+            controls.append((broadcast_control(u, (hi - lo) * Q), np.concatenate(drift), keys))
+        t_q = np.repeat(time_grid.nodes[scenario.row_step[lo:hi]], Q)
+        nz = (NoiseState(t_q, channels,
+                         np.repeat(scenario.noise_rows[lo:hi][:, columns], Q, axis=0))
+              if channels else None)
+        # Sigma is the same on every step of most slabs: one row of it
+        # then broadcasts over the slab.
+        sigma = tuple(np.stack(parts) for parts in zip(*sigma))
+        local_step = scenario.row_step[lo:hi] - s0
+        if all(np.all(part == part[0]) for part in sigma):
+            sigma, local_step = tuple(part[:1] for part in sigma), None
+        return _Slab(slice(lo, hi), local_step, sigma, t_q,
+                     flat_x[:(hi - lo) * Q], nz, np.concatenate(l_rows), controls,
+                     shifts, outside)
 
     # No Picard pass changes the coefficient values or the basis at the
-    # jump-shifted points: every step's are built before the first pass.
-    steps = [step_data(float(time_grid.nodes[i]), scenario.noise_values(i))
-             for i in range(time_grid.n_steps)]
+    # jump-shifted points: every slab's are built before the first pass.
+    firsts = [0]
+    for i in range(1, N):
+        if off[i + 1] - off[firsts[-1]] > cap:
+            firsts.append(i)
+    slabs = [slab(s0, s1) for s0, s1 in zip(firsts, firsts[1:] + [N])]
 
     def hjb_forcing(i, t, noise_vals, y, z, r):
-        flatX, nz, (sig0, da_dx, dsd_dx), l_vals, controls = steps[i]
-
-        w_q = y @ triple.basis_q.T          # (n_nodes, Q)
-        dw_q = y @ triple.dbasis_q.T
-        phi_q = z @ triple.basis_q.T
+        """The forcing on the stacked rows of every step, slab by slab;
+        the rows' steps, times and noise are the slabs' own."""
+        out = np.empty_like(y)
         # Psi components exist only when the scenario carries the jump
         # channel; deterministic runs have Psi identically zero.
         have_psi = r.shape[1] == n_atoms and n_atoms > 0
-        psi_q = r @ triple.basis_q.T if have_psi else None   # (n_nodes, n_atoms, Q)
-        z_slot = sig0[None, :, :] * dw_q[..., None]
-        z_slot[:, :, -1] += phi_q
-        z_slot = z_slot.reshape(-1, coeffs.d)
+        for s in slabs:
+            ys, rs = y[s.rows], r[s.rows]
+            w_q = ys @ triple.basis_q.T          # (rows, Q)
+            dw_q = ys @ triple.dbasis_q.T
+            phi_q = z[s.rows] @ triple.basis_q.T
+            psi_q = rs @ triple.basis_q.T if have_psi else None   # (rows, n_atoms, Q)
+            sig0, da_dx, dsd_dx = (s.sigma if s.local_step is None
+                                   else (part[s.local_step] for part in s.sigma))
+            z_slot = sig0 * dw_q[..., None]
+            z_slot[:, :, -1] += phi_q
+            z_slot = z_slot.reshape(-1, coeffs.d)
+            clamp_count[0] += s.outside
 
-        best = None
-        for U, b, jumps in controls:
-            total = b * dw_q
-            k_agg = np.zeros_like(w_q)
-            for a, (outside, block) in enumerate(jumps):
-                clamp_count[0] += outside
-                wgt = measure.weights[a]
-                # Jump of w (and of psi_a) across x_q -> x_q + g.
-                inc = _at_shift(block, y) - w_q
-                if have_psi:
-                    inc += _at_shift(block, r[:, a])
-                    total += wgt * (inc - psi_q[:, a])
-                else:
-                    total += wgt * inc
-                k_agg += wgt * l_vals[a] * inc
-            f_val = np.asarray(coeffs.f(t, flatX, U, w_q.ravel(), z_slot,
-                                        k_agg.ravel(), nz), dtype=float)
-            total += f_val.reshape(total.shape)
-            best = total if best is None else np.minimum(best, total, out=best)
+            incs, best = {}, None
+            for U, b, keys in s.controls:
+                total = b * dw_q
+                k_agg = np.zeros_like(w_q)
+                for a, key in enumerate(keys):
+                    if key not in incs:
+                        # Jump of w (and of psi_a) across x_q -> x_q + g.
+                        incs[key] = _at_shift(s.shifts[key], ys) - w_q
+                        if have_psi:
+                            incs[key] += _at_shift(s.shifts[key], rs[:, a])
+                    inc, wgt = incs[key], measure.weights[a]
+                    if have_psi:
+                        total += wgt * (inc - psi_q[:, a])
+                    else:
+                        total += wgt * inc
+                    k_agg += wgt * s.l_rows[:, a:a + 1] * inc
+                f_val = np.asarray(coeffs.f(s.t, s.flat_x, U, w_q.ravel(), z_slot,
+                                            k_agg.ravel(), s.noise), dtype=float)
+                total += f_val.reshape(total.shape)
+                best = total if best is None else np.minimum(best, total, out=best)
 
-        j1 = -da_dx[None, :] * dw_q - phi_q * dsd_dx[None, :]
-        return -(j1 + best) @ proj
+            j1 = -da_dx * dw_q - phi_q * dsd_dx
+            j1 += best
+            out[s.rows] = np.negative(j1, out=j1) @ proj
+        return out
 
     def xi_fn(noise_vals):
         flatX, nz = batch(time_grid.horizon, noise_vals)

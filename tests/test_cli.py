@@ -193,6 +193,20 @@ class TestExitCodes:
         assert f"config error: {section}.{key}: expected an integer" in capsys.readouterr().err
         assert not (out / "failure_diagnostic.json").exists()
 
+    @pytest.mark.parametrize("bad", [True, None, {}], ids=["true", "null", "object"])
+    def test_bad_base_cells_is_config_error(self, tmp_path, capsys, bad):
+        # The count is checked before the ladder multiplies it.
+        cfg = write_cfg(tmp_path / "c.json", {
+            "seed": 1, "problem": {"name": "smooth1d"}, "convergence": {
+                "study": "dpp_residual", "halvings": 1, "base_steps": 4,
+                "base_cells": bad, "n_samples": 20}})
+        out = tmp_path / "o"
+        assert run_cli(["convergence", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: convergence.base_cells: expected an integer" in err
+        assert "Traceback" not in err
+        assert not (out / "failure_diagnostic.json").exists()
+
     @pytest.mark.parametrize("sub, section, bad", [
         ("hjb-weak", "hjb_weak", {"tol": "x"}),
         ("bseej", "bseej", {"length": "x"}),

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 from jumphjb import galerkin
 from jumphjb.coefficients import ControlSet, NoiseState, batch_eval, broadcast_control
 from jumphjb.drivers import MarkMeasure, TimeGrid
-from jumphjb.errors import ConfigError, NotConvergedError
+from jumphjb.errors import ConfigError, NotConvergedError, NumericError
 from jumphjb.galerkin import (
     BinomialJumpTree,
     _as_terminal,
+    _step_inverses,
     assemble_operators,
     assemble_triple,
     check_coercivity,
@@ -519,9 +521,10 @@ def reference_hjb(coeffs, triple, control_set, measure, scenario):
     Follows the formula of ``solve_hjb_weak`` with nothing kept between
     calls: each call evaluates b, g, l, f and the basis at the shifted
     points afresh, folds the compensator into the transport per atom
-    and projects each node's integrand with ``triple.project``.
-    ``clamped[0]`` counts the shifted points outside [-L, L] over every
-    call.
+    and projects each node's integrand with ``triple.project``.  The
+    forcing takes the stacked rows of any steps, each row with its own
+    step ``i[n]`` and time ``t[n]``.  ``clamped[0]`` counts the shifted
+    points outside [-L, L] over every call.
     """
     xq, Q, d = triple.quad_x, triple.n_quad, coeffs.d
     X = xq[:, None]
@@ -537,23 +540,25 @@ def reference_hjb(coeffs, triple, control_set, measure, scenario):
                           np.broadcast_to(row[columns], (Q, len(columns))))
 
     def forcing(i, t, noise_vals, y, z, r):
-        step = 1e-5 * (1.0 + np.abs(xq))
-        sp, sm, s0 = (batch_eval(coeffs.sigma, t, x[:, None], u_ref, None, (d,))
-                      for x in (xq + step, xq - step, xq))
-        da = (np.sum(sp * sp, axis=1) - np.sum(sm * sm, axis=1)) / (2.0 * step)
-        dsd = (sp[:, -1] - sm[:, -1]) / (2.0 * step)
         have_psi = r.shape[1] == measure.n_atoms > 0
         out = np.empty_like(y)
         for n in range(y.shape[0]):
-            nz = noise_at(t, noise_vals[n])
+            t_n = float(t[n])
+            assert t_n == scenario.grid.nodes[i[n]]
+            step = 1e-5 * (1.0 + np.abs(xq))
+            sp, sm, s0 = (batch_eval(coeffs.sigma, t_n, x[:, None], u_ref, None, (d,))
+                          for x in (xq + step, xq - step, xq))
+            da = (np.sum(sp * sp, axis=1) - np.sum(sm * sm, axis=1)) / (2.0 * step)
+            dsd = (sp[:, -1] - sm[:, -1]) / (2.0 * step)
+            nz = noise_at(t_n, noise_vals[n])
             w, dw = triple.basis_q @ y[n], triple.dbasis_q @ y[n]
             phi = triple.basis_q @ z[n]
             best = None
             for u in control_set.atoms:
-                total = batch_eval(coeffs.b, t, X, u, nz, (1,))[:, 0] * dw
+                total = batch_eval(coeffs.b, t_n, X, u, nz, (1,))[:, 0] * dw
                 k = np.zeros(Q)
                 for a, (mark, wgt) in enumerate(zip(measure.marks, measure.weights)):
-                    g = batch_eval(coeffs.g, t, X, u, nz, (1,), mark)[:, 0]
+                    g = batch_eval(coeffs.g, t_n, X, u, nz, (1,), mark)[:, 0]
                     clamped[0] += int(np.sum(np.abs(xq + g) > triple.length))
                     shifted = triple.eval_basis(xq + g)
                     inc = shifted @ y[n] - w
@@ -562,10 +567,10 @@ def reference_hjb(coeffs, triple, control_set, measure, scenario):
                         psi_shift = shifted @ r[n, a]
                         total = total + wgt * (psi_shift - triple.basis_q @ r[n, a])
                         inc = inc + psi_shift
-                    k = k + wgt * float(coeffs.l(t, mark)) * inc
+                    k = k + wgt * float(coeffs.l(t_n, mark)) * inc
                 z_slot = s0 * dw[:, None]
                 z_slot[:, -1] += phi
-                f = coeffs.f(t, X, broadcast_control(u, Q), w, z_slot, k, nz)
+                f = coeffs.f(t_n, X, broadcast_control(u, Q), w, z_slot, k, nz)
                 total = total + np.asarray(f, dtype=float).reshape(Q)
                 best = total if best is None else np.minimum(best, total)
             out[n] = triple.project(-(-da * dw - phi * dsd + best))
@@ -627,7 +632,8 @@ def built_forcing(coeffs, measure, tree):
        st.integers(0, 2 ** 32 - 1))
 def test_forcing_matches_reference(reads_channel, c, seed):
     """For g with and without a channel read (so with node rows that
-    differ or agree), on every step and on a repeated call."""
+    differ or agree), on the stacked rows of every step, called twice.
+    Sigma reads t, so the steps that share a slab differ in it."""
     c_t, c_u, c_x, c_w, c_j = c
     if not reads_channel:
         c_w = c_j = 0.0
@@ -635,7 +641,8 @@ def test_forcing_matches_reference(reads_channel, c, seed):
         n=1, d=2,
         b=lambda t, x, u, nz: 0.4 * np.tanh(x) + u[:, 0:1] + 0.2 * nz.values[..., 0:1],
         sigma=lambda t, x, u, nz: np.stack(
-            [0.5 + 0.1 * np.tanh(x[..., 0]), 0.15 + 0.05 * np.sin(x[..., 0])], axis=-1),
+            [0.5 + 0.1 * np.tanh(x[..., 0]) + 0.1 * t, 0.15 + 0.05 * np.sin(x[..., 0])],
+            axis=-1),
         g=lambda t, e, x, u, nz: (0.3 * e[0] + c_t * t + c_u * u[:, 0:1] + c_x * x
                                   + c_w * nz.values[..., 0:1]
                                   + c_j * nz.values[..., 1:2]),
@@ -657,13 +664,13 @@ def test_forcing_matches_reference(reads_channel, c, seed):
 
     close(xi(tree.noise_values(PROP_GRID.n_steps)),
           xi_ref(tree.noise_values(PROP_GRID.n_steps)))
-    for i in range(PROP_GRID.n_steps - 1, -1, -1):
-        n = tree.n_nodes(i)
-        t, noise = float(PROP_GRID.nodes[i]), tree.noise_values(i)
-        for _ in range(2):
-            y, z = rng.standard_normal((n, nb)), rng.standard_normal((n, nb))
-            r = rng.standard_normal((n, MEAS2.n_atoms, nb))
-            close(F(i, t, noise, y, z, r), F_ref(i, t, noise, y, z, r))
+    n = tree.offsets[PROP_GRID.n_steps]
+    i = tree.row_step[:n]
+    t, noise = PROP_GRID.nodes[i], tree.noise_rows[:n]
+    for _ in range(2):
+        y, z = rng.standard_normal((n, nb)), rng.standard_normal((n, nb))
+        r = rng.standard_normal((n, MEAS2.n_atoms, nb))
+        close(F(i, t, noise, y, z, r), F_ref(i, t, noise, y, z, r))
 
 
 def scenario_g_coeffs():
@@ -679,6 +686,31 @@ def scenario_g_coeffs():
         h=lambda x, nz: np.exp(-x[..., 0] ** 2)
         * (1.0 + 0.3 * (nz.values[..., 0] if nz is not None else 0.0)),
         rho=np.array([0.0]), randomness_channels=("W2",))
+
+
+def slab_sizes(tree, nb):
+    """Row counts of the slabs of steps 0..N-1 (consecutive steps,
+    greedily, at most max(widest step, n_b) rows each), and that cap."""
+    counts = [tree.n_nodes(i) for i in range(tree.grid.n_steps)]
+    cap = max(max(counts), nb)
+    sizes = [counts[0]]
+    for n in counts[1:]:
+        if sizes[-1] + n > cap:
+            sizes.append(n)
+        else:
+            sizes[-1] += n
+    return sizes, cap
+
+
+def counting_driver(co, triple):
+    """``co`` with a driver that records the node rows of each call."""
+    rows = []
+
+    def f(t, x, u, y, z, k, nz):
+        rows.append(y.size // triple.n_quad)
+        return co.f(t, x, u, y, z, k, nz)
+
+    return replace(co, f=f), rows
 
 
 class TestPicardInvariantWork:
@@ -708,36 +740,53 @@ class TestPicardInvariantWork:
         # Both atoms move x_q by the same g; each keeps its own block.
         self.check_deterministic(monkeypatch, MEAS2)
 
+    @staticmethod
+    def check_slab_calls(built, tr, f_rows):
+        """The driver f runs once per slab and control on every Picard
+        pass, on slabs of consecutive steps that each hold at most
+        max(widest step, n_b) rows."""
+        tree, passes = built.solution.scenario, len(built.solution.history)
+        sizes, cap = slab_sizes(tree, tr.n_modes)
+        assert f_rows == [n for _ in range(passes) for n in sizes for _ in range(U2.n_atoms)]
+        assert max(f_rows) <= cap
+        return sizes
+
     def check_deterministic(self, monkeypatch, meas):
-        co = benchmark_coeffs()
         tr = assemble_triple(6.0, 1, 16)
+        co, f_rows = counting_driver(benchmark_coeffs(), tr)
         grid = TimeGrid.uniform(0.5, 20)
         built, calls = self.solve_counting(
             monkeypatch, lambda: solve_hjb_weak(co, tr, U2, meas, grid))
-        ref, clamped = reference_solve(co, tr, U2, meas, grid)
+        ref, clamped = reference_solve(benchmark_coeffs(), tr, U2, meas, grid)
         assert_within_gate(built.solution, ref)
         assert built.clamped == clamped > 0
         # g is constant: one block of Q shifted points per atom serves
         # every step, control and pass.
         assert calls == [tr.n_quad] * meas.n_atoms
         assert len(built.solution.history) > 2
+        # One node per step and N > n_b: slabs of n_b steps and the rest.
+        assert self.check_slab_calls(built, tr, f_rows) == [16, 4]
 
     def test_scenario_run_matches_reference(self, monkeypatch):
-        co = scenario_g_coeffs()
         tr = assemble_triple(4.0, 1, 8)
+        co, f_rows = counting_driver(scenario_g_coeffs(), tr)
         grid = TimeGrid.uniform(0.5, 8)
         built, calls = self.solve_counting(
             monkeypatch, lambda: solve_hjb_weak(
                 co, tr, U2, MEAS, grid,
                 scenario=BinomialJumpTree(grid, MEAS, ("J", "W2"))))
         ref, clamped = reference_solve(
-            co, tr, U2, MEAS, grid, BinomialJumpTree(grid, MEAS, ("J", "W2")))
+            scenario_g_coeffs(), tr, U2, MEAS, grid,
+            BinomialJumpTree(grid, MEAS, ("J", "W2")))
         assert_within_gate(built.solution, ref)
         assert built.clamped == clamped > 0
         # g moves with t, u and W2: one evaluation per step, control and
         # atom on the first pass, however many passes follow.
         assert len(built.solution.history) > 2
         assert len(calls) == grid.n_steps * U2.n_atoms * MEAS.n_atoms
+        # The five early steps (1 + 4 + 9 + 16 + 25 nodes) share a slab;
+        # each later step is a slab of its own.
+        assert self.check_slab_calls(built, tr, f_rows) == [55, 36, 49, 64]
 
     def test_branch_cache(self):
         grid = TimeGrid.uniform(1.0, 10)
@@ -803,6 +852,41 @@ class TestPicardInvariantWork:
         other = BinomialJumpTree(TimeGrid.uniform(1.0, 4), MEAS2, ("W1", "J"))
         with pytest.raises(ConfigError):
             solve_linear_bseej(pair, None, xi, other)
+
+    def test_forcing_called_once_per_pass(self):
+        tr = assemble_triple(L, 1, 5)
+        grid = TimeGrid.uniform(1.0, 6)
+        tree = BinomialJumpTree(grid, MEAS2, ("W1", "J"), j_cap=2)
+        pair = assemble_operators(heat_coeffs(0.8), tr, grid)
+        R = tree.offsets[grid.n_steps]
+        seen = []
+
+        def F(i, t, nz, y, z, r):
+            seen.append((i, t, nz, y.shape, z.shape, r.shape))
+            return 0.05 * y + 0.1 * z + 0.01 * nz[:, :1]
+
+        def xi(noise):
+            return np.outer(1.0 + 0.2 * noise[:, 0] + 0.1 * noise[:, 1], unit_mode(5))
+
+        sol = solve_nonlinear_bseej(pair, F, xi, tree)
+        assert len(seen) == len(sol.history) > 1
+        for i, t, nz, *shapes in seen:
+            assert_bitwise(i, tree.row_step[:R])
+            assert_bitwise(t, grid.nodes[tree.row_step[:R]])
+            assert_bitwise(nz, tree.noise_rows[:R])
+            assert shapes == [(R, 5), (R, 5), (R, MEAS2.n_atoms, 5)]
+        # The solution's per-step fields are views of its stacked rows.
+        for i in range(grid.n_steps):
+            rows = slice(tree.offsets[i], tree.offsets[i + 1])
+            assert np.shares_memory(sol.y[i], sol.y_rows)
+            assert_bitwise(sol.z[i], sol.z_rows[rows])
+            assert_bitwise(sol.forcing_values[i], sol.forcing_rows[rows])
+
+    def test_singular_step_refused(self):
+        # I + dt A vanishes on step 1 only.
+        A = np.stack([np.eye(3), -2.0 * np.eye(3)])
+        with pytest.raises(NumericError, match="node 1"):
+            _step_inverses(A, np.array([0.1, 0.5]))
 
     def test_shared_tree_matches_fresh_trees(self):
         tr = assemble_triple(4.0, 1, 8)
@@ -899,7 +983,8 @@ class TestLatticeTransition:
 
     def reference(self, tr, grid, tree, pair, xi):
         """Node probabilities, the linear solve and its weak residual,
-        node by node."""
+        node by node; each step applies the pair's stored inverse, which
+        is checked against a fresh solve."""
         nb, n_atoms, mw = tr.n_modes, tree.measure.n_atoms, tree.measure.weights
         probs = [np.ones(1)]
         for i in range(self.N):
@@ -922,7 +1007,9 @@ class TestLatticeTransition:
                     ind = (atoms == a).astype(float) - mw[a] * dt
                     r_i[node, a] = (pb * ind) @ yc / (mw[a] * dt)
             rhs = e_y - dt * (z_i @ pair.B[i].T + np.zeros((n, nb)))
-            y[i] = np.linalg.solve(np.eye(nb) + dt * pair.A[i], rhs.T).T
+            y[i] = rhs @ pair.step_inverse[i].T
+            solved = np.linalg.solve(np.eye(nb) + dt * pair.A[i], rhs.T).T
+            assert np.max(np.abs(y[i] - solved)) <= 1e-12 * np.max(np.abs(solved))
             z[i], r[i], e_ys[i] = z_i, r_i, e_y
         worst = 0.0
         for i in range(self.N):
@@ -947,18 +1034,22 @@ class TestLatticeTransition:
 
     def test_deterministic_run_on_non_uniform_grid(self):
         # scenario=None is the one-node lattice: no uniform-grid refusal,
-        # and the plain implicit recursion bit for bit.
+        # and the plain implicit recursion with the stored inverses bit
+        # for bit, within 1e-12 of a fresh solve per step.
         tr = assemble_triple(L, 1, 6)
         grid = TimeGrid(np.array([0.0, 0.05, 0.2, 0.3, 0.55, 0.6, 1.0]))
         co = make_coeffs(sigma=lambda t, x, u, nz: (1.0 + t) * np.ones(x.shape + (1,)))
         pair = assemble_operators(co, tr, grid)
         f = 0.3 * np.arange(1.0, 7.0)
         sol = solve_linear_bseej(pair, f, unit_mode(6), None)
-        y = unit_mode(6)
+        y = unit_mode(6)[None]
         for i in range(grid.n_steps - 1, -1, -1):
             dt = float(grid.dt[i])
-            y = np.linalg.solve(np.eye(6) + dt * pair.A[i], y - dt * f)
-            assert_bitwise(sol.y[i][0], y)
+            rhs = y - dt * f
+            y = rhs @ pair.step_inverse[i].T
+            assert_bitwise(sol.y[i], y)
+            solved = np.linalg.solve(np.eye(6) + dt * pair.A[i], rhs[0])
+            assert np.max(np.abs(y[0] - solved)) <= 1e-12 * np.max(np.abs(solved))
         assert sol.max_z_norm() == sol.max_r_norm() == 0.0
         with pytest.raises(ConfigError):
             BinomialJumpTree(grid, MEAS, ("W1",))

@@ -649,12 +649,15 @@ def test_pide_monotone_in_terminal(draw):
 
 
 def test_value_solvers_load_no_scipy():
-    """The value solvers stay on numpy.
+    """The value solvers, the weak HJB solver among them, stay on numpy.
 
     Importing ``scipy.sparse`` after numpy takes 0.15-0.18 s and adds
     about 22 MB to the peak resident memory of the process (three runs
     on a 2-vCPU VM), half again the 43 MB peak of a whole ``dpp_ladder``
-    benchmark run, so the operators are plain numpy arrays.
+    benchmark run, so the operators are plain numpy arrays.  Importing
+    ``scipy.linalg`` takes 0.23-0.32 s and adds 28 MB (three runs, same
+    VM), more than half the peak of a whole ``weak_hjb`` benchmark run,
+    so the weak solver's implicit steps are numpy inverses.
     """
     code = (
         "import sys\n"
@@ -668,6 +671,9 @@ def test_value_solvers_load_no_scipy():
         "solve_pide_deterministic(p.coeffs, SpatialGrid([-3.0], [3.0], (21,)),\n"
         "                         TimeGrid.uniform(p.horizon, 10), p.control_set,\n"
         "                         p.measure)\n"
+        "from jumphjb.galerkin import assemble_triple, solve_hjb_weak\n"
+        "solve_hjb_weak(p.coeffs, assemble_triple(6.0, 1, 8), p.control_set, p.measure,\n"
+        "               TimeGrid.uniform(p.horizon, 10))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
