@@ -896,7 +896,7 @@ def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
 
     The forcing walks the lattice in slabs, runs of consecutive steps
     whose coefficient values and shifted basis are built once, and
-    calls the driver f once per slab and control on every Picard pass,
+    calls the cost f once per slab and control on every Picard pass,
     with a per-row t.
 
     ``require_coercivity=False`` skips the super-parabolicity refusal;

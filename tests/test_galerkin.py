@@ -702,8 +702,8 @@ def slab_sizes(tree, nb):
     return sizes, cap
 
 
-def counting_driver(co, triple):
-    """``co`` with a driver that records the node rows of each call."""
+def counting_f(co, triple):
+    """``co`` with an f that records the node rows of each call."""
     rows = []
 
     def f(t, x, u, y, z, k, nz):
@@ -742,7 +742,7 @@ class TestPicardInvariantWork:
 
     @staticmethod
     def check_slab_calls(built, tr, f_rows):
-        """The driver f runs once per slab and control on every Picard
+        """The cost f runs once per slab and control on every Picard
         pass, on slabs of consecutive steps that each hold at most
         max(widest step, n_b) rows."""
         tree, passes = built.solution.scenario, len(built.solution.history)
@@ -753,7 +753,7 @@ class TestPicardInvariantWork:
 
     def check_deterministic(self, monkeypatch, meas):
         tr = assemble_triple(6.0, 1, 16)
-        co, f_rows = counting_driver(benchmark_coeffs(), tr)
+        co, f_rows = counting_f(benchmark_coeffs(), tr)
         grid = TimeGrid.uniform(0.5, 20)
         built, calls = self.solve_counting(
             monkeypatch, lambda: solve_hjb_weak(co, tr, U2, meas, grid))
@@ -769,7 +769,7 @@ class TestPicardInvariantWork:
 
     def test_scenario_run_matches_reference(self, monkeypatch):
         tr = assemble_triple(4.0, 1, 8)
-        co, f_rows = counting_driver(scenario_g_coeffs(), tr)
+        co, f_rows = counting_f(scenario_g_coeffs(), tr)
         grid = TimeGrid.uniform(0.5, 8)
         built, calls = self.solve_counting(
             monkeypatch, lambda: solve_hjb_weak(
