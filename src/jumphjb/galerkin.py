@@ -659,7 +659,11 @@ def solve_nonlinear_bseej(pair: OperatorPair, F, xi,
         frozen = current
 
         def forcing(i, t, noise, _frozen=frozen):
-            return F(i, t, noise, _frozen.y_rows[:R], _frozen.z_rows, _frozen.r_rows)
+            state = (_frozen.y_rows[:R], _frozen.z_rows, _frozen.r_rows)
+            rows = np.asarray(F(i, t, noise, *state), dtype=float)
+            # F may hand back its state (F = y, say), and the frozen
+            # rows are overwritten below: keep a copy then.
+            return rows.copy() if any(np.may_share_memory(rows, x) for x in state) else rows
 
         new = solve_linear_bseej(pair, forcing, xi, scenario)
         # Nothing reads the previous iterate again: its rows take the
@@ -846,12 +850,12 @@ def _at_shift(segments: list, coords: np.ndarray) -> np.ndarray:
     slab's rows: a (Q, n_b) block that every row of the run shares, or
     an (n_rows, Q, n_b) block with one row per node.
     """
-    if len(segments) == 1 and segments[0][2].ndim == 2:
-        return coords @ segments[0][2].T
     out = np.empty((coords.shape[0], segments[0][2].shape[-2]))
     for lo, hi, block in segments:
-        out[lo:hi] = (coords[lo:hi] @ block.T if block.ndim == 2
-                      else np.einsum("nqk,nk->nq", block, coords[lo:hi]))
+        if block.ndim == 2:
+            np.matmul(coords[lo:hi], block.T, out=out[lo:hi])
+        else:
+            np.einsum("nqk,nk->nq", block, coords[lo:hi], out=out[lo:hi])
     return out
 
 
@@ -860,16 +864,16 @@ class _Slab:
     """Picard-invariant data of the weak HJB forcing on a run of
     consecutive lattice steps: the stacked ``rows`` of the steps, the
     slab-local step of each row, which indexes ``sigma`` (sigma, D_x of
-    sigma sigma^T and D_x sigma_d per step; None when every step has the
-    same, kept once), the time, points and noise of each quadrature
-    point, l per row and atom, and per control its compensated drift
-    (rows, Q) and per atom the key of its shifted basis in ``shifts``.
+    sigma sigma^T and D_x sigma_d per step), the time, points and noise
+    of each quadrature point, l per row and atom, and per control its
+    compensated drift (rows, Q) and per atom the key of its shifted
+    basis in ``shifts``.
     ``outside`` counts the shifted points outside [-L, L] over the
     slab's steps, controls and atoms.
     """
 
     rows: slice
-    local_step: np.ndarray | None
+    local_step: np.ndarray
     sigma: tuple
     t: np.ndarray
     flat_x: np.ndarray
@@ -1016,13 +1020,8 @@ def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
         nz = (NoiseState(t_q, channels,
                          np.repeat(scenario.noise_rows[lo:hi][:, columns], Q, axis=0))
               if channels else None)
-        # Sigma is the same on every step of most slabs: one row of it
-        # then broadcasts over the slab.
         sigma = tuple(np.stack(parts) for parts in zip(*sigma))
-        local_step = scenario.row_step[lo:hi] - s0
-        if all(np.all(part == part[0]) for part in sigma):
-            sigma, local_step = tuple(part[:1] for part in sigma), None
-        return _Slab(slice(lo, hi), local_step, sigma, t_q,
+        return _Slab(slice(lo, hi), scenario.row_step[lo:hi] - s0, sigma, t_q,
                      flat_x[:(hi - lo) * Q], nz, np.concatenate(l_rows), controls,
                      shifts, outside)
 
@@ -1047,9 +1046,8 @@ def solve_hjb_weak(coeffs: CoefficientSet, triple: GelfandTriple,
             dw_q = ys @ triple.dbasis_q.T
             phi_q = z[s.rows] @ triple.basis_q.T
             psi_q = rs @ triple.basis_q.T if have_psi else None   # (rows, n_atoms, Q)
-            sig0, da_dx, dsd_dx = (s.sigma if s.local_step is None
-                                   else (part[s.local_step] for part in s.sigma))
-            z_slot = sig0 * dw_q[..., None]
+            sig0, da_dx, dsd_dx = (part[s.local_step] for part in s.sigma)
+            z_slot = np.multiply(sig0, dw_q[..., None], out=sig0)
             z_slot[:, :, -1] += phi_q
             z_slot = z_slot.reshape(-1, coeffs.d)
             clamp_count[0] += s.outside

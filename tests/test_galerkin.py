@@ -882,6 +882,28 @@ class TestPicardInvariantWork:
             assert_bitwise(sol.z[i], sol.z_rows[rows])
             assert_bitwise(sol.forcing_values[i], sol.forcing_rows[rows])
 
+    def test_forcing_returning_its_state_is_kept(self):
+        # F hands back its y argument itself; the Picard loop later
+        # overwrites that iterate, which must not reach the solution.
+        tr = assemble_triple(L, 1, 5)
+        grid = TimeGrid.uniform(0.5, 6)
+        tree = BinomialJumpTree(grid, MEAS2, ("W1", "J"), j_cap=2)
+        pair = assemble_operators(heat_coeffs(0.8), tr, grid)
+        frozen = []
+
+        def F(i, t, nz, y, z, r):
+            frozen.append(y.copy())
+            return y
+
+        def xi(noise):
+            return np.outer(1.0 + 0.2 * noise[:, 0] + 0.1 * noise[:, 1], unit_mode(5))
+
+        sol = solve_nonlinear_bseej(pair, F, xi, tree)
+        assert len(frozen) == len(sol.history) > 1
+        assert_bitwise(sol.forcing_rows, frozen[-1])
+        assert not np.may_share_memory(sol.forcing_rows, sol.y_rows)
+        assert weak_residual(sol, sol.forcing_values) < 1e-12
+
     def test_singular_step_refused(self):
         # I + dt A vanishes on step 1 only.
         A = np.stack([np.eye(3), -2.0 * np.eye(3)])
