@@ -42,7 +42,7 @@ aggregate, and the growth bound on l.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -280,9 +280,6 @@ class ControlSet:
             raise ValueError("need at least one control atom")
         pts = np.linspace(lo, hi, k) if k > 1 else np.array([0.5 * (lo + hi)])
         return cls(pts[:, None], np.array([lo]), np.array([hi]))
-
-    def subset(self, indices: Sequence[int]) -> "ControlSet":
-        return ControlSet(self.atoms[list(indices)], self.lower, self.upper)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Desk-scale dynamic programming on a state lattice.
+"""Desk-scale dynamic programming on a state lattice, and the backward
+sweep that both value solvers run.
 
 The conditional one-step expectation is a deterministic quadrature:
 Gauss-Hermite nodes (5 per Brownian dimension) for the diffusion part,
@@ -12,15 +13,19 @@ scheme, and the cost driver is applied explicitly:
 with Z the quadrature estimate of the martingale slope and k the
 l-weighted nonlocal increment of V_{i+1}.  For a fixed control the
 quadrature is a sparse linear map of the next slice (a Markov-chain
-approximation), assembled once and reused while the coefficients at
-the cell centers stay bitwise the same and dt the same up to the
-rounding of the node times.  Values live on a :class:`Lattice`, the
-cell-center placement of the regular :class:`Grid` whose node placement
-the PIDE solver uses.  The grid interpolates, builds the stencils and
-looks up nearest points; off-lattice evaluations clamp to the boundary
-and are counted in the report.
-Argmin ties break to the lowest control index, so tables are
-bit-reproducible.
+approximation).  Values live on a :class:`Lattice`, the cell-center
+placement of the regular :class:`Grid` whose node placement the PIDE
+solver uses.  The grid interpolates, builds the stencils and looks up
+nearest points; off-lattice evaluations clamp to the boundary, which
+reads a constant extension past the edge, and are counted in the report.
+
+:func:`backward_sweep` is the one backward minimisation over the control
+grid, with two step builders: the quadrature above here and the explicit
+monotone step of :mod:`jumphjb.pide`.  The sweep evaluates b~, sigma and
+g at the points for every control, reuses each control's operator while
+those values stay bitwise the ones it was built for and dt the same up
+to the rounding of the node times, and breaks argmin ties to the lowest
+control index, so tables are bit-reproducible.
 
 These routines require deterministic coefficients (no randomness
 channels); the stochastic case is handled by the Galerkin solver.
@@ -50,6 +55,7 @@ __all__ = [
     "Lattice",
     "ValueTable",
     "FeedbackPolicy",
+    "backward_sweep",
     "compute_value_table",
     "dpp_residual",
     "epsilon_optimal_control",
@@ -286,20 +292,82 @@ def _require_deterministic(coeffs: CoefficientSet, who: str):
             f"(randomness channels {coeffs.randomness_channels!r} declared)")
 
 
-class StepOperator(NamedTuple):
-    """A control's cached one-step quadrature: the coefficient key and
-    step it was built for, the interpolation stencil of its points, the
-    quadrature over the continuation points and the clamped coordinates
-    of its points."""
+def point_coefficients(coeffs: CoefficientSet, measure: MarkMeasure, t,
+                       X: np.ndarray, u) -> tuple:
+    """b~, sigma and the jumps g_j of one control at the points ``X``."""
+    b_tilde, gs = compensated_drift(coeffs, measure, t, X, u, None)
+    return b_tilde, batch_eval(coeffs.sigma, t, X, u, None, (X.shape[1], coeffs.d)), gs
 
-    key: tuple
-    dt: float
+
+def backward_sweep(coeffs: CoefficientSet, control_set: ControlSet, space: Grid,
+                   grid: TimeGrid, measure: MarkMeasure, who: str, build, step,
+                   advance) -> tuple:
+    """The backward minimisation over the control grid U_h on ``space``.
+
+    The terminal slice is h at the points.  A step evaluates b~, sigma
+    and g at the points for every control and takes that control's
+    operator from ``build(b_tilde, sig, gs, dt)``, reused while those
+    values are bitwise the ones it was built for and dt is its step up
+    to the rounding of the node times (the steps of a uniform grid
+    differ by that much); l(t, e) stays outside the operator, in the
+    step's atom weights ``jump_w``.  ``step(t, dt, v_next, jump_w)``
+    returns the step's row: ``row(op, u, sig)`` is one control's total
+    at every point.  The minimum over U_h (lowest index on ties) goes to
+    ``advance(v_next, best, dt)``, which returns the new slice; a
+    non-finite slice raises NumericError.
+
+    Returns (values (N+1, *shape), argmin (N, *shape), the clamped
+    coordinates of every operator use, as ``op.clamped`` counts them).
+    """
+    _require_deterministic(coeffs, who)
+    if space.n != coeffs.n:
+        raise ConfigError(f"{who}: grid dimension does not match the state dimension")
+    X = space.nodes()
+    C, N = X.shape[0], grid.n_steps
+    values = np.empty((N + 1,) + space.shape)
+    argmin = np.empty((N,) + space.shape, dtype=int)
+    values[N] = np.asarray(coeffs.h(X, None), dtype=float).reshape(space.shape)
+
+    clamped = 0
+    builds = [None] * control_set.n_atoms  # (key, dt, operator) per control
+    totals = np.empty((control_set.n_atoms, C))
+    controls = [broadcast_control(u, C) for u in control_set.atoms]
+    dt_slack = 4.0 * np.spacing(np.max(np.abs(grid.nodes)))
+    mark_w = np.asarray(measure.weights)
+    for i in range(N - 1, -1, -1):
+        t = float(grid.nodes[i])
+        dt = float(grid.dt[i])
+        v_next = values[i + 1].ravel()
+        row = step(t, dt, v_next, mark_w * [float(coeffs.l(t, mark)) for mark in measure.marks])
+        for iu, u in enumerate(controls):
+            b_tilde, sig, gs = point_coefficients(coeffs, measure, t, X, u)
+            key = (b_tilde.tobytes(), sig.tobytes(), *(g.tobytes() for g in gs))
+            if (builds[iu] is None or builds[iu][0] != key
+                    or abs(dt - builds[iu][1]) > dt_slack):
+                builds[iu] = (key, dt, build(b_tilde, sig, gs, dt))
+            op = builds[iu][2]
+            clamped += op.clamped
+            totals[iu] = row(op, u, sig)
+        best_idx = totals.argmin(axis=0)
+        values[i] = advance(values[i + 1],
+                            totals[best_idx, np.arange(C)].reshape(space.shape), dt)
+        argmin[i] = best_idx.reshape(space.shape)
+        if not np.all(np.isfinite(values[i])):
+            raise NumericError(f"{who}: the value became non-finite at time node {i}")
+    return values, argmin, clamped
+
+
+class StepOperator(NamedTuple):
+    """A control's one-step quadrature: the interpolation stencil of its
+    points, the quadrature over the continuation points and the clamped
+    coordinates of its points."""
+
     stencil: Stencil
     quadrature: np.ndarray
     clamped: int
 
 
-def _step_operator(lattice: Lattice, key: tuple, b_tilde, sig, gs, dt: float,
+def _step_operator(lattice: Lattice, b_tilde, sig, gs, dt: float,
                    zeta: np.ndarray, gh_w: np.ndarray,
                    measure: MarkMeasure) -> StepOperator:
     """The one-step quadrature of one control.
@@ -322,8 +390,7 @@ def _step_operator(lattice: Lattice, key: tuple, b_tilde, sig, gs, dt: float,
     branch = np.concatenate([[1.0 - measure.total_mass * dt],
                              np.asarray(measure.weights) * dt])
     quadrature = np.concatenate([gh_w[None], (gh_w / sqdt) * zeta.T])[:, :, None] * branch
-    return StepOperator(key, dt, stencil, quadrature.reshape(1 + zeta.shape[1], -1),
-                        clamped)
+    return StepOperator(stencil, quadrature.reshape(1 + zeta.shape[1], -1), clamped)
 
 
 def compute_value_table(coeffs: CoefficientSet, control_set: ControlSet,
@@ -331,66 +398,36 @@ def compute_value_table(coeffs: CoefficientSet, control_set: ControlSet,
                         gh_nodes: int = 5) -> ValueTable:
     """Backward dynamic programming over the control grid U_h.
 
-    The terminal slice is h on the cell centers exactly; each interior
-    entry is the minimum over U_h of the one-step quadrature functional,
-    with the argmin recorded (lowest index on ties).  A step evaluates
-    b~, sigma and g at the cell centers for every control and reuses
-    that control's operator while those values are bitwise the ones it
-    was built for and dt is its step up to the rounding of the node
-    times (the steps of a uniform grid differ by that much); l(t, e)
-    stays outside the operator.
+    :func:`backward_sweep` on the cell centers with the one-step
+    quadrature of :func:`_step_operator` as each control's operator: a
+    control's total is E_u[V] + dt f at every center, and the minimum
+    over U_h, with its argmin, is the new slice.
     """
-    _require_deterministic(coeffs, "compute_value_table")
-    n, d = coeffs.n, coeffs.d
-    if lattice.n != n:
-        raise ConfigError("lattice dimension does not match the state dimension")
     lam = measure.total_mass
     max_dt = float(np.max(grid.dt))
     if lam * max_dt > 1.0:
         raise ConfigError(
             f"jump intensity {lam} times dt {max_dt} exceeds 1; refine the grid")
-
     X = lattice.nodes()
-    C, N = X.shape[0], grid.n_steps
-    zeta, gh_w = gauss_hermite(gh_nodes, d)
-    values = np.empty((N + 1,) + lattice.shape)
-    argmin = np.empty((N,) + lattice.shape, dtype=int)
+    C = X.shape[0]
+    zeta, gh_w = gauss_hermite(gh_nodes, coeffs.d)
 
-    values[N] = np.asarray(coeffs.h(X, None), dtype=float).reshape(lattice.shape)
+    def build(b_tilde, sig, gs, dt):
+        return _step_operator(lattice, b_tilde, sig, gs, dt, zeta, gh_w, measure)
 
-    clamped = 0
-    builds = [None] * control_set.n_atoms
-    totals = np.empty((control_set.n_atoms, C))
-    controls = [broadcast_control(u, C) for u in control_set.atoms]
-    dt_slack = 4.0 * np.spacing(np.max(np.abs(grid.nodes)))
-    for i in range(N - 1, -1, -1):
-        t = float(grid.nodes[i])
-        dt = float(grid.dt[i])
-        v_next = values[i + 1].ravel()
-        jump_w = np.asarray(measure.weights) * [
-            float(coeffs.l(t, mark)) for mark in measure.marks]
-        for iu, u in enumerate(controls):
-            b_tilde, gs = compensated_drift(coeffs, measure, t, X, u, None)
-            sig = batch_eval(coeffs.sigma, t, X, u, None, (n, d))
-            key = (b_tilde.tobytes(), sig.tobytes(), *(g.tobytes() for g in gs))
-            if (builds[iu] is None or builds[iu].key != key
-                    or abs(dt - builds[iu].dt) > dt_slack):
-                builds[iu] = _step_operator(lattice, key, b_tilde, sig, gs, dt,
-                                            zeta, gh_w, measure)
-            op = builds[iu]
-            clamped += op.clamped
+    def step(t, dt, v_next, jump_w):
+        def row(op, u, sig):
             read = op.stencil.apply(v_next).reshape(-1, C)
             ez = op.quadrature @ read[:op.quadrature.shape[1]]
             e_val, z_val = ez[0], ez[1:].T
             k_val = jump_w @ (read[op.quadrature.shape[1]:] - v_next)
             f_val = coeffs.f(t, X, u, e_val, z_val, k_val, None)
-            totals[iu] = e_val + dt * np.asarray(f_val, dtype=float).reshape(C)
-        best_idx = totals.argmin(axis=0)
-        values[i] = totals[best_idx, np.arange(C)].reshape(lattice.shape)
-        argmin[i] = best_idx.reshape(lattice.shape)
-        if not np.all(np.isfinite(values[i])):
-            raise NumericError(f"value table became non-finite at node {i}")
+            return e_val + dt * np.asarray(f_val, dtype=float).reshape(C)
+        return row
 
+    values, argmin, clamped = backward_sweep(
+        coeffs, control_set, lattice, grid, measure, "compute_value_table",
+        build, step, lambda v_next, best, dt: best)
     return ValueTable(lattice, grid, control_set, values, argmin, clamped)
 
 

@@ -12,12 +12,13 @@ operator and k(V) = int_E I V l(t,e) nu(de) feeds the driver's jump
 slot.  The field lives on a :class:`SpatialGrid`, the node placement
 (box ends included) of :class:`~jumphjb.dpp.Grid`, whose interpolation
 and stencil read it between the nodes.  The solver steps this
-explicitly.  Per control it keeps a local generator (upwind
-differences on the compensated drift b - int g nu(de), central second
-differences), reused while b~ and sigma at the nodes stay bitwise the
-same, and the jump shifts (clamped linear interpolation at x + g),
-reused while g does.  Every generator build checks the monotone step
-bound.
+explicitly on :func:`~jumphjb.dpp.backward_sweep`, the backward sweep
+it shares with the lattice solver.  Its step builder makes per control
+a local generator (upwind differences on the compensated drift
+b - int g nu(de), central second differences) and the jump shifts
+(clamped linear interpolation at x + g), which the sweep reuses while
+b~, sigma and g at the nodes stay bitwise the same.  Every step checks
+the monotone step bound.
 
 The Hamiltonian follows
 
@@ -42,14 +43,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bsde import PolynomialBasis, mean_ci, replicate
-from .coefficients import (
-    CoefficientSet,
-    ControlSet,
-    batch_eval,
-    broadcast_control,
-    compensated_drift,
-)
-from .dpp import FeedbackPolicy, Grid, Stencil
+from .coefficients import CoefficientSet, ControlSet, batch_eval, broadcast_control
+from .dpp import FeedbackPolicy, Grid, Stencil, backward_sweep, point_coefficients
 from .drivers import MarkMeasure, TimeGrid, write_csv
 from .errors import CflViolationError, ConfigError, NumericError
 from .forward import ConstantControl, OpenLoopControl
@@ -302,30 +297,22 @@ class NodePattern(NamedTuple):
                    np.array(inner), cross, Stencil(*(np.stack(x) for x in zip(*grad))))
 
 
-class LocalGenerator(NamedTuple):
-    """A control's cached local generator, the (b~, sigma) key it was
-    built for and its monotone step bound."""
+class NodeOperator(NamedTuple):
+    """A control's node maps: the local generator and its monotone step
+    bound, and the shifts S_j V = V(x + g_j) as (n_atoms, C) rows with
+    the clamped coordinates of the shifted nodes."""
 
-    key: tuple
-    stencil: Stencil
+    generator: Stencil
     bound: float
-
-
-class JumpShifts(NamedTuple):
-    """A control's cached shifts S_j V = V(x + g_j) as (n_atoms, C) rows,
-    the g key they were built for and the clamped coordinates of the
-    shifted nodes."""
-
-    key: tuple
-    stencil: Stencil
+    shifts: Stencil
     clamped: int
 
 
-def _local_generator(pattern: NodePattern, key: tuple, b_tilde, sig,
-                     lam: float) -> LocalGenerator:
+def _local_generator(pattern: NodePattern, b_tilde, sig, lam: float) -> tuple:
     """Upwind transport on b~ plus 1/2 a D^2 at interior nodes (and
     a_01 D_0 D_1 when n = 2), so that the generator is L_u V = local V +
-    sum_j w_j (S_j V - V), with a = sigma sigma^T.
+    sum_j w_j (S_j V - V), with a = sigma sigma^T.  Returns the local
+    stencil and its monotone step bound.
 
     The explicit step stays monotone while dt times lambda + sum_k
     (|b_k| / h_k + a_kk / h_k^2) + sum_{k < k2} |a_kk2| / (h_k h_k2) is
@@ -347,17 +334,16 @@ def _local_generator(pattern: NodePattern, key: tuple, b_tilde, sig,
         rate += np.abs(a[:, 0, 1]) / (h[0] * h[1])
     worst = float(np.max(rate))
     # With no drift, diffusion or jumps every step is monotone.
-    return LocalGenerator(key, Stencil(pattern.columns, weights),
-                          1.0 / worst if worst > 0 else np.inf)
+    return Stencil(pattern.columns, weights), 1.0 / worst if worst > 0 else np.inf
 
 
-def _jump_shifts(pattern: NodePattern, key: tuple, gs) -> JumpShifts:
+def _jump_shifts(pattern: NodePattern, gs) -> tuple:
+    """The shift stencil S_j of every atom and its clamped coordinates."""
     X = pattern.nodes
     C, n = X.shape
     shift, clamped = pattern.space.stencil(
         (X + np.stack(gs)).reshape(-1, n) if gs else np.empty((0, n)))
-    return JumpShifts(key, Stencil(*(x.reshape(len(gs), C, 1 << n) for x in shift)),
-                      clamped)
+    return Stencil(*(x.reshape(len(gs), C, 1 << n) for x in shift)), clamped
 
 
 def solve_pide_deterministic(coeffs: CoefficientSet, space: SpatialGrid,
@@ -365,68 +351,43 @@ def solve_pide_deterministic(coeffs: CoefficientSet, space: SpatialGrid,
                              measure: MarkMeasure) -> PideSolution:
     """Explicit monotone scheme for the degenerate HJB integro-PDE.
 
-    A step evaluates b~, sigma and g at the nodes for every control and
-    reuses that control's local generator while b~ and sigma, and its
-    jump shifts while g, are bitwise the values they were built for.
-    Every generator build checks the monotone step bound; a step above
-    it is refused, and the raised error suggests the smallest bound over
-    all steps and controls.
+    :func:`~jumphjb.dpp.backward_sweep` on the nodes with each control's
+    local generator and jump shifts as its operator: a control's total
+    is f + L_u V at every node, and the new slice is V + dt times the
+    minimum over U_h.  Every step checks dt against the monotone bound
+    of the operator it uses; a step above it is refused, and the raised
+    error suggests the smallest bound over all steps and controls.
     """
-    if coeffs.is_random:
-        raise ConfigError("solve_pide_deterministic needs deterministic coefficients")
-    if space.n != coeffs.n:
-        raise ConfigError("spatial grid dimension must match the state dimension")
     if space.n > 2:
         raise ConfigError("the PIDE solver is desk scale: n <= 2 only")
-
     pattern = NodePattern.of(space)
     X = pattern.nodes
-    (C, n), d, N = X.shape, coeffs.d, time_grid.n_steps
-
-    def coefficients(t, u):
-        b_tilde, gs = compensated_drift(coeffs, measure, t, X, u, None)
-        return b_tilde, batch_eval(coeffs.sigma, t, X, u, None, (n, d)), gs
-
-    V = np.empty((N + 1,) + space.shape)
-    argmin = np.empty((N,) + space.shape, dtype=int)
-    V[N] = np.asarray(coeffs.h(X, None), dtype=float).reshape(space.shape)
-
-    clamped = 0
-    local, shifts = [None] * control_set.n_atoms, [None] * control_set.n_atoms
-    totals = np.empty((control_set.n_atoms, C))
-    controls = [broadcast_control(u, C) for u in control_set.atoms]
+    C = X.shape[0]
     lam, mark_w = measure.total_mass, np.asarray(measure.weights)
-    for i in range(N - 1, -1, -1):
-        t = float(time_grid.nodes[i])
-        dt = float(time_grid.dt[i])
-        v_next = V[i + 1].ravel()
-        grad = pattern.gradient.apply(v_next)
-        jump_w = mark_w * [float(coeffs.l(t, mark)) for mark in measure.marks]
-        for iu, u in enumerate(controls):
-            b_tilde, sig, gs = coefficients(t, u)
-            key = (b_tilde.tobytes(), sig.tobytes())
-            if local[iu] is None or local[iu].key != key:
-                local[iu] = _local_generator(pattern, key, b_tilde, sig, lam)
-            if dt > local[iu].bound * (1.0 + 1e-12):
-                raise CflViolationError(dt, min(
-                    _local_generator(pattern, None, *coefficients(float(s), w)[:2], lam).bound
-                    for s in time_grid.nodes[:-1] for w in controls))
-            key = tuple(g.tobytes() for g in gs)
-            if shifts[iu] is None or shifts[iu].key != key:
-                shifts[iu] = _jump_shifts(pattern, key, gs)
-            clamped += shifts[iu].clamped
-            jumps = shifts[iu].stencil.apply(v_next) - v_next
-            k_agg = jump_w @ jumps
-            z_slot = np.einsum("cij,ic->cj", sig, grad)
-            f_val = coeffs.f(t, X, u, v_next, z_slot, k_agg, None)
-            totals[iu] = (np.asarray(f_val, dtype=float).reshape(C)
-                          + local[iu].stencil.apply(v_next) + mark_w @ jumps)
-        best_idx = totals.argmin(axis=0)
-        V[i] = V[i + 1] + dt * totals[best_idx, np.arange(C)].reshape(space.shape)
-        argmin[i] = best_idx.reshape(space.shape)
-        if not np.all(np.isfinite(V[i])):
-            raise NumericError(f"PIDE field became non-finite at time node {i}")
 
+    def build(b_tilde, sig, gs, dt):
+        return NodeOperator(*_local_generator(pattern, b_tilde, sig, lam),
+                            *_jump_shifts(pattern, gs))
+
+    def step(t, dt, v_next, jump_w):
+        grad = pattern.gradient.apply(v_next)
+
+        def row(op, u, sig):
+            if dt > op.bound * (1.0 + 1e-12):
+                raise CflViolationError(dt, min(
+                    _local_generator(pattern, *point_coefficients(
+                        coeffs, measure, float(s), X, broadcast_control(w, C))[:2], lam)[1]
+                    for s in time_grid.nodes[:-1] for w in control_set.atoms))
+            jumps = op.shifts.apply(v_next) - v_next
+            z_slot = np.einsum("cij,ic->cj", sig, grad)
+            f_val = coeffs.f(t, X, u, v_next, z_slot, jump_w @ jumps, None)
+            return (np.asarray(f_val, dtype=float).reshape(C)
+                    + op.generator.apply(v_next) + mark_w @ jumps)
+        return row
+
+    V, argmin, clamped = backward_sweep(
+        coeffs, control_set, space, time_grid, measure, "solve_pide_deterministic",
+        build, step, lambda v_next, best, dt: v_next + dt * best)
     triplet = RandomFieldTriplet.deterministic(
         space, time_grid.nodes, V, measure.n_atoms)
     return PideSolution(triplet, argmin, control_set, clamped)

@@ -21,9 +21,10 @@ from jumphjb.dpp import (
     gauss_hermite,
 )
 from jumphjb.drivers import MarkMeasure, TimeGrid, draw_noise
-from jumphjb.errors import ConfigError
+from jumphjb.errors import ConfigError, NumericError
 from jumphjb.bsde import price, solve_bsde
 from jumphjb.forward import ConstantControl, simulate_batch
+from jumphjb.pide import SpatialGrid, solve_pide_deterministic
 from jumphjb.problems import build_problem
 
 from conftest import make_coeffs
@@ -122,22 +123,39 @@ class TestValueTable:
                                 Lattice([-1.0], [1.0], (5,)),
                                 TimeGrid.uniform(1.0, 2), MEAS)
 
-    def test_argmin_tie_breaks_low_index(self):
-        # Two identical control atoms: argmin must pick index 0.
-        co = controlled_coeffs()
-        u = ControlSet(np.array([[0.5], [0.5]]), [-1.0], [1.0])
-        tab = compute_value_table(co, u, Lattice([-1.0], [1.0], (5,)),
-                                  TimeGrid.uniform(1.0, 3), MEAS)
-        assert np.all(tab.argmin == 0)
 
-    def test_bit_reproducible(self):
-        co = controlled_coeffs()
-        args = (co, ControlSet.from_1d(-1, 1, 3), Lattice([-1.5], [1.5], (11,)),
-                TimeGrid.uniform(1.0, 6), MEAS)
-        t1 = compute_value_table(*args)
-        t2 = compute_value_table(*args)
-        np.testing.assert_array_equal(t1.values, t2.values)
-        np.testing.assert_array_equal(t1.argmin, t2.argmin)
+def solve_values(solver, co, control_set):
+    """(values, argmin) of one of the two value solvers on [-1.5, 1.5]."""
+    if solver == "dpp":
+        tab = compute_value_table(co, control_set, Lattice([-1.5], [1.5], (11,)),
+                                  TimeGrid.uniform(1.0, 6), MEAS)
+        return tab.values, tab.argmin
+    sol = solve_pide_deterministic(co, SpatialGrid([-1.5], [1.5], (11,)),
+                                   TimeGrid.uniform(1.0, 20), control_set, MEAS)
+    return sol.triplet.V, sol.argmin
+
+
+@pytest.mark.parametrize("solver", ["dpp", "pide"])
+class TestSweepContracts:
+    """What the backward sweep guarantees to both value solvers."""
+
+    def test_argmin_tie_breaks_low_index(self, solver):
+        # Two identical control atoms: argmin must pick index 0.
+        u = ControlSet(np.array([[0.5], [0.5]]), [-1.0], [1.0])
+        _, argmin = solve_values(solver, controlled_coeffs(), u)
+        assert np.all(argmin == 0)
+
+    def test_bit_reproducible(self, solver):
+        runs = [solve_values(solver, controlled_coeffs(), ControlSet.from_1d(-1, 1, 3))
+                for _ in range(2)]
+        for first, second in zip(*runs):
+            assert first.tobytes() == second.tobytes()
+
+    def test_infinite_driver_at_one_point_refused(self, solver):
+        co = controlled_coeffs(f=lambda t, x, u, y, z, k, nz:
+                               np.where(x[..., 0] == x[..., 0].max(), np.inf, 0.0))
+        with pytest.raises(NumericError, match="non-finite"):
+            solve_values(solver, co, ControlSet.from_1d(-1, 1, 2))
 
 
 def enumerate_policy_optimum(co, control_set, lat, grid, measure):
