@@ -18,7 +18,10 @@ a local generator (upwind differences on the compensated drift
 b - int g nu(de), central second differences) and the jump shifts
 (clamped linear interpolation at x + g), which the sweep reuses while
 b~, sigma and g at the nodes stay bitwise the same.  Every step checks
-the monotone step bound.
+the monotone step bound.  Where b~ points out of the box, the edge row
+reads a zero-gradient ghost and drops its transport term, the constant
+extension past the edge that the lattice's clamping reads, so I + dt L_u
+has no negative entry inside the bound.
 
 The Hamiltonian follows
 
@@ -278,12 +281,12 @@ class NodePattern(NamedTuple):
         cols, inner, grad = [], [], []
         for k in range(n):
             first, last, st = pos[k] == 0, pos[k] == space.shape[k] - 1, strides[k]
-            # Forward and backward differences; at the far edge each falls
-            # back to the adjacent one (linear ghost).
+            # Forward and backward differences; past the edge each reads
+            # the node itself (a zero-gradient ghost), so an outflow edge
+            # has no transport term and the step stays monotone there.
             up, down = node + st * ~last, node - st * ~first
             inner.append(~(first | last))
-            cols += [up, up - st, down + st, down,
-                     node - st * inner[k], node, node + st * inner[k]]
+            cols += [up, node, node, down, node - st * inner[k], node, node + st * inner[k]]
             q = 1.0 / (space.widths[k] * (2.0 - first - last))
             grad.append(Stencil(np.stack([up, down], axis=1), np.stack([q, -q], axis=1)))
         cross = np.zeros((C, 0))
@@ -309,10 +312,10 @@ class NodeOperator(NamedTuple):
 
 
 def _local_generator(pattern: NodePattern, b_tilde, sig, lam: float) -> tuple:
-    """Upwind transport on b~ plus 1/2 a D^2 at interior nodes (and
-    a_01 D_0 D_1 when n = 2), so that the generator is L_u V = local V +
-    sum_j w_j (S_j V - V), with a = sigma sigma^T.  Returns the local
-    stencil and its monotone step bound.
+    """Upwind transport on b~ (none at an outflow edge) plus 1/2 a D^2 at
+    interior nodes (and a_01 D_0 D_1 when n = 2), so that the generator
+    is L_u V = local V + sum_j w_j (S_j V - V), with a = sigma sigma^T.
+    Returns the local stencil and its monotone step bound.
 
     The explicit step stays monotone while dt times lambda + sum_k
     (|b_k| / h_k + a_kk / h_k^2) + sum_{k < k2} |a_kk2| / (h_k h_k2) is

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -457,8 +458,9 @@ class TestTripletCsv:
 def reference_pide(coeffs, space, time_grid, control_set, measure):
     """The explicit scheme with its difference stencils rebuilt per step.
 
-    One-sided and centered differences per axis with the linear-ghost
-    edges, central second differences at interior nodes, the cross
+    One-sided differences per axis that read a zero-gradient ghost past
+    the edges, the centered gradient (one-sided at the edges), central
+    second differences at interior nodes, the cross
     term for n = 2 and the shifted values interpolated afresh.  Returns
     (V, argmin, clamped, margin), where margin is the gap between the
     two best totals of each node (inf with one control).
@@ -478,13 +480,15 @@ def reference_pide(coeffs, space, time_grid, control_set, measure):
         v_next = V[i + 1]
         flat_next = v_next.ravel()
         l_vals = [float(coeffs.l(t, mark)) for mark in measure.marks]
-        fwd, bwd, second = [], [], []
+        fwd, bwd, centered, second = [], [], [], []
         for k in range(n):
             diff = np.diff(v_next, axis=k) / h[k]
             first = np.take(diff, [0], axis=k)
             last = np.take(diff, [-1], axis=k)
-            fwd.append(np.concatenate([diff, last], axis=k).ravel())
-            bwd.append(np.concatenate([first, diff], axis=k).ravel())
+            fwd.append(np.concatenate([diff, np.zeros_like(last)], axis=k).ravel())
+            bwd.append(np.concatenate([np.zeros_like(first), diff], axis=k).ravel())
+            centered.append(0.5 * (np.concatenate([diff, last], axis=k)
+                                   + np.concatenate([first, diff], axis=k)).ravel())
             d2 = np.zeros(space.shape)
             inner = [slice(None)] * n
             inner[k] = slice(1, -1)
@@ -503,7 +507,7 @@ def reference_pide(coeffs, space, time_grid, control_set, measure):
                 bk = b_tilde[:, k]
                 total += np.where(bk >= 0.0, bk * fwd[k], bk * bwd[k])
                 total += 0.5 * a[:, k, k] * second[k]
-                dv[:, k] = 0.5 * (fwd[k] + bwd[k])
+                dv[:, k] = centered[k]
             if cross is not None:
                 total += a[:, 0, 1] * cross
             k_agg = np.zeros(C)
@@ -606,18 +610,18 @@ class TestCflEveryStep:
 
 
 @st.composite
-def inward_drift_draws(draw):
-    """Coefficients whose compensated drift points into [-2, 2] at both
-    edges for every control, a step inside the monotone bound, and a
-    pair of ordered terminals h1 <= h2."""
+def edge_drift_draws(draw):
+    """Coefficients whose compensated drift points into or out of
+    [-2, 2] at either edge, a step inside the monotone bound, and a pair
+    of ordered terminals h1 <= h2."""
     unit = st.floats(-1.0, 1.0)
     c0, s0, s1, g0, f0, f1, h0, h1 = (draw(unit) for _ in range(8))
-    kappa = draw(st.floats(0.5, 2.0))
+    kappa = draw(st.floats(-2.0, 2.0))
     weight = draw(st.floats(0.05, 1.0))
     bump = draw(st.floats(0.0, 0.5))
     shift = draw(st.floats(-2.0, 2.0))
-    # |c + u - w g| <= 0.3 + 0.3 + 0.3 < 2 kappa, so b~ > 0 at x = -2
-    # and b~ < 0 at x = 2.
+    # |c + u - w g| <= 0.9: with kappa above 0.45 both edges are
+    # inflow, below -0.45 both are outflow, and in between either.
     coeffs = make_coeffs(
         b=lambda t, x, u, nz: -kappa * x + 0.3 * c0 + u[:, 0:1],
         sigma=lambda t, x, u, nz: (0.3 * abs(s0) + 0.2 * s1 * np.sin(x))[..., None],
@@ -629,23 +633,42 @@ def inward_drift_draws(draw):
         lambda x, nz: coeffs.h(x, nz) + bump * np.exp(-(x[..., 0] - shift) ** 2))
     space = SpatialGrid([-2.0], [2.0], (41,))
     h = space.widths[0]
-    worst = weight + (2.0 * kappa + 0.9) / h + (0.3 * abs(s0) + 0.2 * abs(s1)) ** 2 / h ** 2
+    worst = weight + (2.0 * abs(kappa) + 0.9) / h + (0.3 * abs(s0) + 0.2 * abs(s1)) ** 2 / h ** 2
     n_steps = int(np.ceil(0.4 * worst / 0.9))
     return coeffs, higher, space, TimeGrid.uniform(0.4, n_steps), \
         MarkMeasure.from_atoms([((1.0,), weight)])
 
 
 @settings(max_examples=60, deadline=None)
-@given(inward_drift_draws())
+@given(edge_drift_draws())
 def test_pide_monotone_in_terminal(draw):
-    # Inside the bound, with the drift pointing inward at the edges,
-    # every row of I + dt L_u is nonnegative, so h1 <= h2 gives
-    # V1 <= V2 on every slice when f reads only (x, u).
+    # Inside the bound every entry of I + dt L_u is nonnegative, an
+    # outflow edge row included, so h1 <= h2 gives V1 <= V2 on every
+    # slice when f reads only (x, u).
     lower, higher, space, tg, measure = draw
     u2 = ControlSet.from_1d(-0.3, 0.3, 2)
     v1 = solve_pide_deterministic(lower, space, tg, u2, measure).triplet.V
     v2 = solve_pide_deterministic(higher, space, tg, u2, measure).triplet.V
     assert np.all(v1 <= v2 + 1e-12 * np.max(np.abs(v2)))
+
+
+def test_step_matrix_has_no_negative_entry():
+    # Column c of I + dt L_u is the first step from the terminal e_c with
+    # f = 0.  On smooth1d the drift points out of the box at one edge for
+    # each control; the edge row must not read the next node with a
+    # negative weight.
+    p = build_problem("smooth1d")
+    space = SpatialGrid([-3.0], [3.0], (241,))
+    x = space.nodes()[:, 0]
+    first_step = TimeGrid(TimeGrid.uniform(p.horizon, 320).nodes[:2])
+    co = dataclasses.replace(p.coeffs, f=lambda t, x, u, y, z, k, nz: np.zeros(np.shape(y)))
+    for u in p.control_set.atoms:
+        step = np.stack([solve_pide_deterministic(
+            co.with_terminal(lambda pts, nz, c=c: 1.0 * (pts[..., 0] == x[c])), space,
+            first_step, ControlSet.singleton(u), p.measure).triplet.V[0]
+            for c in range(x.size)], axis=1)
+        off = step - np.diag(np.diag(step))
+        assert off.min() >= 0.0, (u, np.unravel_index(off.argmin(), off.shape))
 
 
 def test_value_solvers_load_no_scipy():
