@@ -20,12 +20,10 @@ nearest points; off-lattice evaluations clamp to the boundary, which
 reads a constant extension past the edge, and are counted in the report.
 
 :func:`backward_sweep` is the one backward minimisation over the control
-grid, with two step builders: the quadrature above here and the explicit
-monotone step of :mod:`jumphjb.pide`.  The sweep evaluates b~, sigma and
-g at the points for every control, reuses each control's operator while
-those values stay bitwise the ones it was built for and dt the same up
-to the rounding of the node times, and breaks argmin ties to the lowest
-control index, so tables are bit-reproducible.
+grid; both value solvers run it with their own step builders, the
+quadrature above and the explicit monotone step of :mod:`jumphjb.pide`.
+Argmin ties break to the lowest control index, so tables are
+bit-reproducible.
 
 These routines require deterministic coefficients (no randomness
 channels); the stochastic case is handled by the Galerkin solver.
@@ -313,8 +311,8 @@ def backward_sweep(coeffs: CoefficientSet, control_set: ControlSet, space: Grid,
     step's atom weights ``jump_w``.  ``step(t, dt, v_next, jump_w)``
     returns the step's row: ``row(op, u, sig)`` is one control's total
     at every point.  The minimum over U_h (lowest index on ties) goes to
-    ``advance(v_next, best, dt)``, which returns the new slice; a
-    non-finite slice raises NumericError.
+    ``advance(v_next, best, dt)``, which returns the new slice, flat like
+    ``v_next``; a non-finite slice raises NumericError.
 
     Returns (values (N+1, *shape), argmin (N, *shape), the clamped
     coordinates of every operator use, as ``op.clamped`` counts them).
@@ -329,7 +327,7 @@ def backward_sweep(coeffs: CoefficientSet, control_set: ControlSet, space: Grid,
     values[N] = np.asarray(coeffs.h(X, None), dtype=float).reshape(space.shape)
 
     clamped = 0
-    builds = [None] * control_set.n_atoms  # (key, dt, operator) per control
+    keys, steps, ops = ([None] * control_set.n_atoms for _ in range(3))
     totals = np.empty((control_set.n_atoms, C))
     controls = [broadcast_control(u, C) for u in control_set.atoms]
     dt_slack = 4.0 * np.spacing(np.max(np.abs(grid.nodes)))
@@ -338,19 +336,17 @@ def backward_sweep(coeffs: CoefficientSet, control_set: ControlSet, space: Grid,
         t = float(grid.nodes[i])
         dt = float(grid.dt[i])
         v_next = values[i + 1].ravel()
-        row = step(t, dt, v_next, mark_w * [float(coeffs.l(t, mark)) for mark in measure.marks])
+        jump_w = mark_w * [float(coeffs.l(t, mark)) for mark in measure.marks]
+        row = step(t, dt, v_next, jump_w)
         for iu, u in enumerate(controls):
             b_tilde, sig, gs = point_coefficients(coeffs, measure, t, X, u)
             key = (b_tilde.tobytes(), sig.tobytes(), *(g.tobytes() for g in gs))
-            if (builds[iu] is None or builds[iu][0] != key
-                    or abs(dt - builds[iu][1]) > dt_slack):
-                builds[iu] = (key, dt, build(b_tilde, sig, gs, dt))
-            op = builds[iu][2]
-            clamped += op.clamped
-            totals[iu] = row(op, u, sig)
+            if keys[iu] != key or abs(dt - steps[iu]) > dt_slack:
+                keys[iu], steps[iu], ops[iu] = key, dt, build(b_tilde, sig, gs, dt)
+            clamped += ops[iu].clamped
+            totals[iu] = row(ops[iu], u, sig)
         best_idx = totals.argmin(axis=0)
-        values[i] = advance(values[i + 1],
-                            totals[best_idx, np.arange(C)].reshape(space.shape), dt)
+        values[i] = advance(v_next, totals[best_idx, np.arange(C)], dt).reshape(space.shape)
         argmin[i] = best_idx.reshape(space.shape)
         if not np.all(np.isfinite(values[i])):
             raise NumericError(f"{who}: the value became non-finite at time node {i}")

@@ -633,7 +633,8 @@ def edge_drift_draws(draw):
         lambda x, nz: coeffs.h(x, nz) + bump * np.exp(-(x[..., 0] - shift) ** 2))
     space = SpatialGrid([-2.0], [2.0], (41,))
     h = space.widths[0]
-    worst = weight + (2.0 * abs(kappa) + 0.9) / h + (0.3 * abs(s0) + 0.2 * abs(s1)) ** 2 / h ** 2
+    worst = (weight + (2.0 * abs(kappa) + 0.9) / h
+             + (0.3 * abs(s0) + 0.2 * abs(s1)) ** 2 / h ** 2)
     n_steps = int(np.ceil(0.4 * worst / 0.9))
     return coeffs, higher, space, TimeGrid.uniform(0.4, n_steps), \
         MarkMeasure.from_atoms([((1.0,), weight)])
@@ -652,7 +653,7 @@ def test_pide_monotone_in_terminal(draw):
     assert np.all(v1 <= v2 + 1e-12 * np.max(np.abs(v2)))
 
 
-def test_step_matrix_has_no_negative_entry():
+def test_step_matrix_has_no_negative_off_diagonal():
     # Column c of I + dt L_u is the first step from the terminal e_c with
     # f = 0.  On smooth1d the drift points out of the box at one edge for
     # each control; the edge row must not read the next node with a
