@@ -19,6 +19,7 @@ the compensated measure.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
@@ -56,55 +57,58 @@ class PolynomialBasis:
         self.ridge = ridge
 
     def n_features(self, n_vars: int) -> int:
-        return sum(
-            1 for deg in range(self.degree + 1)
-            for _ in combinations_with_replacement(range(n_vars), deg)
-        )
+        return math.comb(n_vars + self.degree, self.degree)
 
     def features(self, x: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
-        v = x if noise is None else np.concatenate([x, noise], axis=1)
-        M, n_vars = v.shape
-        cols = [np.ones(M)]
+        """Feature rows (p, M) of the states x (M, n) and noise values (M, k).
+
+        Each monomial extends the row of its prefix, ((1 v_a) v_b) v_c.
+        """
+        v = (x if noise is None else np.concatenate([x, noise], axis=1)).T
+        n_vars, M = v.shape
+        phi = np.empty((self.n_features(n_vars), M))
+        phi[0] = 1.0
+        row = {(): 0}
         for deg in range(1, self.degree + 1):
             for combo in combinations_with_replacement(range(n_vars), deg):
-                col = np.ones(M)
-                for j in combo:
-                    col = col * v[:, j]
-                cols.append(col)
-        return np.stack(cols, axis=1)
+                row[combo] = len(row)
+                np.multiply(phi[row[combo[:-1]]], v[combo[-1]], out=phi[row[combo]])
+        return phi
 
     def regressor(self, phi: np.ndarray, groups: int = 1) -> "NodeRegression":
         return NodeRegression(phi, self.ridge, groups)
 
 
 class NodeRegression:
-    """Ridge-regularized projections onto one node's feature matrix.
+    """Ridge-regularized projections onto one node's feature rows.
 
-    ``phi`` (C*M, p) stacks C groups of M rows, and each group gets its
-    own fit, the same as a one-group regression on its rows alone.  The
-    first feature is the constant; the others are mean-centered and
-    scaled to unit RMS per group before the solve.  Centered columns are
-    orthogonal to the constant, so the projection splits into the mean
-    of the target plus a ridge fit on the centered columns: the ridge
-    never shrinks the mean, and the Gram matrix is far better
-    conditioned, so it barely biases well-posed fits.  The factorization
-    is shared across all targets at the node.  ``ridge_fallback`` (C,)
-    marks the groups whose Gram matrix needed the eigenvalue floor.
+    ``phi`` (p, C*M) holds C groups of M columns, features by rows, so
+    every mean and product over samples runs along contiguous memory.
+    Each group gets its own fit on a (C, p-1, M) view, the same as a
+    one-group regression on its columns alone.  The first feature is
+    the constant; the others are mean-centered and scaled to unit RMS
+    per group before the solve.  Centered columns are orthogonal to the
+    constant, so the projection splits into the mean of the target plus
+    a ridge fit on the centered columns: the ridge never shrinks the
+    mean, and the Gram matrix is far better conditioned, so it barely
+    biases well-posed fits.  The factorization is shared across all
+    targets at the node.  ``ridge_fallback`` (C,) marks the groups whose
+    Gram matrix needed the eigenvalue floor.
     """
 
     def __init__(self, phi: np.ndarray, ridge: float, groups: int = 1):
-        rows, p = phi.shape
+        p, rows = phi.shape
         M = rows // groups
-        cols = phi.reshape(groups, M, p)[:, :, 1:]
-        shift = cols.mean(axis=1)
-        work = cols - shift[:, None, :]
-        gram = np.matmul(work.transpose(0, 2, 1), work)
+        cols = phi[1:].reshape(p - 1, groups, M).transpose(1, 0, 2)
+        shift = cols.mean(axis=2)
+        work = cols - shift[:, :, None]
+        gram = np.einsum("cim,cjm->cij", work, work)
         scale = np.sqrt(np.diagonal(gram, axis1=1, axis2=2) / M)
         # A column that is constant up to rounding is the constant again:
         # an infinite scale zeroes it, so every column stays orthogonal
         # to the constant.
         scale[scale <= 1e-12 * np.abs(shift) + 1e-300] = np.inf
-        work /= scale[:, None, :]
+        work /= scale[:, :, None]
         self._work = work
         gram /= scale[:, :, None] * scale[:, None, :]
         reg = ridge * (M + np.trace(gram, axis1=1, axis2=2)) / p
@@ -127,14 +131,15 @@ class NodeRegression:
             return np.linalg.cholesky((v * np.maximum(w, floor)) @ v.T + reg * eye)
 
     def predict(self, targets: np.ndarray) -> np.ndarray:
-        """Fitted values of each target column, shape like ``targets`` (C*M, k)."""
-        C, M, _ = self._work.shape
-        targets = targets.reshape(C, M, -1)
-        mean = targets.mean(axis=1, keepdims=True)
-        rhs = np.matmul(self._work.transpose(0, 2, 1), targets - mean)
+        """Fitted values of each target row, shape like ``targets`` (k, C*M)."""
+        C, _, M = self._work.shape
+        targets = targets.reshape(-1, C, M).transpose(1, 0, 2)
+        mean = targets.mean(axis=2, keepdims=True)
+        rhs = np.matmul(self._work, (targets - mean).transpose(0, 2, 1))
         coefs = np.linalg.solve(self._factor.transpose(0, 2, 1),
                                 np.linalg.solve(self._factor, rhs))
-        return (mean + self._work @ coefs).reshape(C * M, -1)
+        fit = mean + np.matmul(coefs.transpose(0, 2, 1), self._work)
+        return fit.transpose(1, 0, 2).reshape(-1, C * M)
 
 
 @dataclass
@@ -243,8 +248,8 @@ def solve_bsde(coeffs: CoefficientSet, control, batch: ForwardBatch,
         Y[N] = y_next
 
     diags = []
-    z_i = np.zeros((rows, d))
-    k_atoms = np.zeros((rows, n_atoms))
+    z_i = np.zeros((d, rows))
+    k_atoms = np.zeros((n_atoms, rows))
     l_w = np.zeros(n_atoms)
 
     for i in range(N - 1, -1, -1):
@@ -255,47 +260,48 @@ def solve_bsde(coeffs: CoefficientSet, control, batch: ForwardBatch,
         phi = basis.features(X_i, None if nz is None else nz.values)
         reg = basis.regressor(phi, C)
 
-        y_proj = reg.predict(y_next[:, None])[:, 0]
+        y_proj = reg.predict(y_next[None])[0]
         # Martingale targets are centered by the Y-projection: same
         # conditional expectation, far lower variance, and exactly zero
-        # for constant terminal data.  The increments are the bank's,
-        # shared by the groups.
-        resid = (y_next - y_proj).reshape(C, M, 1)
-        comp = batch.jump_counts[i] - measure.weights * dt
-        preds = reg.predict(resid * np.concatenate([batch.dw[i], comp], axis=1))
+        # for constant terminal data.  The increments (d + n_atoms, M)
+        # are the bank's, shared by the groups.
+        resid = (y_next - y_proj).reshape(C, M)
+        incr = np.concatenate([batch.dw[i], batch.jump_counts[i] - measure.weights * dt],
+                              axis=1).T
+        preds = reg.predict(incr[:, None, :] * resid)
         diags.append({
             "basis_size": reg.basis_size,
-            "residual_norm": float(np.sqrt(np.mean(resid[..., 0] ** 2, axis=1)).max()),
+            "residual_norm": float(np.sqrt(np.mean(resid ** 2, axis=1)).max()),
             "ridge_fallback": bool(reg.ridge_fallback.any()),
         })
 
-        z_i = preds[:, :d] / dt
+        z_i = preds[:d] / dt
         if n_atoms:
-            k_atoms = preds[:, d:] / (measure.weights * dt)
+            k_atoms = preds[d:] / (measure.weights * dt)[:, None]
             for j in range(n_atoms):
                 l_w[j] = float(coeffs.l(t_i, measure.marks[j])) * measure.weights[j]
-            k_agg = (k_atoms.reshape(C, M, n_atoms) @ l_w).reshape(rows)
+            k_agg = (l_w[:, None] * k_atoms).sum(axis=0)
         else:
             k_agg = np.zeros(rows)
 
         u_i = stack_controls(batch.controls[i], M, coeffs.m)
-        f_val = np.asarray(coeffs.f(t_i, X_i, u_i, y_proj, z_i, k_agg, nz),
+        f_val = np.asarray(coeffs.f(t_i, X_i, u_i, y_proj, z_i.T, k_agg, nz),
                            dtype=float).reshape(rows)
         y_next = y_proj + f_val * dt
         if not np.all(np.isfinite(y_next)):
             raise NumericError(f"BSDE value became non-finite at node {i}")
         if keep_paths:
             Y[i] = y_next
-            Z[i] = z_i
-            K[i] = k_atoms
+            Z[i] = z_i.T
+            K[i] = k_atoms.T
 
     diags.reverse()
     y0s = y_next.reshape(C, M).mean(axis=1)
     return BsdeSolution(
         grid=grid,
         y0=float(y0s[0]),
-        z0=np.mean(z_i[:M], axis=0),
-        k0=np.mean(k_atoms[:M], axis=0) if n_atoms else np.zeros(0),
+        z0=z_i[:, :M].mean(axis=1),
+        k0=k_atoms[:, :M].mean(axis=1) if n_atoms else np.zeros(0),
         terminal=terminal,
         diagnostics=diags,
         Y=Y, Z=Z, K=K, y0s=y0s,

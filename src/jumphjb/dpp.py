@@ -142,9 +142,14 @@ class Grid:
         return axes
 
     def nodes(self) -> np.ndarray:
-        """All grid points, shape (n_points, n), C-order over the grid."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        """All grid points, shape (n_points, n), C-order over the grid;
+        built on the first call and then shared, read-only."""
+        if "_nodes" not in self.__dict__:
+            mesh = np.meshgrid(*self.axes(), indexing="ij")
+            nodes = np.stack([m.ravel() for m in mesh], axis=1)
+            nodes.flags.writeable = False
+            object.__setattr__(self, "_nodes", nodes)
+        return self._nodes
 
     def refine(self, factor: int = 2) -> "Grid":
         return type(self)(self.lower, self.upper,
@@ -299,18 +304,19 @@ def point_coefficients(coeffs: CoefficientSet, measure: MarkMeasure, t,
 
 def backward_sweep(coeffs: CoefficientSet, control_set: ControlSet, space: Grid,
                    grid: TimeGrid, measure: MarkMeasure, who: str, build, step,
-                   advance) -> tuple:
+                   advance, *, dt_keyed: bool) -> tuple:
     """The backward minimisation over the control grid U_h on ``space``.
 
     The terminal slice is h at the points.  A step evaluates b~, sigma
     and g at the points for every control and takes that control's
     operator from ``build(b_tilde, sig, gs, dt)``, reused while those
-    values are bitwise the ones it was built for and dt is its step up
-    to the rounding of the node times (the steps of a uniform grid
-    differ by that much); l(t, e) stays outside the operator, in the
-    step's atom weights ``jump_w``.  ``step(t, dt, v_next, jump_w)``
-    returns the step's row: ``row(op, u, sig)`` is one control's total
-    at every point.  The minimum over U_h (lowest index on ties) goes to
+    values are bitwise the ones it was built for and, when ``dt_keyed``
+    (the operator reads dt), dt is its step up to the rounding of the
+    node times (the steps of a uniform grid differ by that much); an
+    operator that does not read dt serves every step of a graded grid.
+    l(t, e) stays outside the operator, in the step's atom weights
+    ``jump_w``.  ``step(t, dt, v_next, jump_w)`` returns the step's row:
+    ``row(op, u, sig)`` is one control's total at every point.  The minimum over U_h (lowest index on ties) goes to
     ``advance(v_next, best, dt)``, which returns the new slice, flat like
     ``v_next``; a non-finite slice raises NumericError.
 
@@ -341,7 +347,7 @@ def backward_sweep(coeffs: CoefficientSet, control_set: ControlSet, space: Grid,
         for iu, u in enumerate(controls):
             b_tilde, sig, gs = point_coefficients(coeffs, measure, t, X, u)
             key = (b_tilde.tobytes(), sig.tobytes(), *(g.tobytes() for g in gs))
-            if keys[iu] != key or abs(dt - steps[iu]) > dt_slack:
+            if keys[iu] != key or (dt_keyed and abs(dt - steps[iu]) > dt_slack):
                 keys[iu], steps[iu], ops[iu] = key, dt, build(b_tilde, sig, gs, dt)
             clamped += ops[iu].clamped
             totals[iu] = row(ops[iu], u, sig)
@@ -423,7 +429,7 @@ def compute_value_table(coeffs: CoefficientSet, control_set: ControlSet,
 
     values, argmin, clamped = backward_sweep(
         coeffs, control_set, lattice, grid, measure, "compute_value_table",
-        build, step, lambda v_next, best, dt: best)
+        build, step, lambda v_next, best, dt: best, dt_keyed=True)
     return ValueTable(lattice, grid, control_set, values, argmin, clamped)
 
 

@@ -156,7 +156,8 @@ def hamiltonian(coeffs: CoefficientSet, t, x, u, p, dphi, hess, k_agg,
     (B, n), d = x.shape, coeffs.d
     p = np.asarray(p, dtype=float).reshape(B, n)
     hess = np.asarray(hess, dtype=float).reshape(B, n, n)
-    if not np.allclose(hess, np.swapaxes(hess, 1, 2), atol=1e-12):
+    hess_t = np.swapaxes(hess, 1, 2)
+    if not (np.array_equal(hess, hess_t) or np.allclose(hess, hess_t, atol=1e-12)):
         raise ValueError("the Hessian argument must be symmetric")
     u = broadcast_control(u, B)
     b = batch_eval(coeffs.b, t, x, u, noise, (n,))
@@ -390,7 +391,7 @@ def solve_pide_deterministic(coeffs: CoefficientSet, space: SpatialGrid,
 
     V, argmin, clamped = backward_sweep(
         coeffs, control_set, space, time_grid, measure, "solve_pide_deterministic",
-        build, step, lambda v_next, best, dt: v_next + dt * best)
+        build, step, lambda v_next, best, dt: v_next + dt * best, dt_keyed=False)
     triplet = RandomFieldTriplet.deterministic(
         space, time_grid.nodes, V, measure.n_atoms)
     return PideSolution(triplet, argmin, control_set, clamped)

@@ -137,6 +137,34 @@ def test_criterion_04_bsde_closed_form():
              f"rel err {rel:.2e} (M=1e5, dt=1e-3)")
 
 
+def test_criterion_04_bsde_closed_form_seeds():
+    # Multi-seed companion of criterion 04, which stays pinned at seed 42,
+    # sized by pathwise standard errors as TestJumpClosedFormSeeds is.
+    # exp_decay has f = -r y and h = 1 with no diffusion and no jumps, so
+    # the pathwise estimator exp(-r T) h(X_T) of Y(0) has standard error
+    # 0, and what is left is the explicit scheme's own error: Y(0) =
+    # (1 - r dt)^N, not exp(-r T).  Gate, fixed before the first run: at
+    # every seed 1..10, |Y(0) - exp(-r T)| <= 3 SE + |(1 - r dt)^N -
+    # exp(-r T)| + 1e-12, and the mean error over the seeds within
+    # 3 std / sqrt(10) of the same bias, with the same 1e-12 allowance.
+    r, n_steps = 0.1, 200
+    prob = build_problem("exp_decay", {"rate": r})
+    grid = TimeGrid.uniform(1.0, n_steps)
+    exact = np.exp(-r)
+    bias = abs((1.0 - r / n_steps) ** n_steps - exact)
+    errs, ses = [], []
+    for seed in range(1, 11):
+        batch = simulate_batch(prob.coeffs, ConstantControl([0.0]), prob.x0, grid,
+                               prob.measure, 4000, seed)
+        sol = solve_bsde(prob.coeffs, ConstantControl([0.0]), batch, keep_paths=False)
+        weighted = exact * sol.terminal
+        errs.append(sol.y0 - exact)
+        ses.append(weighted.std(ddof=1) / np.sqrt(weighted.size))
+    errs, ses = np.array(errs), np.array(ses)
+    assert np.all(np.abs(errs) <= 3.0 * ses + bias + 1e-12), (errs, ses, bias)
+    assert abs(errs.mean()) <= 3.0 * errs.std(ddof=1) / np.sqrt(10) + bias + 1e-12, errs
+
+
 def test_criterion_05_flow_gradient_bump_oracle():
     meas = MarkMeasure.from_atoms([((1.0,), 1.0)])
     co = make_coeffs(

@@ -45,7 +45,7 @@ class TestBasis:
         x = rng.standard_normal((200, 2))
         y = 3.0 + x @ np.array([1.5, -2.0])
         reg = basis.regressor(basis.features(x, None))
-        pred = reg.predict(y[:, None])[:, 0]
+        pred = reg.predict(y[None])[0]
         np.testing.assert_allclose(pred, y, atol=1e-10)
 
     def test_ridge_keeps_constant_targets(self):
@@ -60,8 +60,46 @@ class TestBasis:
             nz = batch.noise_state(i, prob.coeffs.randomness_channels)
             reg = basis.regressor(basis.features(batch.states[i], nz.values))
             for c in (1.0, -0.37, 2.5e3):
-                pred = reg.predict(np.full((500, 1), c))
+                pred = reg.predict(np.full((1, 500), c))
                 np.testing.assert_allclose(pred, c, rtol=1e-15, atol=0)
+
+
+class TestNodeRegressionOracle:
+    """Each group's fit against ``np.linalg.lstsq`` on its centred features.
+
+    Features are rows, (p, C*M).  Group 0 is well conditioned, group 1
+    has a feature that is constant on its columns (the infinite-scale
+    path) and group 2 has two equal +-1 features, whose Gram matrix
+    fails the Cholesky factorisation exactly (pivot 64 - 8 * 8 = 0), so
+    it alone takes the ridge fallback.  The ridge is far below rounding,
+    so it biases no fit.  Gate, fixed before the first run: every fitted
+    value within 1e-10 of max|fit| of its group.
+    """
+
+    M = 64
+
+    def features(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((3, 3, self.M))
+        x[1, 1] = 0.7
+        x[2, 1] = x[2, 2] = rng.permutation(np.repeat([-1.0, 1.0], self.M // 2))
+        phi = np.concatenate([np.ones((3, 1, self.M)), x], axis=1)
+        return phi.transpose(1, 0, 2).reshape(4, 3 * self.M), rng
+
+    def test_groups_match_lstsq(self):
+        phi, rng = self.features()
+        reg = NodeRegression(phi, 1e-20, groups=3)
+        assert reg.ridge_fallback.tolist() == [False, False, True]
+        cols = phi[1:].reshape(3, 3, self.M)
+        targets = np.stack([np.sin(phi[1]) + phi[2] * phi[3], rng.standard_normal(3 * self.M)])
+        fit = reg.predict(targets).reshape(2, 3, self.M)
+        for c in range(3):
+            t = targets.reshape(2, 3, self.M)[:, c].T
+            centred = (cols[:, c] - cols[:, c].mean(axis=1, keepdims=True)).T
+            mean = t.mean(axis=0)
+            coef = np.linalg.lstsq(centred, t - mean, rcond=None)[0]
+            expect = (mean + centred @ coef).T
+            assert np.max(np.abs(fit[:, c] - expect)) <= 1e-10 * np.max(np.abs(expect))
 
 
 class TestSolveBsde:
@@ -127,8 +165,8 @@ class TestSolveBsde:
             dt = float(grid.dt[i])
             phi = basis.features(batch.states[i], None)
             reg = NodeRegression(phi, basis.ridge)
-            y_proj = reg.predict(y[:, None])[:, 0]
-            z = reg.predict(((y - y_proj) * batch.dw[i, :, 0])[:, None])[:, 0] / dt
+            y_proj = reg.predict(y[None])[0]
+            z = reg.predict(((y - y_proj) * batch.dw[i, :, 0])[None])[0] / dt
             y = y_proj + (-0.2 * y_proj + 0.1 * z) * dt
         assert np.max(np.abs(y - sol.Y[0])) < 1e-10
 

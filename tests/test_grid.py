@@ -198,3 +198,19 @@ def test_value_classes_of_different_types_are_unequal():
     assert TimeGrid.uniform(1.0, 4) != TimeGrid.uniform(1.0, 4).nodes
     assert _measure(0.3) != ControlSet.singleton([0.3])
     assert ControlSet.singleton([0.0]) != 0.0
+
+
+@pytest.mark.parametrize("kind", [Lattice, SpatialGrid])
+def test_nodes_are_built_once_and_read_only(kind):
+    # One node array per grid, shared by every caller, so no caller can
+    # change what another reads; a refined grid builds its own.
+    grid = kind([-1.0, 0.0], [1.0, 2.0], (4, 3))
+    nodes = grid.nodes()
+    assert grid.nodes() is nodes and not nodes.flags.writeable
+    mesh = np.meshgrid(*grid.axes(), indexing="ij")
+    assert np.array_equal(nodes, np.stack([m.ravel() for m in mesh], axis=1))
+    fine = grid.refine()
+    assert fine == kind([-1.0, 0.0], [1.0, 2.0], fine.shape) != grid
+    assert fine.nodes().shape == (np.prod(fine.shape), 2)
+    with pytest.raises(ValueError):
+        nodes[0, 0] = 5.0

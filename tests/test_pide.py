@@ -137,6 +137,20 @@ class TestHamiltonian:
             hamiltonian(co, 0.0, np.zeros((2, 2)), [0.0], np.zeros((2, 2)), None,
                         hess, np.zeros(2))
 
+    @pytest.mark.parametrize("gap,ok", [(0.0, True), (1e-13, True), (2e-12, False)])
+    def test_symmetry_tolerance(self, gap, ok):
+        # An exactly symmetric Hessian skips the tolerance test; off-diagonal
+        # zeros off by more than the 1e-12 absolute tolerance are refused,
+        # by less are accepted.
+        co = make_coeffs(n=2, d=1)
+        hess = np.array([[[1.0, 0.0], [gap, 0.0]], [[0.3, 0.1], [0.1, 2.0]]])
+        args = (co, 0.0, np.zeros((2, 2)), [0.0], np.zeros((2, 2)), None, hess, np.zeros(2))
+        if ok:
+            assert np.all(np.isfinite(hamiltonian(*args)))
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                hamiltonian(*args)
+
     def test_nonfinite_rejected(self):
         co = make_coeffs(f=lambda t, x, u, y, z, k, nz: np.where(x[:, 0] > 0, 0.0, np.nan))
         with pytest.raises(NumericError, match="Hamiltonian"):
@@ -673,7 +687,8 @@ def test_step_matrix_has_no_negative_off_diagonal():
 
 
 def test_value_solvers_load_no_scipy():
-    """The value solvers, the weak HJB solver among them, stay on numpy.
+    """The value solvers, the weak HJB solver among them, and the Monte
+    Carlo pricing path (``bsde.price`` on a stacked bank) stay on numpy.
 
     Importing ``scipy.sparse`` after numpy takes 0.15-0.18 s and adds
     about 22 MB to the peak resident memory of the process (three runs
@@ -681,7 +696,8 @@ def test_value_solvers_load_no_scipy():
     benchmark run, so the operators are plain numpy arrays.  Importing
     ``scipy.linalg`` takes 0.23-0.32 s and adds 28 MB (three runs, same
     VM), more than half the peak of a whole ``weak_hjb`` benchmark run,
-    so the weak solver's implicit steps are numpy inverses.
+    so the weak solver's implicit steps are numpy inverses, and the
+    node regressions' triangular solves are numpy solves.
     """
     code = (
         "import sys\n"
@@ -698,6 +714,11 @@ def test_value_solvers_load_no_scipy():
         "from jumphjb.galerkin import assemble_triple, solve_hjb_weak\n"
         "solve_hjb_weak(p.coeffs, assemble_triple(6.0, 1, 8), p.control_set, p.measure,\n"
         "               TimeGrid.uniform(p.horizon, 10))\n"
+        "from jumphjb.bsde import price\n"
+        "from jumphjb.drivers import draw_noise\n"
+        "from jumphjb.forward import ConstantControl\n"
+        "bank = draw_noise(TimeGrid.uniform(p.horizon, 5), p.coeffs.d, p.measure, 50, 1)\n"
+        "price(p.coeffs, [ConstantControl([0.0]), ConstantControl([0.3])], p.x0, bank)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -723,3 +744,21 @@ def test_default_grid_builds_once_per_control(family, monkeypatch):
         TimeGrid.uniform(p.horizon, p.n_steps), p.control_set, p.measure)
     n_u = p.control_set.n_atoms
     assert calls.count("_local_generator") == calls.count("_jump_shifts") == n_u
+
+
+def test_graded_grid_builds_once_per_control(monkeypatch):
+    # The generator and the jump shifts do not read dt, so the steps of a
+    # graded grid, which all differ, share one build per control, and
+    # the values still match the per-step stencils.
+    calls = []
+    build = pide._local_generator
+    monkeypatch.setattr(pide, "_local_generator",
+                        lambda *a: calls.append(a) or build(*a))
+    p = build_problem("smooth1d")
+    space = SpatialGrid([p.space_low], [p.space_high], (41,))
+    grid = TimeGrid(p.horizon * np.linspace(0.0, 1.0, 41) ** 1.2)
+    args = (p.coeffs, space, grid, p.control_set, p.measure)
+    sol = solve_pide_deterministic(*args)
+    assert len(calls) == p.control_set.n_atoms
+    V = reference_pide(*args)[0]
+    assert np.max(np.abs(sol.triplet.V - V)) <= 1e-12 * np.max(np.abs(V))
