@@ -264,10 +264,10 @@ def solve_bsde(coeffs: CoefficientSet, control, batch: ForwardBatch,
         # Martingale targets are centered by the Y-projection: same
         # conditional expectation, far lower variance, and exactly zero
         # for constant terminal data.  The increments (d + n_atoms, M)
-        # are the bank's, shared by the groups.
+        # are the bank's, shared by the groups, one contiguous row each.
         resid = (y_next - y_proj).reshape(C, M)
-        incr = np.concatenate([batch.dw[i], batch.jump_counts[i] - measure.weights * dt],
-                              axis=1).T
+        comp = batch.jump_counts[i] - measure.weights * dt
+        incr = np.concatenate([batch.dw[i].T, comp.T])
         preds = reg.predict(incr[:, None, :] * resid)
         diags.append({
             "basis_size": reg.basis_size,

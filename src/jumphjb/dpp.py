@@ -316,9 +316,10 @@ def backward_sweep(coeffs: CoefficientSet, control_set: ControlSet, space: Grid,
     operator that does not read dt serves every step of a graded grid.
     l(t, e) stays outside the operator, in the step's atom weights
     ``jump_w``.  ``step(t, dt, v_next, jump_w)`` returns the step's row:
-    ``row(op, u, sig)`` is one control's total at every point.  The minimum over U_h (lowest index on ties) goes to
-    ``advance(v_next, best, dt)``, which returns the new slice, flat like
-    ``v_next``; a non-finite slice raises NumericError.
+    ``row(op, u, sig)`` is one control's total at every point.  The
+    minimum over U_h (lowest index on ties) goes to ``advance(v_next,
+    best, dt)``, which returns the new slice, flat like ``v_next``; a
+    non-finite slice raises NumericError.
 
     Returns (values (N+1, *shape), argmin (N, *shape), the clamped
     coordinates of every operator use, as ``op.clamped`` counts them).

@@ -91,7 +91,8 @@ class TestNodeRegressionOracle:
         reg = NodeRegression(phi, 1e-20, groups=3)
         assert reg.ridge_fallback.tolist() == [False, False, True]
         cols = phi[1:].reshape(3, 3, self.M)
-        targets = np.stack([np.sin(phi[1]) + phi[2] * phi[3], rng.standard_normal(3 * self.M)])
+        targets = np.stack([np.sin(phi[1]) + phi[2] * phi[3],
+                            rng.standard_normal(3 * self.M)])
         fit = reg.predict(targets).reshape(2, 3, self.M)
         for c in range(3):
             t = targets.reshape(2, 3, self.M)[:, c].T
