@@ -138,7 +138,8 @@ class NodeRegression:
         rhs = np.matmul(self._work, (targets - mean).transpose(0, 2, 1))
         coefs = np.linalg.solve(self._factor.transpose(0, 2, 1),
                                 np.linalg.solve(self._factor, rhs))
-        fit = mean + np.matmul(coefs.transpose(0, 2, 1), self._work)
+        fit = np.matmul(coefs.transpose(0, 2, 1), self._work)
+        fit += mean
         return fit.transpose(1, 0, 2).reshape(-1, C * M)
 
 
