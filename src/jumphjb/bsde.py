@@ -102,6 +102,7 @@ class NodeRegression:
         cols = phi[1:].reshape(p - 1, groups, M).transpose(1, 0, 2)
         shift = cols.mean(axis=2)
         work = cols - shift[:, :, None]
+        # einsum, not matmul: work @ work^T runs BLAS syrk, twice as slow here.
         gram = np.einsum("cim,cjm->cij", work, work)
         scale = np.sqrt(np.diagonal(gram, axis1=1, axis2=2) / M)
         # A column that is constant up to rounding is the constant again:
