@@ -121,6 +121,17 @@ class Grid:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "shape", shape)
+        widths = (upper - lower) / (np.array(shape) - self.e)
+        axes = []
+        for lo, hi, w, s in zip(lower, upper, widths, shape):
+            axis = lo + w * (np.arange(s) + (1 - self.e) / 2)
+            if self.e:
+                axis[-1] = hi
+            axis.flags.writeable = False
+            axes.append(axis)
+        widths.flags.writeable = False
+        object.__setattr__(self, "_widths", widths)
+        object.__setattr__(self, "_axes", tuple(axes))
 
     @property
     def n(self) -> int:
@@ -128,18 +139,14 @@ class Grid:
 
     @property
     def widths(self) -> np.ndarray:
-        return (self.upper - self.lower) / (np.array(self.shape) - self.e)
+        """The point spacing on each axis, built once, read-only."""
+        return self._widths
 
-    def axes(self) -> list:
-        """Each axis's coordinates; on nodes the last one is ``upper``
-        itself, which makes the axis np.linspace bit for bit."""
-        axes = []
-        for lo, hi, w, s in zip(self.lower, self.upper, self.widths, self.shape):
-            axis = lo + w * (np.arange(s) + (1 - self.e) / 2)
-            if self.e:
-                axis[-1] = hi
-            axes.append(axis)
-        return axes
+    def axes(self) -> tuple:
+        """Each axis's coordinates, built once, read-only; on nodes the
+        last one is ``upper`` itself, which makes the axis np.linspace
+        bit for bit."""
+        return self._axes
 
     def nodes(self) -> np.ndarray:
         """All grid points, shape (n_points, n), C-order over the grid;
@@ -206,7 +213,7 @@ class Grid:
         idx = []
         for k, c in enumerate(self.axes()):
             i = np.round((points[:, k] - c[0]) / widths[k]).astype(int)
-            idx.append(np.clip(i, 0, c.size - 1))
+            idx.append(np.minimum(np.maximum(i, 0), c.size - 1))
         return tuple(idx)
 
     def gradient(self, values: np.ndarray) -> np.ndarray:

@@ -14,6 +14,12 @@ the start node as one Gaussian and one Poisson variate.  Row s is thus
 the same in a bank of any size.  A window bank draws only its own
 steps: it is not a slice of the full-horizon bank of the same seed.
 
+A bank stores each count in one byte (``np.uint8``), so its size
+estimate for :func:`check_batch_bytes` is 8 bytes per Brownian
+increment and 1 per count.  A block that draws more than ``COUNT_MAX``
+= 255 events for one (step, row, atom) raises :class:`ConfigError`
+naming the step and its rate w*dt; a count never wraps.
+
 :func:`write_csv` writes every CSV artifact of the package, each real
 as the shortest text that reads back bit for bit.
 """
@@ -49,6 +55,9 @@ MAX_BATCH_BYTES = 3.5e9
 # Rows per noise stream; part of the noise scheme, so changing it
 # changes which random numbers a seed produces.
 BLOCK_ROWS = 256
+
+# Largest event count a bank stores per (step, path, atom): one byte.
+COUNT_MAX = np.iinfo(np.uint8).max
 
 
 def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
@@ -321,7 +330,9 @@ class NoiseBank:
 
     Drawn once by :func:`draw_noise` and shared by every control priced
     on common random numbers.  ``dw`` is (N, M, d) and ``counts``
-    (N, M, n_atoms) with N = end_node - start_node; ``w_start`` (M, d)
+    (N, M, n_atoms) of ``np.uint8`` (at most ``COUNT_MAX`` events each;
+    a consumer promotes them before any arithmetic) with
+    N = end_node - start_node; ``w_start`` (M, d)
     and ``count_start`` (M,) are W and the event count at the start
     node.  The events are flat arrays ``event_step`` (relative to the
     start node), ``event_row``, ``event_atom`` and ``event_tau``, sorted
@@ -394,14 +405,14 @@ def draw_noise(grid: TimeGrid, d: int, measure: MarkMeasure, n_samples: int,
         raise ValueError("need 0 <= start_node < end_node <= n_steps")
     N = end_node - start_node
     n_atoms = measure.n_atoms
-    check_batch_bytes(8.0 * M * N * (d + n_atoms))
+    check_batch_bytes(M * N * (8.0 * d + n_atoms))
 
     t_lo, t_hi = grid.nodes[start_node:end_node], grid.nodes[start_node + 1:end_node + 1]
     dt = grid.dt[start_node:end_node]
     rates = dt[:, None] * measure.weights
     t0 = grid.nodes[start_node]
     dw = np.empty((N, M, d))
-    counts = np.empty((N, M, n_atoms), dtype=np.int64)
+    counts = np.empty((N, M, n_atoms), dtype=np.uint8)
     w_start = np.zeros((M, d))
     count_start = np.zeros(M, dtype=np.int64)
     events = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0),)]
@@ -414,9 +425,16 @@ def draw_noise(grid: TimeGrid, d: int, measure: MarkMeasure, n_samples: int,
         z[:B] *= np.sqrt(dt)[:, None]
         dw[:, lo:lo + B] = z[:B].transpose(1, 0, 2)
         c = streams[1].poisson(rates, (B, N, n_atoms))
+        hit = np.flatnonzero(c)
+        k = c.ravel()[hit]
+        if k.size and k.max() > COUNT_MAX:
+            _, i, a = np.unravel_index(hit[k.argmax()], c.shape)
+            raise ConfigError(
+                f"step {start_node + i} drew {k.max()} events of atom {a} at rate "
+                f"w*dt = {rates[i, a]:.6g}; a bank holds at most {COUNT_MAX} per "
+                "(step, path, atom): use more time steps")
         counts[:, lo:lo + B] = c.transpose(1, 0, 2)
-        hit = np.nonzero(c)
-        row, step, atom = (np.repeat(a, c[hit]) for a in hit)
+        row, step, atom = np.unravel_index(np.repeat(hit, k), c.shape)
         u = streams[2].random(row.size)
         tau = np.clip(t_lo[step] + (1.0 - u) * dt[step],
                       np.nextafter(t_lo[step], np.inf), t_hi[step])
@@ -428,7 +446,7 @@ def draw_noise(grid: TimeGrid, d: int, measure: MarkMeasure, n_samples: int,
     step, row, atom, tau = (np.concatenate(a) for a in zip(*events))
     order = np.lexsort((tau, row, step))
     return NoiseBank(grid, measure, M, seed, start_node, end_node,
-                     _readonly(dw), _readonly(counts, np.int64),
+                     _readonly(dw), _readonly(counts, np.uint8),
                      _readonly(w_start), _readonly(count_start, np.int64),
                      _readonly(step[order], np.int64), _readonly(row[order], np.int64),
                      _readonly(atom[order], np.int64), _readonly(tau[order]),

@@ -62,10 +62,10 @@ DIVERGENCE_GUARD = 1e8
 class Control:
     """Step-constant admissible control.
 
-    ``value_batch(i, t, x, noise)`` returns the control applied on step
-    i to the states ``x`` (B, n), chosen from the information available
-    at the left endpoint: one control (m,) for every row, or one per row
-    (B, m).
+    ``value_batch(i, t, x, noise)`` returns the control applied on grid
+    step i (counted from t_0, also in a batch on a later window) to the
+    states ``x`` (B, n), chosen from the information available at the
+    left endpoint: one control (m,) for every row, or one per row (B, m).
     """
 
     def value_batch(self, i: int, t: float, x, noise):
@@ -303,11 +303,12 @@ class ForwardBatch:
     Group c is rows c*M .. (c+1)*M - 1 of ``states`` (N+1, C*M, n) and
     ``sup_abs`` (C*M,), and its row c*M + s rides on bank row s.  The
     noise is the bank's, once for all groups: ``dw`` (N, M, d) and
-    ``jump_counts`` (N, M, n_atoms) are the bank's read-only arrays, not
-    copies, and ``noise`` (N+1, M, r) holds the channel values, or None
-    when the coefficient set is deterministic.  ``controls[i]`` is a
-    tuple with each group's control on step i, shape (m,) when
-    sample-independent else (M, m).
+    ``jump_counts`` (N, M, n_atoms) of ``np.uint8`` are the bank's
+    read-only arrays, not copies, and ``noise`` (N+1, M, r) holds the
+    channel values, or None when the coefficient set is deterministic;
+    every reader promotes the counts before any arithmetic.
+    ``controls[i]`` is a tuple with each group's control on step i of
+    the batch, shape (m,) when sample-independent else (M, m).
     """
 
     grid: TimeGrid
@@ -337,7 +338,7 @@ class ForwardBatch:
 def _batch_bytes(coeffs: CoefficientSet, measure: MarkMeasure, M: int, N: int,
                  groups: int) -> float:
     r = len(coeffs.randomness_channels)
-    return 8.0 * M * ((N + 1) * (groups * coeffs.n + r) + N * (coeffs.d + measure.n_atoms))
+    return M * (8.0 * ((N + 1) * (groups * coeffs.n + r) + N * coeffs.d) + N * measure.n_atoms)
 
 
 def check_batch(coeffs: CoefficientSet, measure: MarkMeasure, M: int, N: int,
@@ -345,7 +346,7 @@ def check_batch(coeffs: CoefficientSet, measure: MarkMeasure, M: int, N: int,
     """Refuse a batch of M paths over N steps before any of it is drawn.
 
     A stack of ``groups`` controls holds one state array per control and
-    the noise once.
+    the noise once; a real takes 8 bytes and a jump count 1.
     """
     check_batch_bytes(_batch_bytes(coeffs, measure, M, N, groups))
 
@@ -441,7 +442,7 @@ def simulate_batch(coeffs: CoefficientSet, control, x0, grid: TimeGrid,
         t_lo = grid.nodes[gi]
         dt = grid.dt[gi]
         own = None if noise_vals is None else NoiseState(float(t_lo), channels, noise_vals[i])
-        us = tuple(np.asarray(c.value_batch(i, t_lo, states[i, g], own), dtype=float)
+        us = tuple(np.asarray(c.value_batch(gi, t_lo, states[i, g], own), dtype=float)
                    for c, g in zip(controls, groups))
         steps.append(us)
         # The (C*M, m) control, the channel values and dw of every row

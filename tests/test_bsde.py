@@ -284,7 +284,7 @@ class TestReplicate:
         # bank-drawing pricers refuse before the first path is drawn.
         import jumphjb.drivers as drivers
         co = self.coeffs()
-        noise = 8.0 * 50 * 5 * 2
+        noise = 50 * 5 * (8.0 + 1)  # 8 bytes per increment, 1 per count
         monkeypatch.setattr(drivers, "MAX_BATCH_BYTES", noise + 8.0 * 50 * 3)
         drawn = []
         monkeypatch.setattr(bsde_module, "draw_noise",
@@ -306,7 +306,7 @@ class TestReplicate:
         controls = self.CONTROLS + [FeedbackControl(lambda t, x: -x)]
         whole = replicate(co, controls, [0.1], self.GRID, MEAS, 120, 9, n_rep=3,
                           start_node=1)
-        noise, states = 8.0 * 40 * 5 * 2, 8.0 * 40 * 6
+        noise, states = 40 * 5 * (8.0 + 1), 8.0 * 40 * 6
         stacks, drawn = [], []
         monkeypatch.setattr(bsde_module, "simulate_batch",
                             lambda *a, **kw: stacks.append(len(a[1])) or simulate_batch(*a, **kw))

@@ -242,6 +242,17 @@ class TestExitCodes:
         assert "config error: need horizon > 0" in capsys.readouterr().err
         assert not (out / "failure_diagnostic.json").exists()
 
+    def test_count_above_a_byte_is_config_error(self, tmp_path, capsys):
+        # One step at w*dt = 1000 draws far more than 255 events.
+        cfg = write_cfg(tmp_path / "c.json", {
+            "seed": 1, "problem": {"name": "smooth1d", "params": {"jump_weight": 1000.0,
+                                                                  "horizon": 1.0}},
+            "simulate": {"n_steps": 1}})
+        out = tmp_path / "o"
+        assert run_cli(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: step 0 drew" in capsys.readouterr().err
+        assert not (out / "failure_diagnostic.json").exists()
+
     @pytest.mark.parametrize("key, bad", [
         ("horizon", "x"), ("x0", "a"), ("sigma", "a"), ("n_controls", 0),
         ("jump_weight", -1), ("n_controls", 2.7), ("n_controls", "2"), ("horizon", True),

@@ -225,6 +225,21 @@ class TestNoiseBankInvariants:
             with pytest.raises(ValueError):
                 getattr(bank, name)[...] = 0
 
+    def test_counts_take_one_byte_and_never_wrap(self):
+        # w*dt = 150: counts above the int8 range, far below 255.
+        grid = TimeGrid.uniform(1.0, 2)
+        bank = draw_noise(grid, 1, MarkMeasure.from_atoms([((1.0,), 300.0)]), 300, 4)
+        assert bank.counts.dtype == np.uint8 and bank.counts.max() > 127
+        assert int(bank.counts.sum(dtype=np.int64)) == bank.event_step.size
+
+    @pytest.mark.parametrize("start", [0, 2])
+    def test_count_above_a_byte_is_refused(self, start):
+        # w*dt = 1000 on atom 1: about 1000 events per path and step.
+        heavy = MarkMeasure.from_atoms([((1.0,), 0.5), ((2.0,), 1000.0)])
+        with pytest.raises(ConfigError,
+                           match=rf"step {start} drew \d+ events of atom 1 at rate w\*dt = 1000;"):
+            draw_noise(TimeGrid.uniform(4.0, 4), 1, heavy, 3, 0, start)
+
     def test_path_is_row_of_full_horizon_bank(self):
         grid = TimeGrid.uniform(1.0, 6)
         bank = draw_noise(grid, 2, BANK_MEASURE, 300, 8)

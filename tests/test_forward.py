@@ -3,7 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from jumphjb.coefficients import CoefficientSet
+from jumphjb import drivers
+from jumphjb.bsde import solve_bsde
+from jumphjb.coefficients import CoefficientSet, ControlSet
+from jumphjb.dpp import FeedbackPolicy, Lattice
 from jumphjb.drivers import (
     DriverPath,
     MarkMeasure,
@@ -16,6 +19,7 @@ from jumphjb.forward import (
     ConstantControl,
     FeedbackControl,
     OpenLoopControl,
+    check_batch,
     flow_property_residual,
     moment_check,
     simulate,
@@ -249,6 +253,73 @@ class TestNoiseBank:
     def test_size_guard_allocates_nothing(self):
         with pytest.raises(MemoryError, match="batch would need"):
             draw_noise(TimeGrid.uniform(1.0, 1000), 1, MEAS, 10 ** 9, 0)
+
+    def test_byte_counts_give_the_bits_of_int64_counts(self, prob):
+        # The J channel of simulate_batch and comp in solve_bsde promote
+        # the counts before any arithmetic, so an int64 copy of the bank
+        # gives the same states, channel values and (Y, Z, K) bit for bit.
+        bank = self.draw(prob)
+        wide = dataclasses.replace(bank, counts=bank.counts.astype(np.int64))
+        assert bank.counts.dtype == np.uint8 and bank.counts.sum() > 0
+        batches = [self.simulate(prob, U0, noise=b) for b in (bank, wide)]
+        sols = [solve_bsde(prob.coeffs, U0, b) for b in batches]
+        for name in ("states", "noise"):
+            a, b = (getattr(batch, name) for batch in batches)
+            assert a.tobytes() == b.tobytes(), name
+        for name in ("Y", "Z", "K", "y0s", "terminal"):
+            a, b = (getattr(sol, name) for sol in sols)
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_size_guard_counts_one_byte_per_count(self, prob, monkeypatch):
+        # 8 bytes per state, channel value and Brownian increment, 1 per
+        # jump count: the cap at exactly that many bytes holds the batch,
+        # one byte less refuses it.
+        co, M, N = prob.coeffs, 1000, 50
+        r, n_atoms = len(co.randomness_channels), prob.measure.n_atoms
+        need = 8 * M * ((N + 1) * (2 * co.n + r) + N * co.d) + M * N * n_atoms
+        monkeypatch.setattr(drivers, "MAX_BATCH_BYTES", need)
+        check_batch(co, prob.measure, M, N, groups=2)
+        monkeypatch.setattr(drivers, "MAX_BATCH_BYTES", need - 1)
+        with pytest.raises(MemoryError, match="batch would need"):
+            check_batch(co, prob.measure, M, N, groups=2)
+
+
+class TestWindowControls:
+    """A batch on steps [4, 8) applies the controls of grid steps 4..7."""
+
+    GRID = TimeGrid.uniform(1.0, 8)
+    START, M, SEED = 4, 30, 3
+    CO = make_coeffs(b=lambda t, x, u, nz: u + 0.0 * x,
+                     sigma=lambda t, x, u, nz: 0.3 * np.ones(x.shape + (1,)))
+
+    def check(self, control, expected):
+        meas = MarkMeasure.empty()
+        bank = draw_noise(self.GRID, 1, meas, self.M, self.SEED, self.START)
+        batch = simulate_batch(self.CO, control, [0.1], self.GRID, meas, self.M,
+                               self.SEED, self.START, noise=bank)
+        for k, (u,) in enumerate(batch.controls):
+            np.testing.assert_array_equal(np.broadcast_to(u, (self.M, 1))[:, 0],
+                                          expected(self.START + k, batch.states[k]))
+        # The per-path reference on the same increments, placed at
+        # steps 4..7 of a full-horizon path.
+        for s in (0, 11, 29):
+            dw = np.concatenate([np.zeros((self.START, 1)), bank.dw[:, s]])
+            path = DriverPath(self.GRID, meas, dw, np.zeros(0), np.zeros(0, int))
+            tr = simulate(self.CO, control, [0.1], path, start_node=self.START)
+            nodes = [tr.state_at_node(i) for i in range(self.START, 9)]
+            np.testing.assert_allclose(nodes, batch.states[:, s], rtol=0, atol=1e-14)
+
+    def test_open_loop_control(self):
+        values = np.linspace(-0.6, 0.6, 8)[:, None]
+        self.check(OpenLoopControl(values), lambda i, x: np.full(self.M, values[i, 0]))
+
+    def test_feedback_policy(self):
+        # Slice i applies atom i % 3 everywhere, so slices i and i + 4
+        # differ.
+        atoms = ControlSet(np.array([[-0.5], [0.0], [0.5]]), [-1.0], [1.0])
+        table = np.repeat(np.arange(8)[:, None] % 3, 6, axis=1)
+        policy = FeedbackPolicy(Lattice([-2.0], [2.0], (6,)), self.GRID, atoms, table)
+        self.check(policy, lambda i, x: np.full(self.M, atoms.atoms[i % 3, 0]))
 
 
 class TestFlowGradient:
