@@ -97,7 +97,8 @@ class Grid:
     subclass: 0 on the cell centers (:class:`Lattice`), 1 on the nodes,
     box ends included (:class:`~jumphjb.pide.SpatialGrid`).  Off-grid
     points clamp to the boundary in :meth:`interpolate` and
-    :meth:`nearest`.
+    :meth:`nearest`.  The box, the widths and the axes are the grid's
+    own read-only arrays, built once.
     """
 
     lower: np.ndarray
@@ -107,8 +108,8 @@ class Grid:
     __eq__ = fields_equal
 
     def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        lower = np.array(self.lower, dtype=float, ndmin=1)
+        upper = np.array(self.upper, dtype=float, ndmin=1)
         counts = np.atleast_1d(self.shape)
         if counts.dtype.kind not in "iu":
             raise ConfigError(f"grid point counts must be integers, got {self.shape!r}")
@@ -129,7 +130,8 @@ class Grid:
                 axis[-1] = hi
             axis.flags.writeable = False
             axes.append(axis)
-        widths.flags.writeable = False
+        for a in (lower, upper, widths):
+            a.flags.writeable = False
         object.__setattr__(self, "_widths", widths)
         object.__setattr__(self, "_axes", tuple(axes))
 

@@ -203,8 +203,17 @@ def test_value_classes_of_different_types_are_unequal():
 @pytest.mark.parametrize("kind", [Lattice, SpatialGrid])
 def test_nodes_are_built_once_and_read_only(kind):
     # One node array per grid, shared by every caller, so no caller can
-    # change what another reads; a refined grid builds its own.
-    grid = kind([-1.0, 0.0], [1.0, 2.0], (4, 3))
+    # change what another reads; a refined grid builds its own.  The
+    # same holds for the axes and widths, and the box is the grid's own
+    # copy, so they cannot drift apart.
+    lower = np.array([-1.0, 0.0])
+    grid = kind(lower, [1.0, 2.0], (4, 3))
+    lower[0] = 5.0
+    assert grid.lower[0] == -1.0
+    assert grid.axes() is grid.axes() and grid.widths is grid.widths
+    for a in (*grid.axes(), grid.widths, grid.lower, grid.upper):
+        with pytest.raises(ValueError):
+            a[0] = 5.0
     nodes = grid.nodes()
     assert grid.nodes() is nodes and not nodes.flags.writeable
     mesh = np.meshgrid(*grid.axes(), indexing="ij")
