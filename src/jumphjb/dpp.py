@@ -116,13 +116,16 @@ class Grid:
         shape = tuple(int(s) for s in counts)
         if lower.size != upper.size or lower.size != len(shape):
             raise ConfigError("grid box and shape dimensions disagree")
-        if np.any(lower >= upper) or any(s < 1 + self.e for s in shape):
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = upper - lower
+        # A non-finite end or an overflowing width makes the span non-finite.
+        if not np.all(np.isfinite(span) & (span > 0)) or any(s < 1 + self.e for s in shape):
             raise ConfigError(
-                f"grid box must be nonempty with >= {1 + self.e} points per dim")
+                f"grid box must be finite and nonempty with >= {1 + self.e} points per dim")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "shape", shape)
-        widths = (upper - lower) / (np.array(shape) - self.e)
+        widths = span / (np.array(shape) - self.e)
         axes = []
         for lo, hi, w, s in zip(lower, upper, widths, shape):
             axis = lo + w * (np.arange(s) + (1 - self.e) / 2)

@@ -424,7 +424,11 @@ def draw_noise(grid: TimeGrid, d: int, measure: MarkMeasure, n_samples: int,
         streams[0].standard_normal(out=z[:B])
         z[:B] *= np.sqrt(dt)[:, None]
         dw[:, lo:lo + B] = z[:B].transpose(1, 0, 2)
-        c = streams[1].poisson(rates, (B, N, n_atoms))
+        try:
+            c = streams[1].poisson(rates, (B, N, n_atoms))
+        except ValueError:  # numpy refuses a rate near 2**63
+            raise ConfigError(f"a jump rate w*dt = {rates.max():.6g} is too large to draw: "
+                              "use more time steps") from None
         hit = np.flatnonzero(c)
         k = c.ravel()[hit]
         if k.size and k.max() > COUNT_MAX:

@@ -1,9 +1,13 @@
-"""Named benchmark problems addressable from CLI configs.
+"""Named benchmark problems addressable from CLI configs, and the one
+config reader.
 
-Each family builds a coefficient set, mark measure, control grid and
-solver defaults from a parameter dict; unknown parameters are rejected
-so config typos fail loudly.  All built-in coefficients follow the
-batch convention of :mod:`jumphjb.coefficients`.
+:class:`Section` reads one JSON object of a config (a CLI section, the
+top level, a ``control`` object or ``problem.params``) key by key, each
+with the reader of its kind, and then refuses every key that no reader
+took, so config typos fail loudly.  Each family builds a coefficient
+set, mark measure, control grid and solver defaults from its params,
+read through a Section.  All built-in coefficients follow the batch
+convention of :mod:`jumphjb.coefficients`.
 """
 
 from __future__ import annotations
@@ -15,8 +19,130 @@ import numpy as np
 from .coefficients import CoefficientSet, ControlSet
 from .drivers import MarkMeasure
 from .errors import ConfigError
+from .forward import ConstantControl, OpenLoopControl
 
-__all__ = ["Problem", "build_problem", "PROBLEM_NAMES"]
+__all__ = ["Problem", "Section", "build_problem", "PROBLEM_NAMES"]
+
+
+def _finite(val) -> bool:
+    """Whether ``val`` is a finite real number and not a bool."""
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and abs(val) <= np.finfo(float).max)
+
+
+def _real_list(val, length=None) -> bool:
+    """Whether ``val`` is a list of ``length`` finite reals (at least one when None)."""
+    return (isinstance(val, (list, tuple)) and all(map(_finite, val))
+            and (len(val) == length if length else len(val) > 0))
+
+
+class Section:
+    """One JSON object of a config, named ``path`` in messages.
+
+    Each reader takes a key and its default, checks the value, records
+    the key and returns the value; a bad value is a :class:`ConfigError`
+    naming ``path.key``.  :meth:`done` then refuses every unread key.
+    """
+
+    def __init__(self, obj, path: str):
+        if not isinstance(obj, dict):
+            raise ConfigError("expected an object", path)
+        self.obj, self.path, self.read = obj, path, set()
+
+    def _get(self, key: str, default):
+        self.read.add(key)
+        return self.obj.get(key, default)
+
+    def _fail(self, key: str, msg: str):
+        raise ConfigError(msg, f"{self.path}.{key}")
+
+    def count(self, key: str, default, low: int = 1, high: int = 2 ** 63) -> int:
+        """An integer in [low, high), not a bool."""
+        val = self._get(key, default)
+        if isinstance(val, bool) or not isinstance(val, int) or not low <= val < high:
+            self._fail(key, f"expected an integer in [{low}, {high})")
+        return val
+
+    def real(self, key: str, default, low=-np.inf, strict: bool = True) -> float:
+        """A finite real, not a bool, above ``low`` (or at it unless
+        ``strict``)."""
+        val = self._get(key, default)
+        if not (_finite(val) and (low < val if strict else low <= val)):
+            bound = f" {'>' if strict else '>='} {low}" if low > -np.inf else ""
+            self._fail(key, f"expected a finite real number{bound}")
+        return float(val)
+
+    def reals(self, key: str, default, length=None, rows=None) -> np.ndarray:
+        """A list of ``length`` finite reals (of at least one when None),
+        or with ``rows``, a list of ``rows`` such lists."""
+        val = self._get(key, default)
+        table = [val] if rows is None else val
+        if not (isinstance(table, list) and len(table) == (rows or 1)
+                and all(_real_list(row, length) for row in table)):
+            rows_of = f"a list of {rows} rows, each " if rows else ""
+            self._fail(key, f"expected {rows_of}a list of {length or 'one or more'} finite reals")
+        return np.array(val, dtype=float)
+
+    def flag(self, key: str, default: bool) -> bool:
+        """True or false."""
+        val = self._get(key, default)
+        if not isinstance(val, bool):
+            self._fail(key, "expected true or false")
+        return val
+
+    def text(self, key: str, default, choices: tuple = ()) -> str:
+        """A string, one of ``choices`` when they are given."""
+        val = self._get(key, default)
+        if not isinstance(val, str) or choices and val not in choices:
+            self._fail(key, f"expected one of {', '.join(choices)}" if choices
+                       else "expected a string")
+        return val
+
+    def section(self, key: str, default=None) -> "Section":
+        """The object at ``key`` ({} when absent) as a Section; a config
+        section, a key of the top level, is named by its key alone."""
+        return Section(self._get(key, {} if default is None else default),
+                       key if self.path == "config" else f"{self.path}.{key}")
+
+    def grid(self, kind, key: str, default, box, box_key: str = "box"):
+        """A one-dimensional ``kind`` grid of ``key`` points over the box
+        ``box_key``; a bad one is a config error naming the section."""
+        count, box = self._get(key, default), self._get(box_key, box)
+        if isinstance(count, bool) or not isinstance(count, int) or not _real_list(box, 2):
+            raise ConfigError(f"expected an integer {key} and a list of 2 finite reals "
+                              f"{box_key}", self.path)
+        try:
+            return kind([box[0]], [box[1]], (count,))
+        except ValueError as exc:
+            raise ConfigError(str(exc), self.path) from None
+
+    def control(self, m: int, n_steps: int):
+        """The ``control`` object: ``{"type": "constant", "value": m
+        reals}`` or ``{"type": "openloop", "values": n_steps rows of m
+        reals}``; the zero control when absent."""
+        ctl = self.section("control", {"type": "constant", "value": [0.0] * m})
+        if ctl.text("type", None, ("constant", "openloop")) == "constant":
+            control = ConstantControl(ctl.reals("value", None, m))
+        else:
+            control = OpenLoopControl(ctl.reals("values", None, m, rows=n_steps))
+        ctl.done()
+        return control
+
+    def values(self, defaults: dict) -> dict:
+        """Every key of ``defaults``, each read by the reader that its
+        default's kind picks: :meth:`count` for an int, :meth:`real` for
+        a float, :meth:`reals` for a tuple; then :meth:`done`."""
+        readers = {int: self.count, float: self.real, tuple: self.reals}
+        vals = {key: readers[type(d)](key, d) for key, d in defaults.items()}
+        self.done()
+        return vals
+
+    def done(self, *known: str):
+        """Refuse the first key, in sorted order, that no reader took and
+        ``known`` does not name."""
+        allowed = self.read | set(known)
+        for key in sorted(set(self.obj) - allowed, key=str):
+            self._fail(key, f"unknown key; this run reads {', '.join(sorted(allowed))}")
 
 
 @dataclass
@@ -37,26 +163,7 @@ class Problem:
     params: dict = field(default_factory=dict)
 
 
-def _fits(value, default) -> bool:
-    """Whether an override has its default's kind: an integer, a finite
-    real (an integer too) or a list of finite reals, and never a bool."""
-    if isinstance(default, tuple):
-        return isinstance(value, (list, tuple)) and all(_fits(v, 0.0) for v in value)
-    return (isinstance(value, int if isinstance(default, int) else (int, float))
-            and not isinstance(value, bool) and -np.inf < value < np.inf)
-
-
-def _take(params: dict, defaults: dict) -> dict:
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise ValueError(f"unknown parameters {sorted(unknown)}")
-    for key, value in params.items():
-        if not _fits(value, defaults[key]):
-            raise ValueError(f"{key}: expected the kind of its default {defaults[key]!r}")
-    return {**defaults, **params}
-
-
-def _smooth1d(params: dict) -> Problem:
+def _smooth1d(params: Section) -> Problem:
     """Bounded smooth drift, constant 2-channel diffusion, one jump atom.
 
     The running cost and terminal decay at infinity, so the same
@@ -64,7 +171,7 @@ def _smooth1d(params: dict) -> Problem:
     sine-basis Galerkin solver, and their values can be cross-checked
     on the interior.
     """
-    p = _take(params, {
+    p = params.values({
         "drift_scale": 0.4,
         "sigma": (0.4, 0.1),
         "jump_size": 0.25,
@@ -101,17 +208,16 @@ def _smooth1d(params: dict) -> Problem:
                    np.array([p["x0"]]), float(p["horizon"]), params=p)
 
 
-def _zero(params: dict) -> Problem:
-    p = _take(params, {"h_const": 1.0, "horizon": 1.0, "x0": 0.0,
+def _zero(params: Section) -> Problem:
+    p = params.values({"h_const": 1.0, "horizon": 1.0, "x0": 0.0,
                        "jump_weight": 0.5})
-    hc = float(p["h_const"])
     coeffs = CoefficientSet(
         n=1, d=1, m=1,
         b=lambda t, x, u, nz: np.zeros_like(x),
         sigma=lambda t, x, u, nz: np.zeros(x.shape + (1,)),
         g=lambda t, e, x, u, nz: np.zeros_like(x),
         f=lambda t, x, u, y, z, k, nz: np.zeros(np.shape(y)),
-        h=lambda x, nz: hc * np.ones(x.shape[0]),
+        h=lambda x, nz: p["h_const"] * np.ones(x.shape[0]),
         l=lambda t, e: 1.0,
         rho=np.array([0.0]))
     measure = MarkMeasure.from_atoms([((1.0,), p["jump_weight"])])
@@ -120,16 +226,15 @@ def _zero(params: dict) -> Problem:
                    space_nodes=41, lattice_cells=40, n_steps=20, params=p)
 
 
-def _exp_decay(params: dict) -> Problem:
+def _exp_decay(params: Section) -> Problem:
     """Scalar closed form: f = -r y, h = 1, so Y(t) = exp(-r (T - t))."""
-    p = _take(params, {"rate": 0.1, "horizon": 1.0, "x0": 0.0})
-    r = float(p["rate"])
+    p = params.values({"rate": 0.1, "horizon": 1.0, "x0": 0.0})
     coeffs = CoefficientSet(
         n=1, d=1, m=1,
         b=lambda t, x, u, nz: np.zeros_like(x),
         sigma=lambda t, x, u, nz: np.zeros(x.shape + (1,)),
         g=lambda t, e, x, u, nz: np.zeros_like(x),
-        f=lambda t, x, u, y, z, k, nz: -r * y,
+        f=lambda t, x, u, y, z, k, nz: -p["rate"] * y,
         h=lambda x, nz: np.ones(x.shape[0]),
         l=lambda t, e: 1.0)
     return Problem("exp_decay", coeffs, MarkMeasure.empty(),
@@ -138,9 +243,9 @@ def _exp_decay(params: dict) -> Problem:
                    n_steps=100, params=p)
 
 
-def _linear1d(params: dict) -> Problem:
+def _linear1d(params: Section) -> Problem:
     """Affine coefficients with declared constants, for the validators."""
-    p = _take(params, {
+    p = params.values({
         "b_x": 0.5, "b_u": 1.0, "sigma0": 0.3, "g_x": 0.2,
         "jump_weight": 1.0, "horizon": 1.0, "x0": 0.5,
         "lipschitz_C": 1.6, "rho": 0.25, "delta": 0.5,
@@ -163,11 +268,10 @@ def _linear1d(params: dict) -> Problem:
                    space_nodes=81, lattice_cells=80, n_steps=50, params=p)
 
 
-def _random_terminal(params: dict) -> Problem:
+def _random_terminal(params: Section) -> Problem:
     """smooth1d dynamics with a terminal cost reading the W_d channel."""
-    p = _take(params, {"noise_gain": 0.3, "horizon": 0.5, "x0": 0.0,
+    p = params.values({"noise_gain": 0.3, "horizon": 0.5, "x0": 0.0,
                        "jump_weight": 0.3})
-    gain = float(p["noise_gain"])
     coeffs = CoefficientSet(
         n=1, d=2, m=1,
         b=lambda t, x, u, nz: 0.4 * np.tanh(x) + u[:, 0:1],
@@ -176,7 +280,7 @@ def _random_terminal(params: dict) -> Problem:
         g=lambda t, e, x, u, nz: 0.2 * np.ones_like(x),
         f=lambda t, x, u, y, z, k, nz: 0.1 * y + 0.05 * k,
         h=lambda x, nz: np.exp(-x[..., 0] ** 2)
-        * (1.0 + gain * (nz.values[..., 0] if nz is not None else 0.0)),
+        * (1.0 + p["noise_gain"] * (nz.values[..., 0] if nz is not None else 0.0)),
         l=lambda t, e: 1.0,
         rho=np.array([0.0]),
         randomness_channels=("W2",))
@@ -198,11 +302,15 @@ _FAMILIES = {
 PROBLEM_NAMES = tuple(sorted(_FAMILIES))
 
 
-def build_problem(name: str, params: dict | None = None) -> Problem:
+def build_problem(name: str, params: dict | Section | None = None) -> Problem:
+    """The family ``name`` with ``params`` overriding its defaults: a dict,
+    or a config's ``problem.params`` Section."""
     if name not in _FAMILIES:
         raise ConfigError(f"unknown problem {name!r}; available: "
                           f"{', '.join(PROBLEM_NAMES)}", field="problem.name")
     try:
-        return _FAMILIES[name](dict(params or {}))
+        if not isinstance(params, Section):
+            params = Section(params or {}, "problem.params")
+        return _FAMILIES[name](params)
     except ValueError as exc:
         raise ConfigError(str(exc), field=f"problem.params ({name})") from exc

@@ -95,6 +95,23 @@ def test_criterion_02_dpp_residual_refinement():
              f"ratios {['%.2f' % r for r in ratios]}")
 
 
+def test_criterion_02_dpp_residual_refinement_seeds():
+    # Multi-seed companion of criterion 02, which stays pinned at seed 11.
+    # The four tables do not depend on the seed, so they are built once.
+    # Gate, fixed before the first run: at every seed 1..10, each of the
+    # three ratios of successive residuals is >= 1.3.
+    prob = build_problem("smooth1d")
+    tables = [compute_value_table(prob.coeffs, prob.control_set,
+                                  Lattice([-3.0], [3.0], (40 * 2 ** lvl,)),
+                                  TimeGrid.uniform(prob.horizon, 8 * 2 ** lvl), prob.measure)
+              for lvl in range(4)]
+    for seed in range(1, 11):
+        residuals = [dpp_residual(prob.coeffs, prob.control_set, table, prob.measure,
+                                  0, prob.x0, 1, 40000, seed) for table in tables]
+        ratios = [residuals[i] / residuals[i + 1] for i in range(3)]
+        assert all(r >= 1.3 for r in ratios), (seed, residuals, ratios)
+
+
 def test_criterion_03_comparison_principle():
     meas = MarkMeasure.from_atoms([((1.0,), 1.0)])
     co_f0 = make_coeffs(

@@ -165,6 +165,10 @@ class TestExitCodes:
         ("convergence", "convergence", {"study": "dpp_residual", "base_cells": 0}),
         ("value", "value", {"cells": 12.7}),
         ("pide", "pide", {"nodes": 41.5}),
+        ("value", "value", {"box": [float("nan"), 1.0]}),
+        ("value", "value", {"box": [float("-inf"), 1.0]}),
+        ("dpp-check", "dpp_check", {"box": [-1e308, 1e308]}),
+        ("pide", "pide", {"box": [-3.0, float("nan")]}),
     ])
     def test_bad_grid_is_config_error(self, tmp_path, capsys, sub, section, bad):
         cfg = write_cfg(tmp_path / "c.json", {

@@ -240,6 +240,12 @@ class TestNoiseBankInvariants:
                            match=rf"step {start} drew \d+ events of atom 1 at rate w\*dt = 1000;"):
             draw_noise(TimeGrid.uniform(4.0, 4), 1, heavy, 3, 0, start)
 
+    def test_rate_numpy_cannot_draw_is_refused(self):
+        # numpy's Poisson sampler refuses a rate near 2**63 with a ValueError.
+        huge = MarkMeasure.from_atoms([((1.0,), 1e21)])
+        with pytest.raises(ConfigError, match=r"w\*dt = 2.5e\+20 is too large to draw"):
+            draw_noise(TimeGrid.uniform(1.0, 4), 1, huge, 3, 0)
+
     def test_path_is_row_of_full_horizon_bank(self):
         grid = TimeGrid.uniform(1.0, 6)
         bank = draw_noise(grid, 2, BANK_MEASURE, 300, 8)

@@ -687,8 +687,10 @@ def test_step_matrix_has_no_negative_off_diagonal():
 
 
 def test_value_solvers_load_no_scipy():
-    """The value solvers, the weak HJB solver among them, and the Monte
-    Carlo pricing path (``bsde.price`` on a stacked bank) stay on numpy.
+    """The value solvers, the weak HJB solver among them, the Monte
+    Carlo pricing path (``bsde.price`` on a stacked bank) and a CLI run,
+    whose manifest reads scipy's version from the package metadata, stay
+    on numpy.
 
     Importing ``scipy.sparse`` after numpy takes 0.15-0.18 s and adds
     about 22 MB to the peak resident memory of the process (three runs
@@ -700,7 +702,7 @@ def test_value_solvers_load_no_scipy():
     node regressions' triangular solves are numpy solves.
     """
     code = (
-        "import sys\n"
+        "import os, sys\n"
         "from jumphjb.problems import build_problem\n"
         "from jumphjb.dpp import Lattice, compute_value_table\n"
         "from jumphjb.drivers import TimeGrid\n"
@@ -719,6 +721,14 @@ def test_value_solvers_load_no_scipy():
         "from jumphjb.forward import ConstantControl\n"
         "bank = draw_noise(TimeGrid.uniform(p.horizon, 5), p.coeffs.d, p.measure, 50, 1)\n"
         "price(p.coeffs, [ConstantControl([0.0]), ConstantControl([0.3])], p.x0, bank)\n"
+        "import json, tempfile\n"
+        "from jumphjb.cli import main\n"
+        "with tempfile.TemporaryDirectory() as d:\n"
+        "    c = os.path.join(d, 'c.json')\n"
+        "    with open(c, 'w') as f:\n"
+        "        json.dump({'seed': 1, 'problem': {'name': 'exp_decay'},\n"
+        "                   'pide': {'nodes': 41, 'n_steps': 40}}, f)\n"
+        "    assert main(['pide', '--config', c, '--out', d]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
