@@ -52,10 +52,6 @@ BAD_IDS = ["str", "-1", "0", "2.7", "true", "null", "list", "object", "1e9", "1e
            "nan"]
 
 
-def section_name(sub):
-    return sub.replace("-", "_")
-
-
 def configs():
     """(subcommand, config) for every subcommand and study."""
     for sub in RUNNERS:
@@ -68,7 +64,7 @@ def key_paths(sub, cfg):
     """Every key path that ``sub`` reads in ``cfg``: its own section (and
     ``pide`` for verify), their control objects, and on ``simulate`` the
     top level, ``problem`` and ``problem.params``."""
-    names = [section_name(sub)] + (["pide"] if sub == "verify" else [])
+    names = [sub.replace("-", "_")] + (["pide"] if sub == "verify" else [])
     for name in names:
         for key, val in cfg[name].items():
             yield (name, key)
