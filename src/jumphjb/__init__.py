@@ -23,7 +23,6 @@ from .drivers import (
     DriverPath,
     MarkMeasure,
     TimeGrid,
-    compensated_integral,
     draw_noise,
     sample_driver_path,
 )

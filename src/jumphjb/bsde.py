@@ -18,7 +18,6 @@ the compensated measure.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
@@ -29,7 +28,7 @@ from .coefficients import CoefficientSet
 from .errors import NumericError
 from .forward import (Control, ForwardBatch, as_controls, check_batch, simulate_batch,
                       stack_controls, stack_size)
-from .drivers import MarkMeasure, NoiseBank, TimeGrid, child_seed, draw_noise, write_csv
+from .drivers import MarkMeasure, NoiseBank, TimeGrid, child_seed, draw_noise
 
 __all__ = [
     "PolynomialBasis",
@@ -187,26 +186,6 @@ class BsdeSolution:
             },
         }
 
-    def summary_json(self) -> str:
-        return json.dumps(self.summary(), sort_keys=True)
-
-    def to_csv(self, path) -> None:
-        """Full long-format dump: one row per (node, sample).
-
-        Needs the per-sample arrays (``keep_paths=True``); size is
-        (N+1) x M rows, so keep batches at desk scale before dumping.
-        """
-        if self.Y is None:
-            raise ValueError("solution was computed with keep_paths=False")
-        N, M = self.Y.shape[0] - 1, self.Y.shape[1]
-        Z, K = (np.concatenate([a[:N], np.zeros_like(a[:1])]).reshape(-1, a.shape[2])
-                for a in (self.Z, self.K))
-        reals = np.column_stack([np.repeat(self.grid.nodes[:N + 1], M),
-                                 self.Y.reshape(-1), Z, K]).tolist()
-        write_csv(path, ["node", "t", "sample", "Y"] + [f"Z_{c+1}" for c in range(Z.shape[1])]
-                  + [f"K_{j+1}" for j in range(K.shape[1])],
-                  [[r // M, row[0], r % M] + row[1:] for r, row in enumerate(reals)])
-
 
 def solve_bsde(coeffs: CoefficientSet, control, batch: ForwardBatch,
                basis: PolynomialBasis | None = None, *,
@@ -311,7 +290,7 @@ def solve_bsde(coeffs: CoefficientSet, control, batch: ForwardBatch,
 
 
 def price(coeffs: CoefficientSet, controls, x, bank: NoiseBank, *,
-          terminal=None, basis: PolynomialBasis | None = None) -> np.ndarray:
+          terminal=None) -> np.ndarray:
     """Costs J(t, x; u) = Y(t) of ``controls`` on the paths of ``bank``, (C,).
 
     The one path from controls to Monte Carlo costs; the bank fixes
@@ -322,7 +301,7 @@ def price(coeffs: CoefficientSet, controls, x, bank: NoiseBank, *,
     consecutive controls per stack as fit under the batch cap, so entry
     k equals ``price(..., [controls[k]], ...)`` bit for bit.
     ``terminal`` maps the end states (rows, n) to values (rows,); None
-    means h.
+    means h.  The regressions use the default :class:`PolynomialBasis`.
     """
     controls = as_controls(controls)
     M = bank.n_samples
@@ -334,14 +313,14 @@ def price(coeffs: CoefficientSet, controls, x, bank: NoiseBank, *,
         batch = simulate_batch(coeffs, stack, x, bank.grid, bank.measure, M, bank.seed,
                                bank.start_node, bank.end_node, noise=bank)
         values = None if terminal is None else terminal(batch.states[-1])
-        costs.extend(solve_bsde(coeffs, stack, batch, basis, terminal_values=values,
+        costs.extend(solve_bsde(coeffs, stack, batch, terminal_values=values,
                                 keep_paths=False).y0s)
     return np.array(costs)
 
 
 def replicate(coeffs: CoefficientSet, controls, x, grid: TimeGrid,
               measure: MarkMeasure, n_samples: int, seed, *, n_rep: int = 4,
-              start_node: int = 0, basis: PolynomialBasis | None = None) -> np.ndarray:
+              start_node: int = 0) -> np.ndarray:
     """Costs (n_rep, len(controls)) over independent replications.
 
     Replication r draws one bank of max(n_samples // n_rep, 2) paths
@@ -357,7 +336,7 @@ def replicate(coeffs: CoefficientSet, controls, x, grid: TimeGrid,
     out = np.empty((n_rep, len(controls)))
     for r in range(n_rep):
         bank = draw_noise(grid, coeffs.d, measure, m, child_seed(seed, r), start_node)
-        out[r] = price(coeffs, controls, x, bank, basis=basis)
+        out[r] = price(coeffs, controls, x, bank)
         del bank
     return out
 
@@ -369,8 +348,7 @@ def mean_ci(values: np.ndarray) -> tuple[float, float]:
 
 def backward_semigroup(coeffs: CoefficientSet, control: Control, grid: TimeGrid,
                        measure: MarkMeasure, t_node: int, x, delta_nodes: int,
-                       eta, n_samples: int, seed,
-                       basis: PolynomialBasis | None = None) -> float:
+                       eta, n_samples: int, seed) -> float:
     """Value at t of the BSDE run on [t, t + delta] with terminal eta.
 
     ``eta`` maps states (M, n) to terminal values (M,), the batch
@@ -387,7 +365,7 @@ def backward_semigroup(coeffs: CoefficientSet, control: Control, grid: TimeGrid,
     check_batch(coeffs, measure, n_samples, delta_nodes)
     bank = draw_noise(grid, coeffs.d, measure, n_samples, seed, t_node,
                       t_node + delta_nodes)
-    return float(price(coeffs, [control], x, bank, terminal=eta, basis=basis)[0])
+    return float(price(coeffs, [control], x, bank, terminal=eta)[0])
 
 
 @dataclass
@@ -400,10 +378,8 @@ class ComparisonReport:
 
 
 def comparison_check(coeffs: CoefficientSet, control: Control,
-                     batch: ForwardBatch, h1, h2,
-                     basis: PolynomialBasis | None = None,
-                     tol: float = 0.0) -> ComparisonReport:
-    """Check Y1(0) <= Y2(0) + tol for pointwise-ordered terminals.
+                     batch: ForwardBatch, h1, h2) -> ComparisonReport:
+    """Check Y1(0) <= Y2(0) for pointwise-ordered terminals.
 
     ``h1`` and ``h2`` map the terminal states (M, n) to values (M,).
     Both solves share the batch (common random numbers), so for f = 0
@@ -414,7 +390,7 @@ def comparison_check(coeffs: CoefficientSet, control: Control,
     t1 = np.asarray(h1(X_T), dtype=float).reshape(M)
     t2 = np.asarray(h2(X_T), dtype=float).reshape(M)
     ordered = bool(np.all(t1 <= t2 + 1e-12))
-    s1 = solve_bsde(coeffs, control, batch, basis, terminal_values=t1, keep_paths=False)
-    s2 = solve_bsde(coeffs, control, batch, basis, terminal_values=t2, keep_paths=False)
+    s1 = solve_bsde(coeffs, control, batch, terminal_values=t1, keep_paths=False)
+    s2 = solve_bsde(coeffs, control, batch, terminal_values=t2, keep_paths=False)
     margin = s2.y0 - s1.y0
-    return ComparisonReport(s1.y0, s2.y0, margin, ordered, margin >= -abs(tol))
+    return ComparisonReport(s1.y0, s2.y0, margin, ordered, margin >= 0.0)

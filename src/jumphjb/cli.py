@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from importlib.metadata import version
 from pathlib import Path
@@ -33,7 +34,7 @@ from .coefficients import (
     validate_lipschitz,
 )
 from .dpp import Lattice, compute_value_table, dpp_residual
-from .drivers import DriverPath, TimeGrid, draw_noise, write_csv
+from .drivers import DriverPath, TimeGrid, check_batch_bytes, draw_noise, write_csv
 from .errors import (
     CflViolationError,
     ConfigError,
@@ -274,7 +275,8 @@ def run_convergence(cfg: Section, sec: Section, out: Path) -> list:
     study = sec.text("study", "forward_strong",
                      ("forward_strong", "energy_identity", "dpp_residual"))
     # Each study bounds halvings so that its finest level's step or cell
-    # count, base * 2**halvings, stays below 2**63.
+    # count, base * 2**halvings, stays below 2**63, and refuses a finest
+    # level too large for memory before level 0 runs.
     if study == "forward_strong":
         prob = _problem(cfg)
         base = sec.count("base_steps", 16)
@@ -300,6 +302,8 @@ def run_convergence(cfg: Section, sec: Section, out: Path) -> list:
         base = sec.count("base_steps", 40)
         halvings = sec.count("halvings", 3, high=64 - base.bit_length())
         sec.done()
+        # The finest operator pair: A, B, two Grams and the step inverses.
+        check_batch_bytes(8.0 * 5 * base * 2 ** halvings * n_modes ** 2)
         triple = assemble_triple(length, 1, n_modes)
         coeffs = _heat_coeffs(1.0)
         rows = []
@@ -320,6 +324,9 @@ def run_convergence(cfg: Section, sec: Section, out: Path) -> list:
         lat = sec.grid(Lattice, "base_cells", 40, [prob.space_low, prob.space_high])
         halvings = sec.count("halvings", 3, high=64 - max(base_steps, base_cells).bit_length())
         sec.done()
+        # The finest value table and its argmin, one slice per time node.
+        fine = 2 ** halvings
+        check_batch_bytes(16.0 * (base_steps * fine + 1) * math.prod(s * fine for s in lat.shape))
         rows = []
         for lvl in range(halvings + 1):
             k = 2 ** lvl

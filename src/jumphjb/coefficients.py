@@ -41,7 +41,7 @@ aggregate, and the growth bound on l.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -164,9 +164,6 @@ class CoefficientSet:
     @property
     def is_random(self) -> bool:
         return len(self.randomness_channels) > 0
-
-    def with_terminal(self, h: Callable) -> "CoefficientSet":
-        return replace(self, h=h)
 
 
 def _per_row(fun: Callable, out_shape: tuple, n_shared: int) -> Callable:
@@ -324,13 +321,6 @@ class ValidationReport:
     n_samples: int
     worst_point: dict = field(default_factory=dict)
     notes: str = ""
-
-    def __str__(self):
-        verdict = "pass" if self.passed else "FAIL"
-        return (
-            f"[{verdict}] {self.check}: observed {self.observed:.6g} "
-            f"vs bound {self.bound:.6g} over {self.n_samples} samples"
-        )
 
 
 def _plan_samples(coeffs: CoefficientSet, plan: SamplingPlan):

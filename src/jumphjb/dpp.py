@@ -36,7 +36,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .bsde import PolynomialBasis, mean_ci, price, replicate
+from .bsde import mean_ci, price, replicate
 from .coefficients import (
     CoefficientSet,
     ControlSet,
@@ -59,6 +59,10 @@ __all__ = [
     "epsilon_optimal_control",
     "gauss_hermite",
 ]
+
+
+# Gauss-Hermite nodes per Brownian dimension of the lattice quadrature.
+GH_NODES = 5
 
 
 def gauss_hermite(n_nodes: int, d: int):
@@ -409,8 +413,7 @@ def _step_operator(lattice: Lattice, b_tilde, sig, gs, dt: float,
 
 
 def compute_value_table(coeffs: CoefficientSet, control_set: ControlSet,
-                        lattice: Lattice, grid: TimeGrid, measure: MarkMeasure,
-                        gh_nodes: int = 5) -> ValueTable:
+                        lattice: Lattice, grid: TimeGrid, measure: MarkMeasure) -> ValueTable:
     """Backward dynamic programming over the control grid U_h.
 
     :func:`backward_sweep` on the cell centers with the one-step
@@ -425,7 +428,7 @@ def compute_value_table(coeffs: CoefficientSet, control_set: ControlSet,
             f"jump intensity {lam} times dt {max_dt} exceeds 1; refine the grid")
     X = lattice.nodes()
     C = X.shape[0]
-    zeta, gh_w = gauss_hermite(gh_nodes, coeffs.d)
+    zeta, gh_w = gauss_hermite(GH_NODES, coeffs.d)
 
     def build(b_tilde, sig, gs, dt):
         return _step_operator(lattice, b_tilde, sig, gs, dt, zeta, gh_w, measure)
@@ -448,8 +451,7 @@ def compute_value_table(coeffs: CoefficientSet, control_set: ControlSet,
 
 def dpp_residual(coeffs: CoefficientSet, control_set: ControlSet,
                  table: ValueTable, measure: MarkMeasure, t_node: int, x,
-                 delta_nodes: int, n_samples: int, seed,
-                 basis: PolynomialBasis | None = None) -> float:
+                 delta_nodes: int, n_samples: int, seed) -> float:
     """| V(t,x) - min_u G^{t,x;u}_{t,t+delta}[ V(t+delta, .) ] |.
 
     The inner semigroup runs the BSDE over [t, t+delta] with constant
@@ -473,7 +475,7 @@ def dpp_residual(coeffs: CoefficientSet, control_set: ControlSet,
     bank = draw_noise(grid, coeffs.d, measure, n_samples, seed, t_node,
                       t_node + delta_nodes)
     best = float(price(coeffs, [ConstantControl(u) for u in control_set.atoms], x, bank,
-                       terminal=eta, basis=basis).min())
+                       terminal=eta).min())
     return abs(table.value_at(t_node, x) - best)
 
 
@@ -492,8 +494,7 @@ def epsilon_optimal_control(coeffs: CoefficientSet, control_set: ControlSet,
                             grid: TimeGrid, measure: MarkMeasure,
                             lattice: Lattice, t_node: int, x, eps: float,
                             n_samples: int, seed,
-                            max_rounds: int = 3,
-                            basis: PolynomialBasis | None = None) -> EpsilonOptimalResult:
+                            max_rounds: int = 3) -> EpsilonOptimalResult:
     """Search for a control with cost within eps of the estimated value.
 
     Rounds alternate candidate evaluation (constant controls from the
@@ -522,7 +523,7 @@ def epsilon_optimal_control(coeffs: CoefficientSet, control_set: ControlSet,
         names = [f"constant[{iu}]" for iu in range(u_set.n_atoms)] + ["feedback"]
         candidates = [ConstantControl(u) for u in u_set.atoms] + [table.policy()]
         costs = replicate(coeffs, candidates, x, grid, measure, n_samples, seed,
-                          start_node=t_node, basis=basis)
+                          start_node=t_node)
         for k, (name, cand) in enumerate(zip(names, candidates)):
             j, half = mean_ci(costs[:, k])
             evaluations.append({"round": rounds, "candidate": name, "j": j, "ci": half})

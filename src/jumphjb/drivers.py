@@ -27,12 +27,11 @@ as the shortest text that reads back bit for bit.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 
 __all__ = [
     "MarkMeasure",
@@ -40,9 +39,6 @@ __all__ = [
     "DriverPath",
     "child_seed",
     "sample_driver_path",
-    "compensated_integral",
-    "jump_counts_per_step",
-    "brownian_nodes",
     "NoiseBank",
     "draw_noise",
     "check_batch_bytes",
@@ -130,16 +126,12 @@ class MarkMeasure:
         return self.weights.shape[0]
 
     @property
-    def mark_dim(self) -> int:
-        return self.marks.shape[1]
-
-    @property
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
     @classmethod
-    def empty(cls, mark_dim: int = 1) -> "MarkMeasure":
-        return cls(np.zeros((0, mark_dim)), np.zeros(0))
+    def empty(cls) -> "MarkMeasure":
+        return cls(np.zeros((0, 1)), np.zeros(0))
 
     @classmethod
     def from_atoms(cls, atoms) -> "MarkMeasure":
@@ -150,21 +142,6 @@ class MarkMeasure:
         marks = np.array([np.atleast_1d(m) for m, _ in atoms], dtype=float)
         weights = np.array([w for _, w in atoms], dtype=float)
         return cls(marks, weights)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "atoms": [
-                    {"mark": list(map(float, m)), "weight": float(w)}
-                    for m, w in zip(self.marks, self.weights)
-                ]
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "MarkMeasure":
-        data = json.loads(text)
-        return cls.from_atoms((a["mark"], a["weight"]) for a in data["atoms"])
 
 
 @dataclass(frozen=True)
@@ -191,6 +168,7 @@ class TimeGrid:
     def uniform(cls, horizon: float, n_steps: int) -> "TimeGrid":
         if horizon <= 0 or n_steps < 1:
             raise ConfigError("need horizon > 0 and n_steps >= 1")
+        check_batch_bytes(16.0 * (n_steps + 1))  # the nodes and the steps
         return cls(np.linspace(0.0, horizon, n_steps + 1))
 
     @property
@@ -250,70 +228,17 @@ class DriverPath:
     def d(self) -> int:
         return self.brownian_increments.shape[1]
 
-    @property
-    def n_jumps(self) -> int:
-        return self.jump_times.size
-
 
 def sample_driver_path(grid: TimeGrid, d: int, measure: MarkMeasure, seed) -> DriverPath:
     """Draw one noise realization: row 0 of a one-row bank from ``seed``."""
     return draw_noise(grid, d, measure, 1, seed).path(0)
 
 
-def compensated_integral(path: DriverPath, measure: MarkMeasure | None, integrand) -> float:
-    """Integral of ``integrand(t, mark)`` against the compensated jump measure.
-
-    Events contribute their exact values; the compensator integral
-    int_0^T sum_j phi(t, e_j) w_j dt is evaluated with left-point
-    quadrature on the path's grid.
-    """
-    if measure is None:
-        measure = path.measure
-    total = 0.0
-    for t, a in zip(path.jump_times, path.jump_atoms):
-        v = float(integrand(float(t), measure.marks[a]))
-        if not np.isfinite(v):
-            raise NumericError(
-                f"integrand returned {v!r} at event (t={t}, atom={a})"
-            )
-        total += v
-    comp = 0.0
-    for t, dt in zip(path.grid.nodes[:-1], path.grid.dt):
-        for mark, w in zip(measure.marks, measure.weights):
-            v = float(integrand(float(t), mark))
-            if not np.isfinite(v):
-                raise NumericError(
-                    f"integrand returned {v!r} at (t={t}, mark={mark})"
-                )
-            comp += v * w * dt
-    return total - comp
-
-
-def jump_counts_per_step(path: DriverPath) -> np.ndarray:
-    """Event counts per (step, atom), shape (N, n_atoms).
-
-    A jump at time tau belongs to step i when t_i < tau <= t_{i+1}.
-    """
-    grid = path.grid
-    counts = np.zeros((grid.n_steps, path.measure.n_atoms), dtype=int)
-    if path.n_jumps:
-        step_of = np.searchsorted(grid.nodes[1:-1], path.jump_times, side="left")
-        np.add.at(counts, (step_of, path.jump_atoms), 1)
-    return counts
-
-
-def brownian_nodes(path: DriverPath) -> np.ndarray:
-    """Brownian values W(t_i) at the grid nodes, shape (N+1, d)."""
-    out = np.zeros((path.grid.n_steps + 1, path.d))
-    np.cumsum(path.brownian_increments, axis=0, out=out[1:])
-    return out
-
-
 def check_batch_bytes(est_bytes: float) -> None:
     """Refuse a batch before anything of it is allocated."""
     if est_bytes > MAX_BATCH_BYTES:
         raise MemoryError(
-            f"batch would need ~{est_bytes / 1e9:.1f} GB; reduce n_samples or steps"
+            f"batch would need ~{est_bytes / 1e9:.1f} GB; reduce the sample, step, mode or cell counts"
         )
 
 

@@ -47,7 +47,6 @@ __all__ = [
     "simulate",
     "simulate_flow_gradient",
     "flow_property_residual",
-    "moment_check",
     "as_controls",
     "check_batch",
     "stack_size",
@@ -136,10 +135,11 @@ class StateTrajectory:
 
 
 class _NoiseTracker:
-    """Running values of the declared randomness channels along one path."""
+    """Running W and event count along one path; their channel values
+    come from :func:`_noise_values` on one row, as in a batch."""
 
     def __init__(self, coeffs: CoefficientSet, path: DriverPath, start_node: int):
-        self.channels = coeffs.randomness_channels
+        self.coeffs = coeffs
         self.mass = path.measure.total_mass
         self.w = np.zeros(path.d)
         if start_node > 0:
@@ -148,11 +148,11 @@ class _NoiseTracker:
         self.count = int(np.searchsorted(path.jump_times, t0, side="right"))
 
     def state(self, t: float) -> NoiseState | None:
-        if not self.channels:
+        channels = self.coeffs.randomness_channels
+        if not channels:
             return None
-        return NoiseState(t, self.channels, np.array([[
-            self.count - t * self.mass if c == "J" else self.w[int(c[1:]) - 1]
-            for c in self.channels]]))
+        return NoiseState(t, channels, _noise_values(
+            self.coeffs, t, self.w[None], np.array([float(self.count)]), self.mass))
 
 
 def _events_in_step(path: DriverPath, i: int):
@@ -300,9 +300,9 @@ class ForwardBatch:
     """Grid-node data of a batch of simulated paths.
 
     The batch holds ``groups`` = C controls on one bank of M paths.
-    Group c is rows c*M .. (c+1)*M - 1 of ``states`` (N+1, C*M, n) and
-    ``sup_abs`` (C*M,), and its row c*M + s rides on bank row s.  The
-    noise is the bank's, once for all groups: ``dw`` (N, M, d) and
+    Group c is rows c*M .. (c+1)*M - 1 of ``states`` (N+1, C*M, n), and
+    its row c*M + s rides on bank row s.  The noise is the bank's, once
+    for all groups: ``dw`` (N, M, d) and
     ``jump_counts`` (N, M, n_atoms) of ``np.uint8`` are the bank's
     read-only arrays, not copies, and ``noise`` (N+1, M, r) holds the
     channel values, or None when the coefficient set is deterministic;
@@ -319,7 +319,6 @@ class ForwardBatch:
     noise: np.ndarray | None
     controls: list
     start_node: int = 0
-    sup_abs: np.ndarray | None = None
     groups: int = 1
 
     @property
@@ -375,8 +374,7 @@ def stack_controls(us, M: int, m: int) -> np.ndarray:
 
 def simulate_batch(coeffs: CoefficientSet, control, x0, grid: TimeGrid,
                    measure: MarkMeasure, n_samples: int, seed,
-                   start_node: int = 0, end_node: int | None = None,
-                   track_sup: bool = False, *,
+                   start_node: int = 0, end_node: int | None = None, *,
                    noise: NoiseBank | None = None) -> ForwardBatch:
     """Simulate ``n_samples`` i.i.d. paths on a bank from ``seed``.
 
@@ -431,7 +429,6 @@ def simulate_batch(coeffs: CoefficientSet, control, x0, grid: TimeGrid,
         noise_vals[0] = _noise_values(coeffs, grid.nodes[start_node], w_run,
                                       cnt_run, measure.total_mass)
 
-    sup_abs = np.linalg.norm(states[0], axis=1) if track_sup else None
     steps = []
     channels = coeffs.randomness_channels
     groups = [slice(c * M, (c + 1) * M) for c in range(C)]
@@ -462,13 +459,11 @@ def simulate_batch(coeffs: CoefficientSet, control, x0, grid: TimeGrid,
                 coeffs, measure, t_lo, grid.nodes[gi + 1], X, u, dw_i,
                 (noise.event_row[ev] + shift).ravel(), np.tile(noise.event_atom[ev], C),
                 np.tile(noise.event_tau[ev], C),
-                None if noise_vals is None else (w_run, cnt_run), sup_abs)
+                None if noise_vals is None else (w_run, cnt_run))
             states[i + 1, rows] = x_hi
 
         if not np.all(np.isfinite(states[i + 1])) or np.max(np.abs(states[i + 1])) > DIVERGENCE_GUARD:
             raise DivergenceError("batch state left the admissible range", gi)
-        if track_sup:
-            np.maximum(sup_abs, np.linalg.norm(states[i + 1], axis=1), out=sup_abs)
         if noise_vals is not None:
             w_run += dw[i]
             if n_atoms:
@@ -477,7 +472,7 @@ def simulate_batch(coeffs: CoefficientSet, control, x0, grid: TimeGrid,
                 coeffs, grid.nodes[gi + 1], w_run, cnt_run, measure.total_mass)
 
     return ForwardBatch(grid, measure, states, dw, counts, noise_vals, steps,
-                        start_node, sup_abs, C)
+                        start_node, C)
 
 
 def _noise_values(coeffs, t, w_run, cnt_run, mass):
@@ -491,16 +486,16 @@ def _noise_values(coeffs, t, w_run, cnt_run, mass):
 
 
 def _event_substeps(coeffs, measure, t_lo, t_hi, X, u, dw, rows, atoms, taus,
-                    running, sup_abs):
+                    running):
     """Exact sub-steps of one grid step for the rows that carry events.
 
     ``rows``, ``atoms`` and ``taus`` are the step's events sorted by
     (row, tau), with rows of the stacked batch.  Pass k takes every row with more than k events to its
     k-th event time (a per-row t), applies g for that event's atom (one
-    evaluation per atom) and carries the channel values and
-    ``sup_abs``; then all these rows advance to t_hi.  ``running`` is
-    the (W, count) of the bank rows at t_lo, only read, or None for
-    deterministic coefficients.  Returns the rows and their states at t_hi.
+    evaluation per atom) and carries the channel values; then all these
+    rows advance to t_hi.  ``running`` is the (W, count) of the bank
+    rows at t_lo, only read, or None for deterministic coefficients.
+    Returns the rows and their states at t_hi.
     """
     R, first, n_ev = np.unique(rows, return_index=True, return_counts=True)
     rank = np.arange(rows.size) - np.repeat(first, n_ev)
@@ -534,14 +529,9 @@ def _event_substeps(coeffs, measure, t_lo, t_hi, X, u, dw, rows, atoms, taus,
             w[p] += piece
         t_cur[p] = t_to
 
-    def track(p):
-        if sup_abs is not None:
-            sup_abs[R[p]] = np.maximum(sup_abs[R[p]], np.linalg.norm(x[p], axis=1))
-
     for k in range(rank.max() + 1):
         p, tau, a = pos[rank == k], taus[rank == k], atoms[rank == k]
         advance(p, tau)
-        track(p)
         for j in np.unique(a):
             q, tq = p[a == j], tau[a == j]
             xq, uq, nz = at(q, tq)
@@ -549,46 +539,8 @@ def _event_substeps(coeffs, measure, t_lo, t_hi, X, u, dw, rows, atoms, taus,
                                    measure.marks[j])
         if running is not None:
             cnt[p] += 1
-        track(p)
     advance(np.arange(R.size), np.full(R.size, t_hi))
     return R, x
-
-
-@dataclass
-class MomentReport:
-    p: int
-    x0_norms: np.ndarray
-    moments: np.ndarray
-    fitted_constant: float
-    monotone: bool
-
-
-def moment_check(coeffs: CoefficientSet, control: Control, x0, p: int,
-                 n_samples: int, grid: TimeGrid, measure: MarkMeasure,
-                 seed, x0_scales=(0.0, 0.5, 1.0, 2.0)) -> MomentReport:
-    """Estimate E[sup_t |X|^p] over grid and event nodes and fit C_p.
-
-    The constant is the largest ratio moment / (1 + |x0|^p) over a grid
-    of scaled initial states; the report also notes whether the moment
-    grows monotonically with |x0| (a sanity diagnostic, not a theorem).
-    """
-    if p < 2 or p % 2:
-        raise ValueError("p must be an even integer >= 2")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    base = x0 if np.linalg.norm(x0) > 0 else np.ones_like(x0)
-    norms, moments = [], []
-    for scale in x0_scales:
-        start = x0 + scale * base
-        batch = simulate_batch(coeffs, control, start, grid, measure,
-                               n_samples, seed, track_sup=True)
-        norms.append(np.linalg.norm(start))
-        moments.append(float(np.mean(batch.sup_abs ** p)))
-    norms = np.array(norms)
-    moments = np.array(moments)
-    fitted = float(np.max(moments / (1.0 + norms ** p)))
-    order = np.argsort(norms)
-    monotone = bool(np.all(np.diff(moments[order]) >= -1e-9 * np.abs(moments[order][:-1])))
-    return MomentReport(p, norms, moments, fitted, monotone)
 
 
 def trajectory_to_csv(traj: StateTrajectory, path) -> None:

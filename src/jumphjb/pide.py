@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bsde import PolynomialBasis, mean_ci, replicate
+from .bsde import mean_ci, replicate
 from .coefficients import CoefficientSet, ControlSet, batch_eval, broadcast_control
 from .dpp import FeedbackPolicy, Grid, Stencil, backward_sweep, point_coefficients
 from .drivers import MarkMeasure, TimeGrid, write_csv
@@ -119,25 +119,6 @@ class RandomFieldTriplet:
                   + [f"Psi_{j+1}" for j in range(self.Psi.shape[1])],
                   np.column_stack([np.repeat(self.time_nodes, pts),
                                    np.tile(nodes, (nt, 1)), per_node]).tolist())
-
-    @classmethod
-    def from_csv(cls, path, space: SpatialGrid) -> "RandomFieldTriplet":
-        """Read back a :meth:`to_csv` file.  Rows of different times may
-        interleave; the rows of one time come in node order."""
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-        body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        n_phi = sum(c.startswith("Phi_") for c in header)
-        pts = int(np.prod(space.shape))
-        times, at, counts = np.unique(body[:, 0], return_inverse=True, return_counts=True)
-        if not times.size or np.any(counts != pts):
-            raise ValueError("CSV rows do not fill the spatial grid")
-        # (column, time, *space): a column's slice of one time is its field.
-        cols = body[np.argsort(at, kind="stable")].T.reshape((-1, times.size) + space.shape)
-        lo = 2 + space.n
-        Phi = cols[lo:lo + n_phi] if n_phi else np.zeros((1, times.size) + space.shape)
-        return cls(space, times, cols[lo - 1], Phi.swapaxes(0, 1),
-                   cols[lo + n_phi:].swapaxes(0, 1))
 
 
 def hamiltonian(coeffs: CoefficientSet, t, x, u, p, dphi, hess, k_agg,
@@ -320,7 +301,8 @@ def _local_generator(pattern: NodePattern, b_tilde, sig, lam: float) -> tuple:
 
     The explicit step stays monotone while dt times lambda + sum_k
     (|b_k| / h_k + a_kk / h_k^2) + sum_{k < k2} |a_kk2| / (h_k h_k2) is
-    at most 1 at every node; the bound is that largest dt.
+    at most 1 at every node; the bound is that largest dt.  With a_01 != 0
+    no dt makes it monotone: the centred D_0 D_1 weighs two corners < 0.
     """
     C, n = b_tilde.shape
     h = pattern.space.widths
@@ -495,8 +477,8 @@ class VerificationReport:
 
 def verification_run(triplet: RandomFieldTriplet, coeffs: CoefficientSet,
                      control_set: ControlSet, measure: MarkMeasure, x0,
-                     n_samples: int, seed, basis: PolynomialBasis | None = None,
-                     n_alternatives: int = 0, n_rep: int = 4) -> VerificationReport:
+                     n_samples: int, seed, n_alternatives: int = 0,
+                     n_rep: int = 4) -> VerificationReport:
     """Closed-loop check of a candidate solution triplet.
 
     Extracts the greedy feedback from the pointwise minimizer of the
@@ -532,7 +514,7 @@ def verification_run(triplet: RandomFieldTriplet, coeffs: CoefficientSet,
             names.append("piecewise-random")
 
     costs = replicate(coeffs, controls, x0, grid, measure, n_samples, seed,
-                      n_rep=n_rep, basis=basis)
+                      n_rep=n_rep)
     j_feedback, ci = mean_ci(costs[:, 0])
     v0 = triplet.value_at(0, x0)
     alternatives = []

@@ -503,30 +503,6 @@ class TestSummary:
         s = sol.summary()
         assert set(s) == {"Y0", "Z0", "K0", "diagnostics"}
         assert s["diagnostics"]["nodes"] == 5
-        assert isinstance(sol.summary_json(), str)
-
-    def test_full_dump_csv(self, tmp_path):
-        co = diffusion_coeffs(h=lambda x, nz: x[..., 0])
-        batch = simulate_batch(co, U0, [0.5], TimeGrid.uniform(1.0, 4),
-                               MEAS, 20, 11)
-        sol = solve_bsde(co, U0, batch)
-        out = tmp_path / "dump.csv"
-        sol.to_csv(out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "node,t,sample,Y,Z_1,K_1"
-        assert len(lines) == 1 + 5 * 20
-        # Node-major rows; Z and K read 0 at the terminal node.
-        cells = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
-        assert cells[:, 0].tobytes() == np.repeat(np.arange(5.0), 20).tobytes()
-        assert cells[:, 1].tobytes() == np.repeat(sol.grid.nodes, 20).tobytes()
-        assert cells[:, 2].tobytes() == np.tile(np.arange(20.0), 5).tobytes()
-        assert cells[:, 3].tobytes() == sol.Y.ravel().tobytes()
-        for col, arr in ((4, sol.Z), (5, sol.K)):
-            assert cells[:80, col].tobytes() == arr[:, :, 0].ravel().tobytes()
-            assert not cells[80:, col].any()
-        slim = solve_bsde(co, U0, batch, keep_paths=False)
-        with pytest.raises(ValueError):
-            slim.to_csv(tmp_path / "nope.csv")
 
 
 class TestJumpClosedFormSeeds:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from jumphjb import cli
 from jumphjb.bsde import PolynomialBasis, solve_bsde
 from jumphjb.cli import main
 from jumphjb.drivers import TimeGrid
@@ -379,6 +380,40 @@ class TestExitCodes:
         })
         out = tmp_path / "o"
         assert run_cli(["bsde", "--config", cfg, "--out", str(out)]) == 3
+        diag = json.loads((out / "failure_diagnostic.json").read_text())
+        assert diag["error"] == "MemoryError"
+
+    @pytest.mark.parametrize("sub, key", [
+        ("simulate", "n_steps"), ("bsde", "n_steps"), ("value", "n_steps"),
+        ("pide", "n_steps"), ("hjb-weak", "n_steps"), ("bseej", "n_steps"),
+        ("hjb-weak", "modes"), ("bseej", "modes")])
+    def test_count_too_large_to_allocate_is_numeric_failure(self, tmp_path, sub, key):
+        # 2**62 passes the count reader; the grid or the Galerkin basis
+        # refuses it by its size before numpy sees it.
+        cfg = write_cfg(tmp_path / "c.json", {
+            "seed": 1, "problem": {"name": "smooth1d"},
+            sub.replace("-", "_"): {key: 2 ** 62}})
+        out = tmp_path / "o"
+        assert run_cli([sub, "--config", cfg, "--out", str(out)]) == 3
+        diag = json.loads((out / "failure_diagnostic.json").read_text())
+        assert diag["error"] == "MemoryError"
+
+    @pytest.mark.parametrize("study, settings, first_solve", [
+        ("energy_identity", {"base_steps": 10, "halvings": 58}, "solve_linear_bseej"),
+        ("dpp_residual", {"base_steps": 8, "base_cells": 40, "halvings": 50},
+         "compute_value_table"),
+    ])
+    def test_ladder_too_large_is_refused_before_level_0(self, tmp_path, monkeypatch,
+                                                        study, settings, first_solve):
+        def refuse(*args, **kwargs):
+            raise AssertionError("level 0 ran before the finest level was sized")
+
+        monkeypatch.setattr(cli, first_solve, refuse)
+        cfg = write_cfg(tmp_path / "c.json", {
+            "seed": 1, "problem": {"name": "smooth1d"},
+            "convergence": {"study": study, **settings}})
+        out = tmp_path / "o"
+        assert run_cli(["convergence", "--config", cfg, "--out", str(out)]) == 3
         diag = json.loads((out / "failure_diagnostic.json").read_text())
         assert diag["error"] == "MemoryError"
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -548,8 +549,8 @@ def monotone_draws(draw):
         f=lambda t, x, u, y, z, k, nz: f0 * np.sin(x[..., 0]) + f1 * u[:, 0] * x[..., 0],
         h=lambda x, nz: h0 * np.cos(x[..., 0]) + h1 * x[..., 0] / 3.0,
         rho=np.array([0.0]))
-    higher = coeffs.with_terminal(
-        lambda x, nz: coeffs.h(x, nz) + bump * np.exp(-(x[..., 0] - shift) ** 2))
+    higher = dataclasses.replace(
+        coeffs, h=lambda x, nz: coeffs.h(x, nz) + bump * np.exp(-(x[..., 0] - shift) ** 2))
     measure = MarkMeasure.from_atoms([((1.0,), weight)])
     return coeffs, higher, measure
 

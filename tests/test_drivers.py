@@ -9,15 +9,14 @@ from jumphjb.drivers import (
     DriverPath,
     MarkMeasure,
     TimeGrid,
-    brownian_nodes,
-    child_seed,
-    compensated_integral,
     draw_noise,
-    jump_counts_per_step,
     sample_driver_path,
     write_csv,
 )
-from jumphjb.errors import ConfigError, NumericError
+from jumphjb.errors import ConfigError
+from jumphjb.forward import ConstantControl, simulate
+
+from conftest import make_coeffs
 
 
 def measure_1atom(weight=2.0):
@@ -69,12 +68,6 @@ class TestMarkMeasure:
             MarkMeasure.from_atoms([((1.0,), 0.0)])
         with pytest.raises(ValueError):
             MarkMeasure.from_atoms([((1.0,), -1.0)])
-
-    def test_json_roundtrip(self):
-        m = MarkMeasure.from_atoms([((1.0, -2.0), 0.7), ((0.5, 0.5), 1.3)])
-        m2 = MarkMeasure.from_json(m.to_json())
-        np.testing.assert_array_equal(m.marks, m2.marks)
-        np.testing.assert_array_equal(m.weights, m2.weights)
 
 
 class TestWriteCsv:
@@ -251,7 +244,9 @@ class TestNoiseBankInvariants:
         bank = draw_noise(grid, 2, BANK_MEASURE, 300, 8)
         p = bank.path(270)
         np.testing.assert_array_equal(p.brownian_increments, bank.dw[:, 270])
-        np.testing.assert_array_equal(jump_counts_per_step(p), bank.counts[:, 270])
+        counts = np.zeros((6, 2), dtype=np.uint8)
+        np.add.at(counts, (np.searchsorted(grid.nodes[1:-1], p.jump_times), p.jump_atoms), 1)
+        np.testing.assert_array_equal(counts, bank.counts[:, 270])
         one = sample_driver_path(grid, 2, BANK_MEASURE, 8)
         np.testing.assert_array_equal(one.brownian_increments, bank.dw[:, 0])
         with pytest.raises(ValueError, match="full-horizon"):
@@ -280,50 +275,9 @@ class TestDriverPath:
 
     def test_jump_counts_per_step(self):
         g = TimeGrid.uniform(1.0, 4)
-        m = measure_1atom(1.0)
-        p = DriverPath(g, m, np.zeros((4, 1)),
-                       np.array([0.1, 0.2, 0.3, 0.75, 1.0]),
-                       np.array([0, 0, 0, 0, 0]))
-        counts = jump_counts_per_step(p)
-        # Events belong to (t_i, t_{i+1}]: two in step 0, one each after
-        # (0.75 lands on the node, hence in step 2).
-        np.testing.assert_array_equal(counts[:, 0], [2, 1, 1, 1])
-
-    def test_brownian_nodes(self):
-        p = sample_driver_path(TimeGrid.uniform(1.0, 6), 2, MarkMeasure.empty(), 4)
-        w = brownian_nodes(p)
-        np.testing.assert_allclose(w[-1], p.brownian_increments.sum(axis=0))
-        np.testing.assert_array_equal(w[0], 0.0)
-
-
-class TestCompensatedIntegral:
-    def test_zero_integrand(self):
-        p = sample_driver_path(TimeGrid.uniform(1.0, 8), 1, measure_1atom(2.0), 3)
-        assert compensated_integral(p, None, lambda t, e: 0.0) == 0.0
-
-    def test_unit_integrand(self):
-        m = measure_1atom(2.0)
-        p = sample_driver_path(TimeGrid.uniform(1.0, 8), 1, m, 3)
-        v = compensated_integral(p, m, lambda t, e: 1.0)
-        assert v == pytest.approx(p.n_jumps - 2.0)
-
-    def test_linearity_in_constant(self):
-        m = measure_1atom(2.0)
-        p = sample_driver_path(TimeGrid.uniform(1.0, 8), 1, m, 3)
-        base = compensated_integral(p, m, lambda t, e: 1.0)
-        assert compensated_integral(p, m, lambda t, e: 2.5) == pytest.approx(2.5 * base)
-
-    def test_martingale_zero_mean(self):
-        m = measure_1atom(2.0)
-        g = TimeGrid.uniform(1.0, 8)
-        vals = np.array([
-            compensated_integral(sample_driver_path(g, 1, m, child_seed(2, r)), m,
-                                 lambda t, e: 1.0)
-            for r in range(10000)])
-        assert abs(vals.mean()) < 4.0 * vals.std() / np.sqrt(vals.size)
-
-    def test_nonfinite_rejected(self):
-        m = measure_1atom(2.0)
-        p = sample_driver_path(TimeGrid.uniform(1.0, 8), 1, m, 3)
-        with pytest.raises(NumericError):
-            compensated_integral(p, m, lambda t, e: np.inf)
+        p = DriverPath(g, measure_1atom(1.0), np.zeros((4, 1)),
+                       np.array([0.1, 0.2, 0.3, 0.75, 1.0]), np.zeros(5, dtype=int))
+        tr = simulate(make_coeffs(), ConstantControl([0.0]), [0.0], p)
+        # The simulator puts events in (t_i, t_{i+1}]: two in step 0, one
+        # each after (0.75 lands on the node, hence in step 2).
+        np.testing.assert_array_equal(np.diff(tr.grid_rows) - 1, [2, 1, 1, 1])

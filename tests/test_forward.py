@@ -21,7 +21,6 @@ from jumphjb.forward import (
     OpenLoopControl,
     check_batch,
     flow_property_residual,
-    moment_check,
     simulate,
     simulate_batch,
     simulate_flow_gradient,
@@ -122,10 +121,9 @@ class TestBatchConsistency:
                 nodes = np.array([tr.state_at_node(i) for i in range(31)])
                 np.testing.assert_allclose(nodes, batch.states[:, s, :], atol=1e-12)
 
-    def test_event_substeps_carry_channels_and_sup(self):
+    def test_event_substeps_carry_channels(self):
         # random_terminal with channels (W2, J) and a drift that reads
-        # both, so the sub-steps must carry the channel values; g is the
-        # family's constant 0.2, so a pre-jump state is post-jump - 0.2.
+        # both, so the sub-steps must carry the channel values.
         prob = build_problem("random_terminal", {"jump_weight": 3.0})
         co = dataclasses.replace(
             prob.coeffs, randomness_channels=("W2", "J"),
@@ -135,15 +133,12 @@ class TestBatchConsistency:
         control = FeedbackControl(lambda t, x: -0.5 * x)
         bank = draw_noise(grid, co.d, prob.measure, 300, 4)
         batch = simulate_batch(co, control, prob.x0, grid, prob.measure, 300, 4,
-                               track_sup=True, noise=bank)
+                               noise=bank)
         assert bank.counts.sum(axis=2).max() >= 2
         for s in range(300):
             tr = simulate(co, control, prob.x0, bank.path(s))
             nodes = np.array([tr.state_at_node(i) for i in range(13)])
             np.testing.assert_allclose(nodes, batch.states[:, s, :], rtol=0, atol=1e-12)
-            pre = tr.states[tr.event_atom >= 0] - 0.2
-            sup = max(np.abs(tr.states).max(), np.abs(pre).max(initial=0.0))
-            assert abs(batch.sup_abs[s] - sup) <= 1e-12
 
     @pytest.mark.parametrize("pointwise", [False, True], ids=["batched", "pointwise"])
     def test_time_dependent_coefficients(self, pointwise):
@@ -412,23 +407,6 @@ class TestRefinement:
         slopes = np.log2(means[:-1] / means[1:])
         assert np.all(means[:-1] > means[1:])
         assert slopes.mean() >= 0.4
-
-    def test_moment_check(self):
-        co = make_coeffs(
-            b=lambda t, x, u, nz: -0.2 * x,
-            sigma=lambda t, x, u, nz: 0.3 * np.ones(x.shape + (1,)))
-        grid = TimeGrid.uniform(1.0, 20)
-        rep = moment_check(co, U0, [0.0], 2, 2000, grid, MarkMeasure.empty(), 7)
-        rep2 = moment_check(co, U0, [0.0], 2, 4000, grid, MarkMeasure.empty(), 7)
-        assert rep.monotone
-        assert abs(rep.fitted_constant - rep2.fitted_constant) \
-            <= 0.1 * abs(rep.fitted_constant)
-
-    def test_moment_zero_dynamics_exact(self):
-        co = make_coeffs()
-        rep = moment_check(co, U0, [2.0], 4, 50, TimeGrid.uniform(1.0, 5),
-                           MarkMeasure.empty(), 1, x0_scales=(0.0,))
-        assert rep.moments[0] == pytest.approx(16.0)
 
     def test_moment_ode_oracle(self):
         # dX = a X dt + s X dW: E[X(T)^2] = x0^2 exp((2a + s^2) T).

@@ -272,8 +272,8 @@ class TestPideSolver:
         space = SpatialGrid([-3.0], [3.0], (61,))
         tg = TimeGrid.uniform(0.25, 60)
         co_lo = benchmark_coeffs()
-        co_hi = co_lo.with_terminal(
-            lambda x, nz: np.exp(-x[..., 0] ** 2) + 0.2 * np.cos(x[..., 0]) + 0.2)
+        co_hi = dataclasses.replace(
+            co_lo, h=lambda x, nz: np.exp(-x[..., 0] ** 2) + 0.2 * np.cos(x[..., 0]) + 0.2)
         lo = solve_pide_deterministic(co_lo, space, tg, U2, MEAS)
         hi = solve_pide_deterministic(co_hi, space, tg, U2, MEAS)
         assert np.all(hi.triplet.V >= lo.triplet.V - 1e-12)
@@ -414,59 +414,28 @@ class TestPairedAlternatives:
 
 class TestTripletCsv:
     def test_roundtrip(self, tmp_path):
-        space = SpatialGrid([-1.0], [1.0], (5,))
-        rng = np.random.default_rng(0)
-        trip = RandomFieldTriplet(space, np.linspace(0, 1, 4),
-                                  rng.standard_normal((4, 5)),
-                                  rng.standard_normal((4, 1, 5)),
-                                  rng.standard_normal((4, 2, 5)))
-        path = tmp_path / "triplet.csv"
-        trip.to_csv(path)
-        back = RandomFieldTriplet.from_csv(path, space)
-        np.testing.assert_allclose(back.V, trip.V)
-        np.testing.assert_allclose(back.Phi, trip.Phi)
-        np.testing.assert_allclose(back.Psi, trip.Psi)
-
-    @staticmethod
-    def wide_triplet(space, n_times=4):
-        """Fields spanning 1e-300 to 1e300, negative zero and signs included."""
+        # Fields spanning 1e-300 to 1e300, negative zero and signs
+        # included, on a 2-d grid: one row per (time, node), times outer
+        # and nodes in C order, and every cell reads back bit for bit.
+        space = SpatialGrid([-1.0, -1.0], [1.0, 1.0], (3, 4))
         rng = np.random.default_rng(3)
 
-        def field(*shape):
-            v = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 301, shape)
+        def field(k):
+            v = rng.standard_normal((4, k, 12)) * 10.0 ** rng.integers(-300, 301, (4, k, 12))
             v.flat[0] = -0.0
             return v
 
-        return RandomFieldTriplet(space, np.array([0.0, 0.1, 0.25, 1 / 3])[:n_times],
-                                  field(n_times, *space.shape),
-                                  field(n_times, 2, *space.shape),
-                                  field(n_times, 1, *space.shape))
-
-    @pytest.mark.parametrize("shape", [(6,), (3, 4)])
-    def test_interleaved_times_read_back_bitwise(self, tmp_path, shape):
-        space = SpatialGrid([-1.0] * len(shape), [1.0] * len(shape), shape)
-        trip = self.wide_triplet(space)
+        times, V, Phi, Psi = np.array([0.0, 0.1, 0.25, 1 / 3]), field(1), field(2), field(1)
+        trip = RandomFieldTriplet(space, times, V.reshape(4, 3, 4),
+                                  Phi.reshape(4, 2, 3, 4), Psi.reshape(4, 1, 3, 4))
         path = tmp_path / "triplet.csv"
         trip.to_csv(path)
         header, *body = path.read_text().splitlines()
-        pts = int(np.prod(shape))
-        # Row r of every time, then row r + 1 of every time, ...
-        mixed = [body[i * pts + r] for r in range(pts) for i in range(4)]
-        path.write_text("\n".join([header] + mixed) + "\n")
-        back = RandomFieldTriplet.from_csv(path, space)
-        for name in ("time_nodes", "V", "Phi", "Psi"):
-            assert getattr(back, name).tobytes() == getattr(trip, name).tobytes(), name
-
-    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
-    def test_missing_row_is_refused(self, tmp_path):
-        space = SpatialGrid([-1.0], [1.0], (6,))
-        path = tmp_path / "triplet.csv"
-        self.wide_triplet(space).to_csv(path)
-        lines = path.read_text().splitlines()
-        for kept in (lines[:5] + lines[6:], lines[:1]):
-            path.write_text("\n".join(kept) + "\n")
-            with pytest.raises(ValueError, match="do not fill the spatial grid"):
-                RandomFieldTriplet.from_csv(path, space)
+        assert header == "t,x_1,x_2,V,Phi_1,Phi_2,Psi_1"
+        cells = np.array([[float(c) for c in row.split(",")] for row in body])
+        expect = np.column_stack([np.repeat(times, 12), np.tile(space.nodes(), (4, 1))]
+                                 + [a.transpose(0, 2, 1).reshape(48, -1) for a in (V, Phi, Psi)])
+        assert cells.tobytes() == expect.tobytes()
 
 
 def reference_pide(coeffs, space, time_grid, control_set, measure):
@@ -643,8 +612,8 @@ def edge_drift_draws(draw):
         f=lambda t, x, u, y, z, k, nz: f0 * np.sin(x[..., 0]) + f1 * u[:, 0] * x[..., 0],
         h=lambda x, nz: h0 * np.cos(x[..., 0]) + h1 * x[..., 0] / 3.0,
         rho=np.array([0.0]))
-    higher = coeffs.with_terminal(
-        lambda x, nz: coeffs.h(x, nz) + bump * np.exp(-(x[..., 0] - shift) ** 2))
+    higher = dataclasses.replace(
+        coeffs, h=lambda x, nz: coeffs.h(x, nz) + bump * np.exp(-(x[..., 0] - shift) ** 2))
     space = SpatialGrid([-2.0], [2.0], (41,))
     h = space.widths[0]
     worst = (weight + (2.0 * abs(kappa) + 0.9) / h
@@ -668,22 +637,35 @@ def test_pide_monotone_in_terminal(draw):
 
 
 def test_step_matrix_has_no_negative_off_diagonal():
-    # Column c of I + dt L_u is the first step from the terminal e_c with
-    # f = 0.  On smooth1d the drift points out of the box at one edge for
-    # each control; the edge row must not read the next node with a
-    # negative weight.
-    p = build_problem("smooth1d")
-    space = SpatialGrid([-3.0], [3.0], (241,))
-    x = space.nodes()[:, 0]
-    first_step = TimeGrid(TimeGrid.uniform(p.horizon, 320).nodes[:2])
-    co = dataclasses.replace(p.coeffs, f=lambda t, x, u, y, z, k, nz: np.zeros(np.shape(y)))
-    for u in p.control_set.atoms:
-        step = np.stack([solve_pide_deterministic(
-            co.with_terminal(lambda pts, nz, c=c: 1.0 * (pts[..., 0] == x[c])), space,
-            first_step, ControlSet.singleton(u), p.measure).triplet.V[0]
-            for c in range(x.size)], axis=1)
-        off = step - np.diag(np.diag(step))
-        assert off.min() >= 0.0, (u, np.unravel_index(off.argmin(), off.shape))
+    # Column c of I + dt L_u is the first step back from the terminal e_c
+    # with f = 0, at the grid's own dt: the default grid of every
+    # deterministic built-in family, and an n = 2 case with two atoms and
+    # a t-dependent diagonal diffusion.  On smooth1d the drift points out
+    # of the box at one edge for each control; the edge row must not read
+    # the next node with a negative weight.  A correlated diffusion is
+    # left out: its centred cross difference weighs two corners with
+    # -|a_01| dt / (4 h_0 h_1) whatever dt is (see CHANGES.md).
+    cases = []
+    for family in ("zero", "exp_decay", "linear1d", "smooth1d"):
+        p = build_problem(family)
+        cases.append((p.coeffs, SpatialGrid([p.space_low], [p.space_high], (p.space_nodes,)),
+                      TimeGrid.uniform(p.horizon, p.n_steps), p.control_set, p.measure))
+    two = dataclasses.replace(two_dim_coeffs(), sigma=lambda t, x, u, nz: np.stack([
+        np.stack([0.4 + 0.1 * np.cos(x[..., 0]), 0.0 * x[..., 0]], axis=-1),
+        np.stack([0.0 * x[..., 0], 0.3 + 0.1 * t + 0.0 * x[..., 0]], axis=-1)], axis=-2))
+    cases.append((two, SpatialGrid([-2.0, -2.0], [2.0, 2.0], (21, 17)),
+                  TimeGrid.uniform(0.3, 40), ControlSet.from_1d(-0.5, 0.5, 3),
+                  MarkMeasure.from_atoms([((1.0,), 0.3), ((-1.0,), 0.2)])))
+    for coeffs, space, grid, control_set, measure in cases:
+        x = space.nodes()
+        co = dataclasses.replace(coeffs, f=lambda t, x, u, y, z, k, nz: np.zeros(np.shape(y)))
+        for u in control_set.atoms:
+            step = np.stack([solve_pide_deterministic(
+                dataclasses.replace(co, h=lambda pts, nz, c=c: 1.0 * np.all(pts == x[c], axis=-1)),
+                space, TimeGrid(grid.nodes[:2]), ControlSet.singleton(u), measure).triplet.V[0]
+                .ravel() for c in range(x.shape[0])], axis=1)
+            off = step - np.diag(np.diag(step))
+            assert off.min() >= 0.0, (space.shape, u, np.unravel_index(off.argmin(), off.shape))
 
 
 def test_value_solvers_load_no_scipy():
