@@ -31,6 +31,7 @@ channels); the stochastic case is handled by the Galerkin solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple
 
@@ -44,7 +45,8 @@ from .coefficients import (
     broadcast_control,
     compensated_drift,
 )
-from .drivers import MarkMeasure, TimeGrid, draw_noise, fields_equal, write_csv
+from .drivers import (MarkMeasure, TimeGrid, check_batch_bytes, draw_noise, fields_equal,
+                      write_csv)
 from .errors import ConfigError, NumericError
 from .forward import ConstantControl, Control, check_batch
 
@@ -84,7 +86,9 @@ def gauss_hermite(n_nodes: int, d: int):
 class Stencil(NamedTuple):
     """A sparse linear map stored row by row at a common width: row r
     reads sum_s weights[r, s] v[indices[r, s]] (leading axes index the
-    rows too), and an index repeated within a row adds up."""
+    rows too, and extra leading axes of ``weights`` give several maps
+    that read the same entries), and an index repeated within a row
+    adds up."""
 
     indices: np.ndarray
     weights: np.ndarray
@@ -126,6 +130,8 @@ class Grid:
         if not np.all(np.isfinite(span) & (span > 0)) or any(s < 1 + self.e for s in shape):
             raise ConfigError(
                 f"grid box must be finite and nonempty with >= {1 + self.e} points per dim")
+        # The axes and the points, 8 bytes a coordinate, before any is built.
+        check_batch_bytes(8.0 * (sum(shape) + len(shape) * math.prod(shape)))
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "shape", shape)
@@ -324,12 +330,15 @@ def backward_sweep(coeffs: CoefficientSet, control_set: ControlSet, space: Grid,
     """The backward minimisation over the control grid U_h on ``space``.
 
     The terminal slice is h at the points.  A step evaluates b~, sigma
-    and g at the points for every control and takes that control's
-    operator from ``build(b_tilde, sig, gs, dt)``, reused while those
-    values are bitwise the ones it was built for and, when ``dt_keyed``
-    (the operator reads dt), dt is its step up to the rounding of the
-    node times (the steps of a uniform grid differ by that much); an
-    operator that does not read dt serves every step of a graded grid.
+    and g in one call on the points of every control stacked, control
+    iu on rows iu*C to (iu+1)*C - 1 (the batch convention), so
+    coefficients that move with t are caught bit for bit on every step.
+    Each control takes its rows and its operator from ``build(b_tilde,
+    sig, gs, dt)``, reused while those values are bitwise the ones it
+    was built for and, when ``dt_keyed`` (the operator reads dt), dt is
+    its step up to the rounding of the node times (the steps of a
+    uniform grid differ by that much); an operator that does not read
+    dt serves every step of a graded grid.
     l(t, e) stays outside the operator, in the step's atom weights
     ``jump_w``.  ``step(t, dt, v_next, jump_w)`` returns the step's row:
     ``row(op, u, sig)`` is one control's total at every point.  The
@@ -350,9 +359,13 @@ def backward_sweep(coeffs: CoefficientSet, control_set: ControlSet, space: Grid,
     values[N] = np.asarray(coeffs.h(X, None), dtype=float).reshape(space.shape)
 
     clamped = 0
-    keys, steps, ops = ([None] * control_set.n_atoms for _ in range(3))
-    totals = np.empty((control_set.n_atoms, C))
-    controls = [broadcast_control(u, C) for u in control_set.atoms]
+    U = control_set.n_atoms
+    keys, steps, ops = ([None] * U for _ in range(3))
+    totals = np.empty((U, C))
+    # Control iu owns rows iu*C .. (iu+1)*C - 1 of the stacked batch.
+    X_all = np.tile(X, (U, 1))
+    u_all = np.concatenate([broadcast_control(u, C) for u in control_set.atoms])
+    rows = [slice(iu * C, (iu + 1) * C) for iu in range(U)]
     dt_slack = 4.0 * np.spacing(np.max(np.abs(grid.nodes)))
     mark_w = np.asarray(measure.weights)
     for i in range(N - 1, -1, -1):
@@ -361,8 +374,9 @@ def backward_sweep(coeffs: CoefficientSet, control_set: ControlSet, space: Grid,
         v_next = values[i + 1].ravel()
         jump_w = mark_w * [float(coeffs.l(t, mark)) for mark in measure.marks]
         row = step(t, dt, v_next, jump_w)
-        for iu, u in enumerate(controls):
-            b_tilde, sig, gs = point_coefficients(coeffs, measure, t, X, u)
+        b_all, sig_all, gs_all = point_coefficients(coeffs, measure, t, X_all, u_all)
+        for iu, r in enumerate(rows):
+            u, b_tilde, sig, gs = u_all[r], b_all[r], sig_all[r], [g[r] for g in gs_all]
             key = (b_tilde.tobytes(), sig.tobytes(), *(g.tobytes() for g in gs))
             if keys[iu] != key or (dt_keyed and abs(dt - steps[iu]) > dt_slack):
                 keys[iu], steps[iu], ops[iu] = key, dt, build(b_tilde, sig, gs, dt)
@@ -376,14 +390,62 @@ def backward_sweep(coeffs: CoefficientSet, control_set: ControlSet, space: Grid,
     return values, argmin, clamped
 
 
-class StepOperator(NamedTuple):
+@dataclass(eq=False)
+class StepOperator:
     """A control's one-step quadrature: the interpolation stencil of its
     points, the quadrature over the continuation points and the clamped
-    coordinates of its points."""
+    coordinates of its points.
+
+    :meth:`channels` reads it on a slice.  Its first use applies the
+    stencil, 2^n reads per point, and then the quadrature.  The second
+    use, the first reuse by a later step, composes the two into
+    ``banded``, one map per cell over the distinct offsets its cells
+    read, and every use from then on is one gather and one product.  An
+    operator that serves one step only, as for coefficients that move
+    with t, never pays for the composition.
+    """
 
     stencil: Stencil
     quadrature: np.ndarray
     clamped: int
+    banded: Stencil | None = None
+    used: bool = False
+
+    def channels(self, v: np.ndarray) -> np.ndarray:
+        """E_u[V], the slopes Z_1..Z_d and the J jump-shift reads of the
+        flat slice ``v`` at every cell, shape (1 + d + J, cells)."""
+        if self.banded is None and self.used:
+            self.banded = self._compose(v.size)
+        if self.banded is not None:
+            return self.banded.apply(v)
+        self.used = True
+        read = self.stencil.apply(v).reshape(-1, v.size)
+        n_cont = self.quadrature.shape[1]
+        return np.concatenate([self.quadrature @ read[:n_cont], read[n_cont:]])
+
+    def _compose(self, C: int) -> Stencil:
+        """The stencil and the quadrature as one :class:`Stencil` with
+        ``indices`` (C, K), each cell plus the K distinct flat offsets
+        its cells read (not the min-to-max range, which spans whole
+        rows for n > 1), and ``weights`` (1 + d + J, C, K), one
+        np.bincount per channel."""
+        idx = self.stencil.indices.reshape(-1, C, self.stencil.indices.shape[-1])
+        w = self.stencil.weights.reshape(idx.shape)
+        cells = np.arange(C)[:, None]
+        # np.unique with its inverse, by a presence count in place of a sort.
+        offs = idx - cells
+        lo = offs.min()
+        seen = np.bincount((offs - lo).ravel()) > 0
+        offsets = np.flatnonzero(seen) + lo
+        K = offsets.size
+        slot = (np.cumsum(seen) - 1)[offs - lo] + K * cells
+        n_cont = self.quadrature.shape[1]
+        parts = ([(q[:, None, None] * w[:n_cont], slot[:n_cont]) for q in self.quadrature]
+                 + list(zip(w[n_cont:], slot[n_cont:])))
+        weights = np.stack([np.bincount(s.ravel(), x.ravel(), C * K) for x, s in parts])
+        # A cell's slots that read nothing get weight 0 and a valid index.
+        indices = np.minimum(np.maximum(cells + offsets, 0), C - 1)
+        return Stencil(indices, weights.reshape(-1, C, K))
 
 
 def _step_operator(lattice: Lattice, b_tilde, sig, gs, dt: float,
@@ -397,6 +459,8 @@ def _step_operator(lattice: Lattice, b_tilde, sig, gs, dt: float,
     shifted centers X + g_j, C rows each.  Row 0 of the quadrature sums
     the continuation rows into E_u[V] (Gauss-Hermite weights w_q), row
     1 + k into the slope channel Z_k (weights w_q zeta_qk / sqrt(dt)).
+    The operator composes the two into its banded map when a second
+    step reuses it (:class:`StepOperator`).
     """
     X = lattice.nodes()
     n = X.shape[1]
@@ -419,7 +483,11 @@ def compute_value_table(coeffs: CoefficientSet, control_set: ControlSet,
     :func:`backward_sweep` on the cell centers with the one-step
     quadrature of :func:`_step_operator` as each control's operator: a
     control's total is E_u[V] + dt f at every center, and the minimum
-    over U_h, with its argmin, is the new slice.
+    over U_h, with its argmin, is the new slice.  A step reads E_u[V],
+    Z and the jump shifts of a control through
+    :meth:`StepOperator.channels`: one stencil apply and one quadrature
+    product on the operator's first step, one gather and one product
+    on the banded map on every step that reuses it.
     """
     lam = measure.total_mass
     max_dt = float(np.max(grid.dt))
@@ -427,18 +495,17 @@ def compute_value_table(coeffs: CoefficientSet, control_set: ControlSet,
         raise ConfigError(
             f"jump intensity {lam} times dt {max_dt} exceeds 1; refine the grid")
     X = lattice.nodes()
-    C = X.shape[0]
-    zeta, gh_w = gauss_hermite(GH_NODES, coeffs.d)
+    C, d = X.shape[0], coeffs.d
+    zeta, gh_w = gauss_hermite(GH_NODES, d)
 
     def build(b_tilde, sig, gs, dt):
         return _step_operator(lattice, b_tilde, sig, gs, dt, zeta, gh_w, measure)
 
     def step(t, dt, v_next, jump_w):
         def row(op, u, sig):
-            read = op.stencil.apply(v_next).reshape(-1, C)
-            ez = op.quadrature @ read[:op.quadrature.shape[1]]
-            e_val, z_val = ez[0], ez[1:].T
-            k_val = jump_w @ (read[op.quadrature.shape[1]:] - v_next)
+            read = op.channels(v_next)
+            e_val, z_val = read[0], read[1:1 + d].T
+            k_val = jump_w @ (read[1 + d:] - v_next)
             f_val = coeffs.f(t, X, u, e_val, z_val, k_val, None)
             return e_val + dt * np.asarray(f_val, dtype=float).reshape(C)
         return row

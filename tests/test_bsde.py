@@ -420,6 +420,17 @@ class TestStackedPrice:
         for k, c in enumerate(controls):
             assert stacked[k] == price(co, [c], x0, bank, terminal=eta)[0]
 
+    @pytest.mark.parametrize("name,paths", [("smooth1d", 8193), ("random_terminal", 8500)])
+    def test_columns_equal_single_pricing_above_8192_rows(self, name, paths):
+        # Past numpy's 8192-element buffer a sum over the rows of a group
+        # may take another path when the batch holds more groups.
+        co, meas, x0, atoms = self.setup(name)
+        controls = self.controls(atoms)
+        bank = draw_noise(self.GRID, co.d, meas, paths, 5)
+        stacked = price(co, controls, x0, bank)
+        for k, c in enumerate(controls):
+            assert stacked[k] == price(co, [c], x0, bank)[0]
+
     @pytest.mark.parametrize("name", ["random_terminal", "two_atoms"])
     def test_groups_of_one_batch_equal_single_batches(self, name):
         # Group k of a stacked batch and its backward solve are the

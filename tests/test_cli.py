@@ -386,10 +386,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("sub, key", [
         ("simulate", "n_steps"), ("bsde", "n_steps"), ("value", "n_steps"),
         ("pide", "n_steps"), ("hjb-weak", "n_steps"), ("bseej", "n_steps"),
-        ("hjb-weak", "modes"), ("bseej", "modes")])
+        ("hjb-weak", "modes"), ("bseej", "modes"), ("value", "cells"), ("pide", "nodes"),
+        ("hjb-weak", "out_nodes")])
     def test_count_too_large_to_allocate_is_numeric_failure(self, tmp_path, sub, key):
-        # 2**62 passes the count reader; the grid or the Galerkin basis
-        # refuses it by its size before numpy sees it.
+        # 2**62 passes the count reader; the time grid, the space grid
+        # or the Galerkin basis refuses it by its size before numpy sees it.
         cfg = write_cfg(tmp_path / "c.json", {
             "seed": 1, "problem": {"name": "smooth1d"},
             sub.replace("-", "_"): {key: 2 ** 62}})

@@ -490,6 +490,26 @@ def time_varying_coeffs(b_t=1.0, sigma_t=0.4, g_t=0.0):
         rho=np.array([0.0]))
 
 
+def two_state_coeffs():
+    """Two states, a correlated two-channel diffusion, jumps that read
+    the mark and x, and l moving with t while b, sigma and g do not, so
+    each control's operator serves every step."""
+    return make_coeffs(
+        n=2, d=2, m=1,
+        b=lambda t, x, u, nz: np.stack(
+            [0.3 * np.tanh(x[..., 1]) + u[:, 0], -0.2 * x[..., 0]], axis=-1),
+        sigma=lambda t, x, u, nz: np.stack([
+            np.stack([0.4 + 0.1 * np.cos(x[..., 0]), 0.1 + 0.0 * x[..., 0]], axis=-1),
+            np.stack([0.2 + 0.0 * x[..., 0], 0.3 + 0.0 * x[..., 0]], axis=-1)], axis=-2),
+        g=lambda t, e, x, u, nz: np.stack(
+            [0.2 * e[0] + 0.0 * x[..., 0], -0.1 * x[..., 1]], axis=-1),
+        f=lambda t, x, u, y, z, k, nz:
+            x[..., 0] ** 2 + 0.3 * u[:, 0] * x[..., 1] + 0.1 * z[..., 0] + 0.05 * k,
+        h=lambda x, nz: np.exp(-x[..., 0] ** 2 - x[..., 1] ** 2),
+        l=lambda t, e: 1.0 + 2.0 * t,
+        rho=np.array([0.0]))
+
+
 # A grid whose steps change length, so that an operator built for one
 # dt and reused for another shows.
 UNEVEN = TimeGrid(np.array([0.0, 0.03, 0.06, 0.1, 0.14, 0.2, 0.25, 0.3,
@@ -510,6 +530,9 @@ def reference_cases():
                           Lattice([-3.0], [3.0], (36,)), UNEVEN, MEAS),
         "g-moving": (time_varying_coeffs(g_t=0.4), u2, Lattice([-3.0], [3.0], (36,)),
                      TimeGrid.uniform(0.5, 12), MEAS),
+        "two-state": (two_state_coeffs(), ControlSet.from_1d(-0.5, 0.5, 2),
+                      Lattice([-2.0, -2.0], [2.0, 2.0], (24, 20)), TimeGrid.uniform(0.3, 10),
+                      MarkMeasure.from_atoms([((1.0,), 0.3), ((-1.0,), 0.2)])),
     }
 
 
@@ -582,3 +605,33 @@ def test_default_grid_builds_once_per_control(family, monkeypatch):
                         Lattice([p.space_low], [p.space_high], (p.lattice_cells,)),
                         grid, p.measure)
     assert len(calls) == p.control_set.n_atoms
+
+
+def count_compositions(monkeypatch):
+    """The list that gets one entry per composed operator."""
+    calls = []
+    compose = dpp.StepOperator._compose
+    monkeypatch.setattr(dpp.StepOperator, "_compose",
+                        lambda op, C: calls.append(C) or compose(op, C))
+    return calls
+
+
+@pytest.mark.parametrize("family", ["smooth1d", "linear1d", "exp_decay", "zero"])
+def test_default_grid_composes_once_per_control(family, monkeypatch):
+    # Each control's one operator serves every step, so it is composed
+    # into its banded map on its first reuse and never again.
+    calls = count_compositions(monkeypatch)
+    p = build_problem(family)
+    lattice = Lattice([p.space_low], [p.space_high], (p.lattice_cells,))
+    compute_value_table(p.coeffs, p.control_set, lattice,
+                        TimeGrid.uniform(p.horizon, p.n_steps), p.measure)
+    assert calls == [p.lattice_cells] * p.control_set.n_atoms
+
+
+@pytest.mark.parametrize("case", ["g-moving", "time-varying"])
+def test_operator_of_one_step_is_never_composed(case, monkeypatch):
+    # b~, sigma or g moves with t: every step builds its own operators,
+    # none is reused, and none pays for a composition.
+    calls = count_compositions(monkeypatch)
+    compute_value_table(*reference_cases()[case])
+    assert calls == []

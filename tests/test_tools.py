@@ -78,3 +78,51 @@ class TestOutputDiffs:
         assert output_diffs.main([str(tmp_path / "before"), str(tmp_path / "after")]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and lines[0].startswith("run/moved.csv max abs")
+
+
+bench_pairs = load_tool("bench_pairs")
+
+WALL = {"wall_s": ("lower", 0.25)}
+
+
+def runs(parent, change):
+    """Pairs of bench results holding only ``wall_s``."""
+    def result(v):
+        return {"metrics": {"wall_s": {"value": v}}}
+    return [(result(p), result(c)) for p, c in zip(parent, change)]
+
+
+def wall_verdict(parent, change):
+    return bench_pairs.metric_summary(runs(parent, change), WALL)["wall_s"]["verdict"]
+
+
+class TestBenchPairsVerdict:
+    """The no-regression verdict against BENCHMARK.json's bound."""
+
+    PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.01]
+
+    def test_small_move_is_within_bound(self):
+        assert wall_verdict(self.PARENT, [v * 1.1 for v in self.PARENT]) == "within bound"
+
+    def test_large_move_is_worse_by_its_ratio(self):
+        line = wall_verdict(self.PARENT, [v * 1.4 for v in self.PARENT])
+        assert line.startswith("worse by 0.400") and line.endswith("(bound 0.25)")
+
+    def test_wide_parent_spread_is_unresolved(self):
+        wide = [0.5, 1.5, 0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 1.0, 1.0]
+        assert wall_verdict(wide, [v * 0.95 for v in wide]).startswith("unresolved")
+
+    def test_wide_spread_resolves_when_every_change_run_is_better(self):
+        wide = [1.5, 2.5, 1.6, 2.4, 1.7, 2.3, 1.8, 2.2, 2.0, 2.0]
+        assert wall_verdict(wide, [1.0 + 0.01 * k for k in range(10)]) == "within bound"
+
+    def test_higher_is_better_reads_a_fall_as_worse(self):
+        rate = {"wall_s": ("higher", 0.25)}
+        pairs = runs(self.PARENT, [v * 0.6 for v in self.PARENT])
+        assert bench_pairs.metric_summary(pairs, rate)["wall_s"]["verdict"].startswith(
+            "worse by 0.400")
+
+    def test_bounds_come_from_the_benchmark(self):
+        metrics = bench_pairs.end_to_end_metrics(str(TOOLS.parent))
+        assert metrics["wall_s"] == ("lower", 0.25)
+        assert metrics["peak_rss_mb"] == ("lower", 0.1)

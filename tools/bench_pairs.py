@@ -8,9 +8,14 @@ For each seed it runs ``python3 perfbench/run.py --workload W --seed S
 runs first, and reads the JSON result on the last line of each run.
 For every end-to-end metric it prints each side's median and quartiles,
 the change/parent ratio of the medians, how many pairs the change won
-(ties count for neither side) and whether the gain rule holds: the
-change wins at least nine tenths of the pairs and the medians differ by
-more than the parent's inter-quartile distance.  It also prints the
+(ties count for neither side), whether the gain rule holds (the change
+wins at least nine tenths of the pairs and the medians differ by more
+than the parent's inter-quartile distance) and a no-regression verdict
+against the metric's ``bound`` in BENCHMARK.json: "within bound",
+"worse by X (bound Y)", or "unresolved" when the parent's inter-quartile
+distance over its median exceeds the bound and not every change run
+reads better than every parent run, so the runs cannot tell a move of
+the bound's size from their spread.  It also prints the
 failed/attempted operation counts of each side, and runs that gave no
 result.  Standard library only.  The last line of its output is the raw
 per-pair data as JSON.
@@ -36,10 +41,6 @@ import statistics
 import subprocess
 import sys
 
-DEFAULT_METRICS = {"wall_s": "lower", "cpu_s": "lower", "peak_rss_mb": "lower",
-                   "setup_s": "lower"}
-
-
 def parse_seeds(text: str) -> list[int]:
     """``1..10`` (inclusive) or a comma list such as ``1,4,7``."""
     if ".." in text:
@@ -49,13 +50,11 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def end_to_end_metrics(tree: str) -> dict:
-    """Metric name -> "lower" or "higher", from the tree's BENCHMARK.json."""
-    path = os.path.join(tree, "BENCHMARK.json")
-    if not os.path.isfile(path):
-        return dict(DEFAULT_METRICS)
-    with open(path) as fh:
+    """Metric name -> ("lower" or "higher", relative bound), from the
+    tree's BENCHMARK.json."""
+    with open(os.path.join(tree, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
 
 # Best of five rounds of a fixed mix of BLAS, sorting and elementwise
@@ -112,13 +111,31 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def verdict(par, chg, better: str, bound: float) -> str:
+    """The no-regression verdict of the change's runs ``chg`` against
+    the parent's ``par`` for a metric that may worsen by ``bound``
+    (relative to the parent's median)."""
+    pq = quartiles(par)
+    sign = 1.0 if better == "lower" else -1.0
+    beats_all = max(sign * c for c in chg) < min(sign * p for p in par)
+    spread = (pq[2] - pq[0]) / abs(pq[1]) if pq[1] else float("inf")
+    if spread > bound and not beats_all:
+        return (f"unresolved (parent IQR/median {spread:.3f} > bound {bound:g}, "
+                "not every change run better)")
+    worse = sign * (quartiles(chg)[1] - pq[1]) / abs(pq[1]) if pq[1] else 0.0
+    if worse > bound:
+        return f"worse by {worse:.3f} (bound {bound:g})"
+    return "within bound"
+
+
 def metric_summary(pairs, metrics) -> dict:
     """Per metric, over the pairs where both sides gave a result: each
-    side's quartiles, the change/parent ratio of the medians, pairs won
-    and the gain rule; None for a metric without a complete pair."""
+    side's quartiles, the change/parent ratio of the medians, pairs won,
+    the gain rule and the no-regression verdict; None for a metric
+    without a complete pair."""
     done = [(p, c) for p, c in pairs if p is not None and c is not None]
     out = {}
-    for name, better in metrics.items():
+    for name, (better, bound) in metrics.items():
         par = [p["metrics"][name]["value"] for p, _ in done]
         chg = [c["metrics"][name]["value"] for _, c in done]
         if not par:
@@ -136,6 +153,7 @@ def metric_summary(pairs, metrics) -> dict:
             "pairs": len(done),
             "gain_rule": (wins >= 0.9 * len(done)
                           and sign * (pq[1] - cq[1]) > pq[2] - pq[0]),
+            "verdict": verdict(par, chg, better, bound),
         }
     return out
 
@@ -153,7 +171,8 @@ def summarize(summary: dict):
             f"q3 {pq['q3']:.4g}], change median {cq['median']:.4g} "
             f"[q1 {cq['q1']:.4g}, q3 {cq['q3']:.4g}], "
             f"change/parent {m['ratio']:.3f}, change won {m['change_won']}/{m['pairs']}, "
-            f"gain rule {'holds' if m['gain_rule'] else 'does not hold'}")
+            f"gain rule {'holds' if m['gain_rule'] else 'does not hold'}, "
+            f"{m['verdict']}")
     return lines
 
 
