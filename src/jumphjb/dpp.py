@@ -361,7 +361,7 @@ def backward_sweep(coeffs: CoefficientSet, control_set: ControlSet, space: Grid,
     clamped = 0
     U = control_set.n_atoms
     keys, steps, ops = ([None] * U for _ in range(3))
-    totals = np.empty((U, C))
+    totals, cols = np.empty((U, C)), np.arange(C)
     # Control iu owns rows iu*C .. (iu+1)*C - 1 of the stacked batch.
     X_all = np.tile(X, (U, 1))
     u_all = np.concatenate([broadcast_control(u, C) for u in control_set.atoms])
@@ -383,7 +383,7 @@ def backward_sweep(coeffs: CoefficientSet, control_set: ControlSet, space: Grid,
             clamped += ops[iu].clamped
             totals[iu] = row(ops[iu], u, sig)
         best_idx = totals.argmin(axis=0)
-        values[i] = advance(v_next, totals[best_idx, np.arange(C)], dt).reshape(space.shape)
+        values[i] = advance(v_next, totals[best_idx, cols], dt).reshape(space.shape)
         argmin[i] = best_idx.reshape(space.shape)
         if not np.all(np.isfinite(values[i])):
             raise NumericError(f"{who}: the value became non-finite at time node {i}")
@@ -400,12 +400,12 @@ class StepOperator:
     stencil, 2^n reads per point, and then the quadrature.  The second
     use, the first reuse by a later step, composes the two into
     ``banded``, one map per cell over the distinct offsets its cells
-    read, and every use from then on is one gather and one product.  An
-    operator that serves one step only, as for coefficients that move
-    with t, never pays for the composition.
+    read, which replaces the stencil, and every use from then on is one
+    gather and one product.  An operator that serves one step only, as
+    for coefficients that move with t, never pays for the composition.
     """
 
-    stencil: Stencil
+    stencil: Stencil | None
     quadrature: np.ndarray
     clamped: int
     banded: Stencil | None = None
@@ -415,7 +415,7 @@ class StepOperator:
         """E_u[V], the slopes Z_1..Z_d and the J jump-shift reads of the
         flat slice ``v`` at every cell, shape (1 + d + J, cells)."""
         if self.banded is None and self.used:
-            self.banded = self._compose(v.size)
+            self.banded, self.stencil = self._compose(v.size), None
         if self.banded is not None:
             return self.banded.apply(v)
         self.used = True
@@ -433,16 +433,21 @@ class StepOperator:
         w = self.stencil.weights.reshape(idx.shape)
         cells = np.arange(C)[:, None]
         # np.unique with its inverse, by a presence count in place of a sort.
-        offs = idx - cells
-        lo = offs.min()
-        seen = np.bincount((offs - lo).ravel()) > 0
+        slot = idx - cells
+        lo = slot.min()
+        slot -= lo
+        seen = np.bincount(slot.ravel()) > 0
         offsets = np.flatnonzero(seen) + lo
         K = offsets.size
-        slot = (np.cumsum(seen) - 1)[offs - lo] + K * cells
-        n_cont = self.quadrature.shape[1]
-        parts = ([(q[:, None, None] * w[:n_cont], slot[:n_cont]) for q in self.quadrature]
-                 + list(zip(w[n_cont:], slot[n_cont:])))
-        weights = np.stack([np.bincount(s.ravel(), x.ravel(), C * K) for x, s in parts])
+        slot = (np.cumsum(seen) - 1)[slot]
+        slot += K * cells
+        n_cont, d = self.quadrature.shape[1], self.quadrature.shape[0] - 1
+        weights = np.empty((idx.shape[0] - n_cont + 1 + d, C * K))
+        for p, q in enumerate(self.quadrature):
+            weights[p] = np.bincount(slot[:n_cont].ravel(),
+                                     (q[:, None, None] * w[:n_cont]).ravel(), C * K)
+        for j, r in enumerate(range(n_cont, idx.shape[0])):
+            weights[1 + d + j] = np.bincount(slot[r].ravel(), w[r].ravel(), C * K)
         # A cell's slots that read nothing get weight 0 and a valid index.
         indices = np.minimum(np.maximum(cells + offsets, 0), C - 1)
         return Stencil(indices, weights.reshape(-1, C, K))
