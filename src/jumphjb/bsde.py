@@ -101,10 +101,10 @@ class NodeRegression:
         cols = phi[1:].reshape(p - 1, groups, M).transpose(1, 0, 2)
         shift = cols.mean(axis=2)
         work = cols - shift[:, :, None]
-        # matmul, not einsum: einsum's sum past its 8192-element buffer
-        # takes another path when C > 1, so a group's bits would depend
-        # on how many groups share the batch.
-        gram = np.matmul(work, work.transpose(0, 2, 1))
+        # One einsum per group: past its 8192-element buffer a batched
+        # einsum sums by another path when C > 1, so a group's bits would
+        # depend on how many groups share the batch.
+        gram = np.stack([np.einsum("im,jm->ij", w, w) for w in work])
         scale = np.sqrt(np.diagonal(gram, axis1=1, axis2=2) / M)
         # A column that is constant up to rounding is the constant again:
         # an infinite scale zeroes it, so every column stays orthogonal

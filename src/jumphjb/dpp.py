@@ -402,33 +402,43 @@ class StepOperator:
     ``banded``, one map per cell over the distinct offsets its cells
     read, which replaces the stencil, and every use from then on is one
     gather and one product.  An operator that serves one step only, as
-    for coefficients that move with t, never pays for the composition.
+    for coefficients that move with t, never pays for the composition,
+    and one whose map would be wider than its stencil keeps the stencil
+    (:meth:`_compose`).
     """
 
     stencil: Stencil | None
     quadrature: np.ndarray
     clamped: int
     banded: Stencil | None = None
-    used: bool = False
+    uses: int = 0
 
     def channels(self, v: np.ndarray) -> np.ndarray:
         """E_u[V], the slopes Z_1..Z_d and the J jump-shift reads of the
         flat slice ``v`` at every cell, shape (1 + d + J, cells)."""
-        if self.banded is None and self.used:
-            self.banded, self.stencil = self._compose(v.size), None
+        self.uses += 1
+        if self.uses == 2:
+            self.banded = self._compose(v.size)
+            if self.banded is not None:
+                self.stencil = None
         if self.banded is not None:
             return self.banded.apply(v)
-        self.used = True
         read = self.stencil.apply(v).reshape(-1, v.size)
         n_cont = self.quadrature.shape[1]
         return np.concatenate([self.quadrature @ read[:n_cont], read[n_cont:]])
 
-    def _compose(self, C: int) -> Stencil:
+    def _compose(self, C: int) -> Stencil | None:
         """The stencil and the quadrature as one :class:`Stencil` with
         ``indices`` (C, K), each cell plus the K distinct flat offsets
         its cells read (not the min-to-max range, which spans whole
         rows for n > 1), and ``weights`` (1 + d + J, C, K), one
-        np.bincount per channel."""
+        np.bincount per channel.
+
+        None when K exceeds the stencil's reads per cell.  K grows with
+        the lattice when a shift moves with x (a jump g = c x reads
+        about c x / width cells away), and a map wider than the stencil
+        costs more to apply than the stencil and the quadrature it
+        would replace."""
         idx = self.stencil.indices.reshape(-1, C, self.stencil.indices.shape[-1])
         w = self.stencil.weights.reshape(idx.shape)
         cells = np.arange(C)[:, None]
@@ -439,6 +449,8 @@ class StepOperator:
         seen = np.bincount(slot.ravel()) > 0
         offsets = np.flatnonzero(seen) + lo
         K = offsets.size
+        if K > idx.shape[0] * idx.shape[2]:
+            return None
         slot = (np.cumsum(seen) - 1)[slot]
         slot += K * cells
         n_cont, d = self.quadrature.shape[1], self.quadrature.shape[0] - 1

@@ -608,30 +608,46 @@ def test_default_grid_builds_once_per_control(family, monkeypatch):
 
 
 def count_compositions(monkeypatch):
-    """The list that gets one entry per composed operator."""
-    calls = []
+    """The list that gets one entry per composition tried: the banded
+    map, or None where the operator keeps its stencil."""
+    maps = []
     compose = dpp.StepOperator._compose
-    monkeypatch.setattr(dpp.StepOperator, "_compose",
-                        lambda op, C: calls.append(C) or compose(op, C))
-    return calls
+
+    def record(op, C):
+        maps.append(compose(op, C))
+        return maps[-1]
+    monkeypatch.setattr(dpp.StepOperator, "_compose", record)
+    return maps
 
 
 @pytest.mark.parametrize("family", ["smooth1d", "linear1d", "exp_decay", "zero"])
 def test_default_grid_composes_once_per_control(family, monkeypatch):
     # Each control's one operator serves every step, so it is composed
     # into its banded map on its first reuse and never again.
-    calls = count_compositions(monkeypatch)
+    maps = count_compositions(monkeypatch)
     p = build_problem(family)
     lattice = Lattice([p.space_low], [p.space_high], (p.lattice_cells,))
     compute_value_table(p.coeffs, p.control_set, lattice,
                         TimeGrid.uniform(p.horizon, p.n_steps), p.measure)
-    assert calls == [p.lattice_cells] * p.control_set.n_atoms
+    assert len(maps) == p.control_set.n_atoms
+    assert all(m is not None and m.indices.shape[0] == p.lattice_cells for m in maps)
 
 
 @pytest.mark.parametrize("case", ["g-moving", "time-varying"])
 def test_operator_of_one_step_is_never_composed(case, monkeypatch):
     # b~, sigma or g moves with t: every step builds its own operators,
     # none is reused, and none pays for a composition.
-    calls = count_compositions(monkeypatch)
+    maps = count_compositions(monkeypatch)
     compute_value_table(*reference_cases()[case])
-    assert calls == []
+    assert maps == []
+
+
+def test_map_wider_than_its_stencil_keeps_the_stencil(monkeypatch):
+    # linear1d's jump g = c x reads about c x / width cells away, so at
+    # 320 cells its cells read more distinct offsets than the 22 entries
+    # of a stencil row: each control tries once and keeps its stencil.
+    maps = count_compositions(monkeypatch)
+    p = build_problem("linear1d")
+    compute_value_table(p.coeffs, p.control_set, Lattice([p.space_low], [p.space_high], (320,)),
+                        TimeGrid.uniform(p.horizon, 16), p.measure)
+    assert maps == [None] * p.control_set.n_atoms
