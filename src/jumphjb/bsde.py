@@ -101,10 +101,14 @@ class NodeRegression:
         cols = phi[1:].reshape(p - 1, groups, M).transpose(1, 0, 2)
         shift = cols.mean(axis=2)
         work = cols - shift[:, :, None]
-        # One einsum per group: past its 8192-element buffer a batched
-        # einsum sums by another path when C > 1, so a group's bits would
-        # depend on how many groups share the batch.
-        gram = np.stack([np.einsum("im,jm->ij", w, w) for w in work])
+        # A batched einsum sums a group's M rows as a one-group einsum
+        # does only while they fit its fixed 8192-element buffer; past
+        # it, with C > 1, it takes another path.  There one einsum per
+        # group keeps a group's bits those of its one-group regression.
+        if groups > 1 and M > 8192:
+            gram = np.stack([np.einsum("im,jm->ij", w, w) for w in work])
+        else:
+            gram = np.einsum("cim,cjm->cij", work, work)
         scale = np.sqrt(np.diagonal(gram, axis1=1, axis2=2) / M)
         # A column that is constant up to rounding is the constant again:
         # an infinite scale zeroes it, so every column stays orthogonal

@@ -362,7 +362,6 @@ def backward_sweep(coeffs: CoefficientSet, control_set: ControlSet, space: Grid,
     U = control_set.n_atoms
     keys, steps, ops = ([None] * U for _ in range(3))
     totals, cols = np.empty((U, C)), np.arange(C)
-    # Control iu owns rows iu*C .. (iu+1)*C - 1 of the stacked batch.
     X_all = np.tile(X, (U, 1))
     u_all = np.concatenate([broadcast_control(u, C) for u in control_set.atoms])
     rows = [slice(iu * C, (iu + 1) * C) for iu in range(U)]
@@ -477,7 +476,8 @@ def _step_operator(lattice: Lattice, b_tilde, sig, gs, dt: float,
     the continuation rows into E_u[V] (Gauss-Hermite weights w_q), row
     1 + k into the slope channel Z_k (weights w_q zeta_qk / sqrt(dt)).
     The operator composes the two into its banded map when a second
-    step reuses it (:class:`StepOperator`).
+    step reuses it and the map is no wider than the stencil
+    (:class:`StepOperator`).
     """
     X = lattice.nodes()
     n = X.shape[1]
@@ -504,7 +504,8 @@ def compute_value_table(coeffs: CoefficientSet, control_set: ControlSet,
     Z and the jump shifts of a control through
     :meth:`StepOperator.channels`: one stencil apply and one quadrature
     product on the operator's first step, one gather and one product
-    on the banded map on every step that reuses it.
+    on the banded map on every step that reuses it, unless that map
+    would be wider than the stencil.
     """
     lam = measure.total_mass
     max_dt = float(np.max(grid.dt))
