@@ -28,7 +28,7 @@ from .coefficients import CoefficientSet
 from .errors import NumericError
 from .forward import (Control, ForwardBatch, as_controls, check_batch, simulate_batch,
                       stack_controls, stack_size)
-from .drivers import MarkMeasure, NoiseBank, TimeGrid, child_seed, draw_noise
+from .drivers import MarkMeasure, NoiseBank, TimeGrid, check_batch_bytes, child_seed, draw_noise
 
 __all__ = [
     "PolynomialBasis",
@@ -233,6 +233,10 @@ def solve_bsde(coeffs: CoefficientSet, control, batch: ForwardBatch,
     K = np.empty((N, rows, n_atoms)) if keep_paths else None
     if keep_paths:
         Y[N] = y_next
+
+    # A node's feature rows, their centred copy and its Gram matrices.
+    p = basis.n_features(coeffs.n + len(coeffs.randomness_channels))
+    check_batch_bytes(8.0 * ((2 * p - 1) * rows + C * (p - 1) ** 2))
 
     diags = []
     z_i = np.zeros((d, rows))

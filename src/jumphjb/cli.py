@@ -19,7 +19,6 @@ import hashlib
 import json
 import math
 import sys
-from importlib.metadata import version
 from pathlib import Path
 
 import numpy as np
@@ -168,7 +167,7 @@ def run_pide(cfg: Section, sec: Section, out: Path) -> list:
     sol = _pide_solution(sec, prob)
     sol.triplet.to_csv(out / "pide_field.csv")
     _write_json(out / "pide_report.json", {
-        "V0": sol.value_at(0, prob.x0),
+        "V0": sol.triplet.value_at(0, prob.x0),
         "clamped_points": sol.clamped,
     })
     return ["pide_field.csv", "pide_report.json"]
@@ -403,7 +402,6 @@ def _manifest(subcommand: str, cfg: dict, cfg_text: str, outputs: list) -> dict:
         "versions": {
             "jumphjb": __version__,
             "numpy": np.__version__,
-            "scipy": version("scipy"),
         },
         "outputs": sorted(outputs),
     }

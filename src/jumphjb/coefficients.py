@@ -41,6 +41,7 @@ aggregate, and the growth bound on l.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -55,6 +56,7 @@ __all__ = [
     "ControlSet",
     "batch_eval",
     "broadcast_control",
+    "brownian_index",
     "compensated_drift",
     "SamplingPlan",
     "ValidationReport",
@@ -66,6 +68,13 @@ __all__ = [
 
 # Central-difference step for D_x of opaque coefficients, scaled by 1+|x|.
 FD_STEP_SCALE = 1e-5
+
+
+def brownian_index(channel: str) -> int:
+    """k of a randomness channel named W<k>, the k-th Brownian component
+    (k >= 1, no sign, space or leading zero); 0 for any other name."""
+    match = re.fullmatch("W([1-9][0-9]*)", channel)
+    return int(match[1]) if match else 0
 
 
 @dataclass(frozen=True)
@@ -81,13 +90,6 @@ class NoiseState:
     t: float | np.ndarray
     channels: tuple
     values: np.ndarray
-
-    def channel(self, name: str):
-        try:
-            i = self.channels.index(name)
-        except ValueError:
-            raise KeyError(f"channel {name!r} not in {self.channels}") from None
-        return self.values[..., i]
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,8 @@ class CoefficientSet:
         if rho.size and np.any(rho < 0):
             raise ValueError("rho entries must be nonnegative")
         object.__setattr__(self, "rho", rho)
-        bad = [c for c in self.randomness_channels if not self._valid_channel(c)]
+        bad = [c for c in self.randomness_channels
+               if c != "J" and not 1 <= brownian_index(c) <= self.d]
         if bad:
             raise ValueError(f"unknown randomness channels {bad}")
         object.__setattr__(
@@ -149,17 +152,6 @@ class CoefficientSet:
                    b=_per_row(b, (n,), 1), sigma=_per_row(sigma, (n, d), 1),
                    g=_per_row(g, (n,), 2), f=_per_row(f, (), 1),
                    h=_per_row(h, (), 0), l=l, **kw)
-
-    def _valid_channel(self, c: str) -> bool:
-        if c == "J":
-            return True
-        if c.startswith("W"):
-            try:
-                i = int(c[1:])
-            except ValueError:
-                return False
-            return 1 <= i <= self.d
-        return False
 
     @property
     def is_random(self) -> bool:

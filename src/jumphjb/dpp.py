@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -231,16 +232,30 @@ class Grid:
             idx.append(np.minimum(np.maximum(i, 0), c.size - 1))
         return tuple(idx)
 
-    def gradient(self, values: np.ndarray) -> np.ndarray:
-        """Central-difference gradient, one-sided at the edges.
+    @cached_property
+    def gradient_stencil(self) -> Stencil:
+        """The centred gradient, one-sided at the edges, as a
+        :class:`Stencil`; built on first use and then shared, read-only.
+        ``indices`` (n, n_points, 2) hold each point's up and down
+        neighbour along axis k, the point itself past an edge (so a
+        one-point axis reads a zero gradient), and ``weights`` the
+        matching +-1 / (2 h_k), or +-1 / h_k at an edge."""
+        node = np.arange(math.prod(self.shape))
+        pos = np.indices(self.shape).reshape(self.n, -1)
+        strides = np.cumprod((1,) + self.shape[:0:-1])[::-1, None]
+        first, last = pos == 0, pos == np.array(self.shape)[:, None] - 1
+        q = 1.0 / (self.widths[:, None] * np.maximum(2.0 - first - last, 1.0))
+        grad = Stencil(np.stack([node + strides * ~last, node - strides * ~first], axis=-1),
+                       np.stack([q, -q], axis=-1))
+        for a in grad:
+            a.flags.writeable = False
+        return grad
 
-        Returns shape (*shape, n).
-        """
-        vals = np.asarray(values, dtype=float).reshape(self.shape)
-        out = np.empty(self.shape + (self.n,))
-        for k in range(self.n):
-            out[..., k] = np.gradient(vals, self.widths[k], axis=k)
-        return out
+    def gradient(self, values: np.ndarray) -> np.ndarray:
+        """The :attr:`gradient_stencil` applied to a field on the grid:
+        (n_points, n), one row per point in the order of :meth:`nodes`."""
+        flat = np.asarray(values, dtype=float).reshape(self.shape).ravel()
+        return self.gradient_stencil.apply(flat).T
 
 
 class Lattice(Grid):
@@ -302,12 +317,9 @@ class FeedbackPolicy(Control):
     def cell_of(self, points: np.ndarray) -> tuple:
         return self.space.nearest(points)
 
-    def _slice(self, i: int) -> int:
-        return min(i, self.table.shape[0] - 1)
-
     def value_batch(self, i, t, x, noise):
         cell = self.cell_of(x)
-        return self.control_set.atoms[self.table[self._slice(i)][cell]]
+        return self.control_set.atoms[self.table[min(i, self.table.shape[0] - 1)][cell]]
 
 
 def _require_deterministic(coeffs: CoefficientSet, who: str):

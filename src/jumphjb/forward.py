@@ -30,6 +30,7 @@ from .coefficients import (
     CoefficientSet,
     NoiseState,
     batch_eval,
+    brownian_index,
     compensated_drift,
     jacobian_x,
 )
@@ -481,7 +482,7 @@ def _noise_values(coeffs, t, w_run, cnt_run, mass):
         if c == "J":
             cols.append(cnt_run - t * mass)
         else:
-            cols.append(w_run[:, int(c[1:]) - 1])
+            cols.append(w_run[:, brownian_index(c) - 1])
     return np.stack(cols, axis=-1)
 
 

@@ -63,6 +63,7 @@ from .coefficients import (
     NoiseState,
     batch_eval,
     broadcast_control,
+    brownian_index,
     compensated_drift,
     jacobian_x,
 )
@@ -343,15 +344,18 @@ class BinomialJumpTree:
         dt = grid.dt
         if self.channels and np.max(np.abs(dt - dt[0])) > 1e-12 * dt[0]:
             raise ConfigError("scenario lattices need a uniform time grid")
-        bad = [c for c in self.channels if c not in ("J",) and not c.startswith("W")]
-        if bad:
-            raise ConfigError(f"unsupported scenario channels {bad}")
+        # One walk serves one Brownian channel, so at most one W<k>.
+        w = [c for c in self.channels if brownian_index(c)]
+        if (len(w) > 1 or len(set(self.channels)) < len(self.channels)
+                or any(c != "J" and c not in w for c in self.channels)):
+            raise ConfigError("scenario channels must be distinct: J and at most one "
+                              f"W<k> with k >= 1, got {self.channels}")
         self.dt = float(dt[0])
         lam = measure.total_mass
         if lam * self.dt > 1.0:
             raise ConfigError("jump intensity times dt exceeds 1; refine the grid")
         self.has_jumps = "J" in self.channels and measure.n_atoms > 0
-        self.has_w = any(c.startswith("W") for c in self.channels)
+        self.has_w = bool(w)
         if j_cap is None:
             horizon_mean = lam * grid.horizon
             j_cap = int(np.ceil(horizon_mean + 4.0 * np.sqrt(horizon_mean + 1.0) + 2))
@@ -419,8 +423,7 @@ class BinomialJumpTree:
             if c == "J":
                 cols.append(js - t * self.measure.total_mass)
             else:
-                cols.append((2.0 * ks - i) * np.sqrt(self.dt)
-                            if self.has_w else np.zeros(ks.size))
+                cols.append((2.0 * ks - i) * np.sqrt(self.dt))
         return np.stack(cols, axis=-1) if cols else np.zeros((ks.size, 0))
 
     def noise_values(self, i: int) -> np.ndarray:

@@ -48,7 +48,7 @@ import numpy as np
 from .bsde import mean_ci, replicate
 from .coefficients import CoefficientSet, ControlSet, batch_eval, broadcast_control
 from .dpp import FeedbackPolicy, Grid, Stencil, backward_sweep, point_coefficients
-from .drivers import MarkMeasure, TimeGrid, write_csv
+from .drivers import MarkMeasure, TimeGrid, check_batch_bytes, write_csv
 from .errors import CflViolationError, ConfigError, NumericError
 from .forward import ConstantControl, OpenLoopControl
 
@@ -202,8 +202,7 @@ def nonlocal_apply(space: SpatialGrid, v_slice: np.ndarray,
         read = here.apply
     v_here, psi_here = read(v_flat), [read(field) for field in psi]
     if dv is None:
-        grad = space.gradient(v_slice).reshape(-1, space.n)
-        dv = np.stack([read(column) for column in grad.T], axis=1)
+        dv = np.stack([read(column) for column in space.gradient(v_flat).T], axis=1)
     dv = np.asarray(dv, dtype=float).reshape(x.shape)
     B = x.shape[0]
     per_atom = np.zeros((B, measure.n_atoms))
@@ -236,50 +235,39 @@ class PideSolution:
         return (self.triplet.V[:-1] - self.triplet.V[1:]) / dt.reshape(
             (-1,) + (1,) * self.triplet.space.n)
 
-    def value_at(self, t_node: int, x) -> float:
-        return self.triplet.value_at(t_node, x)
-
 
 class NodePattern(NamedTuple):
-    """What the maps of every control share on one node grid: the grid
-    and its nodes, the columns of the local generator, per axis the
-    interior mask, the weights of the cross difference D_0 D_1 (n = 2)
-    and the centered gradient, one-sided at the edges."""
+    """What the maps of every control share on one node grid: the grid,
+    the columns of the local generator, per axis the interior mask and
+    the weights of the cross difference D_0 D_1 (n = 2), all read off
+    the grid's centred-gradient stencil."""
 
     space: SpatialGrid
-    nodes: np.ndarray
     columns: np.ndarray
     inner: np.ndarray
     cross: np.ndarray
-    gradient: Stencil
 
     @classmethod
     def of(cls, space: SpatialGrid) -> "NodePattern":
-        X = space.nodes()
-        C, n = X.shape
-        pos = np.indices(space.shape).reshape(n, C)
-        strides = np.cumprod((1,) + space.shape[:0:-1])[::-1]
-        node = np.arange(C)
-        cols, inner, grad = [], [], []
-        for k in range(n):
-            first, last, st = pos[k] == 0, pos[k] == space.shape[k] - 1, strides[k]
-            # Forward and backward differences; past the edge each reads
-            # the node itself (a zero-gradient ghost), so an outflow edge
-            # has no transport term and the step stays monotone there.
-            up, down = node + st * ~last, node - st * ~first
-            inner.append(~(first | last))
-            cols += [up, node, node, down, node - st * inner[k], node, node + st * inner[k]]
-            q = 1.0 / (space.widths[k] * (2.0 - first - last))
-            grad.append(Stencil(np.stack([up, down], axis=1), np.stack([q, -q], axis=1)))
+        grad = space.gradient_stencil
+        C = grad.indices.shape[1]
+        up, down = np.moveaxis(grad.indices, -1, 0)
+        node = np.broadcast_to(np.arange(C), up.shape)
+        inner = (up != node) & (down != node)
+        # Forward and backward differences; past the edge each reads the
+        # node itself (a zero-gradient ghost), so an outflow edge has no
+        # transport term and the step stays monotone there.  Then the
+        # second difference, at interior nodes only.
+        cols = np.stack([up, node, node, down, np.where(inner, down, node), node,
+                         np.where(inner, up, node)], axis=-1).transpose(1, 0, 2).reshape(C, -1)
         cross = np.zeros((C, 0))
-        if n == 2:
-            # D_0 D_1, the composition of the centered gradients.
-            (i0, w0), (i1, w1) = grad
-            cols += [i0[:, s0] + i1[:, s1] - node for s0 in range(2) for s1 in range(2)]
-            cross = np.stack([w0[:, s0] * w1[:, s1] for s0 in range(2) for s1 in range(2)],
-                             axis=1)
-        return cls(space, X, np.stack(cols, axis=1),
-                   np.array(inner), cross, Stencil(*(np.stack(x) for x in zip(*grad))))
+        if space.n == 2:
+            # D_0 D_1, the composition of the centred gradients.
+            (i0, i1), (w0, w1) = grad
+            corners = i0[:, :, None] + i1[:, None, :] - node[0][:, None, None]
+            cols = np.concatenate([cols, corners.reshape(C, 4)], axis=1)
+            cross = (w0[:, :, None] * w1[:, None, :]).reshape(C, 4)
+        return cls(space, cols, inner, cross)
 
 
 class NodeOperator(NamedTuple):
@@ -325,7 +313,7 @@ def _local_generator(pattern: NodePattern, b_tilde, sig, lam: float) -> tuple:
 
 def _jump_shifts(pattern: NodePattern, gs) -> tuple:
     """The shift stencil S_j of every atom and its clamped coordinates."""
-    X = pattern.nodes
+    X = pattern.space.nodes()
     C, n = X.shape
     shift, clamped = pattern.space.stencil(
         (X + np.stack(gs)).reshape(-1, n) if gs else np.empty((0, n)))
@@ -347,7 +335,7 @@ def solve_pide_deterministic(coeffs: CoefficientSet, space: SpatialGrid,
     if space.n > 2:
         raise ConfigError("the PIDE solver is desk scale: n <= 2 only")
     pattern = NodePattern.of(space)
-    X = pattern.nodes
+    X = space.nodes()
     C = X.shape[0]
     lam, mark_w = measure.total_mass, np.asarray(measure.weights)
 
@@ -356,7 +344,7 @@ def solve_pide_deterministic(coeffs: CoefficientSet, space: SpatialGrid,
                             *_jump_shifts(pattern, gs))
 
     def step(t, dt, v_next, jump_w):
-        grad = pattern.gradient.apply(v_next)
+        grad = space.gradient(v_next)
 
         def row(op, u, sig):
             if dt > op.bound * (1.0 + 1e-12):
@@ -365,7 +353,7 @@ def solve_pide_deterministic(coeffs: CoefficientSet, space: SpatialGrid,
                         coeffs, measure, float(s), X, broadcast_control(w, C))[:2], lam)[1]
                     for s in time_grid.nodes[:-1] for w in control_set.atoms))
             jumps = op.shifts.apply(v_next) - v_next
-            z_slot = np.einsum("cij,ic->cj", sig, grad)
+            z_slot = np.einsum("cij,ci->cj", sig, grad)
             f_val = coeffs.f(t, X, u, v_next, z_slot, jump_w @ jumps, None)
             return (np.asarray(f_val, dtype=float).reshape(C)
                     + op.generator.apply(v_next) + mark_w @ jumps)
@@ -387,16 +375,18 @@ def _delta_field(triplet: RandomFieldTriplet, coeffs: CoefficientSet,
     Delta is the verification-theorem integrand at the nodes, per
     control the :func:`hamiltonian` with the candidate fields plus the
     compensated and Psi terms of :func:`nonlocal_apply`.  Spatial
-    derivatives are central; shifted evaluations interpolate.
+    derivatives are the grid's centred gradient, the Hessian that
+    gradient taken twice and symmetrized; shifted evaluations
+    interpolate.  Ties break to the lowest control index, as in
+    :func:`~jumphjb.dpp.backward_sweep`.
     """
     space = triplet.space
     X = space.nodes()
     C, n, d = X.shape[0], coeffs.n, coeffs.d
-    v_slice = triplet.V[slice_idx]
-    grads = space.gradient(v_slice)
-    grad_v = grads.reshape(C, n)
-    # Hessian by differentiating the gradient once more, symmetrized.
-    hess = np.stack([space.gradient(grads[..., k]).reshape(C, n) for k in range(n)], axis=1)
+    v_slice = triplet.V[slice_idx].ravel()
+    grad_v = space.gradient(v_slice)
+    # Hessian by differentiating each gradient component once more, symmetrized.
+    hess = np.stack([space.gradient(g) for g in grad_v.T], axis=1)
     hess = 0.5 * (hess + np.transpose(hess, (0, 2, 1)))
     # Phi sits on the carried channels (the last Brownian components):
     # its value enters the driver's z slot, its gradient the (q, sigma)
@@ -406,22 +396,17 @@ def _delta_field(triplet: RandomFieldTriplet, coeffs: CoefficientSet,
     dphi = np.zeros((C, n, d))
     for c in range(n_phi):
         phi[:, d - n_phi + c] = triplet.Phi[slice_idx, c].ravel()
-        dphi[:, :, d - n_phi + c] = space.gradient(triplet.Phi[slice_idx, c]).reshape(C, n)
+        dphi[:, :, d - n_phi + c] = space.gradient(triplet.Phi[slice_idx, c])
 
-    best = best_idx = None
+    totals = np.empty((control_set.n_atoms, C))
     for iu, u in enumerate(control_set.atoms):
         jumps = nonlocal_apply(space, v_slice, coeffs, t, None, u, measure,
                                triplet.Psi[slice_idx], dv=grad_v)
-        total = (hamiltonian(coeffs, t, X, u, grad_v, dphi, hess, jumps.weighted,
-                             y=v_slice.ravel(), phi=phi)
-                 + jumps.compensated + jumps.psi)
-        if best is None:
-            best = total
-            best_idx = np.zeros(C, dtype=int)
-        else:
-            better = total < best
-            best = np.where(better, total, best)
-            best_idx = np.where(better, iu, best_idx)
+        totals[iu] = (hamiltonian(coeffs, t, X, u, grad_v, dphi, hess, jumps.weighted,
+                                  y=v_slice, phi=phi)
+                      + jumps.compensated + jumps.psi)
+    best_idx = totals.argmin(axis=0)
+    best = totals[best_idx, np.arange(C)]
     if not np.all(np.isfinite(best)):
         bad = int(np.argmax(~np.isfinite(best)))
         raise NumericError(
@@ -494,6 +479,8 @@ def verification_run(triplet: RandomFieldTriplet, coeffs: CoefficientSet,
     """
     grid = TimeGrid(triplet.time_nodes)
     N = grid.n_steps
+    # The alternatives' control tables, at most N atoms each.
+    check_batch_bytes(8.0 * n_alternatives * N * control_set.m)
     table = np.empty((N,) + triplet.space.shape, dtype=int)
     for i in range(N):
         t = float(triplet.time_nodes[i])

@@ -1,3 +1,4 @@
+import importlib.metadata
 import json
 import subprocess
 import sys
@@ -50,6 +51,27 @@ class TestRuns:
         assert "jumphjb" in manifest["versions"]
         report = json.loads((out / "value_report.json").read_text())
         assert report["V0"] == pytest.approx(2.0, abs=1e-9)
+
+    def test_run_without_scipy_writes_its_manifest(self, tmp_path, monkeypatch):
+        # scipy is a test dependency only: with it uninstalled, neither
+        # importable nor in the package metadata, a run still exits 0
+        # and its manifest records what the library imports.
+        real = importlib.metadata.version
+
+        def version(name):
+            if name == "scipy":
+                raise importlib.metadata.PackageNotFoundError(name)
+            return real(name)
+
+        monkeypatch.setattr(importlib.metadata, "version", version)
+        monkeypatch.setattr(cli, "version", version, raising=False)
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        payload = dict(BASE, value={"cells": 11, "n_steps": 5})
+        cfg = write_cfg(tmp_path / "c.json", payload)
+        out = tmp_path / "o"
+        assert run_cli(["value", "--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["versions"]) == ["jumphjb", "numpy"]
 
     def test_bseej_heat(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.json", {
@@ -387,10 +409,11 @@ class TestExitCodes:
         ("simulate", "n_steps"), ("bsde", "n_steps"), ("value", "n_steps"),
         ("pide", "n_steps"), ("hjb-weak", "n_steps"), ("bseej", "n_steps"),
         ("hjb-weak", "modes"), ("bseej", "modes"), ("value", "cells"), ("pide", "nodes"),
-        ("hjb-weak", "out_nodes")])
+        ("hjb-weak", "out_nodes"), ("bsde", "basis_degree"), ("verify", "n_alternatives")])
     def test_count_too_large_to_allocate_is_numeric_failure(self, tmp_path, sub, key):
-        # 2**62 passes the count reader; the time grid, the space grid
-        # or the Galerkin basis refuses it by its size before numpy sees it.
+        # 2**62 passes the count reader; the time grid, the space grid,
+        # the Galerkin basis, the regression features or the alternative
+        # controls refuse it by its size before numpy sees it.
         cfg = write_cfg(tmp_path / "c.json", {
             "seed": 1, "problem": {"name": "smooth1d"},
             sub.replace("-", "_"): {key: 2 ** 62}})

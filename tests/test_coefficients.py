@@ -210,3 +210,13 @@ class TestFromPointwise:
     def test_pointwise_flag_refused(self):
         with pytest.raises(ValueError, match="from_pointwise"):
             make_coeffs(vectorized=False)
+
+
+@pytest.mark.parametrize("channels", [("W0",), ("W3",), ("W01",), ("W+1",), ("W 1",), ("Wx",),
+                                      ("j",)])
+def test_randomness_channel_names(channels):
+    # J, or W<k> for a Brownian component 1 <= k <= d written as plain
+    # digits; the scenario lattice and the noise values parse the same.
+    with pytest.raises(ValueError, match="unknown randomness channels"):
+        make_coeffs(d=2, randomness_channels=channels)
+    assert make_coeffs(d=2, randomness_channels=("W2", "J", "W1")).is_random

@@ -189,6 +189,18 @@ class TestLinearSolver:
         for i in (1, 10, 40):
             assert tree.probabilities(i).sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("channels", [
+        ("W1", "W2", "Wfoo"), ("W1", "W2"), ("J", "J"), ("W0",), ("W",), ("w1",),
+        ("W+1",), ("W01", "J")])
+    def test_scenario_channels_are_j_and_one_w(self, channels):
+        # The lattice walks one Brownian channel and counts the jumps, so
+        # any other name, a repeat or a second W channel would be read as
+        # a copy of that one walk.
+        with pytest.raises(ConfigError, match="scenario channels"):
+            BinomialJumpTree(TimeGrid.uniform(1.0, 4), MEAS, channels)
+        tree = BinomialJumpTree(TimeGrid.uniform(1.0, 4), MEAS, ("W12", "J"))
+        assert tree.noise_values(4).shape[1] == 2
+
     def test_deterministic_data_degeneracy_on_tree(self):
         tr = assemble_triple(L, 1, 6)
         grid = TimeGrid.uniform(1.0, 30)

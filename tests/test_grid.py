@@ -223,3 +223,23 @@ def test_nodes_are_built_once_and_read_only(kind):
     assert fine.nodes().shape == (np.prod(fine.shape), 2)
     with pytest.raises(ValueError):
         nodes[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("kind", [Lattice, SpatialGrid])
+@pytest.mark.parametrize("shape", [(9,), (6, 5)])
+def test_gradient_stencil_is_the_centred_gradient(kind, shape):
+    # The one gradient of a grid: flat (points, n), within rounding of
+    # np.gradient's centred differences (one-sided at the edges) on
+    # either placement, from one stencil built once and read-only.
+    grid = kind([-1.0, 0.5][:len(shape)], [2.0, 1.5][:len(shape)], shape)
+    v = np.random.default_rng(3).standard_normal(shape) * 40.0
+    grad = grid.gradient(v)
+    assert grad.shape == (v.size, len(shape))
+    for k, h in enumerate(grid.widths):
+        expect = np.gradient(v, h, axis=k).ravel()
+        assert np.max(np.abs(grad[:, k] - expect)) <= 1e-13 * np.max(np.abs(v)) / h
+    stencil = grid.gradient_stencil
+    assert grid.gradient_stencil is stencil
+    for a in stencil:
+        with pytest.raises(ValueError):
+            a.flat[0] = 0

@@ -330,6 +330,19 @@ class TestDriftConsistency:
         with pytest.raises(NumericError, match="Hamiltonian"):
             drift_consistency_residual(trip, np.zeros((5, 21)), co, U2, MEAS)
 
+    def test_duplicated_atom_ties_to_the_lowest_index(self):
+        # Two equal controls give equal totals at every node, and the
+        # feedback takes the first, the tie rule of the backward sweep.
+        co = benchmark_coeffs()
+        space = SpatialGrid([-3.0], [3.0], (31,))
+        tg = TimeGrid.uniform(0.25, 20)
+        u = U2.atoms[1]
+        twice = ControlSet(np.stack([u, u]), U2.lower, U2.upper)
+        sol = solve_pide_deterministic(co, space, tg, U2, MEAS)
+        for i in (0, 7, 19):
+            best, idx = pide._delta_field(sol.triplet, co, twice, MEAS, tg.nodes[i], i)
+            assert np.all(np.isfinite(best)) and idx.tolist() == [0] * 31
+
     def test_gamma_shift_affine(self):
         co = benchmark_coeffs()
         space = SpatialGrid([-3.0], [3.0], (61,))
@@ -510,6 +523,31 @@ def reference_pide(coeffs, space, time_grid, control_set, measure):
     return V, argmin, clamped, margin
 
 
+@pytest.mark.parametrize("shape", [(21,), (11, 9)])
+def test_pide_step_reads_the_grid_gradient(shape):
+    # With sigma = I the driver's z slot is the gradient the step reads;
+    # it is the grid's own centred gradient of the terminal slice, bit
+    # for bit.
+    n = len(shape)
+    seen = []
+
+    def f(t, x, u, y, z, k, nz):
+        seen.append(z.copy())
+        return np.zeros(np.shape(y))
+
+    co = make_coeffs(
+        n=n, d=n, m=1, f=f,
+        sigma=lambda t, x, u, nz: np.broadcast_to(np.eye(n), x.shape + (n,)),
+        h=lambda x, nz: np.sin(3.0 * x[:, 0]) + x[:, -1] ** 2)
+    space = SpatialGrid([-1.0] * n, [1.0] * n, shape)
+    solve_pide_deterministic(co, space, TimeGrid.uniform(0.002, 1), U2,
+                             MarkMeasure.empty())
+    expect = space.gradient(co.h(space.nodes(), None))
+    assert len(seen) == U2.n_atoms
+    for z in seen:
+        np.testing.assert_array_equal(z, expect)
+
+
 def two_dim_coeffs():
     """Two states with correlated diffusion (a cross term), two atoms."""
     return make_coeffs(
@@ -671,8 +709,8 @@ def test_step_matrix_has_no_negative_off_diagonal():
 def test_value_solvers_load_no_scipy():
     """The value solvers, the weak HJB solver among them, the Monte
     Carlo pricing path (``bsde.price`` on a stacked bank) and a CLI run,
-    whose manifest reads scipy's version from the package metadata, stay
-    on numpy.
+    whose manifest records the versions of ``jumphjb`` and numpy only,
+    stay on numpy.
 
     Importing ``scipy.sparse`` after numpy takes 0.15-0.18 s and adds
     about 22 MB to the peak resident memory of the process (three runs

@@ -126,3 +126,19 @@ class TestBenchPairsVerdict:
         metrics = bench_pairs.end_to_end_metrics(str(TOOLS.parent))
         assert metrics["wall_s"] == ("lower", 0.25)
         assert metrics["peak_rss_mb"] == ("lower", 0.1)
+
+
+def test_output_digests_runs_every_pair(tmp_path):
+    # A smoke test of the refactor gate: every run it digests ends in an
+    # exit code, not an exception, and exactly the pairs the CLI refuses
+    # by their config (a lattice solver on random coefficients, a weak
+    # solve on a degenerate diffusion) exit 2.
+    digests = load_tool("output_digests")
+    codes = {label: digests._run(tmp_path, sub, label, sections)[0].split(" exit ")[1]
+             for sub, label, sections in digests._runs()}
+    refused = {f"{sub}/random_terminal" for sub in (
+        "value", "dpp-check", "pide", "verify", "convergence[dpp_residual]")}
+    refused |= {f"hjb-weak/{name}" for name in ("exp_decay", "linear1d", "zero")}
+    assert {label: code for label, code in codes.items() if code != "0"} == dict.fromkeys(
+        refused, "2")
+    assert len(codes) == 55
