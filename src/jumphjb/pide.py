@@ -188,7 +188,7 @@ def nonlocal_apply(space: SpatialGrid, v_slice: np.ndarray,
     feeding the driver and int I Psi nu(de).  One stencil per atom reads
     V and Psi at x + g.  ``psi_slice`` has one field per atom; omit it
     for deterministic problems.  ``dv`` (B, n) is the value gradient at
-    x, taken from the central differences of the slice when omitted.
+    x, the grid's centred gradient of the slice read there when omitted.
     """
     v_flat = np.asarray(v_slice, dtype=float).ravel()
     psi = (np.zeros((measure.n_atoms, v_flat.size)) if psi_slice is None

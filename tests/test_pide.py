@@ -331,17 +331,23 @@ class TestDriftConsistency:
             drift_consistency_residual(trip, np.zeros((5, 21)), co, U2, MEAS)
 
     def test_duplicated_atom_ties_to_the_lowest_index(self):
-        # Two equal controls give equal totals at every node, and the
+        # Equal controls give equal totals at every node, and the
         # feedback takes the first, the tie rule of the backward sweep.
         co = benchmark_coeffs()
         space = SpatialGrid([-3.0], [3.0], (31,))
         tg = TimeGrid.uniform(0.25, 20)
-        u = U2.atoms[1]
-        twice = ControlSet(np.stack([u, u]), U2.lower, U2.upper)
+        a0, a1 = U2.atoms
+        twice = ControlSet(np.stack([a1, a1]), U2.lower, U2.upper)
+        repeated = ControlSet(np.stack([a0, a1, a0, a1]), U2.lower, U2.upper)
         sol = solve_pide_deterministic(co, space, tg, U2, MEAS)
         for i in (0, 7, 19):
             best, idx = pide._delta_field(sol.triplet, co, twice, MEAS, tg.nodes[i], i)
             assert np.all(np.isfinite(best)) and idx.tolist() == [0] * 31
+            once = pide._delta_field(sol.triplet, co, U2, MEAS, tg.nodes[i], i)
+            again = pide._delta_field(sol.triplet, co, repeated, MEAS, tg.nodes[i], i)
+            assert 0 < once[1].sum() < 31
+            for a, b in zip(once, again):
+                np.testing.assert_array_equal(a, b)
 
     def test_gamma_shift_affine(self):
         co = benchmark_coeffs()
